@@ -1,17 +1,19 @@
-"""CI perf-regression gate for the simulation engines.
+"""CI perf-regression gate for the simulator.
 
 Re-runs the ``bench_sim`` sweep and compares it against the committed
 ``BENCH_sim.json`` baseline:
 
 * **Cycle drift** — every row (integer cycle counts, stall counts,
   first-invocation latencies) must match the baseline exactly.  The
-  batched engine is deterministic, so *any* difference means simulated
+  simulator is deterministic, so *any* difference means simulated
   behaviour changed and the gate fails.
 * **Speedup regression** — wall-clock seconds do not transfer between
-  machines, so the gate compares the reference/batched speedup
-  *ratio*: if the current ratio falls more than ``--tolerance``
-  (default 15%) below the committed one, the batched engine got
-  relatively slower and the gate fails.
+  machines, so the gate compares the ``run_reference()``/``run()``
+  speedup *ratio*: if the current ratio falls more than
+  ``--tolerance`` (default 12%) below the committed one, the batched
+  cores got relatively slower and the gate fails.  Over seven runs on
+  a loaded 2-vCPU host the ratio spread ±5%, so 12% leaves room on
+  both sides: clean runs pass and the 20% self-test below fails.
 
 A markdown delta table is appended to ``--summary`` (defaulting to
 ``$GITHUB_STEP_SUMMARY`` when set, else stdout).
@@ -99,8 +101,8 @@ def compare(
     floor = base_speedup / (1.0 + tolerance)
     deltas.append(
         [
-            "figure6_summary",
-            "speedup (ref wall / batched wall)",
+            "Figure 6 grid",
+            "speedup (reference wall / batched wall)",
             f"{base_speedup:.2f}x",
             f"{current_speedup:.2f}x (floor {floor:.2f}x)",
         ]
@@ -131,9 +133,8 @@ def render_summary(
         )
     lines += [
         "",
-        f"Reference wall: "
-        f"{engines['reference']['figure6_wall_s']}s — "
-        f"batched wall: {engines['batched']['figure6_wall_s']}s",
+        f"Reference wall: {engines['reference']['grid_wall_s']}s — "
+        f"batched wall: {engines['batched']['grid_wall_s']}s",
         "",
     ]
     if failures:
@@ -164,8 +165,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=0.15,
-        help="allowed relative speedup drop (default 0.15 = 15%%)",
+        default=0.12,
+        help="allowed relative speedup drop (default 0.12 = 12%%)",
     )
     parser.add_argument(
         "--summary",

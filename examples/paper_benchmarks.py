@@ -70,16 +70,18 @@ def main() -> None:
                 link,
                 workload.cpi,
             ).run()
-            parallel_controller = ParallelController(
-                target, order, link, workload.cpi, max_streams=4
-            )
             parallel = Simulator(
                 target,
                 workload.test_trace,
-                parallel_controller,
+                ParallelController(
+                    target, order, link, workload.cpi, max_streams=4
+                ),
                 link,
                 workload.cpi,
             ).run()
+            demand_fetches = sum(
+                entry.demand_fetched for entry in parallel.latencies.entries
+            )
             print(
                 f"  {label} interleaved: "
                 f"{interleaved.normalized_to(base.total_cycles):5.1f}% "
@@ -87,8 +89,7 @@ def main() -> None:
                 f"{interleaved.bytes_terminated/1024:6.1f} KB cut off) | "
                 f"parallel(4): "
                 f"{parallel.normalized_to(base.total_cycles):5.1f}% "
-                f"({len(parallel_controller.demand_fetches)} demand "
-                "fetches)"
+                f"({demand_fetches} demand fetches)"
             )
 
 

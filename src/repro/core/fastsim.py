@@ -1,47 +1,43 @@
-"""Event-batched co-simulation core: the ``engine="batched"`` hot path.
+"""Event-batched co-simulation cores: the fast loops behind ``Simulator.run``.
 
-The reference :class:`~repro.core.simulation.Simulator` walks the trace
-segment by segment through layered abstractions — controller callbacks,
-generator-expression byte sums, per-event attribute lookups.  That is
-the right shape for exposition but pays Python overhead on every one of
-the millions of micro-steps a parameter sweep takes.
+The reference loop (:meth:`~repro.core.simulation.Simulator.run_reference`)
+walks the trace segment by segment through layered abstractions —
+controller callbacks, generator-expression byte sums, per-event
+attribute lookups.  That is the right shape for exposition but pays
+Python overhead on every one of the millions of micro-steps a parameter
+sweep takes.
 
 This module rebuilds the same co-simulation as a *run-to-next-event*
-loop over preallocated arrays:
+loop over flat lists:
 
-* the trace is **precompiled** once into flat arrays (per-segment
-  execution cost in cycles, first-use markers with their resolved
-  transfer units) — numpy-accelerated when available, with a
-  pure-Python ``array``/list fallback behind one feature flag
-  (``REPRO_FASTSIM_NUMPY=0`` forces the fallback);
-* the paper's two single-link methodologies get **specialized cores**
-  (single-stream for interleaved/strict, processor-sharing for
-  parallel) that inline the :class:`~repro.transfer.streams.StreamEngine`
-  event loop into local-variable arithmetic;
-* any other controller (the multi-link :mod:`repro.sched` engines, for
-  example) runs through a **generic batched loop** that keeps the
-  controller/engine objects but hoists the per-segment bookkeeping.
+* the trace is **precompiled** once per run into per-segment execution
+  costs and first-use markers with their resolved transfer units;
+* the paper's single-link methodologies get **specialized cores**
+  (single-stream for interleaved, compressed interleaved and strict;
+  processor-sharing for parallel) that inline the
+  :class:`~repro.transfer.streams.StreamEngine` event loop into
+  local-variable arithmetic.
+
+:meth:`Simulator.run` sends a run here only for those controllers and
+only when no recorder is attached
+(:func:`~repro.core.simulation.resolve_engine`).  The cores keep every
+piece of per-run state locally and never mutate the controller.
 
 Fidelity contract: the batched cores perform *bit-for-bit the same
-float operations in the same order* as the reference engine, so
+float operations in the same order* as the reference loop, so
 ``total_cycles``, every stall, and every per-method first-invocation
 latency are exactly equal — property-tested in
 ``tests/core/test_fastsim.py`` across all six workloads, both
-methodologies, and both orderings.  Schedule-release checks are the one
+methodologies, and both orderings, plus data partitioning, strict and
+compressed interleaved transfer.  Schedule-release checks are the one
 place the batched parallel core does *less* work: releases are byte-
 monotone, so a class whose byte trigger is provably unreachable since
 the last check is skipped until enough bytes flow (the skipped checks
 are exactly the ones the reference evaluates to False).
-
-Tracing: the zero-cost-disabled path is preserved by construction —
-when a :class:`~repro.observe.TraceRecorder` is attached the simulator
-falls back to the reference loop (which emits the event stream), so
-``engine="batched"`` changes nothing about recorded runs.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from typing import (
@@ -49,7 +45,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -68,10 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..vm import ExecutionTrace
     from .simulation import Simulator
 
-__all__ = ["ENGINES", "numpy_enabled", "compile_trace", "run_batched"]
-
-#: The engine identifiers the ``engine=`` switches accept.
-ENGINES = ("reference", "batched")
+__all__ = ["compile_trace", "run_batched"]
 
 #: Matches ``repro.transfer.streams._EPSILON``.
 _EPSILON = 1e-6
@@ -82,25 +74,8 @@ _EPSILON = 1e-6
 _RELEASE_SLACK = 1e-3
 
 
-def numpy_enabled() -> bool:
-    """Whether the numpy acceleration path is active.
-
-    Controlled by the ``REPRO_FASTSIM_NUMPY`` feature flag: ``0`` /
-    ``off`` / ``false`` / ``no`` force the pure-Python fallback;
-    anything else (including unset) uses numpy when importable.
-    """
-    flag = os.environ.get("REPRO_FASTSIM_NUMPY", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is in the test deps
-        return False
-    return True
-
-
 class CompiledTrace:
-    """Preallocated per-segment arrays for one (trace, controller) pair.
+    """Per-segment lists for one (trace, controller) pair.
 
     Attributes:
         costs: Per-segment execution cost in cycles
@@ -116,7 +91,7 @@ class CompiledTrace:
 
     def __init__(
         self,
-        costs: Sequence[float],
+        costs: List[float],
         first_use: List[Optional[Tuple[MethodId, TransferUnit]]],
         total_cost_basis: int,
     ) -> None:
@@ -130,35 +105,16 @@ def compile_trace(
     controller: TransferController,
     cpi: float,
 ) -> CompiledTrace:
-    """Flatten a trace into the batched cores' preallocated arrays.
+    """Flatten a trace into the batched cores' per-segment lists.
 
-    The cost array is built vectorized when numpy is enabled
-    (``int64 → float64`` conversion is exact for every realistic
-    instruction count, and the elementwise multiply is the same IEEE
-    operation the reference performs per segment), else through a
-    pure-Python ``array('d')`` fallback with identical values.
+    Each cost is the same ``int × float`` product the reference loop
+    computes per segment, so the floats are identical.
     """
     segments = trace.segments
-    count = len(segments)
     cpi = float(cpi)
-    costs: Sequence[float]
-    if numpy_enabled():
-        import numpy
-
-        instruction_counts = numpy.fromiter(
-            (segment.instructions for segment in segments),
-            dtype=numpy.int64,
-            count=count,
-        )
-        # .tolist() yields plain Python floats: scalar indexing in the
-        # hot loop is faster on a list than on an ndarray.
-        costs = (instruction_counts * cpi).tolist()
-    else:
-        costs = array(
-            "d", (segment.instructions * cpi for segment in segments)
-        ).tolist()
+    costs = [segment.instructions * cpi for segment in segments]
     first_use: List[Optional[Tuple[MethodId, TransferUnit]]] = (
-        [None] * count
+        [None] * len(segments)
     )
     seen = set()
     required_unit = controller.required_unit
@@ -170,41 +126,18 @@ def compile_trace(
     return CompiledTrace(costs, first_use, trace.total_instructions)
 
 
-def _compiled_for(simulator: "Simulator") -> CompiledTrace:
-    """Per-controller compile cache (identity-keyed, strong refs).
-
-    A controller is typically driven repeatedly against the same trace
-    (benchmark rounds, sweeps over links); the compiled arrays are pure
-    functions of ``(trace, controller plans, cpi)`` so they are reused.
-    """
-    controller = simulator.controller
-    cache: List[Tuple[object, float, CompiledTrace]]
-    cache = controller.__dict__.setdefault("_fastsim_compiled", [])
-    for trace_ref, cpi_ref, compiled in cache:
-        if trace_ref is simulator.trace and cpi_ref == simulator.cpi:
-            return compiled
-    compiled = compile_trace(
-        simulator.trace, controller, simulator.cpi
-    )
-    cache.append((simulator.trace, simulator.cpi, compiled))
-    return compiled
-
-
 def run_batched(simulator: "Simulator") -> SimulationResult:
-    """Run one co-simulation on the batched engine.
+    """Run one co-simulation on its controller's batched core.
 
-    Dispatches to the specialized single-stream or processor-sharing
-    core when the controller is one of the paper's single-link
-    methodologies, and to the generic batched loop otherwise.
+    The processor-sharing core serves :class:`ParallelController`; the
+    single-stream core serves the other controllers in
+    :data:`~repro.core.simulation.BATCHED_CONTROLLERS`.
     """
-    compiled = _compiled_for(simulator)
     controller = simulator.controller
-    kind = type(controller)
-    if kind is InterleavedController or kind is StrictSequentialController:
-        return _run_single_stream(simulator, compiled)
-    if kind is ParallelController:
+    compiled = compile_trace(simulator.trace, controller, simulator.cpi)
+    if type(controller) is ParallelController:
         return _run_parallel(simulator, compiled)
-    return _run_generic(simulator, compiled)
+    return _run_single_stream(simulator, compiled)
 
 
 def _report(
@@ -216,7 +149,7 @@ def _report(
 
 
 # ---------------------------------------------------------------------------
-# Single-stream core: interleaved and strict-sequential transfer
+# Single-stream core: interleaved, compressed and strict-sequential transfer
 # ---------------------------------------------------------------------------
 
 
@@ -241,7 +174,7 @@ def _single_stream_units(
 def _run_single_stream(
     simulator: "Simulator", compiled: CompiledTrace
 ) -> SimulationResult:
-    """One stream, full bandwidth: interleaved/strict methodologies.
+    """One stream, full bandwidth: interleaved and strict methodologies.
 
     Inlines the reference engine's bounded-step loop for the
     ``len(active) == 1`` case.  Units complete strictly in sequence
@@ -372,6 +305,7 @@ def _run_single_stream(
         stalls=stalls,
         controller_name=controller.name,
         latencies=_report(entries),
+        engine="batched",
     )
 
 
@@ -422,8 +356,8 @@ def _run_parallel(
 
     Replicates :class:`~repro.transfer.ParallelController` +
     :class:`~repro.transfer.streams.StreamEngine` with the controller's
-    per-run state (pending starts, streams, demand fetches) rebuilt
-    locally, so a cached controller can drive any number of runs.
+    per-run state (pending starts, streams, demand fetches) kept
+    locally, so the controller itself is never mutated.
     """
     controller = simulator.controller
     assert isinstance(controller, ParallelController)
@@ -664,79 +598,5 @@ def _run_parallel(
         stalls=stalls,
         controller_name=controller.name,
         latencies=_report(entries),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Generic batched loop: any controller/engine pair (striped, custom)
-# ---------------------------------------------------------------------------
-
-
-def _run_generic(
-    simulator: "Simulator", compiled: CompiledTrace
-) -> SimulationResult:
-    """Batched outer loop over an unmodified controller + engine.
-
-    Used for controllers without a specialized core (multi-link
-    striping, subclasses).  The engine still advances through exactly
-    the same ``run_until`` boundaries as the reference — only the
-    per-segment bookkeeping (required-unit resolution, first-use
-    detection, O(n) latency recording) is precompiled away.
-    """
-    controller = simulator.controller
-    engine = controller.build_engine(simulator.link)
-    controller.setup(engine)
-    wakeup = controller.next_wakeup
-    on_advance = controller.on_advance
-    run_until = engine.run_until
-    arrived = engine.arrived
-
-    time = 0.0
-    stall_cycles = 0.0
-    stalls: List[StallEvent] = []
-    entries: List[MethodInvocationLatency] = []
-
-    costs = compiled.costs
-    first_use = compiled.first_use
-    for index in range(len(costs)):
-        pair = first_use[index]
-        if pair is not None:
-            method, unit = pair
-            if not arrived(unit):
-                controller.on_stall(engine, method)
-                arrival = engine.run_until_unit(
-                    unit, wakeup=wakeup, on_advance=on_advance
-                )
-                if arrival < time:
-                    arrival = time
-                stalls.append(
-                    StallEvent(
-                        method=method,
-                        start=time,
-                        duration=arrival - time,
-                    )
-                )
-                stall_cycles += arrival - time
-                time = arrival
-            entries.append(
-                MethodInvocationLatency(
-                    method=method,
-                    latency=time,
-                    demand_fetched=method
-                    in getattr(controller, "demand_fetches", ()),
-                )
-            )
-        time = time + costs[index]
-        run_until(time, wakeup=wakeup, on_advance=on_advance)
-
-    return SimulationResult(
-        total_cycles=time,
-        execution_cycles=compiled.total_cost_basis * simulator.cpi,
-        stall_cycles=stall_cycles,
-        invocation_latency=entries[0].latency if entries else 0.0,
-        bytes_delivered=engine.total_delivered,
-        bytes_terminated=engine.remaining_bytes,
-        stalls=stalls,
-        controller_name=controller.name,
-        latencies=_report(entries),
+        engine="batched",
     )

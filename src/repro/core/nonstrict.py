@@ -20,7 +20,7 @@ This is the façade most users want::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import SimulationError
 from ..program import Program
@@ -34,7 +34,7 @@ from ..transfer import (
     TransferController,
 )
 from ..vm import ExecutionTrace
-from .simulation import SimulationResult, Simulator, resolve_engine
+from .simulation import SimulationResult, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..observe import TraceRecorder
@@ -42,72 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["run_nonstrict", "run_strict"]
 
 _METHODS = ("parallel", "interleaved")
-
-_ConfigKey = Tuple[str, Optional[int], bool, bool]
-_ConfigEntry = Tuple[
-    FirstUseOrder, _ConfigKey, Program, TransferController
-]
-
-
-def _build_controller(
-    target: Program,
-    order: FirstUseOrder,
-    link: NetworkLink,
-    cpi: float,
-    method: str,
-    max_streams: Optional[int],
-    data_partitioning: bool,
-) -> TransferController:
-    if method == "parallel":
-        return ParallelController(
-            target,
-            order,
-            link,
-            cpi,
-            max_streams=max_streams,
-            data_partitioning=data_partitioning,
-        )
-    return InterleavedController(
-        target, order, data_partitioning=data_partitioning
-    )
-
-
-def _cached_config(
-    program: Program,
-    order: FirstUseOrder,
-    link: NetworkLink,
-    cpi: float,
-    method: str,
-    max_streams: Optional[int],
-    data_partitioning: bool,
-    restructure: bool,
-) -> Tuple[Program, TransferController]:
-    """Reuse (restructured program, controller) pairs across runs.
-
-    Only the batched engine takes this path: its specialized cores keep
-    all per-run state locally, so a controller is reusable, and the
-    schedule builder ignores the link, so one cached pair serves every
-    link × CPI sweep point.  Keyed on order *identity* (orders are
-    built once per workload and reused) plus the config tuple; the
-    cache lives on the program object so it dies with the program.
-    """
-    cache: List[_ConfigEntry] = program.__dict__.setdefault(
-        "_batched_config_cache", []
-    )
-    key: _ConfigKey = (
-        method, max_streams, data_partitioning, restructure
-    )
-    for cached_order, cached_key, target, controller in cache:
-        if cached_order is order and cached_key == key:
-            return target, controller
-    target = (
-        apply_restructure(program, order) if restructure else program
-    )
-    controller = _build_controller(
-        target, order, link, cpi, method, max_streams, data_partitioning
-    )
-    cache.append((order, key, target, controller))
-    return target, controller
 
 
 def run_nonstrict(
@@ -121,7 +55,6 @@ def run_nonstrict(
     data_partitioning: bool = False,
     restructure: bool = True,
     recorder: Optional["TraceRecorder"] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate non-strict execution of one configuration.
 
@@ -141,9 +74,6 @@ def run_nonstrict(
             first (the paper always does; disable only for ablation).
         recorder: Optional :class:`repro.observe.TraceRecorder`
             collecting the run's event stream on the cycle clock.
-        engine: ``"reference"`` or ``"batched"`` (cycle-exact fast
-            path; see :mod:`repro.core.fastsim`); ``None`` defers to
-            ``REPRO_SIM_ENGINE``.
 
     Returns:
         The :class:`~repro.core.simulation.SimulationResult`.
@@ -152,39 +82,23 @@ def run_nonstrict(
         raise SimulationError(
             f"unknown transfer method {method!r}; pick from {_METHODS}"
         )
-    resolved_engine = resolve_engine(engine)
-    if resolved_engine == "batched" and recorder is None:
-        target, controller = _cached_config(
-            program,
-            order,
-            link,
-            cpi,
-            method,
-            max_streams,
-            data_partitioning,
-            restructure,
-        )
-    else:
-        target = (
-            apply_restructure(program, order) if restructure else program
-        )
-        controller = _build_controller(
+    target = apply_restructure(program, order) if restructure else program
+    controller: TransferController
+    if method == "parallel":
+        controller = ParallelController(
             target,
             order,
             link,
             cpi,
-            method,
-            max_streams,
-            data_partitioning,
+            max_streams=max_streams,
+            data_partitioning=data_partitioning,
+        )
+    else:
+        controller = InterleavedController(
+            target, order, data_partitioning=data_partitioning
         )
     simulator = Simulator(
-        target,
-        trace,
-        controller,
-        link,
-        cpi,
-        recorder=recorder,
-        engine=resolved_engine,
+        target, trace, controller, link, cpi, recorder=recorder
     )
     return simulator.run()
 
@@ -195,7 +109,6 @@ def run_strict(
     link: NetworkLink,
     cpi: float,
     recorder: Optional["TraceRecorder"] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate the strict base case (sequential whole-file transfer).
 
@@ -207,12 +120,6 @@ def run_strict(
     """
     controller = StrictSequentialController(program)
     simulator = Simulator(
-        program,
-        trace,
-        controller,
-        link,
-        cpi,
-        recorder=recorder,
-        engine=engine,
+        program, trace, controller, link, cpi, recorder=recorder
     )
     return simulator.run()

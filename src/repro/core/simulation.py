@@ -16,17 +16,28 @@ Replays an execution trace against a transfer timeline, cycle-exactly:
 
 The same machinery simulates the strict base case by pairing the
 strict controller (whole-file units) with a strict-semantics trace.
+
+:meth:`Simulator.run` has one rule, :func:`resolve_engine`: unrecorded
+runs of the paper's single-link controllers take the batched cores in
+:mod:`repro.core.fastsim`; everything else takes the per-segment
+reference loop below, which is also the tests' oracle.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..errors import SimulationError
 from ..program import MethodId, Program
-from ..transfer import TransferController, NetworkLink
+from ..transfer import (
+    CompressedInterleavedController,
+    InterleavedController,
+    NetworkLink,
+    ParallelController,
+    StrictSequentialController,
+    TransferController,
+)
 from ..vm import ExecutionTrace
 from .metrics import InvocationLatencyReport
 
@@ -35,23 +46,37 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["StallEvent", "SimulationResult", "Simulator", "resolve_engine"]
 
-_ENGINES = ("reference", "batched")
+#: The paper's single-link controllers.  Each has a batched core in
+#: :mod:`repro.core.fastsim`; the match is on the exact type, because a
+#: subclass may override any controller callback.
+BATCHED_CONTROLLERS = (
+    ParallelController,
+    InterleavedController,
+    CompressedInterleavedController,
+    StrictSequentialController,
+)
 
 
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an ``engine=`` argument to a concrete engine name.
+def resolve_engine(
+    controller: Optional[TransferController] = None,
+    recorder: Optional["TraceRecorder"] = None,
+) -> str:
+    """Name the loop :meth:`Simulator.run` takes for these inputs.
 
-    ``None`` falls back to the ``REPRO_SIM_ENGINE`` environment
-    variable, then to ``"reference"``.  The batched engine is
-    cycle-exact (see :mod:`repro.core.fastsim`), so either choice
-    produces identical results — only wall-clock differs.
+    ``"batched"`` (the cores in :mod:`repro.core.fastsim`) for an
+    unrecorded run of one of the paper's single-link controllers;
+    ``controller=None`` stands for those, the controllers
+    :func:`~repro.core.run_nonstrict` and :func:`~repro.core.run_strict`
+    build.  ``"reference"`` (:meth:`Simulator.run_reference`) otherwise:
+    a recorder needs its event stream, and striped or custom
+    controllers need their callbacks driven.  Both loops give
+    bit-identical results.
     """
-    resolved = engine or os.environ.get("REPRO_SIM_ENGINE") or "reference"
-    if resolved not in _ENGINES:
-        raise SimulationError(
-            f"unknown simulation engine {resolved!r}; pick from {_ENGINES}"
-        )
-    return resolved
+    if recorder is None and (
+        controller is None or type(controller) in BATCHED_CONTROLLERS
+    ):
+        return "batched"
+    return "reference"
 
 
 def _cycle_latency_report() -> InvocationLatencyReport:
@@ -90,6 +115,8 @@ class SimulationResult:
         latencies: Per-method first-invocation latencies (unit
             ``"cycles"``) — the simulated twin of the measured report
             :func:`repro.netserve.run_networked` produces.
+        engine: The loop that ran: ``"batched"`` or ``"reference"``
+            (see :func:`resolve_engine`).
     """
 
     total_cycles: float
@@ -103,6 +130,7 @@ class SimulationResult:
     latencies: InvocationLatencyReport = field(
         default_factory=_cycle_latency_report
     )
+    engine: str = ""
 
     @property
     def stall_count(self) -> int:
@@ -131,14 +159,8 @@ class Simulator:
             ``"cycles"``); when given, the run emits ``unit_arrived``,
             ``method_first_invoke``, ``stall_begin``/``stall_end``, and
             the controller's ``schedule_decision``/``demand_fetch``
-            events on the simulated clock.
-        engine: ``"reference"`` (the readable per-segment loop below)
-            or ``"batched"`` (the event-batched hot path in
-            :mod:`repro.core.fastsim` — cycle-exact, ~10× faster).
-            ``None`` defers to ``REPRO_SIM_ENGINE``, default
-            ``"reference"``.  Recorded runs always use the reference
-            loop so the event stream (and the recorder's zero-cost
-            disabled path) is untouched.
+            events on the simulated clock.  A recorded run takes the
+            reference loop (see :func:`resolve_engine`).
     """
 
     def __init__(
@@ -149,7 +171,6 @@ class Simulator:
         link: NetworkLink,
         cpi: float,
         recorder: Optional["TraceRecorder"] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if cpi <= 0:
             raise SimulationError(f"CPI must be positive, got {cpi}")
@@ -159,19 +180,31 @@ class Simulator:
         self.link = link
         self.cpi = float(cpi)
         self.recorder = recorder
-        self.engine = resolve_engine(engine)
 
     def run(self) -> SimulationResult:
-        """Run the co-simulation to completion."""
-        if self.engine == "batched" and self.recorder is None:
-            from .fastsim import run_batched
+        """Run the co-simulation to completion.
+
+        Takes the loop :func:`resolve_engine` names for this controller
+        and recorder; ``result.engine`` says which one ran.
+        """
+        if resolve_engine(self.controller, self.recorder) == "batched":
+            from .fastsim import run_batched  # fastsim imports this module
 
             return run_batched(self)
-        engine = self.controller.build_engine(self.link)
+        return self.run_reference()
+
+    def run_reference(self) -> SimulationResult:
+        """Run the readable per-segment loop, whatever the inputs.
+
+        This is the oracle the batched cores are tested against, bit for
+        bit.  It drives any controller through its callbacks and emits
+        the recorder's event stream.
+        """
         controller = self.controller
         recorder = self.recorder
-        if recorder is not None and controller.recorder is None:
-            controller.recorder = recorder
+        # The controller emits into this run's recorder, or none.
+        controller.recorder = recorder
+        engine = controller.build_engine(self.link)
         controller.setup(engine)
 
         wakeup = controller.next_wakeup
@@ -255,4 +288,5 @@ class Simulator:
             stalls=stalls,
             controller_name=controller.name,
             latencies=latencies,
+            engine="reference",
         )

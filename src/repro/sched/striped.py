@@ -294,6 +294,7 @@ class StripedController(TransferController):
         return engine  # type: ignore[return-value]
 
     def setup(self, engine: StreamEngine) -> None:
+        self.demand_fetches = []
         issue_engine = self._issue_engine(engine)
         issue_engine.recorder = self.recorder
         issue_engine.dispatch()
@@ -438,18 +439,14 @@ def run_striped(
     escalate: bool = True,
     restructure: bool = True,
     recorder: Optional["TraceRecorder"] = None,
-    engine: Optional[str] = None,
 ) -> "SimulationResult":
     """Co-simulate one striped configuration end to end.
 
     The multi-link twin of :func:`repro.core.run_nonstrict`: the
     program is restructured into first-use order (unless
     ``restructure=False``), a :class:`StripedController` is built
-    over the link set, and the co-simulator replays the trace.
-    ``engine="batched"`` routes the run through the generic batched
-    loop in :mod:`repro.core.fastsim` (the :class:`IssueEngine` still
-    advances through identical event boundaries, so results are
-    cycle-exact).
+    over the link set, and the co-simulator replays the trace on its
+    reference loop (striped controllers have no batched core).
 
     Returns:
         The :class:`repro.core.SimulationResult`.
@@ -478,6 +475,5 @@ def run_striped(
         links[0],
         cpi,
         recorder=recorder,
-        engine=engine,
     )
     return simulator.run()

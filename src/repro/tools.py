@@ -352,7 +352,6 @@ def _cmd_simulate(arguments) -> int:
             policy=arguments.sched_policy,
             max_streams=arguments.streams,
             data_partitioning=arguments.partition,
-            engine=arguments.engine,
         )
         print(
             f"striped links:     "
@@ -369,7 +368,6 @@ def _cmd_simulate(arguments) -> int:
             method=arguments.method,
             max_streams=arguments.streams,
             data_partitioning=arguments.partition,
-            engine=arguments.engine,
         )
     print(f"strict total:      {base.total_cycles:,.0f} cycles")
     print(f"non-strict total:  {result.total_cycles:,.0f} cycles")
@@ -935,14 +933,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     simulate.add_argument("--streams", type=int, default=None)
     simulate.add_argument("--partition", action="store_true")
-    simulate.add_argument(
-        "--engine",
-        choices=("reference", "batched"),
-        default=None,
-        help="simulation engine: the cycle-exact batched fast path or "
-        "the reference per-segment loop (default: REPRO_SIM_ENGINE "
-        "or reference)",
-    )
     simulate.add_argument(
         "--links",
         default=None,

@@ -67,6 +67,11 @@ class ParallelController(TransferController):
     # -- controller interface -------------------------------------------
 
     def setup(self, engine: StreamEngine) -> None:
+        # Per-run state starts afresh, so one controller can drive any
+        # number of runs.
+        self._pending = self.schedule.in_start_order()
+        self._streams = {}
+        self.demand_fetches = []
         self._release_due(engine)
 
     def required_unit(self, method_id: MethodId) -> TransferUnit:

@@ -1,4 +1,4 @@
-"""Closure-threaded bytecode dispatch (the VM's ``dispatch="threaded"``).
+"""Closure-threaded bytecode dispatch (the VM's uninstrumented runs).
 
 The reference interpreter decodes every dynamic instruction through an
 opcode if-chain plus dict lookups (:meth:`VirtualMachine._execute`).
@@ -20,8 +20,8 @@ instruction counter advances before each handler runs, so ``SYS TIME``
 reads the same values.
 
 Instrumented runs (``TraceRecorder`` etc.) need per-instruction
-callbacks, which this loop deliberately has no seam for; the VM keeps
-them on the reference dispatch (``dispatch="auto"``).
+callbacks, which this loop deliberately has no seam for; the VM runs
+them on the reference dispatch.
 
 Compiled handler tables are cached on the :class:`Program` object, so
 repeated VM runs over one program (profile estimation, workload

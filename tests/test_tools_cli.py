@@ -123,31 +123,27 @@ def test_simulate_striped_links(stored, capsys):
     assert "policy deadline" in out
 
 
-def test_simulate_engine_ab_identical(stored, capsys):
-    """--engine batched prints exactly what --engine reference does."""
+def test_simulate_engine_ab_identical(stored, capsys, monkeypatch):
+    """simulate prints exactly what it prints on the reference loop."""
+    from repro.core import Simulator
+
     directory, trace = stored
-    outputs = {}
-    for engine in ("reference", "batched"):
-        assert (
-            main(
-                [
-                    "simulate",
-                    directory,
-                    trace,
-                    "--link",
-                    "modem",
-                    "--cpi",
-                    "50",
-                    "--method",
-                    "parallel",
-                    "--engine",
-                    engine,
-                ]
-            )
-            == 0
-        )
-        outputs[engine] = capsys.readouterr().out
-    assert outputs["reference"] == outputs["batched"]
+    arguments = [
+        "simulate",
+        directory,
+        trace,
+        "--link",
+        "modem",
+        "--cpi",
+        "50",
+        "--method",
+        "parallel",
+    ]
+    assert main(arguments) == 0
+    batched = capsys.readouterr().out
+    monkeypatch.setattr(Simulator, "run", Simulator.run_reference)
+    assert main(arguments) == 0
+    assert capsys.readouterr().out == batched
 
 
 def test_simulate_rejects_bad_links_spec(stored, capsys):

@@ -27,6 +27,18 @@ def _result_key(result):
     )
 
 
+def _machines(program, **kwargs):
+    """A reference-loop VM and a threaded one over ``program``.
+
+    An attached instrument selects the reference loop, exactly as in
+    production; without one the VM takes threaded dispatch.
+    """
+    return (
+        VirtualMachine(program, instruments=[InstructionCounter()], **kwargs),
+        VirtualMachine(program, **kwargs),
+    )
+
+
 def _run_both(program, entry=None, args=(), max_instructions=50_000_000):
     """Run under both dispatchers; return the pair of outcomes.
 
@@ -34,10 +46,7 @@ def _run_both(program, entry=None, args=(), max_instructions=50_000_000):
     instruction count at the raise) — errors must match exactly too.
     """
     outcomes = []
-    for dispatch in ("reference", "threaded"):
-        machine = VirtualMachine(
-            program, max_instructions=max_instructions, dispatch=dispatch
-        )
+    for machine in _machines(program, max_instructions=max_instructions):
         try:
             result = machine.run(entry=entry, args=args)
         except (VMError, StackUnderflowError) as error:
@@ -73,10 +82,10 @@ def test_workload_programs_identical(factory):
 
 def test_compiled_code_is_cached_per_program():
     program = figure1_program()
-    VirtualMachine(program, dispatch="threaded").run()
+    VirtualMachine(program).run()
     compiled = compiled_method_count(program)
     assert compiled > 0
-    VirtualMachine(program, dispatch="threaded").run()
+    VirtualMachine(program).run()
     assert compiled_method_count(program) == compiled
 
 
@@ -176,20 +185,6 @@ def test_entry_args_identical():
     assert reference[1][1] == [42]
 
 
-def test_unknown_dispatch_rejected():
-    with pytest.raises(VMError, match="unknown dispatch"):
-        VirtualMachine(figure1_program(), dispatch="fastest")
-
-
-def test_threaded_refuses_instruments():
-    with pytest.raises(VMError, match="threaded dispatch"):
-        VirtualMachine(
-            figure1_program(),
-            instruments=[InstructionCounter()],
-            dispatch="threaded",
-        )
-
-
 def test_auto_with_instruments_uses_reference_loop():
     counter = InstructionCounter()
     program = figure1_program()
@@ -223,10 +218,7 @@ def test_property_random_programs_identical(body, seed):
     )
     program = compile_source(source)
     expected = None
-    for dispatch in ("reference", "threaded"):
-        machine = VirtualMachine(
-            program, rng_seed=seed, dispatch=dispatch
-        )
+    for machine in _machines(program, rng_seed=seed):
         key = _result_key(machine.run())
         if expected is None:
             expected = key
