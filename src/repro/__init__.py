@@ -43,7 +43,6 @@ from .netserve import (
     ClassFileServer,
     NetworkRunResult,
     NonStrictFetcher,
-    ResilientFetcher,
     fetch_and_run,
     run_networked,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "FaultPlan",
     "NetworkRunResult",
     "NonStrictFetcher",
-    "ResilientFetcher",
     "fetch_and_run",
     "run_networked",
     "SimulationResult",

@@ -6,8 +6,10 @@ unreliable*; this package makes the unreliability reproducible.  A
 misbehaviour (cuts, corruption, drops, duplicates, stalls, jitter)
 that plugs into :class:`repro.netserve.ClassFileServer`; the matching
 lossy-link model for the cycle-exact simulator lives in
-:func:`repro.transfer.lossy_link`.  The resilient client that survives
-every injectable fault is :class:`repro.netserve.ResilientFetcher`.
+:func:`repro.transfer.lossy_link`.  The fetch client,
+:class:`repro.netserve.NonStrictFetcher`, survives every injectable
+fault on every link, whether it fetches over one endpoint or stripes
+over several.
 """
 
 from .injector import (

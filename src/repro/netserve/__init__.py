@@ -8,7 +8,7 @@ priority, so the model can be validated against wall-clock transfers.
 
 from .bridge import NetworkRunResult, fetch_and_run, run_networked
 from .cache import ArtifactCache, SessionArtifact, program_fingerprint
-from .client import NonStrictFetcher
+from .client import LinkState, NonStrictFetcher
 from .loadgen import (
     CellResult,
     LoadCell,
@@ -18,7 +18,6 @@ from .loadgen import (
     sweep_cells,
     write_bench_json,
 )
-from .resilient import ResilientFetcher
 from .payloads import (
     DELIMITER_FILLER,
     build_class_payloads,
@@ -48,7 +47,7 @@ from .protocol import (
     unit_wire_key,
 )
 from .server import REORDER_STRATEGIES, ClassFileServer, TokenBucket
-from .striped import LinkState, StripedResilientFetcher
+from .striped import StripedResilientFetcher
 from .stats import (
     ConnectionStats,
     FetchStats,
@@ -71,7 +70,6 @@ __all__ = [
     "run_sweep",
     "sweep_cells",
     "write_bench_json",
-    "ResilientFetcher",
     "DELIMITER_FILLER",
     "build_class_payloads",
     "build_program_payloads",

@@ -28,7 +28,6 @@ from ..core.simulation import StallEvent
 from ..transfer import CPU_HZ
 from ..vm import ExecutionTrace
 from .client import NonStrictFetcher
-from .resilient import ResilientFetcher
 from .stats import FetchStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,8 +50,8 @@ class NetworkRunResult:
         stalls: Every stall, in order (seconds, session-relative).
         demand_fetches: Mispredict corrections issued.
         bytes_received: Wire bytes received by session end.
-        reconnects: Resume reconnects the fetcher needed (resilient
-            sessions only; 0 on a clean link).
+        reconnects: Resume reconnects the fetcher needed (0 on a clean
+            link).
         degraded: True when the fetch fell back to a one-shot strict
             transfer after exhausting its reconnect budget.
     """
@@ -179,40 +178,22 @@ async def fetch_and_run(
     cpu_hz: float = float(CPU_HZ),
     demand_timeout: float = 5.0,
     connect_timeout: Optional[float] = 10.0,
-    max_reconnects: Optional[int] = None,
+    max_reconnects: int = 4,
     deadline: Optional[float] = None,
     recorder: Optional["TraceRecorder"] = None,
 ) -> "tuple[NetworkRunResult, FetchStats]":
-    """Connect, replay a trace, close; the one-call convenience path.
-
-    Passing ``max_reconnects`` or ``deadline`` selects the
-    :class:`ResilientFetcher` (reconnect + resume + strict fallback);
-    otherwise the plain :class:`NonStrictFetcher` is used.
-    """
-    if max_reconnects is not None or deadline is not None:
-        fetcher: NonStrictFetcher = ResilientFetcher(
-            host,
-            port,
-            policy=policy,
-            strategy=strategy,
-            demand_timeout=demand_timeout,
-            connect_timeout=connect_timeout,
-            max_reconnects=(
-                max_reconnects if max_reconnects is not None else 4
-            ),
-            deadline=deadline,
-            recorder=recorder,
-        )
-    else:
-        fetcher = NonStrictFetcher(
-            host,
-            port,
-            policy=policy,
-            strategy=strategy,
-            demand_timeout=demand_timeout,
-            connect_timeout=connect_timeout,
-            recorder=recorder,
-        )
+    """Connect, replay a trace, close; the one-call convenience path."""
+    fetcher = NonStrictFetcher(
+        host,
+        port,
+        policy=policy,
+        strategy=strategy,
+        demand_timeout=demand_timeout,
+        connect_timeout=connect_timeout,
+        max_reconnects=max_reconnects,
+        deadline=deadline,
+        recorder=recorder,
+    )
     await fetcher.connect()
     try:
         result = await run_networked(

@@ -39,9 +39,7 @@ from ..observe.metrics import MetricsRegistry
 from ..program import MethodId, Program
 from .cache import ArtifactCache
 from .client import NonStrictFetcher
-from .resilient import ResilientFetcher
 from .server import ClassFileServer
-from .striped import StripedResilientFetcher
 
 __all__ = [
     "LoadCell",
@@ -74,16 +72,17 @@ class LoadCell:
         policy: Transfer policy every client negotiates.
         strategy: Reorder strategy every client negotiates.
         fault_plan: Optional :class:`repro.faults.FaultPlan` applied to
-            the server for this cell; selects the resilient fetcher.
+            the server for this cell; gives every client a reconnect
+            budget.
         links: Optional per-link bandwidths (bytes/second, ``None`` =
             unpaced).  When set, one server endpoint is started per
             link and workers are striped round-robin across them
             (worker ``i`` fetches over link ``i % len(links)``);
             ``bandwidth`` is ignored.
-        striped: With ``links`` set, make every worker a
-            :class:`~.striped.StripedResilientFetcher` over *all*
-            endpoints at once (true multi-socket transfer) instead of
-            the round-robin single-link assignment.
+        striped: With ``links`` set, make every worker one pull-mode
+            fetch over *all* endpoints at once (true multi-socket
+            transfer) instead of the round-robin single-link
+            assignment.
         link_fault_plans: Optional per-link fault plans, one entry per
             link (``None`` = that link is clean).  This is how a cell
             models *one* outage-prone link in an otherwise healthy
@@ -301,51 +300,29 @@ def sweep_cells(
 
 
 async def _one_session(
-    host: str,
-    port: int,
-    cell: LoadCell,
-    connect_timeout: float,
-) -> float:
-    """One client session; returns first-invocation latency (seconds)."""
-    fetcher: NonStrictFetcher
-    if cell.faulted:
-        fetcher = ResilientFetcher(
-            host,
-            port,
-            policy=cell.policy,
-            strategy=cell.strategy,
-            connect_timeout=connect_timeout,
-        )
-    else:
-        fetcher = NonStrictFetcher(
-            host,
-            port,
-            policy=cell.policy,
-            strategy=cell.strategy,
-            connect_timeout=connect_timeout,
-        )
-    return await _drive_session(fetcher)
-
-
-async def _one_striped_session(
     endpoints: Sequence[Tuple[str, int]],
     cell: LoadCell,
     connect_timeout: float,
     worker: int,
 ) -> float:
-    """One striped worker fetching across every endpoint at once."""
-    fetcher = StripedResilientFetcher(
-        endpoints,
+    """One worker's fetch; returns first-invocation latency (seconds).
+
+    Every worker derives its own backoff stream, so a faulted cell's
+    clients never reconnect in lockstep.  An unfaulted cell measures
+    admission control: with no reconnect budget a BUSY rejection ends
+    the session at once and counts into ``busy_rejected``.
+    """
+    (host, port), *links = endpoints
+    fetcher = NonStrictFetcher(
+        host,
+        port,
+        links=links,
         policy=cell.policy,
         strategy=cell.strategy,
         connect_timeout=connect_timeout,
+        max_reconnects=4 if cell.faulted else 0,
         rng_scope=f"worker-{worker}",
     )
-    return await _drive_session(fetcher)
-
-
-async def _drive_session(fetcher: NonStrictFetcher) -> float:
-    """Connect, time the entry method, drain, close; returns latency."""
     manifest = await fetcher.connect()
     try:
         entry = manifest.get("entry")
@@ -405,29 +382,19 @@ async def run_cell(
     # Worker i fetches over link i % N — round-robin striping —
     # unless the cell is striped, in which case every worker spans
     # all endpoints at once and latency attributes to no single link.
-    assignment: List[Optional[int]]
-    if cell.striped:
-        assignment = [None] * cell.clients
-        sessions = [
-            _one_striped_session(
-                endpoints, cell, connect_timeout, worker
-            )
-            for worker in range(cell.clients)
-        ]
-    else:
-        assignment = [
-            worker % len(servers) for worker in range(cell.clients)
-        ]
-        sessions = [
-            _one_session(
-                endpoints[link][0],
-                endpoints[link][1],
-                cell,
-                connect_timeout,
-            )
-            for link in assignment
-            if link is not None
-        ]
+    assignment: List[Optional[int]] = [
+        None if cell.striped else worker % len(servers)
+        for worker in range(cell.clients)
+    ]
+    sessions = [
+        _one_session(
+            endpoints if link is None else [endpoints[link]],
+            cell,
+            connect_timeout,
+            worker,
+        )
+        for worker, link in enumerate(assignment)
+    ]
     started = time.monotonic()
     try:
         outcomes = await asyncio.gather(

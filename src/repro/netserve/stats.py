@@ -12,9 +12,9 @@ remain as read-only properties over the registry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..observe.metrics import Histogram, MetricsRegistry
+from ..observe.metrics import Counter, Histogram, MetricsRegistry
 from ..program import MethodId
 
 __all__ = [
@@ -211,9 +211,21 @@ class FetchStats:
         self.strategy = strategy
         self._labels = {"policy": policy}
         self.stall_seconds: Dict[MethodId, float] = {}
+        self._series: Dict[Tuple[str, object], Counter] = {}
 
-    def _counter(self, name: str):
-        return self.metrics.counter(name, self._labels)
+    def _counter(self, name: str, link: object = None) -> Counter:
+        """One series, found in the registry once per fetch: the
+        receive loop bumps several for every unit."""
+        series = self._series.get((name, link))
+        if series is None:
+            labels = (
+                self._labels
+                if link is None
+                else {**self._labels, "link": str(link)}
+            )
+            series = self.metrics.counter(name, labels)
+            self._series[(name, link)] = series
+        return series
 
     # -- recording (client call sites) ------------------------------------
 
@@ -228,8 +240,10 @@ class FetchStats:
     def record_demand_fetch(self) -> None:
         self._counter("netserve_demand_fetches").inc()
 
-    def record_reconnect(self) -> None:
+    def record_reconnect(self, link: object) -> None:
+        """Account one reconnect attempt, in total and per link."""
         self._counter("netserve_reconnects_total").inc()
+        self._counter("netserve_link_reconnects_total", link).inc()
 
     def record_degraded(self) -> None:
         self._counter("netserve_degraded_total").inc()
@@ -244,27 +258,16 @@ class FetchStats:
         """Account one BUSY rejection retried with backoff."""
         self._counter("netserve_busy_retries_total").inc()
 
-    # -- striped (multi-link) recording ------------------------------------
-
-    def _link_counter(self, name: str, link: object):
-        return self.metrics.counter(
-            name, {**self._labels, "link": str(link)}
-        )
+    # -- per-link recording ------------------------------------------------
 
     def record_link_unit(self, link: object, payload_bytes: int) -> None:
         """Account one unit landed on a specific link."""
-        self._link_counter("netserve_link_units_total", link).inc()
-        self._link_counter("netserve_link_bytes_total", link).inc(
-            payload_bytes
-        )
+        self._counter("netserve_link_units_total", link).inc()
+        self._counter("netserve_link_bytes_total", link).inc(payload_bytes)
 
     def record_link_outage(self, link: object) -> None:
         """Account one link declared dead (circuit opened)."""
-        self._link_counter("netserve_link_outages_total", link).inc()
-
-    def record_link_reconnect(self, link: object) -> None:
-        """Account one reconnect attempt on a specific link."""
-        self._link_counter("netserve_link_reconnects_total", link).inc()
+        self._counter("netserve_link_outages_total", link).inc()
 
     def set_link_state(self, link: object, state: int) -> None:
         """Publish a link's health as a gauge (see ``LinkState``)."""
@@ -370,9 +373,7 @@ class FetchStats:
 
     def link_units(self, link: object) -> int:
         """Units landed on one link (0 for a link that never landed)."""
-        return int(
-            self._link_counter("netserve_link_units_total", link).value
-        )
+        return int(self._counter("netserve_link_units_total", link).value)
 
     @property
     def stall_histogram(self) -> Histogram:

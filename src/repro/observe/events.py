@@ -19,7 +19,8 @@ Taxonomy (the paper's per-method timeline, Tables 4–7, as events):
 * ``schedule_decision`` — a transfer controller started, queued, or
   promoted a stream;
 * ``fault_injected`` — the fault layer deliberately misbehaved;
-* ``reconnect`` — the resilient client re-dialled after a failure;
+* ``reconnect`` — a fetch link re-dialled after a failure (``attempt``,
+  ``backoff``, ``link``, ``error``);
 * ``unit_retry`` — one damaged unit was re-requested on its own;
 * ``degraded_to_strict`` — resilience gave up on overlap and fell back
   to a one-shot strict whole-file transfer;

@@ -564,8 +564,6 @@ def _cmd_fetch(arguments) -> int:
 
     from .netserve import (
         NonStrictFetcher,
-        ResilientFetcher,
-        StripedResilientFetcher,
         format_fetch_stats,
         run_networked,
     )
@@ -573,55 +571,22 @@ def _cmd_fetch(arguments) -> int:
     trace = (
         load_trace(arguments.trace) if arguments.trace else None
     )
-    resilient = (
-        arguments.max_reconnects is not None
-        or arguments.deadline is not None
-    )
-    extra_links = (
-        _parse_endpoints(arguments.links) if arguments.links else []
-    )
+    links = _parse_endpoints(arguments.links) if arguments.links else []
 
     async def run_fetch() -> None:
-        if extra_links:
-            fetcher: NonStrictFetcher = StripedResilientFetcher(
-                [(arguments.host, arguments.port), *extra_links],
-                policy=arguments.policy,
-                strategy=arguments.strategy,
-                demand_timeout=arguments.timeout,
-                connect_timeout=arguments.connect_timeout,
-                max_reconnects=(
-                    arguments.max_reconnects
-                    if arguments.max_reconnects is not None
-                    else 4
-                ),
-                deadline=arguments.deadline,
-                hedge_delay=arguments.hedge_delay,
-                stall_timeout=arguments.stall_timeout,
-            )
-        elif resilient:
-            fetcher = ResilientFetcher(
-                arguments.host,
-                arguments.port,
-                policy=arguments.policy,
-                strategy=arguments.strategy,
-                demand_timeout=arguments.timeout,
-                connect_timeout=arguments.connect_timeout,
-                max_reconnects=(
-                    arguments.max_reconnects
-                    if arguments.max_reconnects is not None
-                    else 4
-                ),
-                deadline=arguments.deadline,
-            )
-        else:
-            fetcher = NonStrictFetcher(
-                arguments.host,
-                arguments.port,
-                policy=arguments.policy,
-                strategy=arguments.strategy,
-                demand_timeout=arguments.timeout,
-                connect_timeout=arguments.connect_timeout,
-            )
+        fetcher = NonStrictFetcher(
+            arguments.host,
+            arguments.port,
+            links=links,
+            policy=arguments.policy,
+            strategy=arguments.strategy,
+            demand_timeout=arguments.timeout,
+            connect_timeout=arguments.connect_timeout,
+            max_reconnects=arguments.max_reconnects,
+            deadline=arguments.deadline,
+            hedge_delay=arguments.hedge_delay,
+            stall_timeout=arguments.stall_timeout,
+        )
         await fetcher.connect()
         try:
             if trace is not None:
@@ -1087,24 +1052,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     fetch.add_argument(
         "--max-reconnects",
         type=int,
-        default=None,
-        help="enable the resilient fetcher with this reconnect budget "
-        "(0 = degrade to a strict fetch on the first failure)",
+        default=4,
+        help="reconnect budget per link before the strict whole-file "
+        "fallback (0 = fall back on the first failure)",
     )
     fetch.add_argument(
         "--deadline",
         type=float,
         default=None,
-        help="overall fetch deadline in seconds (implies the "
-        "resilient fetcher)",
+        help="overall fetch deadline in seconds, recoveries included",
     )
     fetch.add_argument(
         "--links",
         default=None,
         metavar="HOST:PORT,...",
         help="extra endpoints to stripe the fetch across (the "
-        "positional host/port is link 0); selects the striped "
-        "resilient fetcher",
+        "positional host/port is link 0); any at all make the fetch "
+        "a pull stripe",
     )
     fetch.add_argument(
         "--hedge-delay",
@@ -1177,8 +1141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     loadtest.add_argument(
         "--striped",
         action="store_true",
-        help="with --links, every worker is a striped resilient "
-        "fetcher over all endpoints at once",
+        help="with --links, every worker is one pull-mode fetch over "
+        "all endpoints at once",
     )
     loadtest.add_argument(
         "--link-faults",

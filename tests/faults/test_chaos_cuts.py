@@ -12,11 +12,7 @@ import pytest
 
 from repro import figure1_program
 from repro.faults import FaultPlan
-from repro.netserve import (
-    ClassFileServer,
-    NonStrictFetcher,
-    ResilientFetcher,
-)
+from repro.netserve import ClassFileServer, NonStrictFetcher
 from repro.observe import TraceRecorder
 from repro.program import MethodId
 
@@ -71,7 +67,7 @@ async def chaos_fetch(program, plan, **kwargs):
     """One resilient fetch against a faulty server."""
     server = ClassFileServer(program, fault_plan=plan)
     host, port = await server.start()
-    fetcher = ResilientFetcher(
+    fetcher = NonStrictFetcher(
         host,
         port,
         backoff_base=0.005,
@@ -143,7 +139,7 @@ def test_zero_reconnects_degrades_to_successful_strict_fetch():
         recorder = TraceRecorder()
         server = ClassFileServer(program, fault_plan=plan)
         host, port = await server.start()
-        fetcher = ResilientFetcher(
+        fetcher = NonStrictFetcher(
             host,
             port,
             max_reconnects=0,
@@ -162,6 +158,41 @@ def test_zero_reconnects_degrades_to_successful_strict_fetch():
         await server.aclose()
 
     run(scenario())
+
+
+def test_push_and_pull_links_report_reconnects_alike():
+    """A cut push link and a cut pull link emit the same ``reconnect``
+    event shape: attempt, backoff, link and error."""
+
+    async def reconnects(plans, bandwidths):
+        program = figure1_program()
+        servers = [
+            ClassFileServer(program, fault_plan=plan, bandwidth=bandwidth)
+            for plan, bandwidth in zip(plans, bandwidths)
+        ]
+        endpoints = [await server.start() for server in servers]
+        recorder = TraceRecorder()
+        fetcher = NonStrictFetcher(
+            *endpoints[0],
+            links=endpoints[1:],
+            backoff_base=0.005,
+            recorder=recorder,
+        )
+        await fetcher.connect()
+        await asyncio.wait_for(fetcher.wait_until_complete(), timeout=30)
+        await fetcher.aclose()
+        for server in servers:
+            await server.aclose()
+        return [e.args for e in recorder.events if e.name == "reconnect"]
+
+    cut = FaultPlan(seed=5, cut_after_frames=(2,))
+    push = run(reconnects([cut], [None]))
+    # The paced survivor keeps the stripe open until the cut link is back.
+    pull = run(reconnects([None, cut], [3_000, None]))
+    assert [args["link"] for args in push] == ["0"]
+    assert [args["link"] for args in pull] == ["1"]
+    for args in push + pull:
+        assert {"attempt", "backoff", "link", "error"} <= set(args)
 
 
 # -- seeded determinism ------------------------------------------------
@@ -185,7 +216,7 @@ def test_identical_seed_replays_identical_event_streams(plan):
             program, fault_plan=plan, recorder=server_recorder
         )
         host, port = await server.start()
-        fetcher = ResilientFetcher(
+        fetcher = NonStrictFetcher(
             host,
             port,
             backoff_base=0.005,

@@ -11,7 +11,6 @@ from repro.netserve import (
     ArtifactCache,
     ClassFileServer,
     NonStrictFetcher,
-    ResilientFetcher,
     program_fingerprint,
 )
 from repro.observe import MetricsRegistry
@@ -187,7 +186,7 @@ def test_resume_replays_from_cache_without_replanning(monkeypatch):
             fault_plan=FaultPlan(seed=7, cut_after_frames=(2,)),
         )
         host, port = await server.start()
-        fetcher = ResilientFetcher(
+        fetcher = NonStrictFetcher(
             host, port, backoff_base=0.005, backoff_jitter=0.0
         )
         await fetcher.connect()

@@ -10,7 +10,11 @@ import asyncio
 import pytest
 
 from repro import figure1_program, record_run
-from repro.errors import ConnectionLostError, ProtocolError, TransferError
+from repro.errors import (
+    ProtocolError,
+    ResilienceExhaustedError,
+    TransferError,
+)
 from repro.netserve import (
     ClassFileServer,
     NonStrictFetcher,
@@ -197,6 +201,10 @@ def test_nonstrict_first_method_available_before_strict():
 
 
 def test_connection_loss_mid_stream_raises_typed_error():
+    """The server vanishes mid-stream: every reconnect and the strict
+    fallback are refused, and every waiter gets the typed exhaustion
+    error instead of hanging."""
+
     async def scenario():
         # Pacing so slow that nearly nothing arrives before the cut.
         server = await started_server(bandwidth=300, burst=16)
@@ -206,6 +214,7 @@ def test_connection_loss_mid_stream_raises_typed_error():
             port,
             demand_timeout=0.2,
             demand_retries=2,
+            backoff_base=0.005,
         )
         manifest = await fetcher.connect()
         announced = manifest_units(manifest)
@@ -226,10 +235,11 @@ def test_connection_loss_mid_stream_raises_typed_error():
         else:
             raise AssertionError("waiter never registered its event")
         await server.aclose()  # drops the connection mid-stream
-        with pytest.raises(ConnectionLostError):
+        with pytest.raises(ResilienceExhaustedError, match="cannot connect"):
             await asyncio.wait_for(waiter, timeout=5.0)
-        with pytest.raises(ConnectionLostError):
-            await fetcher.wait_until_complete()
+        with pytest.raises(ResilienceExhaustedError):
+            await asyncio.wait_for(fetcher.wait_until_complete(), timeout=5.0)
+        assert fetcher.stats.reconnects == fetcher.max_reconnects
         await fetcher.aclose()
 
     run(scenario())

@@ -13,11 +13,7 @@ import pytest
 
 from repro import figure1_program
 from repro.errors import ServerBusyError
-from repro.netserve import (
-    ClassFileServer,
-    NonStrictFetcher,
-    ResilientFetcher,
-)
+from repro.netserve import ClassFileServer, NonStrictFetcher
 
 
 def run(coroutine):
@@ -131,7 +127,9 @@ def test_connection_past_limit_gets_clean_busy_error():
         host, port = await server.start()
         first = asyncio.create_task(fetch_once(host, port))
         await asyncio.sleep(0.05)  # first client is mid-stream
-        rejected = NonStrictFetcher(host, port)
+        # No retry budget: BUSY surfaces at once instead of being
+        # retried until the slot frees up.
+        rejected = NonStrictFetcher(host, port, max_reconnects=0)
         with pytest.raises(ServerBusyError):
             await rejected.connect()
         await rejected.aclose()
@@ -158,7 +156,7 @@ def test_resilient_fetcher_retries_busy_until_admitted():
         host, port = await server.start()
         first = asyncio.create_task(fetch_once(host, port))
         await asyncio.sleep(0.05)
-        patient = ResilientFetcher(
+        patient = NonStrictFetcher(
             host,
             port,
             backoff_base=0.1,
@@ -175,6 +173,35 @@ def test_resilient_fetcher_retries_busy_until_admitted():
     server, patient = run(scenario())
     assert patient.stats.busy_retries >= 1
     assert server.stats.rejected_connections >= 1
+
+
+def test_striped_connect_retries_busy_until_admitted():
+    """BUSY is as transient for a two-endpoint stripe as for one link:
+    both links back off and retry, one is admitted once the slot frees
+    up, and the stripe completes over it."""
+
+    async def scenario():
+        server = ClassFileServer(figure1_program(), max_connections=1)
+        host, port = await server.start()
+        # Hold the only slot for 0.2 s with a connection that stays
+        # silent, so the server never starts its session.
+        _, holder = await asyncio.open_connection(host, port)
+        await asyncio.sleep(0.05)
+        asyncio.get_running_loop().call_later(0.2, holder.close)
+        fetcher = NonStrictFetcher(
+            host, port, links=[(host, port)], backoff_jitter=0.0
+        )
+        await fetcher.connect()
+        await asyncio.wait_for(fetcher.wait_until_complete(), timeout=10)
+        await fetcher.aclose()
+        await server.aclose()
+        return server, fetcher
+
+    server, fetcher = run(scenario())
+    assert fetcher.stats.busy_retries >= 2
+    assert fetcher.stats.degraded == 0
+    assert server.stats.rejected_connections >= 2
+    assert all(conn.pull_sessions == 1 for conn in server.stats.connections[1:])
 
 
 def test_max_connections_validation():
@@ -262,8 +289,9 @@ def test_client_aclose_waits_for_transport():
         fetcher = NonStrictFetcher(host, port)
         await fetcher.connect()
         await fetcher.wait_until_complete()
+        writer = fetcher._links[0].writer
         await fetcher.aclose()
-        closed = fetcher._writer.is_closing()
+        closed = writer.is_closing()
         await server.aclose()
         return closed
 

@@ -10,6 +10,8 @@ from repro.faults import FaultPlan
 from repro.netserve import (
     ArtifactCache,
     LoadCell,
+    NonStrictFetcher,
+    loadgen,
     run_cell,
     run_sweep,
     sweep_cells,
@@ -93,6 +95,27 @@ def test_run_cell_with_faults_uses_resilient_fetcher():
     assert result.faulted
     assert result.completed == 2
     assert result.failed == 0
+
+
+def test_faulted_cell_workers_draw_distinct_backoff_streams(monkeypatch):
+    """Every worker of a faulted cell derives its own jitter stream, so
+    clients cut at the same moment never reconnect in lockstep."""
+    streams = []
+
+    def recording_fetcher(*args, **kwargs):
+        fetcher = NonStrictFetcher(*args, **kwargs)
+        streams.append(fetcher._rngs[0].getstate())
+        return fetcher
+
+    monkeypatch.setattr(loadgen, "NonStrictFetcher", recording_fetcher)
+    cell = LoadCell(
+        clients=3,
+        fault_plan=FaultPlan(seed=7, drop_frames=(2,)),
+    )
+    result = run(run_cell(figure1_program(), cell))
+    assert result.completed == 3
+    assert len(streams) == 3
+    assert len(set(streams)) == 3
 
 
 def test_warm_cache_carries_across_cells():

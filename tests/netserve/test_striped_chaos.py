@@ -14,12 +14,7 @@ import pytest
 from repro import figure1_program
 from repro.errors import ResilienceExhaustedError
 from repro.faults import FaultPlan
-from repro.netserve import (
-    ClassFileServer,
-    LinkState,
-    NonStrictFetcher,
-    StripedResilientFetcher,
-)
+from repro.netserve import ClassFileServer, LinkState, NonStrictFetcher
 from repro.observe import TraceRecorder
 from repro.program import MethodId
 
@@ -67,8 +62,8 @@ async def striped_chaos(
     recorder = TraceRecorder()
     kwargs.setdefault("backoff_base", 0.005)
     kwargs.setdefault("backoff_jitter", 0.0)
-    fetcher = StripedResilientFetcher(
-        endpoints, recorder=recorder, **kwargs
+    fetcher = NonStrictFetcher(
+        *endpoints[0], links=endpoints[1:], recorder=recorder, **kwargs
     )
     await fetcher.connect()
     try:
@@ -119,8 +114,9 @@ def test_whole_link_outage_requeues_onto_survivors():
         good_addr = await good.start()
         doomed_addr = await doomed.start()
         recorder = TraceRecorder()
-        fetcher = StripedResilientFetcher(
-            [good_addr, doomed_addr],
+        fetcher = NonStrictFetcher(
+            *good_addr,
+            links=[doomed_addr],
             seed=29,
             max_reconnects=2,
             failure_threshold=1,
@@ -264,8 +260,9 @@ def test_exhausted_ladder_surfaces_resilience_exhausted():
             for seed in (53, 59)
         ]
         endpoints = [await server.start() for server in servers]
-        fetcher = StripedResilientFetcher(
-            endpoints,
+        fetcher = NonStrictFetcher(
+            *endpoints[0],
+            links=endpoints[1:],
             max_reconnects=1,
             failure_threshold=1,
             backoff_base=0.005,

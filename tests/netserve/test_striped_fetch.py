@@ -6,18 +6,13 @@ The chaos scenarios (link cuts, outages, flapping, stalls) live in
 """
 
 import asyncio
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import figure1_program
-from repro.netserve import (
-    ClassFileServer,
-    NonStrictFetcher,
-    StripedResilientFetcher,
-)
+from repro.netserve import ClassFileServer, NonStrictFetcher
 from repro.netserve.protocol import (
     FrameKind,
     demand_fetch_frame,
@@ -25,7 +20,7 @@ from repro.netserve.protocol import (
     hello_frame,
     read_frame,
 )
-from repro.netserve.striped import LinkState, _Link
+from repro.netserve.client import LinkState, _Link
 from repro.program import MethodId
 from repro.transfer import UnitKind
 
@@ -110,14 +105,36 @@ def test_pull_session_sends_nothing_until_asked():
 # -- whole-stripe behavior ---------------------------------------------
 
 
+@pytest.mark.parametrize("count, pulls", [(1, 0), (2, 1)], ids=["push", "pull"])
+def test_endpoint_count_sets_the_link_mode(count, pulls):
+    """One endpoint fetches in push mode; two fetch in pull mode only."""
+
+    async def scenario():
+        server = ClassFileServer(figure1_program())
+        host, port = await server.start()
+        fetcher = NonStrictFetcher(
+            host, port, links=[(host, port)] * (count - 1)
+        )
+        await fetcher.connect()
+        await asyncio.wait_for(fetcher.wait_until_complete(), timeout=10)
+        await fetcher.aclose()
+        await server.aclose()
+        return server.stats.connections
+
+    connections = run(scenario())
+    assert len(connections) == count
+    assert all(conn.pull_sessions == pulls for conn in connections)
+
+
+
 def test_striped_fetch_matches_clean_run_and_uses_every_link():
     async def scenario():
         program = figure1_program()
         clean, methods = await clean_reference(program)
         server = ClassFileServer(program)
         host, port = await server.start()
-        fetcher = StripedResilientFetcher(
-            [(host, port), (host, port), (host, port)]
+        fetcher = NonStrictFetcher(
+            host, port, links=[(host, port), (host, port)]
         )
         await fetcher.connect()
         await asyncio.wait_for(
@@ -161,8 +178,9 @@ def test_hedged_demand_race_wins_on_the_healthy_link():
         good_addr = await good.start()
         frozen_addr = await frozen.start()
         recorder = TraceRecorder()
-        fetcher = StripedResilientFetcher(
-            [good_addr, frozen_addr],
+        fetcher = NonStrictFetcher(
+            *good_addr,
+            links=[frozen_addr],
             hedge_delay=0.05,
             demand_timeout=5.0,
             stall_timeout=60.0,  # keep the watchdog out of the race
@@ -225,7 +243,7 @@ def test_aclose_mid_transfer_leaks_no_tasks_or_transports():
         program = figure1_program()
         server = ClassFileServer(program, bandwidth=5_000)
         host, port = await server.start()
-        fetcher = StripedResilientFetcher([(host, port), (host, port)])
+        fetcher = NonStrictFetcher(host, port, links=[(host, port)])
         await fetcher.connect()
         before = {
             task
@@ -272,12 +290,9 @@ _SEQUENCE = (
 
 
 def _offline_fetcher():
-    """A striped fetcher with a scoreboard but no sockets at all."""
-    fetcher = StripedResilientFetcher([("127.0.0.1", 1)])
-    fetcher._t0 = time.monotonic()
-    manifest = {"sequence": [list(row) for row in _SEQUENCE]}
-    fetcher._merge_manifest(manifest)
-    fetcher.manifest = manifest
+    """A two-endpoint (pull) fetcher with a scoreboard but no sockets."""
+    fetcher = NonStrictFetcher("127.0.0.1", 1, links=[("127.0.0.1", 1)])
+    fetcher._accept_manifest({"sequence": [list(row) for row in _SEQUENCE]})
     fetcher._build_board()
     return fetcher
 
@@ -289,7 +304,7 @@ def test_any_landing_order_reassembles_plan_order(order):
     observable only after its class's leading global retired, and the
     final class bytes equal the plan-order concatenation."""
     fetcher = _offline_fetcher()
-    link = _Link(0, "127.0.0.1", 1)
+    link = _Link(0, "127.0.0.1", 1, pull=True)
     link.state = LinkState.HEALTHY
     units = list(fetcher._unit_by_key.values())
     payloads = {
