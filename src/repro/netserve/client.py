@@ -195,9 +195,9 @@ class NonStrictFetcher:
             connect, greeting, and the server's ack — or ``None``.  A
             server that accepts but never answers surfaces as a typed
             :class:`~repro.errors.ConnectionLostError`.
-        max_reconnects: Reconnect budget per link, and the number of
-            BUSY rejections a first handshake retries.  ``0`` takes the
-            strict fallback on the first failure.
+        max_reconnects: Reconnect budget per link, and how often
+            :meth:`connect` retries when every link is turned away with
+            BUSY.  ``0`` takes the strict fallback on the first failure.
         backoff_base, backoff_cap: First reconnect delay in seconds,
             doubled per attempt up to the cap.
         backoff_jitter: Fraction of each delay added as seeded jitter
@@ -311,9 +311,6 @@ class NonStrictFetcher:
         #: only when something needs it (see :meth:`_plan_order`).
         self._plan: Dict[UnitKey, int] = {}
         self._unindexed: List[Sequence[Any]] = []
-        #: True once a unit may have landed out of plan order within
-        #: its class (pull issue, a resume, or a retried frame).
-        self._reordered = self._pull
         self._board: Optional[Scoreboard] = None
         self._unit_by_key: Dict[UnitKey, TransferUnit] = {}
         self._label_by_key: Dict[UnitKey, str] = {}
@@ -328,19 +325,30 @@ class NonStrictFetcher:
     async def connect(self) -> Dict[str, Any]:
         """Open every link and negotiate; returns the manifest.
 
-        Links dial concurrently and a BUSY rejection is retried with
-        backoff.  At least one link must negotiate; the rest join late
-        through their reconnect path.  A pull stripe then builds its
-        scoreboard, starts the stall watchdog and issues the plan's
-        head.
+        Links dial concurrently, once each.  At least one link must
+        negotiate; the rest join late through their reconnect path.
+        Only when the server turns every link away with BUSY —
+        admission control at capacity, a passing condition — does the
+        whole dial back off and retry, up to ``max_reconnects`` times.
+        A pull stripe then builds its scoreboard, starts the stall
+        watchdog and issues the plan's head.
         """
         if self.deadline is not None:
             self._deadline_at = time.monotonic() + self.deadline
-        errors = await asyncio.gather(
-            *(self._open(link) for link in self._links)
-        )
-        if all(error is not None for error in errors):
-            raise next(error for error in errors if error is not None)
+        attempt = 0
+        while True:
+            errors = await asyncio.gather(
+                *(self._open(link) for link in self._links)
+            )
+            failures = [error for error in errors if error is not None]
+            if len(failures) < len(errors):
+                break
+            busy = all(isinstance(e, ServerBusyError) for e in failures)
+            if not busy or attempt >= self.max_reconnects:
+                raise failures[0]
+            attempt += 1
+            self.stats.record_busy_retry()
+            await self._back_off(self._links[0], attempt)
         if self._pull:
             self._build_board()
             self._watchdog = asyncio.create_task(self._watchdog_loop())
@@ -394,24 +402,12 @@ class NonStrictFetcher:
     # -- handshakes -------------------------------------------------------
 
     async def _open(self, link: _Link) -> Optional[TransferError]:
-        """A link's first handshake; returns what kept it down.
-
-        BUSY is admission control at capacity, a passing condition, so
-        it is retried with backoff (up to ``max_reconnects`` times).
-        """
-        attempt = 0
-        while True:
-            try:
-                await self._connect_link(link, resume=False)
-                return None
-            except ServerBusyError as error:
-                if attempt >= self.max_reconnects:
-                    return error
-                attempt += 1
-                self.stats.record_busy_retry()
-                await self._back_off(link, attempt)
-            except (ConnectionLostError, ProtocolError) as error:
-                return error
+        """A link's first handshake; returns what kept it down."""
+        try:
+            await self._connect_link(link, resume=False)
+            return None
+        except (ConnectionLostError, ProtocolError) as error:
+            return error
 
     async def _connect_link(self, link: _Link, resume: bool) -> None:
         """Dial a link: ``HELLO``, or ``RESUME`` with the session's holdings.
@@ -421,7 +417,6 @@ class NonStrictFetcher:
         """
         extra: Dict[str, Any] = {"pull": True} if link.pull else {}
         if resume:
-            self._reordered = True
             greeting = resume_frame(
                 self.policy, self.strategy, have=self._received_keys, **extra
             )
@@ -510,8 +505,8 @@ class NonStrictFetcher:
 
         The first manifest defines the order; resumed and fallback
         manifests only add keys it lacks.  Built on first need — a
-        shortfall at ``EOF``, the strict fallback, or reassembling a
-        reordered class — so a clean push session never pays for it.
+        shortfall at ``EOF``, the strict fallback, or reassembly — so a
+        clean push session never pays for it while units stream in.
         """
         plan = self._plan
         for rows in self._unindexed:
@@ -768,7 +763,6 @@ class NonStrictFetcher:
     ) -> None:
         """Re-request exactly one damaged unit on the link that carried
         it: one bad frame costs one retransmission, not a reconnect."""
-        self._reordered = True
         self.stats.record_unit_retry()
         if self.recorder is not None:
             self.recorder.unit_retry(
@@ -1246,22 +1240,13 @@ class NonStrictFetcher:
         """Concatenated payloads for one class, in *plan* order.
 
         Pulled, resumed and retried units land out of order; sorting by
-        manifest position (arrival breaks ties) makes a chaos run's
-        bytes identical to a clean run's.  A push stream that needed no
-        recovery already arrives in plan order within every class — a
-        demand moves a class's pending units together — so it is joined
-        as it came.
+        manifest position (a stable sort, so arrival breaks ties) makes
+        a chaos run's bytes identical to a clean run's.
         """
-        entries = self.buffers.get(class_name, [])
-        if not self._reordered:
-            return b"".join(payload for _, payload in entries)
         order = self._plan_order()
         last = len(order)
-        ranked = sorted(
-            range(len(entries)),
-            key=lambda i: (
-                order.get(unit_wire_key(entries[i][0]), last),
-                i,
-            ),
+        entries = sorted(
+            self.buffers.get(class_name, []),
+            key=lambda entry: order.get(unit_wire_key(entry[0]), last),
         )
-        return b"".join(entries[i][1] for i in ranked)
+        return b"".join(payload for _, payload in entries)

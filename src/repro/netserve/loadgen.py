@@ -308,9 +308,12 @@ async def _one_session(
     """One worker's fetch; returns first-invocation latency (seconds).
 
     Every worker derives its own backoff stream, so a faulted cell's
-    clients never reconnect in lockstep.  An unfaulted cell measures
-    admission control: with no reconnect budget a BUSY rejection ends
-    the session at once and counts into ``busy_rejected``.
+    clients never reconnect in lockstep.  A clean single-link cell
+    measures admission control: with no reconnect budget a BUSY
+    rejection ends the session at once and counts into
+    ``busy_rejected``.  A striped worker keeps its budget even on a
+    clean cell, so a link turned away while a sibling got in, or one
+    the stall watchdog recycles, rejoins instead of dying.
     """
     (host, port), *links = endpoints
     fetcher = NonStrictFetcher(
@@ -320,7 +323,7 @@ async def _one_session(
         policy=cell.policy,
         strategy=cell.strategy,
         connect_timeout=connect_timeout,
-        max_reconnects=4 if cell.faulted else 0,
+        max_reconnects=4 if cell.faulted or cell.striped else 0,
         rng_scope=f"worker-{worker}",
     )
     manifest = await fetcher.connect()

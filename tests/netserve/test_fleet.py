@@ -204,6 +204,37 @@ def test_striped_connect_retries_busy_until_admitted():
     assert all(conn.pull_sessions == 1 for conn in server.stats.connections[1:])
 
 
+def test_striped_connect_returns_once_one_link_is_admitted():
+    """One link admitted, its sibling turned away with BUSY: connect()
+    returns at once and the stripe runs on the admitted link.  The busy
+    link rejoins through its reconnect budget, not by holding the
+    connect in backoff."""
+
+    async def scenario():
+        server = ClassFileServer(figure1_program(), max_connections=1)
+        host, port = await server.start()
+        fetcher = NonStrictFetcher(
+            host,
+            port,
+            links=[(host, port)],
+            backoff_base=2.0,
+            backoff_jitter=0.0,
+        )
+        started = time.monotonic()
+        await fetcher.connect()
+        connected = time.monotonic() - started
+        await asyncio.wait_for(fetcher.wait_until_complete(), timeout=10)
+        await fetcher.aclose()
+        await server.aclose()
+        return connected, server, fetcher
+
+    connected, server, fetcher = run(scenario())
+    assert connected < 1.0
+    assert fetcher.stats.busy_retries == 0
+    assert fetcher.stats.degraded == 0
+    assert server.stats.rejected_connections == 1
+
+
 def test_max_connections_validation():
     from repro.errors import ProtocolError
 
@@ -283,16 +314,23 @@ def test_demand_loop_failure_is_surfaced_not_swallowed():
 
 
 def test_client_aclose_waits_for_transport():
+    """aclose() in the middle of a push transfer closes the link's
+    transport and drops it."""
+
     async def scenario():
-        server = ClassFileServer(figure1_program())
+        # Paced, so the transfer is still running when aclose() comes.
+        server = ClassFileServer(figure1_program(), bandwidth=4000, burst=64)
         host, port = await server.start()
         fetcher = NonStrictFetcher(host, port)
         await fetcher.connect()
-        await fetcher.wait_until_complete()
-        writer = fetcher._links[0].writer
+        link = fetcher._links[0]
+        writer = link.writer
+        open_before = not writer.is_closing()
         await fetcher.aclose()
-        closed = writer.is_closing()
+        closed = writer.is_closing() and link.writer is None
         await server.aclose()
-        return closed
+        return open_before, closed
 
-    assert run(scenario())
+    open_before, closed = run(scenario())
+    assert open_before
+    assert closed

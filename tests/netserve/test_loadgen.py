@@ -9,6 +9,7 @@ from repro import figure1_program
 from repro.faults import FaultPlan
 from repro.netserve import (
     ArtifactCache,
+    ClassFileServer,
     LoadCell,
     NonStrictFetcher,
     loadgen,
@@ -264,6 +265,47 @@ def test_load_cell_validates_striped_configuration():
     assert cell.plan_for_link(1) is not None
     assert "striped2" in cell.label
     assert cell.label.endswith("-faults")
+
+
+def test_clean_striped_worker_rejoins_a_link_turned_away_busy(monkeypatch):
+    """A clean striped cell keeps its reconnect budget: a link turned
+    away with BUSY while its sibling got in backs off, rejoins with
+    RESUME and carries units, instead of dying at once."""
+    fetchers = []
+
+    def recording_fetcher(*args, **kwargs):
+        fetcher = NonStrictFetcher(*args, **kwargs)
+        fetchers.append(fetcher)
+        return fetcher
+
+    monkeypatch.setattr(loadgen, "NonStrictFetcher", recording_fetcher)
+
+    async def scenario():
+        program = figure1_program()
+        # Link 0 is slow, so the stripe still needs link 1 once its
+        # backoff ends.
+        slow = ClassFileServer(program, bandwidth=1000, burst=64)
+        full = ClassFileServer(program, max_connections=1)
+        endpoints = [await slow.start(), await full.start()]
+        # Hold the second server's only slot for 0.1 s.
+        _, holder = await asyncio.open_connection(*endpoints[1])
+        await asyncio.sleep(0.05)
+        asyncio.get_running_loop().call_later(0.1, holder.close)
+        cell = LoadCell(clients=1, links=(None, None), striped=True)
+        try:
+            latency = await loadgen._one_session(endpoints, cell, 10.0, 0)
+        finally:
+            await slow.aclose()
+            await full.aclose()
+        return latency, full
+
+    latency, full = run(scenario())
+    assert latency > 0
+    assert full.stats.rejected_connections >= 1
+    assert full.stats.resumes >= 1
+    (fetcher,) = fetchers
+    assert fetcher.stats.link_units(1) > 0
+    assert fetcher.stats.degraded == 0
 
 
 def test_striped_cell_with_mid_run_link_outage(tmp_path):
