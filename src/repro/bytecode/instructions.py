@@ -38,6 +38,10 @@ class SysCall:
     }
 
 
+#: Encoded size of every opcode, computed once: sizes are summed over
+#: every instruction whenever a class is laid out.
+_SIZES = {opcode: info.size for opcode, info in OPCODE_TABLE.items()}
+
 _OPERAND_RANGES = {
     OperandKind.U1: (0, 0xFF),
     OperandKind.U2: (0, 0xFFFF),
@@ -82,7 +86,7 @@ class Instruction:
     @property
     def size(self) -> int:
         """Encoded size in bytes."""
-        return self.info.size
+        return _SIZES[self.opcode]
 
     @property
     def mnemonic(self) -> str:
@@ -116,12 +120,12 @@ class Instruction:
 
 def instruction_size(opcode: Opcode) -> int:
     """Encoded size in bytes of any instruction with ``opcode``."""
-    return OPCODE_TABLE[opcode].size
+    return _SIZES[opcode]
 
 
 def code_size(instructions: Iterable[Instruction]) -> int:
     """Total encoded size in bytes of an instruction sequence."""
-    return sum(instruction.size for instruction in instructions)
+    return sum(_SIZES[instruction.opcode] for instruction in instructions)
 
 
 def offsets_of(instructions: List[Instruction]) -> List[int]:

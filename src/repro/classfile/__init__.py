@@ -39,7 +39,7 @@ from .members import (
     MethodInfo,
     parse_descriptor,
 )
-from .serializer import deserialize, serialize
+from .serializer import deserialize, intern_names, serialize
 
 __all__ = [
     "MAGIC",
@@ -74,5 +74,6 @@ __all__ = [
     "MethodInfo",
     "parse_descriptor",
     "deserialize",
+    "intern_names",
     "serialize",
 ]

@@ -376,6 +376,10 @@ class ConstantPool:
             breakdown[entry.tag] += entry.size
         return breakdown
 
+    def find(self, entry: ConstantEntry) -> Optional[int]:
+        """Index of an existing entry equal to ``entry``, or None."""
+        return self._index.get(entry)
+
     def find_utf8(self, value: str) -> Optional[int]:
         """Index of an existing Utf8 entry, or None."""
-        return self._index.get(Utf8Entry(value))
+        return self.find(Utf8Entry(value))

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 from ..errors import ClassFileError
 from .classfile import ClassFile
 from .constant_pool import ConstantTag
+from .serializer import intern_names
 
 __all__ = [
     "METHOD_DELIMITER_SIZE",
@@ -128,13 +129,11 @@ def class_layout(classfile: ClassFile) -> ClassLayout:
     Note:
         Call *after* the class file is complete.  Serialization interns
         any missing names into the constant pool; to guarantee that the
-        layout and the wire image agree, this function performs the same
-        interning pass first.
+        layout and the wire image agree, this function runs the same
+        interning pass (:func:`~repro.classfile.serializer.intern_names`)
+        first.  It encodes no code and writes no bytes.
     """
-    # Reuse the serializer's interning so pool sizes match the image.
-    from .serializer import serialize  # local import to avoid a cycle
-
-    serialize(classfile)
+    intern_names(classfile)
     method_sizes = tuple(
         (method.name, method.size) for method in classfile.methods
     )
@@ -211,9 +210,7 @@ class GlobalDataBreakdown:
 
 def global_data_breakdown(classfile: ClassFile) -> GlobalDataBreakdown:
     """Decompose a class file's global data for Table 8."""
-    from .serializer import serialize  # ensure pool is complete
-
-    serialize(classfile)
+    intern_names(classfile)
     return GlobalDataBreakdown(
         constant_pool=classfile.constant_pool.size,
         fields=sum(field_info.size for field_info in classfile.fields),

@@ -38,7 +38,7 @@ from .members import (
     MethodInfo,
 )
 
-__all__ = ["serialize", "deserialize"]
+__all__ = ["intern_names", "serialize", "deserialize"]
 
 _U1 = struct.Struct(">B")
 _U2 = struct.Struct(">H")
@@ -197,17 +197,48 @@ def _read_pool(reader: _Reader) -> ConstantPool:
     return pool
 
 
+def intern_names(classfile: ClassFile) -> None:
+    """Intern every name the wire image refers to into the class's pool.
+
+    The builder interns all names; hand-built class files may not have
+    done so.  :func:`serialize` and the layout functions of
+    :mod:`repro.classfile.layout` run this pass first, so the pool is
+    complete, and its size final, before they read it.  A second call
+    adds nothing.
+    """
+    pool = classfile.constant_pool
+    pool.add_class(classfile.name)
+    for name in classfile.interfaces:
+        pool.add_class(name)
+    for field_info in classfile.fields:
+        pool.add_utf8(field_info.name)
+        pool.add_utf8(field_info.descriptor)
+        for attribute in field_info.attributes:
+            pool.add_utf8(attribute.name)
+    for method in classfile.methods:
+        pool.add_utf8(method.name)
+        pool.add_utf8(method.descriptor)
+        pool.add_utf8(CODE_ATTRIBUTE)
+        if method.local_data:
+            pool.add_utf8(LOCAL_DATA_ATTRIBUTE)
+        for attribute in method.attributes:
+            pool.add_utf8(attribute.name)
+    for attribute in classfile.attributes:
+        pool.add_utf8(attribute.name)
+
+
 def _utf8_index(pool: ConstantPool, value: str) -> int:
     index = pool.find_utf8(value)
     if index is None:
-        # The builder interns all names; hand-built class files may not
-        # have done so.  Interning here keeps serialization total.
-        index = pool.add_utf8(value)
+        raise ClassFileError(f"name {value!r} is not in the constant pool")
     return index
 
 
 def _class_index(pool: ConstantPool, name: str) -> int:
-    return pool.add(ClassEntry(_utf8_index(pool, name)))
+    index = pool.find(ClassEntry(_utf8_index(pool, name)))
+    if index is None:
+        raise ClassFileError(f"class {name!r} is not in the constant pool")
+    return index
 
 
 def _write_attribute(
@@ -319,29 +350,17 @@ def _read_method(reader: _Reader, pool: ConstantPool) -> MethodInfo:
 
 
 def serialize(classfile: ClassFile) -> bytes:
-    """Serialize a class file to its binary wire image."""
+    """Serialize a class file to its binary wire image.
+
+    Interns any missing names first (:func:`intern_names`); the writers
+    below only look names up.
+    """
+    intern_names(classfile)
     pool = classfile.constant_pool
-    # Intern every name up front so the pool is complete before its
-    # count is written.
     this_class = _class_index(pool, classfile.name)
     interface_indexes = [
         _class_index(pool, name) for name in classfile.interfaces
     ]
-    for field_info in classfile.fields:
-        _utf8_index(pool, field_info.name)
-        _utf8_index(pool, field_info.descriptor)
-        for attribute in field_info.attributes:
-            _utf8_index(pool, attribute.name)
-    for method in classfile.methods:
-        _utf8_index(pool, method.name)
-        _utf8_index(pool, method.descriptor)
-        _utf8_index(pool, CODE_ATTRIBUTE)
-        if method.local_data:
-            _utf8_index(pool, LOCAL_DATA_ATTRIBUTE)
-        for attribute in method.attributes:
-            _utf8_index(pool, attribute.name)
-    for attribute in classfile.attributes:
-        _utf8_index(pool, attribute.name)
 
     writer = _Writer()
     writer.u4(MAGIC)

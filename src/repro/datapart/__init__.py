@@ -3,6 +3,7 @@
 from .gmd import DataPartition, partition_class, partition_program
 from .usage import (
     method_pool_references,
+    pool_references_by_method,
     reference_closure,
     setup_pool_references,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "partition_class",
     "partition_program",
     "method_pool_references",
+    "pool_references_by_method",
     "reference_closure",
     "setup_pool_references",
 ]

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from ..classfile import ClassFile, class_layout
+from ..classfile import ClassFile, ClassLayout, class_layout
 from ..errors import ClassFileError
 from ..program import Program
-from .usage import method_pool_references, setup_pool_references
+from .usage import pool_references_by_method, setup_pool_references
 
 __all__ = ["DataPartition", "partition_class", "partition_program"]
 
@@ -78,17 +78,35 @@ class DataPartition:
         }
 
 
-def partition_class(classfile: ClassFile) -> DataPartition:
-    """Partition one class's global data by first use (file order)."""
-    layout = class_layout(classfile)
+def partition_class(
+    classfile: ClassFile, layout: ClassLayout
+) -> DataPartition:
+    """Partition one class's global data by first use (file order).
+
+    Args:
+        classfile: The class to partition.
+        layout: ``class_layout(classfile)``, which the caller has
+            already computed; the partition must account for exactly
+            its ``global_size``.
+
+    Raises:
+        ClassFileError: If ``layout`` is another class's, or the
+            partition does not add up to ``layout.global_size``.
+    """
+    if layout.class_name != classfile.name:
+        raise ClassFileError(
+            f"layout of {layout.class_name!r} passed for {classfile.name!r}"
+        )
     pool = classfile.constant_pool
     entry_sizes = {index: entry.size for index, entry in pool.entries()}
 
     setup = setup_pool_references(classfile)
     assigned: Set[int] = set(setup)
     gmd_sizes: List[Tuple[str, int]] = []
-    for method in classfile.methods:
-        fresh = method_pool_references(classfile, method) - assigned
+    for method, references in zip(
+        classfile.methods, pool_references_by_method(classfile)
+    ):
+        fresh = references - assigned
         assigned |= fresh
         gmd_sizes.append(
             (method.name, sum(entry_sizes[index] for index in fresh))
@@ -123,6 +141,6 @@ def partition_class(classfile: ClassFile) -> DataPartition:
 def partition_program(program: Program) -> Dict[str, DataPartition]:
     """Partition every class of a program, keyed by class name."""
     return {
-        classfile.name: partition_class(classfile)
+        classfile.name: partition_class(classfile, class_layout(classfile))
         for classfile in program.classes
     }

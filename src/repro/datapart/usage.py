@@ -17,7 +17,7 @@ NameAndType entries, which need their Utf8 entries, ...).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..bytecode import Opcode
 from ..classfile import (
@@ -37,6 +37,7 @@ from ..classfile import (
 __all__ = [
     "reference_closure",
     "method_pool_references",
+    "pool_references_by_method",
     "setup_pool_references",
 ]
 
@@ -80,10 +81,28 @@ def _utf8_roots(pool: ConstantPool, values: List[str]) -> Set[int]:
     return roots
 
 
-def method_pool_references(
-    classfile: ClassFile, method: MethodInfo
+def _own_method_refs(classfile: ClassFile) -> Dict[Tuple[str, str], Set[int]]:
+    """The class's own MethodRefs, by ``(name, descriptor)``.
+
+    Resolves every MethodRef of the pool once, through
+    :meth:`~repro.classfile.ConstantPool.member_ref`, so a malformed
+    entry raises :class:`~repro.errors.ConstantPoolError`.
+    """
+    pool = classfile.constant_pool
+    refs: Dict[Tuple[str, str], Set[int]] = {}
+    for index, entry in pool.entries():
+        if isinstance(entry, MethodRefEntry):
+            class_name, member, descriptor = pool.member_ref(index)
+            if class_name == classfile.name:
+                refs.setdefault((member, descriptor), set()).add(index)
+    return refs
+
+
+def _method_references(
+    classfile: ClassFile,
+    method: MethodInfo,
+    own_refs: Dict[Tuple[str, str], Set[int]],
 ) -> Set[int]:
-    """All pool indices method execution and verification touch."""
     pool = classfile.constant_pool
     roots: Set[int] = set()
     for instruction in method.instructions:
@@ -96,16 +115,28 @@ def method_pool_references(
         names.append(attribute.name)
     roots |= _utf8_roots(pool, names)
     # The method's own MethodRef (created for intra-program calls).
-    for index, entry in pool.entries():
-        if isinstance(entry, MethodRefEntry):
-            class_name, member, descriptor = pool.member_ref(index)
-            if (
-                class_name == classfile.name
-                and member == method.name
-                and descriptor == method.descriptor
-            ):
-                roots.add(index)
+    roots |= own_refs.get((method.name, method.descriptor), set())
     return reference_closure(pool, roots)
+
+
+def method_pool_references(
+    classfile: ClassFile, method: MethodInfo
+) -> Set[int]:
+    """All pool indices method execution and verification touch."""
+    return _method_references(classfile, method, _own_method_refs(classfile))
+
+
+def pool_references_by_method(classfile: ClassFile) -> List[Set[int]]:
+    """:func:`method_pool_references` of every method, in file order.
+
+    One pass over the pool serves every method, so attributing a whole
+    class costs O(pool + code), not O(pool × methods).
+    """
+    own_refs = _own_method_refs(classfile)
+    return [
+        _method_references(classfile, method, own_refs)
+        for method in classfile.methods
+    ]
 
 
 def setup_pool_references(classfile: ClassFile) -> Set[int]:

@@ -17,7 +17,6 @@ from .experiments import (
     table9_data_breakdown,
 )
 from .results import ResultTable
-from .runner import EXPERIMENTS, main
 
 __all__ = [
     "BENCHMARK_NAMES",
@@ -35,6 +34,4 @@ __all__ = [
     "table8_global_data",
     "table9_data_breakdown",
     "ResultTable",
-    "EXPERIMENTS",
-    "main",
 ]

@@ -466,7 +466,7 @@ def table9_data_breakdown() -> ResultTable:
         for classfile in program.classes:
             layout = class_layout(classfile)
             local_bytes += layout.local_bytes
-            partition = partition_class(classfile)
+            partition = partition_class(classfile, layout)
             first += partition.first_bytes
             methods += partition.method_bytes
             unused += partition.unused_bytes

@@ -127,7 +127,7 @@ def _cmd_partition(arguments) -> int:
     )
     program = load_program(arguments.directory)
     for classfile in program.classes:
-        partition = partition_class(classfile)
+        partition = partition_class(classfile, class_layout(classfile))
         percentages = partition.percentages()
         print(
             f"{classfile.name:30} "

@@ -37,7 +37,8 @@ def build_interleaved_file(
 
     For each method in first-use order: the owning class's leading
     global unit is emitted on first encounter, then the method's unit.
-    Trailing units (unused global data) are appended at the end.
+    Trailing units (unused global data) are appended at the end.  A
+    class with no method in the order follows whole, in plan order.
 
     Raises:
         TransferError: If the order references a class with no plan.
@@ -64,17 +65,16 @@ def build_interleaved_file(
             sequence.append(leading)
         sequence.append(plan.method_unit(method_id.method_name))
     for class_name, plan in plans.items():
-        for unit in plan.units:
-            if unit.kind == UnitKind.GLOBAL_UNUSED:
-                sequence.append(unit)
-        if class_name not in emitted_classes:
-            # A class none of whose methods are in the order: transfer
-            # it whole at the end.
+        if class_name in emitted_classes:
             sequence.extend(
                 unit
                 for unit in plan.units
-                if unit.kind != UnitKind.GLOBAL_UNUSED
+                if unit.kind == UnitKind.GLOBAL_UNUSED
             )
+        else:
+            # A class none of whose methods are in the order: transfer
+            # it whole at the end, in plan order.
+            sequence.extend(plan.units)
     return sequence
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..classfile import METHOD_DELIMITER_SIZE, class_layout
 from ..cfg import partition_blocks
-from ..datapart import DataPartition, partition_class
+from ..datapart import partition_class
 from ..errors import TransferError
 from ..program import MethodId, Program
 
@@ -189,19 +189,16 @@ def build_class_plan(
                 )
             )
     elif policy == TransferPolicy.DATA_PARTITIONED:
-        partition: DataPartition = partition_class(classfile)
-        # The needed-first chunk carries the fixed framing (everything
-        # in the global section that is not a pool entry) plus the
+        partition = partition_class(classfile, layout)
+        # The needed-first chunk carries the fixed framing plus the
         # setup-referenced pool entries; the rest of the pool rides
         # with its first-using method as GMDs, and unused entries
         # trail.  Total wire bytes equal the non-strict wire size.
-        pool_entry_bytes = classfile.constant_pool.size - 2
-        framing = layout.global_size - pool_entry_bytes
         units.append(
             TransferUnit(
                 kind=UnitKind.GLOBAL_FIRST,
                 class_name=name,
-                size=framing + partition.setup_pool_bytes,
+                size=partition.first_bytes,
             )
         )
         gmd = dict(partition.gmd_sizes)

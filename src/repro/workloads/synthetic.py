@@ -860,7 +860,7 @@ def _generate(
     field_padding: List[List[FieldInfo]] = []
     unused_padding: List[int] = []
     for class_index, classfile in enumerate(skeleton):
-        partition = partition_class(classfile)
+        partition = partition_class(classfile, class_layout(classfile))
         target_total = global_per_class[class_index]
         first_deficit = int(
             spec.percent_globals_needed_first / 100 * target_total

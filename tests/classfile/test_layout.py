@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from repro.bytecode import Instruction, Opcode
 from repro.classfile import (
     METHOD_DELIMITER_SIZE,
+    Attribute,
+    ClassFile,
     ClassFileBuilder,
+    FieldInfo,
+    MethodInfo,
     class_layout,
+    deserialize,
     global_data_breakdown,
+    intern_names,
     serialize,
 )
 from repro.errors import ClassFileError
@@ -119,3 +125,57 @@ def test_layout_serializer_agreement_property(
     layout = class_layout(classfile)
     assert layout.strict_size == len(serialize(classfile))
     assert layout.global_size + layout.local_bytes <= layout.strict_size
+
+
+def hand_built_class():
+    """A class made without the builder: its pool starts empty."""
+    return ClassFile(
+        name="app/Raw",
+        interfaces=("app/Iface",),
+        fields=(
+            FieldInfo("count", attributes=(Attribute("Note", b"n"),)),
+        ),
+        methods=[
+            MethodInfo(
+                "run",
+                "(I)I",
+                [
+                    Instruction(Opcode.LOAD, (0,)),
+                    Instruction(Opcode.IRETURN),
+                ],
+                local_data=b"\x01\x02",
+                attributes=(Attribute("Extra", b"xyz"),),
+            ),
+            MethodInfo("idle", "()V", [Instruction(Opcode.RETURN)]),
+        ],
+        attributes=(Attribute("SourceFile", b"Raw.src"),),
+    )
+
+
+@pytest.mark.parametrize(
+    "lay_out",
+    [class_layout, global_data_breakdown, intern_names],
+    ids=["class_layout", "global_data_breakdown", "intern_names"],
+)
+def test_layout_interns_every_name_serialize_needs(lay_out):
+    classfile = hand_built_class()
+    assert len(classfile.constant_pool) == 0
+    lay_out(classfile)
+    interned = list(classfile.constant_pool)
+    image = serialize(classfile)
+    # serialize adds nothing beyond the layout's interning pass ...
+    assert list(classfile.constant_pool) == interned
+    # ... which leaves the pool exactly as serialize alone would.
+    reference = hand_built_class()
+    serialize(reference)
+    assert list(reference.constant_pool) == interned
+    assert class_layout(classfile).strict_size == len(image)
+    assert deserialize(image).name == "app/Raw"
+
+
+def test_intern_names_twice_adds_nothing():
+    classfile = hand_built_class()
+    intern_names(classfile)
+    interned = list(classfile.constant_pool)
+    intern_names(classfile)
+    assert list(classfile.constant_pool) == interned

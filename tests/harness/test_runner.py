@@ -1,5 +1,8 @@
 """The repro-experiments CLI."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness.runner import EXPERIMENTS, main
@@ -37,3 +40,23 @@ def test_run_single_experiment(capsys):
 def test_unknown_experiment_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["tableX"])
+
+
+def test_documented_module_invocation_runs_without_warnings():
+    # ``python -m repro.harness.runner`` is the documented CLI; runpy
+    # warns if importing the package already imported the module.
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.harness.runner",
+            "--list",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "figure6" in result.stdout.split()

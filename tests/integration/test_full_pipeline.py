@@ -113,8 +113,8 @@ def test_partitioning_consistent_after_restructure(compiled):
     order = estimate_first_use(compiled)
     restructured = restructure(compiled, order)
     for classfile in restructured.classes:
-        partition = partition_class(classfile)
         layout = class_layout(classfile)
+        partition = partition_class(classfile, layout)
         assert partition.total_global_bytes == layout.global_size
 
 

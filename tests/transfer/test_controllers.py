@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bytecode import assemble
+from repro.classfile import ClassFileBuilder
 from repro.errors import TransferError
-from repro.program import MethodId
+from repro.program import MethodId, Program
 from repro.reorder import estimate_first_use, restructure
 from repro.transfer import (
     InterleavedController,
@@ -53,6 +55,46 @@ def test_interleaved_file_conserves_bytes(restructured):
     assert sum(unit.size for unit in sequence) == sum(
         plan.total_bytes for plan in plans.values()
     )
+
+
+def methodless_class_program():
+    """``Main`` plus a ``Globals`` class with a field and no methods."""
+    main = ClassFileBuilder("Main")
+    main.add_method("main", "()V", assemble("return"))
+    holder = ClassFileBuilder("Globals")
+    holder.add_field("counter")
+    return Program(classes=[main.build(), holder.build()])
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [TransferPolicy.NON_STRICT, TransferPolicy.DATA_PARTITIONED],
+    ids=["non_strict", "data_partitioned"],
+)
+@pytest.mark.parametrize(
+    "make_program",
+    [methodless_class_program, figure1_program],
+    ids=["methodless_class", "figure1"],
+)
+def test_interleaved_file_keeps_plan_order_within_each_class(
+    make_program, policy
+):
+    program = make_program()
+    order = estimate_first_use(program)
+    plans = build_program_plans(restructure(program, order), policy)
+    sequence = build_interleaved_file(plans, order)
+    for class_name, plan in plans.items():
+        assert [
+            unit for unit in sequence if unit.class_name == class_name
+        ] == list(plan.units)
+
+
+def test_methodless_class_with_unused_data_goes_out_global_first():
+    program = methodless_class_program()
+    plans = build_program_plans(program, TransferPolicy.DATA_PARTITIONED)
+    sequence = build_interleaved_file(plans, estimate_first_use(program))
+    kinds = [unit.kind for unit in sequence if unit.class_name == "Globals"]
+    assert kinds == [UnitKind.GLOBAL_FIRST, UnitKind.GLOBAL_UNUSED]
 
 
 def test_interleaved_controller_single_stream(restructured):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.classfile import METHOD_DELIMITER_SIZE, class_layout
+from repro.classfile import METHOD_DELIMITER_SIZE, class_layout, serializer
 from repro.errors import TransferError
 from repro.transfer import (
     TransferPolicy,
@@ -12,6 +12,7 @@ from repro.transfer import (
     build_program_plans,
 )
 from repro.workloads import figure1_program
+from repro.workloads.synthetic import generate_workload
 
 
 @pytest.fixture()
@@ -107,3 +108,26 @@ def test_build_program_plans_covers_all_classes():
     program = figure1_program()
     plans = build_program_plans(program, TransferPolicy.NON_STRICT)
     assert set(plans) == {"A", "B"}
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [TransferPolicy.NON_STRICT, TransferPolicy.DATA_PARTITIONED],
+    ids=["non_strict", "data_partitioned"],
+)
+def test_plan_building_neither_serializes_nor_encodes(monkeypatch, policy):
+    """Plans need sizes only: no class is serialized, no code encoded."""
+    calls = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"plan building called {name}")
+
+        return record
+
+    monkeypatch.setattr(serializer, "serialize", forbidden("serialize"))
+    monkeypatch.setattr(serializer, "encode_code", forbidden("encode"))
+    plans = build_program_plans(generate_workload("Jess").program, policy)
+    assert plans
+    assert calls == []
