@@ -10,7 +10,8 @@ from repro.core import Simulator, strict_baseline
 from repro.harness import bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
-from repro.transfer import MODEM_LINK, InterleavedController
+from repro.sched import StripedController
+from repro.transfer import MODEM_LINK
 
 
 def granularity_table() -> ResultTable:
@@ -35,18 +36,19 @@ def granularity_table() -> ResultTable:
             ("Method-level", False),
             ("Block-level", True),
         ):
-            controller = InterleavedController(
-                target, item.test, block_delimiters=block_level
+            controller = StripedController(
+                target,
+                item.test,
+                (MODEM_LINK,),
+                workload.cpi,
+                policy="interleaved",
+                block_delimiters=block_level,
             )
             overhead[label] = sum(
                 unit.size for unit in controller.sequence
             )
             result = Simulator(
-                target,
-                workload.test_trace,
-                controller,
-                MODEM_LINK,
-                workload.cpi,
+                target, workload.test_trace, controller, workload.cpi
             ).run()
             results[label] = result.normalized_to(base.total_cycles)
         table.add_row(

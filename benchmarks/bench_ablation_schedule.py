@@ -12,7 +12,8 @@ from repro.core import Simulator, strict_baseline
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
-from repro.transfer import MODEM_LINK, ParallelController
+from repro.sched import StripedController
+from repro.transfer import MODEM_LINK
 
 
 def schedule_table() -> ResultTable:
@@ -34,20 +35,17 @@ def schedule_table() -> ResultTable:
         )
         cells = []
         for eager in (False, True):
-            controller = ParallelController(
+            controller = StripedController(
                 target,
                 item.scg,
-                MODEM_LINK,
+                (MODEM_LINK,),
                 workload.cpi,
+                policy="parallel",
                 max_streams=None,
                 eager_start=eager,
             )
             result = Simulator(
-                target,
-                workload.test_trace,
-                controller,
-                MODEM_LINK,
-                workload.cpi,
+                target, workload.test_trace, controller, workload.cpi
             ).run()
             cells.append(result.normalized_to(base.total_cycles))
         table.add_row(name, *cells)

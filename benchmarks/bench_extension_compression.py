@@ -11,12 +11,8 @@ from repro.core import Simulator, strict_baseline
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
-from repro.transfer import (
-    MODEM_LINK,
-    CompressedInterleavedController,
-    InterleavedController,
-    program_compression_ratios,
-)
+from repro.sched import StripedController
+from repro.transfer import MODEM_LINK, program_compression_ratios
 
 
 def compression_table() -> ResultTable:
@@ -40,23 +36,23 @@ def compression_table() -> ResultTable:
         base = strict_baseline(
             workload.program, workload.test_trace, MODEM_LINK, workload.cpi
         )
-        plain = Simulator(
-            target,
-            workload.test_trace,
-            InterleavedController(target, item.test),
-            MODEM_LINK,
-            workload.cpi,
-        ).run()
         ratios = program_compression_ratios(target)
-        compressed = Simulator(
-            target,
-            workload.test_trace,
-            CompressedInterleavedController(
-                target, item.test, ratios=ratios
-            ),
-            MODEM_LINK,
-            workload.cpi,
-        ).run()
+        plain, compressed = (
+            Simulator(
+                target,
+                workload.test_trace,
+                StripedController(
+                    target,
+                    item.test,
+                    (MODEM_LINK,),
+                    workload.cpi,
+                    policy="interleaved",
+                    ratios=plan_ratios,
+                ),
+                workload.cpi,
+            ).run()
+            for plan_ratios in (None, ratios)
+        )
         table.add_row(
             name,
             plain.normalized_to(base.total_cycles),

@@ -49,12 +49,8 @@ from repro.core import (
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
-from repro.transfer import (
-    MODEM_LINK,
-    T1_LINK,
-    InterleavedController,
-    ParallelController,
-)
+from repro.sched import StripedController
+from repro.transfer import MODEM_LINK, T1_LINK
 
 #: The Figure 6 configuration grid (label, method, max_streams, dp).
 CONFIGS: Tuple[Tuple[str, str, Optional[int], bool], ...] = (
@@ -97,19 +93,15 @@ def grid() -> Iterator[Tuple[Dict[str, str], Simulator, StrictBaseline]]:
                 order = item.order(ordering)
                 target = restructure(workload.program, order)
                 for label, method, max_streams, partitioned in CONFIGS:
-                    if method == "parallel":
-                        controller = ParallelController(
-                            target,
-                            order,
-                            link,
-                            workload.cpi,
-                            max_streams=max_streams,
-                            data_partitioning=partitioned,
-                        )
-                    else:
-                        controller = InterleavedController(
-                            target, order, data_partitioning=partitioned
-                        )
+                    controller = StripedController(
+                        target,
+                        order,
+                        (link,),
+                        workload.cpi,
+                        policy=method,
+                        max_streams=max_streams,
+                        data_partitioning=partitioned,
+                    )
                     labels = {
                         "workload": name,
                         "link": link_name,
@@ -117,11 +109,7 @@ def grid() -> Iterator[Tuple[Dict[str, str], Simulator, StrictBaseline]]:
                         "config": label,
                     }
                     simulator = Simulator(
-                        target,
-                        workload.test_trace,
-                        controller,
-                        link,
-                        workload.cpi,
+                        target, workload.test_trace, controller, workload.cpi
                     )
                     yield labels, simulator, base
 

@@ -20,12 +20,8 @@ from repro.core import (
 )
 from repro.harness import bundle
 from repro.reorder import restructure
-from repro.transfer import (
-    MODEM_LINK,
-    T1_LINK,
-    CompressedInterleavedController,
-    InterleavedController,
-)
+from repro.sched import StripedController
+from repro.transfer import MODEM_LINK, T1_LINK, program_compression_ratios
 
 JIT = JitModel(compile_cycles_per_byte=600.0, compiled_cpi=60.0)
 
@@ -46,21 +42,21 @@ def main() -> None:
         f"{base.total_cycles/1e6:10,.0f} Mcycles  (100.0%)"
     )
 
-    plain = Simulator(
-        target, trace, InterleavedController(target, item.test),
-        link, workload.cpi,
-    ).run()
+    def interleaved(**options):
+        controller = StripedController(
+            target, item.test, (link,), workload.cpi,
+            policy="interleaved", **options,
+        )
+        return Simulator(target, trace, controller, workload.cpi).run()
+
+    plain = interleaved()
     print(
         f"non-strict interleaved:      "
         f"{plain.total_cycles/1e6:10,.0f} Mcycles  "
         f"({plain.normalized_to(base.total_cycles):5.1f}%)"
     )
 
-    compressed = Simulator(
-        target, trace,
-        CompressedInterleavedController(target, item.test),
-        link, workload.cpi,
-    ).run()
+    compressed = interleaved(ratios=program_compression_ratios(target))
     print(
         f"  + zlib-compressed units:   "
         f"{compressed.total_cycles/1e6:10,.0f} Mcycles  "

@@ -16,7 +16,7 @@ from repro.classfile import class_layout
 from repro.core import Simulator
 from repro.harness import bundle
 from repro.reorder import restructure
-from repro.transfer import InterleavedController, ParallelController
+from repro.sched import StripedController
 
 
 def main() -> None:
@@ -66,17 +66,19 @@ def main() -> None:
             interleaved = Simulator(
                 target,
                 workload.test_trace,
-                InterleavedController(target, order),
-                link,
+                StripedController(
+                    target, order, (link,), workload.cpi,
+                    policy="interleaved",
+                ),
                 workload.cpi,
             ).run()
             parallel = Simulator(
                 target,
                 workload.test_trace,
-                ParallelController(
-                    target, order, link, workload.cpi, max_streams=4
+                StripedController(
+                    target, order, (link,), workload.cpi,
+                    policy="parallel", max_streams=4,
                 ),
-                link,
                 workload.cpi,
             ).run()
             demand_fetches = sum(

@@ -66,9 +66,8 @@ from ..errors import AnalysisError, CFGError, ClassFileError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
-from ..transfer import NetworkLink, ParallelController, build_schedule
+from ..transfer import NetworkLink, build_schedule
 from ..transfer.interleaved import build_interleaved_file
-from ..transfer.streams import StreamEngine
 from ..transfer.schedule import TransferSchedule
 from ..transfer.units import (
     ClassTransferPlan,
@@ -90,7 +89,7 @@ __all__ = [
 ]
 
 _METHODOLOGIES = ("parallel", "interleaved", "striped")
-_TRIGGER_SLOP = 1e-9  # mirrors ParallelController._release_due
+_TRIGGER_SLOP = 1e-9  # mirrors repro.sched.scoreboard.WATERMARK_SLOP
 
 
 class StallVerdict(enum.Enum):
@@ -420,28 +419,26 @@ def _exact_parallel_entry_arrival(
     Until the entry method's unit arrives nothing executes, so the
     engine evolves deterministically under the scheduled triggers alone
     — the analyzer replays that closed pre-execution phase with the
-    real controller and stream engine, mirroring the simulator's first
-    segment instruction for instruction.
+    real controller on its own issue engine, mirroring the simulator's
+    first segment instruction for instruction.
     """
-    controller = ParallelController(
+    from ..sched.striped import StripedController
+
+    controller = StripedController(
         target,
         order,
-        link,
+        (link,),
         cpi,
+        policy="parallel",
         max_streams=max_streams,
         data_partitioning=data_partitioning,
     )
-    engine = StreamEngine(link, max_streams=controller.max_streams)
-    controller.setup(engine)
+    engine = controller.start()
     unit = controller.required_unit(entry_method)
     if engine.arrived(unit):
         return 0.0
     controller.on_stall(engine, entry_method)
-    return engine.run_until_unit(
-        unit,
-        wakeup=controller.next_wakeup,
-        on_advance=controller.on_advance,
-    )
+    return engine.run_until_unit(unit)
 
 
 def _dead_methods(

@@ -12,24 +12,25 @@ loop over flat lists:
 
 * the trace is **precompiled** once per run into per-segment execution
   costs and first-use markers with their resolved transfer units;
-* the paper's single-link methodologies get **specialized cores**
-  (single-stream for interleaved, compressed interleaved and strict;
-  processor-sharing for parallel) that inline the
-  :class:`~repro.transfer.streams.StreamEngine` event loop into
+* the paper's policies on one link get **specialized cores**, keyed
+  on the controller's policy (single-stream for ``strict`` and
+  ``interleaved``; processor-sharing for ``parallel``), that inline
+  the :class:`~repro.transfer.streams.StreamEngine` event loop into
   local-variable arithmetic.
 
-:meth:`Simulator.run` sends a run here only for those controllers and
-only when no recorder is attached
+:meth:`Simulator.run` sends a run here only for those policies on one
+link and only when no recorder is attached
 (:func:`~repro.core.simulation.resolve_engine`).  The cores keep every
-piece of per-run state locally and never mutate the controller.
+piece of per-run state locally and never mutate the controller, and
+they build no scoreboard or issue engine.
 
 Fidelity contract: the batched cores perform *bit-for-bit the same
 float operations in the same order* as the reference loop, so
 ``total_cycles``, every stall, and every per-method first-invocation
 latency are exactly equal — property-tested in
 ``tests/core/test_fastsim.py`` across all six workloads, both
-methodologies, and both orderings, plus data partitioning, strict and
-compressed interleaved transfer.  Schedule-release checks are the one
+methodologies, and both orderings, plus data partitioning, strict,
+eager starts, block delimiters and compressed plans.  Schedule-release checks are the one
 place the batched parallel core does *less* work: releases are byte-
 monotone, so a class whose byte trigger is provably unreachable since
 the last check is skipped until enough bytes flow (the skipped checks
@@ -50,15 +51,12 @@ from typing import (
 
 from ..errors import TransferError
 from ..program import MethodId
-from ..transfer.base import TransferController
-from ..transfer.interleaved import InterleavedController
-from ..transfer.parallel import ParallelController
-from ..transfer.strict import StrictSequentialController
 from ..transfer.units import TransferUnit
 from .metrics import InvocationLatencyReport, MethodInvocationLatency
 from .simulation import SimulationResult, StallEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..sched import StripedController
     from ..transfer.schedule import ScheduledStart
     from ..vm import ExecutionTrace
     from .simulation import Simulator
@@ -102,7 +100,7 @@ class CompiledTrace:
 
 def compile_trace(
     trace: "ExecutionTrace",
-    controller: TransferController,
+    controller: "StripedController",
     cpi: float,
 ) -> CompiledTrace:
     """Flatten a trace into the batched cores' per-segment lists.
@@ -127,15 +125,15 @@ def compile_trace(
 
 
 def run_batched(simulator: "Simulator") -> SimulationResult:
-    """Run one co-simulation on its controller's batched core.
+    """Run one co-simulation on its policy's batched core.
 
-    The processor-sharing core serves :class:`ParallelController`; the
-    single-stream core serves the other controllers in
-    :data:`~repro.core.simulation.BATCHED_CONTROLLERS`.
+    The processor-sharing core serves ``parallel``; the single-stream
+    core serves ``strict`` and ``interleaved``
+    (:data:`~repro.core.simulation.BATCHED_POLICIES`).
     """
     controller = simulator.controller
     compiled = compile_trace(simulator.trace, controller, simulator.cpi)
-    if type(controller) is ParallelController:
+    if controller.policy == "parallel":
         return _run_parallel(simulator, compiled)
     return _run_single_stream(simulator, compiled)
 
@@ -149,26 +147,8 @@ def _report(
 
 
 # ---------------------------------------------------------------------------
-# Single-stream core: interleaved, compressed and strict-sequential transfer
+# Single-stream core: interleaved and strict-sequential transfer
 # ---------------------------------------------------------------------------
-
-
-def _single_stream_units(
-    controller: TransferController,
-) -> Tuple[TransferUnit, ...]:
-    """The one stream's unit sequence, exactly as ``setup`` requests it."""
-    if isinstance(controller, InterleavedController):
-        units = tuple(controller.sequence)
-        if not units:
-            raise TransferError("stream 'interleaved' has no units")
-        return units
-    assert isinstance(controller, StrictSequentialController)
-    sequence: List[TransferUnit] = []
-    for class_name in controller.program.class_names:
-        sequence.extend(controller.plans[class_name].units)
-    if not sequence:
-        raise TransferError("program has no classes to transfer")
-    return tuple(sequence)
 
 
 def _run_single_stream(
@@ -181,11 +161,11 @@ def _run_single_stream(
     order, so ``arrived(unit)`` reduces to an index comparison.
     """
     controller = simulator.controller
-    link = simulator.link
+    link = controller.links[0]
     cycles_per_byte = link.cycles_per_byte
     bytes_per_cycle = link.bytes_per_cycle
 
-    units = _single_stream_units(controller)
+    units = controller.sequence
     unit_count = len(units)
     sizes = [float(unit.size) for unit in units]
     int_sizes = [unit.size for unit in units]
@@ -211,8 +191,8 @@ def _run_single_stream(
             method, unit = pair
             position = unit_index.get(unit)
             if position is None or position >= done:
-                # Stall: single-stream controllers have a no-op
-                # on_stall (the unit is already en route), so this is
+                # Stall: single-stream policies have a no-op on_stall
+                # (the unit is already en route), so this is
                 # run_until_unit — full completion steps to arrival.
                 while position is None or position >= done:
                     if done >= unit_count:
@@ -354,14 +334,15 @@ def _run_parallel(
 ) -> SimulationResult:
     """Scheduled multi-stream transfer with demand-fetch correction.
 
-    Replicates :class:`~repro.transfer.ParallelController` +
-    :class:`~repro.transfer.streams.StreamEngine` with the controller's
-    per-run state (pending starts, streams, demand fetches) kept
-    locally, so the controller itself is never mutated.
+    Replicates the ``parallel`` policy's scoreboard releases, demand
+    fetches and the one link's
+    :class:`~repro.transfer.streams.StreamEngine` with the per-run
+    state (pending starts, streams, demand fetches) kept locally, so
+    the controller itself is never mutated.
     """
     controller = simulator.controller
-    assert isinstance(controller, ParallelController)
-    link = simulator.link
+    assert controller.schedule is not None
+    link = controller.links[0]
     cycles_per_byte = link.cycles_per_byte
     bytes_per_cycle = link.bytes_per_cycle
     max_streams = controller.max_streams
@@ -373,9 +354,7 @@ def _run_parallel(
     streams: Dict[str, _FastStream] = {}
     arrivals: Dict[TransferUnit, float] = {}
     delivered_per_stream: Dict[str, float] = {}
-    pending: List["ScheduledStart"] = (
-        controller.schedule.in_start_order()
-    )
+    pending: List["ScheduledStart"] = controller.schedule.in_start_order()
     demand_fetches: List[MethodId] = []
 
     engine_time = 0.0
@@ -409,7 +388,7 @@ def _run_parallel(
             waiting.append(stream)
 
     def release_due() -> None:
-        """The controller's ``_release_due``, byte-monotone deferred.
+        """The scoreboard's watermark releases, byte-monotone deferred.
 
         Evaluates exactly the reference's trigger condition, but only
         when total delivered bytes have crossed ``scan_floor`` — the
@@ -514,7 +493,7 @@ def _run_parallel(
         )
         return boundary if boundary < limit else limit
 
-    # controller.setup(engine): release whatever is due at byte zero.
+    # controller.start(): release whatever is due at byte zero.
     release_due()
 
     time = 0.0

@@ -29,10 +29,12 @@ from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
 from ..transfer import (
-    InterleavedController,
     NetworkLink,
     StreamEngine,
+    TransferPolicy,
     UnitKind,
+    build_interleaved_file,
+    build_program_plans,
 )
 from ..vm import ExecutionTrace
 
@@ -116,11 +118,15 @@ def simulate_jit_overlap(
     remainder before executing (modelling compile-on-first-call).
     """
     target = apply_restructure(program, order)
-    controller = InterleavedController(
-        target, order, data_partitioning=data_partitioning
+    plans = build_program_plans(
+        target,
+        TransferPolicy.DATA_PARTITIONED
+        if data_partitioning
+        else TransferPolicy.NON_STRICT,
     )
+    # The interleaved file on one link: a single stream, in order.
     engine = StreamEngine(link)
-    controller.setup(engine)
+    engine.request_stream("interleaved", build_interleaved_file(plans, order))
 
     code_bytes: Dict[MethodId, int] = {
         method_id: method.code_bytes
@@ -167,7 +173,9 @@ def simulate_jit_overlap(
         return used
 
     for segment in trace.segments:
-        unit = controller.required_unit(segment.method)
+        unit = plans[segment.method.class_name].method_unit(
+            segment.method.method_name
+        )
         if not engine.arrived(unit):
             arrival = engine.run_until_unit(unit)
             arrival = max(arrival, time)

@@ -20,19 +20,15 @@ This is the façade most users want::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import SimulationError
 from ..program import Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
-from ..transfer import (
-    InterleavedController,
-    NetworkLink,
-    ParallelController,
-    StrictSequentialController,
-    TransferController,
-)
+from ..sched import StripedController
+from ..transfer import NetworkLink
 from ..vm import ExecutionTrace
 from .simulation import SimulationResult, Simulator
 
@@ -42,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["run_nonstrict", "run_strict"]
 
 _METHODS = ("parallel", "interleaved")
+
+#: The §5.1 and §5.2 methodologies: the one controller with its policy
+#: fixed.  :func:`run_nonstrict` looks them up as module globals at call
+#: time, so wrapping either name wraps controller construction.
+ParallelController = partial(StripedController, policy="parallel")
+InterleavedController = partial(StripedController, policy="interleaved")
 
 
 def run_nonstrict(
@@ -83,23 +85,20 @@ def run_nonstrict(
             f"unknown transfer method {method!r}; pick from {_METHODS}"
         )
     target = apply_restructure(program, order) if restructure else program
-    controller: TransferController
     if method == "parallel":
         controller = ParallelController(
             target,
             order,
-            link,
+            (link,),
             cpi,
             max_streams=max_streams,
             data_partitioning=data_partitioning,
         )
     else:
         controller = InterleavedController(
-            target, order, data_partitioning=data_partitioning
+            target, order, (link,), cpi, data_partitioning=data_partitioning
         )
-    simulator = Simulator(
-        target, trace, controller, link, cpi, recorder=recorder
-    )
+    simulator = Simulator(target, trace, controller, cpi, recorder=recorder)
     return simulator.run()
 
 
@@ -118,8 +117,8 @@ def run_strict(
     simulation shows what sequential strict transfer with on-demand
     execution actually does — useful for ablations.
     """
-    controller = StrictSequentialController(program)
-    simulator = Simulator(
-        program, trace, controller, link, cpi, recorder=recorder
+    controller = StripedController(
+        program, None, (link,), cpi, policy="strict"
     )
+    simulator = Simulator(program, trace, controller, cpi, recorder=recorder)
     return simulator.run()

@@ -14,13 +14,15 @@ Replays an execution trace against a transfer timeline, cycle-exactly:
   as the paper does ("if an application completes execution before all
   the methods have transferred, we terminate the remaining transfer").
 
-The same machinery simulates the strict base case by pairing the
-strict controller (whole-file units) with a strict-semantics trace.
+The transfer side is always a :class:`~repro.sched.StripedController`,
+which owns its links; its ``strict`` policy (whole-file units)
+simulates the paper's base case.
 
 :meth:`Simulator.run` has one rule, :func:`resolve_engine`: unrecorded
-runs of the paper's single-link controllers take the batched cores in
-:mod:`repro.core.fastsim`; everything else takes the per-segment
-reference loop below, which is also the tests' oracle.
+one-link runs of the paper's policies (strict, parallel, interleaved)
+take the batched cores in :mod:`repro.core.fastsim`; everything else
+takes the per-segment reference loop below, which is also the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..errors import SimulationError
 from ..program import MethodId, Program
-from ..transfer import (
-    CompressedInterleavedController,
-    InterleavedController,
-    NetworkLink,
-    ParallelController,
-    StrictSequentialController,
-    TransferController,
-)
+from ..sched import StripedController
 from ..vm import ExecutionTrace
 from .metrics import InvocationLatencyReport
 
@@ -46,34 +41,34 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["StallEvent", "SimulationResult", "Simulator", "resolve_engine"]
 
-#: The paper's single-link controllers.  Each has a batched core in
-#: :mod:`repro.core.fastsim`; the match is on the exact type, because a
-#: subclass may override any controller callback.
-BATCHED_CONTROLLERS = (
-    ParallelController,
-    InterleavedController,
-    CompressedInterleavedController,
-    StrictSequentialController,
-)
+#: The policies with a batched core in :mod:`repro.core.fastsim`, each
+#: on one link.
+BATCHED_POLICIES = ("strict", "parallel", "interleaved")
 
 
 def resolve_engine(
-    controller: Optional[TransferController] = None,
+    controller: Optional[StripedController] = None,
     recorder: Optional["TraceRecorder"] = None,
 ) -> str:
     """Name the loop :meth:`Simulator.run` takes for these inputs.
 
     ``"batched"`` (the cores in :mod:`repro.core.fastsim`) for an
-    unrecorded run of one of the paper's single-link controllers;
-    ``controller=None`` stands for those, the controllers
-    :func:`~repro.core.run_nonstrict` and :func:`~repro.core.run_strict`
-    build.  ``"reference"`` (:meth:`Simulator.run_reference`) otherwise:
-    a recorder needs its event stream, and striped or custom
-    controllers need their callbacks driven.  Both loops give
-    bit-identical results.
+    unrecorded run of a :class:`~repro.sched.StripedController` with one
+    link and a policy in :data:`BATCHED_POLICIES`; ``controller=None``
+    stands for those, the controllers :func:`~repro.core.run_nonstrict`
+    and :func:`~repro.core.run_strict` build.  ``"reference"``
+    (:meth:`Simulator.run_reference`) otherwise: a recorder needs its
+    event stream, several links or the striping policies need the issue
+    engine, and a subclass may override any controller callback (the
+    match is on the exact type).  Both loops give bit-identical results.
     """
     if recorder is None and (
-        controller is None or type(controller) in BATCHED_CONTROLLERS
+        controller is None
+        or (
+            type(controller) is StripedController
+            and len(controller.links) == 1
+            and controller.policy in BATCHED_POLICIES
+        )
     ):
         return "batched"
     return "reference"
@@ -152,8 +147,7 @@ class Simulator:
         program: The (possibly restructured) program being transferred.
         trace: The execution trace to replay (method ids must exist in
             ``program``).
-        controller: Transfer methodology.
-        link: Network link model.
+        controller: The transfer controller, with its policy and links.
         cpi: Average cycles per bytecode instruction.
         recorder: Optional :class:`repro.observe.TraceRecorder` (clock
             ``"cycles"``); when given, the run emits ``unit_arrived``,
@@ -167,8 +161,7 @@ class Simulator:
         self,
         program: Program,
         trace: ExecutionTrace,
-        controller: TransferController,
-        link: NetworkLink,
+        controller: StripedController,
         cpi: float,
         recorder: Optional["TraceRecorder"] = None,
     ) -> None:
@@ -177,7 +170,6 @@ class Simulator:
         self.program = program
         self.trace = trace
         self.controller = controller
-        self.link = link
         self.cpi = float(cpi)
         self.recorder = recorder
 
@@ -197,18 +189,13 @@ class Simulator:
         """Run the readable per-segment loop, whatever the inputs.
 
         This is the oracle the batched cores are tested against, bit for
-        bit.  It drives any controller through its callbacks and emits
-        the recorder's event stream.
+        bit.  It drives the controller's issue engine through the
+        controller's callbacks and emits the recorder's event stream.
         """
         controller = self.controller
         recorder = self.recorder
         # The controller emits into this run's recorder, or none.
-        controller.recorder = recorder
-        engine = controller.build_engine(self.link)
-        controller.setup(engine)
-
-        wakeup = controller.next_wakeup
-        on_advance = controller.on_advance
+        engine = controller.start(recorder)
 
         time = 0.0
         stall_cycles = 0.0
@@ -223,9 +210,7 @@ class Simulator:
                 controller.on_stall(engine, segment.method)
                 if recorder is not None:
                     recorder.stall_begin(time, method=str(segment.method))
-                arrival = engine.run_until_unit(
-                    unit, wakeup=wakeup, on_advance=on_advance
-                )
+                arrival = engine.run_until_unit(unit)
                 arrival = max(arrival, time)
                 stalls.append(
                     StallEvent(
@@ -244,9 +229,7 @@ class Simulator:
                 time = arrival
             if segment.method not in invoked:
                 invoked.add(segment.method)
-                demand_fetched = segment.method in getattr(
-                    controller, "demand_fetches", ()
-                )
+                demand_fetched = segment.method in controller.demand_fetches
                 latencies.record(
                     segment.method, time, demand_fetched=demand_fetched
                 )
@@ -260,7 +243,7 @@ class Simulator:
             if invocation_latency is None:
                 invocation_latency = time
             time += segment.instructions * self.cpi
-            engine.run_until(time, wakeup=wakeup, on_advance=on_advance)
+            engine.run_until(time)
 
         if invocation_latency is None:
             invocation_latency = 0.0

@@ -1,13 +1,12 @@
 """The scoreboard-driven multi-link issue engine.
 
-:class:`IssueEngine` presents the same simulator-facing protocol as the
-single-link :class:`~repro.transfer.streams.StreamEngine` — ``time``,
-``arrived``, ``arrival_times``, ``run_until``, ``run_until_unit``,
-``total_delivered``, ``remaining_bytes`` — but behind the facade it
-drives one :class:`~repro.transfer.streams.StreamEngine` *per network
-link*, all advanced in lockstep to the globally earliest event
-boundary (a unit completion on any link, a scheduled link outage, or
-an external wake-up).  At every boundary it:
+:class:`IssueEngine` is the transfer engine the co-simulator's reference
+loop drives — ``time``, ``arrived``, ``arrival_times``, ``run_until``,
+``run_until_unit``, ``total_delivered``, ``remaining_bytes``.  Behind
+that facade it drives one :class:`~repro.transfer.streams.StreamEngine`
+*per network link*, all advanced in lockstep to the globally earliest event
+boundary (a unit completion on any link or a scheduled link outage).
+At every boundary it:
 
 1. collects units that landed on each link and feeds them to the
    :class:`~repro.sched.scoreboard.Scoreboard`, which cascades
@@ -19,10 +18,9 @@ an external wake-up).  At every boundary it:
    grains to links under the configured arbitration.
 
 Two dispatch grains exist.  ``"stream"`` issues whole in-order unit
-streams and admits every ready item at once (the 1-link parallel /
-interleaved fidelity modes — byte-for-byte equivalent to the original
-controllers by construction, since a single link sees the identical
-request sequence on an identical engine).  ``"unit"`` issues one
+streams and admits every ready item at once (the strict, parallel and
+interleaved policies on one link: the link's engine then sees exactly
+the paper methodology's request sequence).  ``"unit"`` issues one
 transfer unit per idle link — true out-of-order striping.
 """
 
@@ -207,30 +205,16 @@ class IssueEngine:
     def idle(self) -> bool:
         return all(ch.engine.idle for ch in self._live())
 
-    def run_until(
-        self,
-        target_time: float,
-        wakeup: Optional[
-            Callable[["IssueEngine"], Optional[float]]
-        ] = None,
-        on_advance: Optional[Callable[["IssueEngine"], None]] = None,
-    ) -> None:
+    def run_until(self, target_time: float) -> None:
         """Advance every link in lockstep to ``target_time``."""
         if target_time < self.time - _EPSILON:
             raise TransferError(
                 f"cannot run backwards: {target_time} < {self.time}"
             )
         while self.time < target_time:
-            self._advance_one_boundary(target_time, wakeup, on_advance)
+            self._advance_one_boundary(target_time)
 
-    def run_until_unit(
-        self,
-        unit: TransferUnit,
-        wakeup: Optional[
-            Callable[["IssueEngine"], Optional[float]]
-        ] = None,
-        on_advance: Optional[Callable[["IssueEngine"], None]] = None,
-    ) -> float:
+    def run_until_unit(self, unit: TransferUnit) -> float:
         """Advance until ``unit`` retires; return its arrival time.
 
         Raises:
@@ -243,22 +227,10 @@ class IssueEngine:
             if self.idle:
                 self.dispatch()
             if self.idle:
-                wake = wakeup(self) if wakeup is not None else None
-                if wake is not None and wake > self.time:
-                    self.time = wake
-                    for channel in self._live():
-                        # Idle engines: a pure clock jump, so streams
-                        # issued next start at the facade's time.
-                        channel.engine.run_until(self.time)
-                    self._collect()
-                    self.dispatch()
-                    if on_advance is not None:
-                        on_advance(self)
-                    continue
                 raise TransferError(
                     f"engine idle but unit never arrived: {unit}"
                 )
-            self._advance_one_boundary(math.inf, wakeup, on_advance)
+            self._advance_one_boundary(math.inf)
         return self.arrival_times[unit]
 
     # -- dispatch ----------------------------------------------------------
@@ -390,14 +362,9 @@ class IssueEngine:
         if self._on_issue is not None:
             self._on_issue(item, channel)
 
-    def _advance_one_boundary(
-        self,
-        limit: float,
-        wakeup: Optional[Callable[["IssueEngine"], Optional[float]]],
-        on_advance: Optional[Callable[["IssueEngine"], None]],
-    ) -> None:
+    def _advance_one_boundary(self, limit: float) -> None:
         self._process_outages()
-        step_to = self._next_boundary(limit, wakeup)
+        step_to = self._next_boundary(limit)
         for ch in self._live():
             engine = ch.engine
             dt = engine.next_event_dt()
@@ -408,14 +375,8 @@ class IssueEngine:
         self._collect()
         self._process_outages()
         self.dispatch()
-        if on_advance is not None:
-            on_advance(self)
 
-    def _next_boundary(
-        self,
-        limit: float,
-        wakeup: Optional[Callable[["IssueEngine"], Optional[float]]],
-    ) -> float:
+    def _next_boundary(self, limit: float) -> float:
         step_to = limit
         for ch in self._live():
             dt = ch.engine.next_event_dt()
@@ -425,13 +386,6 @@ class IssueEngine:
             at = self._outages[0].at_cycles
             if self.time < at < step_to:
                 step_to = at
-        if wakeup is not None:
-            wake = wakeup(self)
-            if (
-                wake is not None
-                and self.time + _EPSILON < wake < step_to
-            ):
-                step_to = wake
         return step_to
 
     def _collect(self) -> None:

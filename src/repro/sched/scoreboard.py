@@ -5,7 +5,8 @@ The scoreboard borrows the classic out-of-order processor structure
 links play the role of functional units, and hazard edges play the
 role of data dependences.  Each :class:`IssueItem` is one *issue
 grain* — either a single transfer unit (multi-link striping) or a
-whole in-order stream (the 1-link fidelity modes) — and moves through
+whole in-order stream (strict, parallel, one-link interleaved) — and
+moves through
 ``WAITING → READY → ISSUED → LANDED``:
 
 * ``WAITING``: a hazard still blocks issue — the item's byte
@@ -41,9 +42,9 @@ from ..transfer import TransferUnit
 
 __all__ = ["ItemState", "IssueItem", "Scoreboard"]
 
-#: Slop applied to byte-watermark comparisons, matching the parallel
-#: controller's trigger tolerance exactly (required for 1-link
-#: equivalence).
+#: Slop applied to byte-watermark comparisons; the batched parallel
+#: core in :mod:`repro.core.fastsim` and the transfer-plan analyzer use
+#: the same tolerance, so their releases match the scoreboard's.
 WATERMARK_SLOP = 1e-9
 
 

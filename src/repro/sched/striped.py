@@ -1,36 +1,38 @@
-"""Multi-link striped transfer: the scoreboard engine's controller.
+"""The transfer controller: every transfer policy over one or more links.
 
-:class:`StripedController` plugs into the co-simulator exactly like
-the paper's parallel and interleaved controllers, but builds a
-multi-link :class:`~repro.sched.engine.IssueEngine` instead of a
-single :class:`~repro.transfer.streams.StreamEngine`.  Five
-arbitration policies are supported:
+:class:`StripedController` is the co-simulator's only controller.  It
+turns a program's transfer plans into issue grains on a
+:class:`~repro.sched.scoreboard.Scoreboard` and drives them over its
+link set with an :class:`~repro.sched.engine.IssueEngine`.  The policy
+picks the grains, their hazards and the link arbitration:
 
-* ``"parallel"`` — the §5.1 methodology verbatim: per-class stream
-  grains gated by the greedy schedule's byte watermarks, demand-fetch
-  correction at the queue front.  On one link this is byte-for-byte
-  equivalent to :class:`~repro.transfer.ParallelController` (the
-  identical request sequence reaches an identical engine); on several
-  links streams spread across them least-loaded-first.
-* ``"interleaved"`` — the §5.2 methodology: on one link the entire
-  virtual interleaved file issues as a single stream grain
-  (byte-for-byte equivalent to
-  :class:`~repro.transfer.InterleavedController`); on several links
-  it degrades gracefully to sequence-ordered unit striping.
+* ``"strict"`` — the paper's base case (§7): whole class files in
+  program file order on one stream; a method needs its whole class.
+  One link only.
+* ``"parallel"`` — §5.1: one stream grain per class, released by the
+  greedy schedule's byte watermarks (all at once with
+  ``eager_start``), with demand-fetch correction at the queue front.
+  On several links streams spread least-loaded-first.
+* ``"interleaved"`` — §5.2: on one link the whole virtual interleaved
+  file is one stream grain; on several links its units stripe in
+  sequence order, each to the link that lands it first.
 * ``"deadline"`` — out-of-order unit striping, earliest deadline
   first: each unit's deadline is its method's predicted first-use
   time (``instructions_before × CPI``, the first-use order's
   annotation built for exactly this purpose).
 * ``"round_robin"`` — sequence-ordered units dealt round-robin
   across links.
-* ``"weighted"`` — sequence-ordered units, each issued to the link
-  that lands it earliest (weighted by bandwidth).
 
-The native striping policies (deadline / round_robin / weighted)
-handle mispredictions by *hazard-priority escalation*: the stalled
-method's unit (and its class's global unit) jump to the top of the
-next arbitration round — the scoreboard's generalisation of §5.1's
-front-of-queue demand fetch.
+One link is the degenerate stripe: strict, parallel and interleaved
+issue stream grains there, so the link's one
+:class:`~repro.transfer.streams.StreamEngine` sees exactly the paper
+methodology's request sequence, and unrecorded runs of those three
+take the batched cores in :mod:`repro.core.fastsim`.
+
+The unit-grain policies handle mispredictions by *hazard-priority
+escalation*: the stalled method's unit (and its class's global unit)
+jump to the top of the next arbitration round — the scoreboard's
+generalisation of §5.1's front-of-queue demand fetch.
 """
 
 from __future__ import annotations
@@ -43,18 +45,16 @@ from ..errors import TransferError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..transfer import (
-    NetworkLink,
-    TransferController,
-    TransferUnit,
-)
-from ..transfer.interleaved import build_interleaved_file
-from ..transfer.schedule import TransferSchedule, build_schedule
-from ..transfer.streams import StreamEngine
-from ..transfer.units import (
     ClassTransferPlan,
+    NetworkLink,
     TransferPolicy,
+    TransferSchedule,
+    TransferUnit,
     UnitKind,
+    build_interleaved_file,
     build_program_plans,
+    build_schedule,
+    compress_plans,
 )
 from .engine import IssueEngine, LinkChannel, LinkOutage
 from .scoreboard import IssueItem, ItemState, Scoreboard
@@ -72,22 +72,25 @@ __all__ = [
     "run_striped",
 ]
 
-#: The arbitration policies :class:`StripedController` accepts.
+#: The transfer policies :class:`StripedController` accepts.
 POLICIES = (
+    "strict",
     "parallel",
     "interleaved",
     "deadline",
     "round_robin",
-    "weighted",
 )
 
 _LINK_CHOICE_OF_POLICY = {
+    "strict": "least_loaded",
     "parallel": "least_loaded",
     "interleaved": "earliest_finish",
     "deadline": "earliest_finish",
     "round_robin": "round_robin",
-    "weighted": "earliest_finish",
 }
+
+#: Stream labels of the single-stream policies (the paper's names).
+_STREAM_LABEL = {"strict": "strict-sequential", "interleaved": "interleaved"}
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,33 @@ def striped_sequence(
     return entries
 
 
-class StripedController(TransferController):
-    """Scoreboard-scheduled transfer across one or more links."""
+class StripedController:
+    """One transfer policy over one or more links.
+
+    Args:
+        program: The (restructured) program to transfer.
+        order: First-use order guiding schedule, sequence and
+            deadlines; ``None`` only for ``"strict"``, which needs none.
+        links: The link set (1+ links, possibly heterogeneous).
+        cpi: Average cycles per bytecode instruction (deadlines).
+        policy: One of :data:`POLICIES`.
+        max_streams: Per-link concurrent stream limit of the stream
+            grains (None = unlimited).
+        data_partitioning: Split global data into GMDs (§7.3).
+        outages: Scheduled link deaths (unit-grain policies only).
+        escalate: Unit-grain demand correction on a stall.
+        eager_start: Parallel ablation: release every class at once,
+            in schedule order, instead of at its byte watermark.
+        block_delimiters: One delimiter per basic block instead of
+            per method (the granularity ablation).
+        ratios: Per-class compression ratios applied to every plan
+            (:func:`~repro.transfer.compress_plans`); None = raw.
+    """
 
     def __init__(
         self,
         program: Program,
-        order: FirstUseOrder,
+        order: Optional[FirstUseOrder],
         links: Sequence[NetworkLink],
         cpi: float,
         policy: str = "deadline",
@@ -165,6 +188,9 @@ class StripedController(TransferController):
         data_partitioning: bool = False,
         outages: Sequence[LinkOutage] = (),
         escalate: bool = True,
+        eager_start: bool = False,
+        block_delimiters: bool = False,
+        ratios: Optional[Dict[str, float]] = None,
     ) -> None:
         if policy not in POLICIES:
             raise TransferError(
@@ -174,80 +200,111 @@ class StripedController(TransferController):
             raise TransferError(
                 "StripedController needs at least one link"
             )
-        unit_policy = (
-            TransferPolicy.DATA_PARTITIONED
-            if data_partitioning
-            else TransferPolicy.NON_STRICT
-        )
-        self.program = program
-        self.order = order
+        if policy == "strict" and len(links) != 1:
+            raise TransferError(
+                "the 'strict' policy runs on exactly one link"
+            )
+        if policy == "strict":
+            unit_policy = TransferPolicy.STRICT
+        elif data_partitioning:
+            unit_policy = TransferPolicy.DATA_PARTITIONED
+        else:
+            unit_policy = TransferPolicy.NON_STRICT
         self.links: Tuple[NetworkLink, ...] = tuple(links)
-        self.cpi = float(cpi)
         self.policy = policy
         self.max_streams = max_streams
         self.escalate = escalate
+        self.eager_start = eager_start
         self.outages: Tuple[LinkOutage, ...] = tuple(outages)
-        self.name = f"striped-{policy}x{len(self.links)}"
-        self.plans: Dict[str, ClassTransferPlan] = build_program_plans(
-            program, unit_policy
+        self.name = (
+            policy
+            if len(self.links) == 1
+            else f"striped-{policy}x{len(self.links)}"
         )
-        self.schedule: Optional[TransferSchedule] = None
+        self.recorder: Optional["TraceRecorder"] = None
         self.demand_fetches: List[MethodId] = []
-        self._grain = "stream" if self._fidelity_mode() else "unit"
+        self._grain = (
+            "stream"
+            if policy in ("strict", "parallel")
+            or (policy == "interleaved" and len(self.links) == 1)
+            else "unit"
+        )
         if self.outages and self._grain == "stream":
             raise TransferError(
                 f"link outages are not supported by the "
                 f"{policy!r} policy on this link count"
             )
+        self.plans: Dict[str, ClassTransferPlan] = build_program_plans(
+            program, unit_policy, block_delimiters=block_delimiters
+        )
+        if ratios is not None:
+            self.plans = compress_plans(self.plans, ratios)
+        # Each policy's grains are built once per controller; the
+        # batched cores read ``schedule`` and ``sequence`` directly.
+        #: Parallel: the greedy byte-triggered schedule.
+        self.schedule: Optional[TransferSchedule] = None
+        #: Single-stream policies: the one stream's units.
+        self.sequence: Tuple[TransferUnit, ...] = ()
+        #: Unit-grain policies: the deadline-annotated unit sequence.
+        self._entries: List[StripedEntry] = []
+        if policy == "strict":
+            self.sequence = tuple(
+                unit
+                for class_name in program.class_names
+                for unit in self.plans[class_name].units
+            )
+        elif order is None:
+            raise TransferError(
+                f"the {policy!r} policy needs a first-use order"
+            )
+        elif policy == "parallel":
+            self.schedule = build_schedule(program, self.plans, order)
+        elif self._grain == "stream":
+            self.sequence = tuple(build_interleaved_file(self.plans, order))
+        else:
+            self._entries = striped_sequence(self.plans, order, float(cpi))
+        if self._grain == "stream" and self.schedule is None and not self.sequence:
+            raise TransferError("program has no classes to transfer")
         self._engine: Optional[IssueEngine] = None
-
-    def _fidelity_mode(self) -> bool:
-        """Stream-grain modes reproducing the paper controllers."""
-        if self.policy == "parallel":
-            return True
-        return self.policy == "interleaved" and len(self.links) == 1
 
     # -- scoreboard construction ------------------------------------------
 
     def _build_scoreboard(self) -> Scoreboard:
         board = Scoreboard()
-        if self.policy == "parallel":
-            self.schedule = build_schedule(
-                self.program, self.plans, self.order,
-                self.links[0], self.cpi,
-            )
+        if self.schedule is not None:
             for seq, start in enumerate(self.schedule.in_start_order()):
-                plan = self.plans[start.class_name]
                 board.add_item(
                     IssueItem(
                         label=start.class_name,
-                        units=plan.units,
+                        units=self.plans[start.class_name].units,
                         seq=seq,
-                        watermark_bytes=start.start_after_bytes,
+                        watermark_bytes=(
+                            0.0
+                            if self.eager_start
+                            else start.start_after_bytes
+                        ),
                         watermark_classes=start.dependency_classes,
                     )
                 )
             return board
-        if self.policy == "interleaved" and len(self.links) == 1:
-            sequence = build_interleaved_file(self.plans, self.order)
+        if self.sequence:
             board.add_item(
                 IssueItem(
-                    label="interleaved",
-                    units=tuple(sequence),
+                    label=_STREAM_LABEL[self.policy],
+                    units=self.sequence,
                     seq=0,
                 )
             )
             return board
-        entries = striped_sequence(self.plans, self.order, self.cpi)
         use_deadlines = self.policy == "deadline"
         leading: Dict[str, TransferUnit] = {}
-        for entry in entries:
+        for entry in self._entries:
             if entry.unit.kind in (
                 UnitKind.GLOBAL_DATA,
                 UnitKind.GLOBAL_FIRST,
             ):
                 leading[entry.unit.class_name] = entry.unit
-        for entry in entries:
+        for entry in self._entries:
             board.add_item(
                 IssueItem(
                     label=self._unit_label(entry),
@@ -275,9 +332,20 @@ class StripedController(TransferController):
             tail = unit.kind.value
         return f"{entry.seq}:{unit.class_name}.{tail}"
 
-    # -- controller interface ---------------------------------------------
+    # -- simulator interface ----------------------------------------------
 
-    def build_engine(self, link: NetworkLink) -> StreamEngine:
+    def start(
+        self, recorder: Optional["TraceRecorder"] = None
+    ) -> IssueEngine:
+        """Build a fresh issue engine for one run and dispatch what is
+        ready at time zero.
+
+        Per-run state starts afresh, so one controller drives any
+        number of runs.  ``recorder`` receives this run's
+        ``schedule_decision`` / ``demand_fetch`` events.
+        """
+        self.recorder = recorder
+        self.demand_fetches = []
         engine = IssueEngine(
             self.links,
             self._build_scoreboard(),
@@ -285,56 +353,38 @@ class StripedController(TransferController):
             link_choice=_LINK_CHOICE_OF_POLICY[self.policy],
             max_streams=self.max_streams,
             outages=self.outages,
-            recorder=self.recorder,
+            recorder=recorder,
             on_issue=self._on_issue,
         )
         self._engine = engine
-        # The simulator's `link` argument is links[0]; the facade
-        # satisfies the same protocol as a StreamEngine.
-        return engine  # type: ignore[return-value]
-
-    def setup(self, engine: StreamEngine) -> None:
-        self.demand_fetches = []
-        issue_engine = self._issue_engine(engine)
-        issue_engine.recorder = self.recorder
-        issue_engine.dispatch()
+        engine.dispatch()
+        return engine
 
     def required_unit(self, method_id: MethodId) -> TransferUnit:
+        """The unit whose arrival allows ``method_id`` to execute."""
         plan = self.plans.get(method_id.class_name)
         if plan is None:
             raise TransferError(
                 f"no transfer plan for class {method_id.class_name!r}"
             )
-        return plan.method_unit(method_id.method_name)
+        return plan.required_unit_for(method_id.method_name)
 
-    def next_wakeup(self, engine: StreamEngine) -> Optional[float]:
-        # Everything is event-driven off unit completions; no clock
-        # wake-ups are needed (mirrors the parallel controller).
-        return None
-
-    def on_advance(self, engine: StreamEngine) -> None:
-        # The issue engine dispatches internally at every boundary.
-        return None
-
-    def on_stall(self, engine: StreamEngine, method_id: MethodId) -> None:
-        issue_engine = self._issue_engine(engine)
-        if self.policy == "parallel":
-            self._parallel_stall(issue_engine, method_id)
-            return
-        if self._grain == "stream":
-            # 1-link interleaved: the whole file is already in
-            # flight, in order; nothing can be reordered.
-            return
-        if not self.escalate:
-            return
-        self._escalate_stall(issue_engine, method_id)
+    def on_stall(self, engine: IssueEngine, method_id: MethodId) -> None:
+        """Execution stalled waiting for ``method_id``: correct."""
+        if self.schedule is not None:
+            self._parallel_stall(engine, method_id)
+        elif self._grain == "unit" and self.escalate:
+            self._escalate_stall(engine, method_id)
+        # A single stream is already in flight, in order: nothing can
+        # be reordered.
 
     # -- misprediction correction -----------------------------------------
 
     def _parallel_stall(
         self, engine: IssueEngine, method_id: MethodId
     ) -> None:
-        """Mirror of the parallel controller's demand fetch."""
+        """§5.1 demand fetch: request the class at the queue front, or
+        promote its queued stream."""
         class_name = method_id.class_name
         item = engine.scoreboard.items.get(class_name)
         if item is None:
@@ -364,7 +414,7 @@ class StripedController(TransferController):
     def _escalate_stall(
         self, engine: IssueEngine, method_id: MethodId
     ) -> None:
-        """Hazard-priority escalation for the native policies."""
+        """Hazard-priority escalation for the unit-grain policies."""
         board = engine.scoreboard
         try:
             needed = self.required_unit(method_id)
@@ -400,29 +450,28 @@ class StripedController(TransferController):
                 engine.time, method=str(method_id)
             )
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _issue_engine(self, engine: StreamEngine) -> IssueEngine:
-        if not isinstance(engine, IssueEngine):
-            raise TransferError(
-                "StripedController must drive the IssueEngine it "
-                "built (got a bare StreamEngine)"
-            )
-        return engine
-
     def _on_issue(self, item: IssueItem, channel: LinkChannel) -> None:
-        if self.recorder is None:
+        """``schedule_decision`` for every stream grain put on a link."""
+        if self.recorder is None or self._engine is None:
             return
-        if self.policy == "parallel" and self.schedule is not None:
+        time = self._engine.time
+        if self.schedule is not None:
             start = self.schedule.start_for(item.label)
             self.recorder.schedule_decision(
-                self._engine.time if self._engine is not None else 0.0,
+                time,
                 action=(
                     "demand_start" if item.escalated else "stream_start"
                 ),
                 target=item.label,
                 start_after_bytes=start.start_after_bytes,
                 required_prefix_bytes=start.required_prefix_bytes,
+            )
+        elif self.sequence:
+            self.recorder.schedule_decision(
+                time,
+                action="stream_start",
+                target=item.label,
+                units=len(item.units),
             )
 
 
@@ -445,8 +494,10 @@ def run_striped(
     The multi-link twin of :func:`repro.core.run_nonstrict`: the
     program is restructured into first-use order (unless
     ``restructure=False``), a :class:`StripedController` is built
-    over the link set, and the co-simulator replays the trace on its
-    reference loop (striped controllers have no batched core).
+    over the link set, and the co-simulator replays the trace.  On one
+    link the strict, parallel and interleaved policies take the
+    batched cores (unless recorded); every other run takes the
+    reference loop.
 
     Returns:
         The :class:`repro.core.SimulationResult`.
@@ -469,11 +520,6 @@ def run_striped(
         escalate=escalate,
     )
     simulator = Simulator(
-        target,
-        trace,
-        controller,
-        links[0],
-        cpi,
-        recorder=recorder,
+        target, trace, controller, cpi, recorder=recorder
     )
     return simulator.run()

@@ -21,6 +21,8 @@ Subcommands (all operate on a program directory written by
   ``--links SPEC`` (comma-separated ``t1``/``modem``/bits-per-second
   tokens) the non-strict run stripes transfer units across every
   listed link through :mod:`repro.sched` under ``--sched-policy``;
+  ``--loss`` applies to every simulated link, and the strict baseline
+  runs on the first;
 * ``trace DIR TRACE --out trace.json`` — run one traced configuration
   (simulated cycles, or ``--netserve`` for real sockets) and export
   the unified event stream as a Chrome-loadable trace, JSON-lines,
@@ -324,50 +326,48 @@ def _cmd_interproc(arguments) -> int:
 
 
 def _cmd_simulate(arguments) -> int:
+    from .sched import run_striped
+
     program = load_program(arguments.directory)
     trace = load_trace(arguments.trace)
-    link = _LINKS[arguments.link]
-    if arguments.loss:
-        link = lossy_link(
-            link,
-            arguments.loss,
-            retransmit_penalty_cycles=arguments.retransmit_penalty,
-        )
-        print(
-            f"lossy link:        {link.name} "
-            f"({link.cycles_per_byte:,.0f} cycles/byte effective)"
-        )
-    order = estimate_first_use(program)
-    base = strict_baseline(program, trace, link, arguments.cpi)
     if arguments.links:
-        from .sched import run_striped
-
         links = _parse_links(arguments.links)
-        result = run_striped(
-            program,
-            trace,
-            order,
-            links,
-            arguments.cpi,
-            policy=arguments.sched_policy,
-            max_streams=arguments.streams,
-            data_partitioning=arguments.partition,
+        policy = arguments.sched_policy
+    else:
+        links = (_LINKS[arguments.link],)
+        policy = arguments.method
+    if arguments.loss:
+        links = tuple(
+            lossy_link(
+                link,
+                arguments.loss,
+                retransmit_penalty_cycles=arguments.retransmit_penalty,
+            )
+            for link in links
         )
+        for link in links:
+            print(
+                f"lossy link:        {link.name} "
+                f"({link.cycles_per_byte:,.0f} cycles/byte effective)"
+            )
+    order = estimate_first_use(program)
+    # Normalise against strict transfer over the first simulated link.
+    base = strict_baseline(program, trace, links[0], arguments.cpi)
+    result = run_striped(
+        program,
+        trace,
+        order,
+        links,
+        arguments.cpi,
+        policy=policy,
+        max_streams=arguments.streams,
+        data_partitioning=arguments.partition,
+    )
+    if arguments.links:
         print(
             f"striped links:     "
             f"{', '.join(one.name for one in links)} "
-            f"(policy {arguments.sched_policy})"
-        )
-    else:
-        result = run_nonstrict(
-            program,
-            trace,
-            order,
-            link,
-            arguments.cpi,
-            method=arguments.method,
-            max_streams=arguments.streams,
-            data_partitioning=arguments.partition,
+            f"(policy {policy})"
         )
     print(f"strict total:      {base.total_cycles:,.0f} cycles")
     print(f"non-strict total:  {result.total_cycles:,.0f} cycles")
@@ -909,14 +909,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--sched-policy",
         choices=_SCHED_POLICIES,
         default="deadline",
-        help="arbitration policy for --links striping",
+        help="transfer policy for --links (strict runs on one link)",
     )
     simulate.add_argument(
         "--loss",
         type=float,
         default=0.0,
-        help="per-packet loss probability in [0, 1) applied to the "
-        "link (expected-value retransmission model)",
+        help="per-packet loss probability in [0, 1) applied to every "
+        "simulated link (expected-value retransmission model)",
     )
     simulate.add_argument(
         "--retransmit-penalty",

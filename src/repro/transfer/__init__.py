@@ -1,14 +1,16 @@
-"""Transfer engine: links, units, streams, and methodologies."""
+"""Transfer model: links, units, streams, the schedule and plan transforms.
 
-from .base import TransferController
+The one controller that moves these units over links is
+:class:`repro.sched.StripedController`.
+"""
+
 from .compression import (
-    CompressedInterleavedController,
     class_compression_ratio,
     compress_plan,
     compress_plans,
     program_compression_ratios,
 )
-from .interleaved import InterleavedController, build_interleaved_file
+from .interleaved import build_interleaved_file
 from .link import (
     CPU_HZ,
     MODEM_LINK,
@@ -19,10 +21,8 @@ from .link import (
     links_from_bandwidths,
     lossy_link,
 )
-from .parallel import ParallelController
 from .schedule import ScheduledStart, TransferSchedule, build_schedule
 from .streams import Stream, StreamEngine
-from .strict import StrictSequentialController
 from .units import (
     ClassTransferPlan,
     TransferPolicy,
@@ -33,13 +33,10 @@ from .units import (
 )
 
 __all__ = [
-    "TransferController",
-    "CompressedInterleavedController",
     "class_compression_ratio",
     "compress_plan",
     "compress_plans",
     "program_compression_ratios",
-    "InterleavedController",
     "build_interleaved_file",
     "CPU_HZ",
     "MODEM_LINK",
@@ -49,13 +46,11 @@ __all__ = [
     "link_from_bandwidth",
     "links_from_bandwidths",
     "lossy_link",
-    "ParallelController",
     "ScheduledStart",
     "TransferSchedule",
     "build_schedule",
     "Stream",
     "StreamEngine",
-    "StrictSequentialController",
     "ClassTransferPlan",
     "TransferPolicy",
     "TransferUnit",

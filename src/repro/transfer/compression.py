@@ -18,8 +18,6 @@ from typing import Dict
 
 from ..classfile import serialize
 from ..program import Program
-from ..reorder import FirstUseOrder
-from .interleaved import InterleavedController, build_interleaved_file
 from .units import ClassTransferPlan, TransferUnit
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "program_compression_ratios",
     "compress_plan",
     "compress_plans",
-    "CompressedInterleavedController",
 ]
 
 
@@ -90,28 +87,3 @@ def compress_plans(
         name: compress_plan(plan, ratios.get(name, 1.0))
         for name, plan in plans.items()
     }
-
-
-class CompressedInterleavedController(InterleavedController):
-    """Interleaved transfer of per-unit-compressed class files.
-
-    Combines the paper's two latency attacks: restructured non-strict
-    transfer (tolerance) over compressed units (avoidance).
-    """
-
-    name = "interleaved+zlib"
-
-    def __init__(
-        self,
-        program: Program,
-        order: FirstUseOrder,
-        ratios: Dict[str, float] = None,
-        level: int = 6,
-        **kwargs,
-    ) -> None:
-        super().__init__(program, order, **kwargs)
-        if ratios is None:
-            ratios = program_compression_ratios(program, level)
-        self.ratios = ratios
-        self.plans = compress_plans(self.plans, ratios)
-        self.sequence = build_interleaved_file(self.plans, order)

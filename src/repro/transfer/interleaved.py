@@ -1,4 +1,4 @@
-"""Interleaved file transfer (paper §5.2, Figure 5).
+"""The virtual interleaved file (paper §5.2, Figure 5).
 
 All class files are composed into a single *virtual interleaved file*:
 method transfer units from different classes are interspersed in
@@ -14,19 +14,10 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..errors import TransferError
-from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
-from .base import TransferController
-from .streams import StreamEngine
-from .units import (
-    ClassTransferPlan,
-    TransferPolicy,
-    TransferUnit,
-    UnitKind,
-    build_program_plans,
-)
+from .units import ClassTransferPlan, TransferUnit, UnitKind
 
-__all__ = ["InterleavedController", "build_interleaved_file"]
+__all__ = ["build_interleaved_file"]
 
 
 def build_interleaved_file(
@@ -76,46 +67,3 @@ def build_interleaved_file(
             # it whole at the end, in plan order.
             sequence.extend(plan.units)
     return sequence
-
-
-class InterleavedController(TransferController):
-    """Single-stream transfer of the virtual interleaved file."""
-
-    name = "interleaved"
-
-    def __init__(
-        self,
-        program: Program,
-        order: FirstUseOrder,
-        data_partitioning: bool = False,
-        block_delimiters: bool = False,
-    ) -> None:
-        policy = (
-            TransferPolicy.DATA_PARTITIONED
-            if data_partitioning
-            else TransferPolicy.NON_STRICT
-        )
-        self.program = program
-        self.order = order
-        self.plans = build_program_plans(
-            program, policy, block_delimiters=block_delimiters
-        )
-        self.sequence = build_interleaved_file(self.plans, order)
-
-    def setup(self, engine: StreamEngine) -> None:
-        if self.recorder is not None:
-            self.recorder.schedule_decision(
-                engine.time,
-                action="stream_start",
-                target="interleaved",
-                units=len(self.sequence),
-            )
-        engine.request_stream("interleaved", self.sequence)
-
-    def required_unit(self, method_id: MethodId) -> TransferUnit:
-        plan = self.plans.get(method_id.class_name)
-        if plan is None:
-            raise TransferError(
-                f"no transfer plan for class {method_id.class_name!r}"
-            )
-        return plan.method_unit(method_id.method_name)

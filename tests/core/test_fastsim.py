@@ -17,15 +17,12 @@ from repro.core import Simulator, resolve_engine, run_nonstrict, run_strict
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
 from repro.reorder import estimate_first_use, restructure
-from repro.sched import StripedController, run_striped
+from repro.sched import POLICIES, StripedController, run_striped
 from repro.transfer import (
     MODEM_LINK,
     T1_LINK,
-    CompressedInterleavedController,
-    InterleavedController,
-    ParallelController,
-    StrictSequentialController,
     links_from_bandwidths,
+    program_compression_ratios,
 )
 from repro.vm import record_run
 from repro.workloads import figure1_program
@@ -70,20 +67,16 @@ def _configured(
 ):
     """The Simulator ``run_nonstrict`` builds for one configuration."""
     target = restructure(program, order)
-    if method == "parallel":
-        controller = ParallelController(
-            target,
-            order,
-            link,
-            cpi,
-            max_streams=max_streams,
-            data_partitioning=data_partitioning,
-        )
-    else:
-        controller = InterleavedController(
-            target, order, data_partitioning=data_partitioning
-        )
-    return Simulator(target, trace, controller, link, cpi)
+    controller = StripedController(
+        target,
+        order,
+        (link,),
+        cpi,
+        policy=method,
+        max_streams=max_streams,
+        data_partitioning=data_partitioning,
+    )
+    return Simulator(target, trace, controller, cpi)
 
 
 def _assert_nonstrict_matches_oracle(program, trace, order, link, cpi, **kwargs):
@@ -113,9 +106,9 @@ def test_engine_equivalence(name, method, ordering):
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_striped_equivalence(name):
-    """Striped runs take the reference loop.  On one link the paper's
-    policies there equal the batched cores, here on the modem with
-    data partitioning."""
+    """``run_striped`` on one link takes the batched cores for the
+    paper's policies and equals the reference loop, here on the modem
+    with data partitioning."""
     item = bundle(name)
     workload = item.workload
     for policy in ("parallel", "interleaved"):
@@ -132,7 +125,7 @@ def test_striped_equivalence(name):
             policy=policy,
             **kwargs,
         )
-        batched = run_nonstrict(
+        reference = _configured(
             workload.program,
             workload.test_trace,
             item.order("Test"),
@@ -140,10 +133,8 @@ def test_striped_equivalence(name):
             workload.cpi,
             method=policy,
             **kwargs,
-        )
-        assert striped.engine == "reference"
-        assert batched.engine == "batched"
-        assert _key(striped) == _key(batched), policy
+        ).run_reference()
+        _assert_same(striped, reference)
 
 
 def test_data_partitioned_equivalence():
@@ -162,46 +153,57 @@ def test_data_partitioned_equivalence():
         )
 
 
+def _strict_simulator(program, trace, link, cpi):
+    controller = StripedController(
+        program, None, (link,), cpi, policy="strict"
+    )
+    return Simulator(program, trace, controller, cpi)
+
+
 def test_strict_equivalence():
     program = figure1_program()
     _, recorder = record_run(program)
     batched = run_strict(program, recorder.trace, T1_LINK, 30.0)
-    reference = Simulator(
-        program,
-        recorder.trace,
-        StrictSequentialController(program),
-        T1_LINK,
-        30.0,
+    reference = _strict_simulator(
+        program, recorder.trace, T1_LINK, 30.0
     ).run_reference()
     _assert_same(batched, reference)
+    workload = bundle("Hanoi").workload
+    simulator = _strict_simulator(
+        workload.program, workload.test_trace, MODEM_LINK, workload.cpi
+    )
+    _assert_same(simulator.run(), simulator.run_reference())
 
 
-#: Controllers that callers hand to Simulator directly: the
-#: compression extension and the two ablations' options.
-_DIRECT_CONTROLLERS = {
-    "compressed": lambda target, order, cpi: CompressedInterleavedController(
-        target, order
+#: Options callers pass the controller directly: the compression
+#: extension and the two ablations.
+_DIRECT_OPTIONS = {
+    "compressed": lambda target: dict(
+        policy="interleaved", ratios=program_compression_ratios(target)
     ),
-    "eager_start": lambda target, order, cpi: ParallelController(
-        target, order, MODEM_LINK, cpi, eager_start=True
+    "eager_start": lambda target: dict(
+        policy="parallel", eager_start=True
     ),
-    "block_delimiters": lambda target, order, cpi: InterleavedController(
-        target, order, block_delimiters=True
+    "block_delimiters": lambda target: dict(
+        policy="interleaved", block_delimiters=True
     ),
 }
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-@pytest.mark.parametrize("kind", sorted(_DIRECT_CONTROLLERS))
+@pytest.mark.parametrize("kind", sorted(_DIRECT_OPTIONS))
 def test_controller_equivalence(kind, name):
     item = bundle(name)
     workload = item.workload
     order = item.order("Test")
     target = restructure(workload.program, order)
-    controller = _DIRECT_CONTROLLERS[kind](target, order, workload.cpi)
+    options = _DIRECT_OPTIONS[kind](target)
     for link in (T1_LINK, MODEM_LINK):
+        controller = StripedController(
+            target, order, (link,), workload.cpi, **options
+        )
         simulator = Simulator(
-            target, workload.test_trace, controller, link, workload.cpi
+            target, workload.test_trace, controller, workload.cpi
         )
         _assert_same(simulator.run(), simulator.run_reference())
 
@@ -209,7 +211,8 @@ def test_controller_equivalence(kind, name):
 def test_recorder_runs_use_reference_loop():
     """A recorder selects the reference loop, which emits the event
     stream; the same run unrecorded takes a batched core and gives
-    identical results.  Striped runs always take the reference loop."""
+    identical results.  Runs over several links always take the
+    reference loop."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
     order = estimate_first_use(program)
@@ -244,28 +247,39 @@ def test_recorder_runs_use_reference_loop():
 
 
 def test_engine_resolution():
+    """Policy × link count × recorder × subclass: only unrecorded
+    one-link strict, parallel and interleaved runs of the controller
+    itself take a batched core."""
     program = figure1_program()
     order = estimate_first_use(program)
+    recorder = TraceRecorder(clock="cycles")
     assert resolve_engine() == "batched"
     assert resolve_engine(None) == "batched"
-    for controller in (
-        ParallelController(program, order, T1_LINK, 30.0),
-        InterleavedController(program, order),
-        CompressedInterleavedController(program, order),
-        StrictSequentialController(program),
-    ):
-        assert resolve_engine(controller) == "batched"
-        recorder = TraceRecorder(clock="cycles")
-        assert resolve_engine(controller, recorder) == "reference"
+    assert resolve_engine(None, recorder) == "reference"
 
-    class CustomInterleaved(InterleavedController):
+    class CustomController(StripedController):
         pass
 
-    for controller in (
-        CustomInterleaved(program, order),
-        StripedController(program, order, (T1_LINK, MODEM_LINK), 30.0),
-    ):
-        assert resolve_engine(controller) == "reference"
+    for policy in POLICIES:
+        batched = policy in ("strict", "parallel", "interleaved")
+        one = StripedController(
+            program, order, (T1_LINK,), 30.0, policy=policy
+        )
+        assert resolve_engine(one) == (
+            "batched" if batched else "reference"
+        ), policy
+        assert resolve_engine(one, recorder) == "reference", policy
+        custom = CustomController(
+            program, order, (T1_LINK,), 30.0, policy=policy
+        )
+        assert resolve_engine(custom) == "reference", policy
+        if policy == "strict":
+            continue  # one link only
+        two = StripedController(
+            program, order, (T1_LINK, MODEM_LINK), 30.0, policy=policy
+        )
+        assert resolve_engine(two) == "reference", policy
+        assert resolve_engine(two, recorder) == "reference", policy
 
 
 @pytest.mark.parametrize("kind", ["parallel", "interleaved", "striped"])
@@ -277,21 +291,24 @@ def test_rerun_is_identical_recorded_or_not(kind):
     workload = item.workload
     order = item.order("Test")
     target = restructure(workload.program, order)
-    if kind == "parallel":
-        controller = ParallelController(
-            target, order, MODEM_LINK, workload.cpi, max_streams=4
-        )
-    elif kind == "interleaved":
-        controller = InterleavedController(target, order)
-    else:
+    if kind == "striped":
         controller = StripedController(
             target,
             order,
             links_from_bandwidths((57_600, 28_800)),
             workload.cpi,
         )
+    else:
+        controller = StripedController(
+            target,
+            order,
+            (MODEM_LINK,),
+            workload.cpi,
+            policy=kind,
+            max_streams=4 if kind == "parallel" else None,
+        )
     simulator = Simulator(
-        target, workload.test_trace, controller, MODEM_LINK, workload.cpi
+        target, workload.test_trace, controller, workload.cpi
     )
     recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
     keys = []

@@ -10,10 +10,10 @@ from repro.core import (
 )
 from repro.errors import SimulationError
 from repro.reorder import estimate_first_use, profile_first_use
+from repro.sched import StripedController
 from repro.transfer import (
     MODEM_LINK,
     T1_LINK,
-    InterleavedController,
     NetworkLink,
 )
 from repro.vm import ExecutionTrace, record_run
@@ -152,9 +152,11 @@ def test_normalized_to_requires_positive_baseline(setup):
 
 def test_invalid_cpi_rejected(setup):
     program, trace, order = setup
-    controller = InterleavedController(program, order)
+    controller = StripedController(
+        program, order, (T1_LINK,), CPI, policy="interleaved"
+    )
     with pytest.raises(SimulationError):
-        Simulator(program, trace, controller, T1_LINK, cpi=0)
+        Simulator(program, trace, controller, cpi=0)
 
 
 def test_unknown_method_name_rejected(setup):

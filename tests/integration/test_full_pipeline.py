@@ -157,17 +157,15 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
     """Drive the incremental linker with the exact unit arrival order a
     non-strict transfer produces: globals, then methods, in stream
     order — linking must succeed with no ordering violations."""
-    from repro.transfer import (
-        InterleavedController,
-        StreamEngine,
-        UnitKind,
-    )
+    from repro.sched import StripedController
+    from repro.transfer import UnitKind
 
     order = estimate_first_use(compiled)
     restructured = restructure(compiled, order)
-    controller = InterleavedController(restructured, order)
-    engine = StreamEngine(T1_LINK)
-    controller.setup(engine)
+    controller = StripedController(
+        restructured, order, (T1_LINK,), CPI, policy="interleaved"
+    )
+    engine = controller.start()
     engine.run_until(1e12)
     arrivals = sorted(
         engine.arrival_times.items(), key=lambda item: item[1]

@@ -1,10 +1,9 @@
-"""StripedController: 1-link fidelity, striping wins, chaos, proofs.
+"""StripedController: one link, striping wins, chaos, proofs.
 
-The headline property: on a single link the ``"parallel"`` and
-``"interleaved"`` policies are *byte-for-byte* equivalent to the
-original controllers — identical first-invocation latency for every
-method, identical totals, identical stall counts — across every paper
-workload and both static orderings.
+On a single link the ``"parallel"`` and ``"interleaved"`` policies are
+the paper's methodologies: ``run_striped`` there is ``run_nonstrict``,
+and the committed ``BENCH_sim.json`` rows pin their numbers
+(``tests/core/test_bench_sim_rows.py``).
 """
 
 import math
@@ -15,6 +14,8 @@ from repro.analyze import StallVerdict, analyze_transfer_plan
 from repro.core import run_nonstrict
 from repro.errors import TransferError
 from repro.harness import BENCHMARK_NAMES, bundle
+from repro.observe import TraceRecorder
+from repro.reorder import estimate_first_use
 from repro.sched import (
     LinkOutage,
     StripedController,
@@ -28,10 +29,14 @@ from repro.transfer import (
     links_from_bandwidths,
 )
 from repro.transfer.units import TransferPolicy, UnitKind
+from repro.vm import record_run
+from repro.workloads import figure1_program
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_one_link_fidelity_is_exact(name):
+    """One link is a degenerate stripe: ``run_striped`` builds the same
+    controller as ``run_nonstrict`` and takes the same batched core."""
     item = bundle(name)
     workload = item.workload
     for order_label in ("SCG", "Train"):
@@ -54,6 +59,8 @@ def test_one_link_fidelity_is_exact(name):
                 policy=policy,
             )
             key = f"{name}/{order_label}/{policy}"
+            assert striped.engine == reference.engine == "batched", key
+            assert striped.controller_name == policy, key
             assert striped.total_cycles == reference.total_cycles, key
             assert striped.stall_count == reference.stall_count, key
             assert (
@@ -65,7 +72,7 @@ def test_one_link_fidelity_is_exact(name):
             ), key
 
 
-@pytest.mark.parametrize("policy", ("deadline", "round_robin", "weighted"))
+@pytest.mark.parametrize("policy", ("deadline", "round_robin", "interleaved"))
 def test_striping_two_links_beats_one(policy):
     item = bundle("BIT")
     workload = item.workload
@@ -126,20 +133,12 @@ def test_link_outage_converges_byte_identical():
     target = restructure(workload.program, item.scg)
     baseline_ctrl = controllers(())
     baseline = Simulator(
-        target,
-        workload.test_trace,
-        baseline_ctrl,
-        links[0],
-        workload.cpi,
+        target, workload.test_trace, baseline_ctrl, workload.cpi
     ).run()
     outage_at = baseline.total_cycles / 4.0
     chaos_ctrl = controllers((LinkOutage(outage_at, link_index=1),))
     chaos = Simulator(
-        target,
-        workload.test_trace,
-        chaos_ctrl,
-        links[0],
-        workload.cpi,
+        target, workload.test_trace, chaos_ctrl, workload.cpi
     ).run()
     # The fetch converges: the exact same unit set arrives in full.
     assert baseline_ctrl._engine is not None
@@ -173,6 +172,19 @@ def test_validation_errors():
             workload.cpi,
             policy="parallel",
             outages=(LinkOutage(1.0, 0),),
+        )
+    with pytest.raises(TransferError, match="exactly one link"):
+        StripedController(
+            workload.program,
+            None,
+            (T1_LINK, MODEM_LINK),
+            workload.cpi,
+            policy="strict",
+        )
+    with pytest.raises(TransferError, match="needs a first-use order"):
+        StripedController(
+            workload.program, None, (T1_LINK,), workload.cpi,
+            policy="interleaved",
         )
 
 
@@ -266,3 +278,80 @@ def test_striped_analyzer_verdicts_hold_in_simulation():
     assert proven_quiet, "striped analyzer proved nothing"
     assert not (proven_quiet & stalled)
     assert proven_stall <= stalled
+
+
+#: The decisions the paper's methodologies record for figure1 over the
+#: modem at CPI 50.  Parallel has one stream slot, so B queues behind A
+#: and the stall on Bar_B promotes it.
+_PAPER_DECISIONS = {
+    "strict": [
+        (
+            "schedule_decision",
+            {
+                "action": "stream_start",
+                "target": "strict-sequential",
+                "units": 2,
+            },
+        ),
+    ],
+    "interleaved": [
+        (
+            "schedule_decision",
+            {"action": "stream_start", "target": "interleaved", "units": 7},
+        ),
+    ],
+    "parallel": [
+        (
+            "schedule_decision",
+            {
+                "action": "stream_start",
+                "target": "A",
+                "start_after_bytes": 0.0,
+                "required_prefix_bytes": 349,
+            },
+        ),
+        (
+            "schedule_decision",
+            {
+                "action": "stream_start",
+                "target": "B",
+                "start_after_bytes": 96.0,
+                "required_prefix_bytes": 253,
+            },
+        ),
+        ("demand_fetch", {"method": "B.Bar_B"}),
+        (
+            "schedule_decision",
+            {"action": "promote", "target": "B", "reason": "demand_fetch"},
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", sorted(_PAPER_DECISIONS))
+def test_recorded_one_link_runs_emit_the_paper_decisions(policy):
+    """A recorded one-link run goes through the issue engine and still
+    records the paper methodology's ``schedule_decision`` and
+    ``demand_fetch`` events, in order, with their payloads."""
+    program = figure1_program()
+    _, vm_recorder = record_run(program)
+    recorder = TraceRecorder(clock="cycles")
+    result = run_striped(
+        program,
+        vm_recorder.trace,
+        estimate_first_use(program),
+        (MODEM_LINK,),
+        50.0,
+        policy=policy,
+        max_streams=1,
+        recorder=recorder,
+    )
+    assert result.engine == "reference"
+    assert result.controller_name == policy
+    decisions = [
+        (event.name, event.args)
+        for event in recorder.events
+        if event.name in ("schedule_decision", "demand_fetch")
+    ]
+    assert decisions == _PAPER_DECISIONS[policy]
+    assert recorder.named("schedule_decision")[0].ts == 0.0

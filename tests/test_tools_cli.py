@@ -146,6 +146,41 @@ def test_simulate_engine_ab_identical(stored, capsys, monkeypatch):
     assert capsys.readouterr().out == batched
 
 
+def _simulate_lines(stored, capsys, *options):
+    """The ``label: value`` lines ``simulate`` prints, keyed by label."""
+    directory, trace = stored
+    arguments = ["simulate", directory, trace, "--cpi", "50", *options]
+    assert main(arguments) == 0
+    lines = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, _, value = line.partition(":")
+        lines[label] = value.strip()
+    return lines
+
+
+def test_simulate_links_normalise_against_the_simulated_link(
+    stored, capsys
+):
+    """One modem link named by ``--links`` is the ``--link modem`` run,
+    baseline included."""
+    striped = _simulate_lines(
+        stored, capsys, "--links", "modem", "--sched-policy", "interleaved"
+    )
+    single = _simulate_lines(
+        stored, capsys, "--link", "modem", "--method", "interleaved"
+    )
+    for label in ("strict total", "non-strict total", "normalized"):
+        assert striped[label] == single[label], label
+
+
+def test_simulate_loss_applies_to_links(stored, capsys):
+    def total(*options):
+        lines = _simulate_lines(stored, capsys, "--links", "modem", *options)
+        return int(lines["non-strict total"].split()[0].replace(",", ""))
+
+    assert total("--loss", "0.2") > total()
+
+
 def test_simulate_rejects_bad_links_spec(stored, capsys):
     directory, trace = stored
     assert (

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.reorder import estimate_first_use, restructure
+from repro.sched import StripedController
 from repro.transfer import (
     T1_LINK,
-    CompressedInterleavedController,
-    InterleavedController,
-    StreamEngine,
     TransferPolicy,
     class_compression_ratio,
     compress_plan,
@@ -74,13 +72,22 @@ def test_compressed_controller_transfers_fewer_bytes():
     program = figure1_program()
     order = estimate_first_use(program)
     target = restructure(program, order)
-    plain = InterleavedController(target, order)
-    compressed = CompressedInterleavedController(target, order)
+    plain, compressed = (
+        StripedController(
+            target,
+            order,
+            (T1_LINK,),
+            100.0,
+            policy="interleaved",
+            ratios=ratios,
+        )
+        for ratios in (None, program_compression_ratios(target))
+    )
     plain_bytes = sum(unit.size for unit in plain.sequence)
     compressed_bytes = sum(unit.size for unit in compressed.sequence)
     assert compressed_bytes < plain_bytes
     # And it still drives the engine to completion.
-    engine = StreamEngine(T1_LINK)
-    compressed.setup(engine)
+    engine = compressed.start()
     engine.run_until(1e12)
     assert engine.idle
+    assert engine.total_delivered == pytest.approx(compressed_bytes)

@@ -1,4 +1,8 @@
-"""Transfer controllers: strict, interleaved, parallel, schedule."""
+"""The paper's policies on one link: strict, interleaved, parallel.
+
+Each test drives the one controller's own issue engine; the link's
+stream engine underneath is ``engine.channels[0].engine``.
+"""
 
 import pytest
 
@@ -7,11 +11,8 @@ from repro.classfile import ClassFileBuilder
 from repro.errors import TransferError
 from repro.program import MethodId, Program
 from repro.reorder import estimate_first_use, restructure
+from repro.sched import StripedController
 from repro.transfer import (
-    InterleavedController,
-    ParallelController,
-    StreamEngine,
-    StrictSequentialController,
     T1_LINK,
     TransferPolicy,
     UnitKind,
@@ -97,24 +98,29 @@ def test_methodless_class_with_unused_data_goes_out_global_first():
     assert kinds == [UnitKind.GLOBAL_FIRST, UnitKind.GLOBAL_UNUSED]
 
 
+def _one_link(program, order, policy, **options):
+    return StripedController(
+        program, order, (T1_LINK,), 100.0, policy=policy, **options
+    )
+
+
 def test_interleaved_controller_single_stream(restructured):
     program, order = restructured
-    controller = InterleavedController(program, order)
-    engine = StreamEngine(T1_LINK)
-    controller.setup(engine)
-    assert len(engine.active) == 1
+    controller = _one_link(program, order, "interleaved")
+    engine = controller.start()
+    assert len(engine.channels[0].engine.active) == 1
     unit = controller.required_unit(MethodId("B", "Bar_B"))
     assert unit.method == MethodId("B", "Bar_B")
 
 
 def test_strict_controller_requires_whole_class():
     program = figure1_program()
-    controller = StrictSequentialController(program)
+    controller = _one_link(program, None, "strict")
     unit = controller.required_unit(MethodId("B", "Foo_B"))
     assert unit.kind == UnitKind.CLASS_FILE
     assert unit.class_name == "B"
-    engine = StreamEngine(T1_LINK)
-    controller.setup(engine)
+    engine = controller.start()
+    assert len(engine.channels[0].engine.active) == 1
     engine.run_until(1e12)
     assert engine.idle
 
@@ -163,19 +169,12 @@ def test_schedule_orders_by_threshold(restructured):
 
 def test_parallel_controller_releases_scheduled_streams(restructured):
     program, order = restructured
-    controller = ParallelController(
-        program, order, T1_LINK, cpi=100, max_streams=4
-    )
-    engine = StreamEngine(T1_LINK, max_streams=4)
-    controller.setup(engine)
+    controller = _one_link(program, order, "parallel", max_streams=4)
+    engine = controller.start()
     # Both classes have near-zero start times at this CPI.
-    engine.run_until(
-        1e12,
-        wakeup=controller.next_wakeup,
-        on_advance=controller.on_advance,
-    )
+    engine.run_until(1e12)
     assert engine.idle
-    assert set(engine.stream_start_times) == {"A", "B"}
+    assert set(engine.channels[0].engine.stream_start_times) == {"A", "B"}
 
 
 def test_parallel_demand_fetch_on_stall():
@@ -195,30 +194,20 @@ def test_parallel_demand_fetch_on_stall():
     ]
     order = FirstUseOrder(entries=entries, source="static")
     target = restructure(program, order)
-    controller = ParallelController(
-        target, order, T1_LINK, cpi=100, max_streams=4
-    )
-    engine = StreamEngine(T1_LINK, max_streams=4)
-    controller.setup(engine)
+    controller = _one_link(target, order, "parallel", max_streams=4)
+    engine = controller.start()
     # B is scheduled far in the future; a stall on Bar_B must fetch it.
-    assert "B" not in engine.stream_start_times
+    assert "B" not in engine.channels[0].engine.stream_start_times
     controller.on_stall(engine, MethodId("B", "Bar_B"))
     assert controller.demand_fetches == [MethodId("B", "Bar_B")]
     unit = controller.required_unit(MethodId("B", "Bar_B"))
-    arrival = engine.run_until_unit(
-        unit,
-        wakeup=controller.next_wakeup,
-        on_advance=controller.on_advance,
-    )
+    arrival = engine.run_until_unit(unit)
     assert arrival > 0
 
 
 def test_parallel_stall_on_active_stream_is_noop(restructured):
     program, order = restructured
-    controller = ParallelController(
-        program, order, T1_LINK, cpi=100, max_streams=4
-    )
-    engine = StreamEngine(T1_LINK, max_streams=4)
-    controller.setup(engine)
+    controller = _one_link(program, order, "parallel", max_streams=4)
+    engine = controller.start()
     controller.on_stall(engine, MethodId("A", "main"))
     assert controller.demand_fetches == []

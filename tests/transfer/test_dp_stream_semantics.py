@@ -8,11 +8,9 @@ invariant for both transfer methodologies.
 """
 
 from repro.reorder import estimate_first_use, restructure
+from repro.sched import StripedController
 from repro.transfer import (
     T1_LINK,
-    InterleavedController,
-    ParallelController,
-    StreamEngine,
     TransferPolicy,
     UnitKind,
     build_class_plan,
@@ -50,23 +48,34 @@ def test_class_plan_streams_global_first():
 
 
 def _assert_arrivals_sound(engine, controller, program):
-    """Every method unit arrives after its class's leading global."""
+    """Every method unit lands on the link after its class's leading
+    global (raw landings: the stream order itself, no retire hazard)."""
+    landings = engine.channels[0].engine.arrival_times
     leading = {}
     for class_name, plan in controller.plans.items():
         leading[class_name] = plan.units[0]
-    for unit, time in engine.arrival_times.items():
+    for unit, time in landings.items():
         if unit.kind == UnitKind.METHOD:
             lead = leading[unit.class_name]
-            assert engine.arrival_times[lead] <= time + 1e-6
+            assert landings[lead] <= time + 1e-6
+
+
+def _data_partitioned(program, order, policy, **options):
+    return StripedController(
+        program,
+        order,
+        (T1_LINK,),
+        100.0,
+        policy=policy,
+        data_partitioning=True,
+        **options,
+    )
 
 
 def test_interleaved_dp_arrival_order():
     program, order = prepared()
-    controller = InterleavedController(
-        program, order, data_partitioning=True
-    )
-    engine = StreamEngine(T1_LINK)
-    controller.setup(engine)
+    controller = _data_partitioned(program, order, "interleaved")
+    engine = controller.start()
     engine.run_until(1e14)
     assert engine.idle
     _assert_arrivals_sound(engine, controller, program)
@@ -74,25 +83,15 @@ def test_interleaved_dp_arrival_order():
 
 def test_parallel_dp_arrival_order():
     program, order = prepared()
-    controller = ParallelController(
-        program,
-        order,
-        T1_LINK,
-        cpi=100,
-        max_streams=4,
-        data_partitioning=True,
+    controller = _data_partitioned(
+        program, order, "parallel", max_streams=4
     )
-    engine = StreamEngine(T1_LINK, max_streams=4)
-    controller.setup(engine)
-    engine.run_until(
-        1e14,
-        wakeup=controller.next_wakeup,
-        on_advance=controller.on_advance,
-    )
+    engine = controller.start()
+    engine.run_until(1e14)
     # Force any still-pending scheduled classes (their triggers need
     # delivered bytes, which stop growing when the engine idles).
-    for start in list(controller.schedule.starts):
-        controller._request(engine, start.class_name)
+    for start in controller.schedule.starts:
+        engine.demand_issue(start.class_name)
     engine.run_until(2e14)
     assert engine.idle
     _assert_arrivals_sound(engine, controller, program)

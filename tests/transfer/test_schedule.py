@@ -5,10 +5,9 @@ import pytest
 from repro.program import MethodId
 from repro.reorder import FirstUseEntry, FirstUseOrder
 from repro.reorder import estimate_first_use, restructure
+from repro.sched import StripedController
 from repro.transfer import (
     T1_LINK,
-    ParallelController,
-    StreamEngine,
     TransferPolicy,
     build_program_plans,
     build_schedule,
@@ -73,14 +72,19 @@ def test_eager_start_requests_everything_immediately():
         for entry in order.entries
     ]
     heavy = FirstUseOrder(entries=entries, source="static")
-    lazy = ParallelController(target, heavy, T1_LINK, cpi=100)
-    eager = ParallelController(
-        target, heavy, T1_LINK, cpi=100, eager_start=True
-    )
-    for controller, expected in ((lazy, {"A"}), (eager, {"A", "B"})):
-        engine = StreamEngine(T1_LINK, max_streams=4)
-        controller.setup(engine)
-        assert set(engine.stream_start_times) == expected
+    for eager, expected in ((False, {"A"}), (True, {"A", "B"})):
+        controller = StripedController(
+            target,
+            heavy,
+            (T1_LINK,),
+            100.0,
+            policy="parallel",
+            max_streams=4,
+            eager_start=eager,
+        )
+        engine = controller.start()
+        started = engine.channels[0].engine.stream_start_times
+        assert set(started) == expected
 
 
 def test_globals_only_class_is_scheduled_last():
