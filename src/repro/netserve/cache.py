@@ -64,6 +64,9 @@ class SessionArtifact:
         frames: Pre-encoded ``UNIT`` wire frames per unit — what the
             send loop actually writes, so steady-state serving does no
             per-connection encoding at all.
+        units_by_class: Each class's units, in ``sequence`` order — the
+            candidates a ``resend`` demand, which always names a class,
+            matches against.
         manifest: Wire-manifest rows aligned index-for-index with
             ``sequence`` (``[kind, class, method, size]`` each), so a
             RESUME's filtered manifest is a row selection, not a
@@ -78,6 +81,7 @@ class SessionArtifact:
     sequence: Tuple[TransferUnit, ...]
     payloads: Mapping[TransferUnit, bytes]
     frames: Mapping[TransferUnit, bytes]
+    units_by_class: Mapping[str, Tuple[TransferUnit, ...]]
     manifest: Tuple[Tuple[Any, ...], ...]
     strategy: str
     total_bytes: int

@@ -722,11 +722,16 @@ class NonStrictFetcher:
             self.stats.record_frame(frame.wire_size)
             if frame.kind is FrameKind.UNIT:
                 assert frame.unit is not None
-                self._land_unit(link, frame.unit, frame.payload)
+                woke = self._land_unit(link, frame.unit, frame.payload)
                 if self._eof.is_set():
                     return
                 if link.pull:
                     await self._dispatch()
+                if woke:
+                    # The read above never suspends while bytes are
+                    # buffered: let the woken caller run now, not once
+                    # the socket buffer is empty.
+                    await asyncio.sleep(0)
             elif frame.kind is FrameKind.EOF and not link.pull:
                 if not self._complete():
                     raise ProtocolError(
@@ -778,12 +783,12 @@ class NonStrictFetcher:
 
     def _land_unit(
         self, link: _Link, unit: TransferUnit, payload: bytes
-    ) -> None:
+    ) -> bool:
         """Record a landing; observability waits for the retire cascade.
 
         Duplicates (hedge losers, resume races, duplicated frames) are
         dropped by wire key before they can touch the buffers or the
-        scoreboard.
+        scoreboard.  Returns True when the landing woke a waiter.
         """
         key = unit_wire_key(unit)
         link.in_flight.pop(key, None)
@@ -791,7 +796,7 @@ class NonStrictFetcher:
         if key in self._received_keys:
             self.stats.record_duplicate_unit()
             self._link_success(link)
-            return
+            return False
         now = self.elapsed()
         self.unit_log.append((unit, now))
         self._received_keys.add(key)
@@ -826,23 +831,28 @@ class NonStrictFetcher:
                 )
         board = self._board
         board_unit = self._unit_by_key.get(key)
+        woke = False
         if board is None or board_unit is None:
-            self._signal_available(unit, now)
+            woke = self._signal_available(unit, now)
         else:
             for retired, retire_time in board.mark_landed(board_unit, now):
-                self._signal_available(retired, retire_time)
+                woke |= self._signal_available(retired, retire_time)
         self._link_success(link)
         if link.pull and len(self._received_keys) >= self._planned:
             self._finish()
+        return woke
 
-    def _signal_available(self, unit: TransferUnit, at: float) -> None:
+    def _signal_available(self, unit: TransferUnit, at: float) -> bool:
         """A unit retired: its methods may now execute (arrival = retire
-        time, exactly the simulator's observable-arrival rule)."""
+        time, exactly the simulator's observable-arrival rule).  Returns
+        True when that woke a waiter."""
+        woke = False
         if unit.kind is UnitKind.METHOD and unit.method is not None:
             self._method_arrivals.setdefault(unit.method, at)
             event = self._events.get(unit.method)
-            if event is not None:
+            if event is not None and not event.is_set():
                 event.set()
+                woke = True
         elif unit.kind is UnitKind.CLASS_FILE:
             # The whole class arrived: every method it holds is now
             # available, including ones nobody asked about yet.
@@ -850,7 +860,9 @@ class NonStrictFetcher:
             for method_id, waiting in self._events.items():
                 if method_id.class_name == unit.class_name:
                     self._method_arrivals.setdefault(method_id, at)
+                    woke |= not waiting.is_set()
                     waiting.set()
+        return woke
 
     def _link_success(self, link: _Link) -> None:
         """A landing proves the link; heal its circuit state."""

@@ -49,18 +49,26 @@ class ConnectionStats:
         self.started_at = 0.0
         self.finished_at: Optional[float] = None
         self.aborted = False
+        self._series: Dict[str, Counter] = {}
 
-    def _counter(self, name: str):
-        return self._registry.counter(name, self._labels)
+    def _counter(self, name: str) -> Counter:
+        """This connection's series of ``name``, looked up in the
+        registry once per connection (each lookup sorts the labels)."""
+        series = self._series.get(name)
+        if series is None:
+            series = self._registry.counter(name, self._labels)
+            self._series[name] = series
+        return series
 
     # -- recording (server call sites) ------------------------------------
 
-    def record_frame(self, wire_bytes: int, unit: bool = False) -> None:
-        """Account one sent frame (and optionally its transfer unit)."""
-        self._counter("netserve_frames_sent").inc()
+    def record_batch(self, frames: int, wire_bytes: int, units: int) -> None:
+        """Account one write of ``frames`` frames, ``units`` of them
+        transfer units, totalling ``wire_bytes``."""
+        self._counter("netserve_frames_sent").inc(frames)
         self._counter("netserve_bytes_sent").inc(wire_bytes)
-        if unit:
-            self._counter("netserve_units_sent").inc()
+        if units:
+            self._counter("netserve_units_sent").inc(units)
 
     def record_demand_fetch(self, promoted_units: int) -> None:
         self._counter("netserve_demand_fetches").inc()

@@ -1,10 +1,16 @@
 """Wire protocol: round trips, corruption detection, truncation."""
 
+import asyncio
+import itertools
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
+    ConnectionLostError,
     FrameCorruptionError,
     ProtocolError,
     TransferError,
@@ -20,6 +26,7 @@ from repro.netserve import (
     error_frame,
     hello_ack_frame,
     hello_frame,
+    read_raw_frame,
     resume_ack_frame,
     resume_frame,
     salvage_unit_key,
@@ -243,6 +250,86 @@ def test_flipping_any_single_byte_raises_cleanly(
         decode_frame(bytes(encoded))
 
 
+# -- the stream boundary ------------------------------------------------
+
+_HEADER_SIZE = FRAME_OVERHEAD - 4  # magic, version, kind, body length
+
+
+@st.composite
+def mutated_streams(draw):
+    """A push session's frames, concatenated, with one frame damaged.
+
+    The damage is a flipped header byte, a changed body length or a
+    flipped body byte.  Some draws re-seal the damaged frame's CRC, so
+    decoding gets past the checksum into the body; some truncate.
+    """
+    units = draw(
+        st.lists(transfer_units_with_payload(), min_size=1, max_size=4)
+    )
+    frames = (
+        [encode_frame(hello_ack_frame(unit_count=len(units)))]
+        + [encode_frame(unit_frame(unit, payload)) for unit, payload in units]
+        + [encode_frame(eof_frame())]
+    )
+    starts = list(itertools.accumulate([0] + [len(f) for f in frames]))
+    stream = bytearray(b"".join(frames))
+    target = draw(st.integers(min_value=0, max_value=len(frames) - 1))
+    start = starts[target]
+    body_len = len(frames[target]) - FRAME_OVERHEAD
+    mutation = draw(st.sampled_from(["header", "length", "body"]))
+    if mutation == "header":
+        index = start + draw(st.integers(0, _HEADER_SIZE - 1))
+        stream[index] ^= draw(st.integers(min_value=1, max_value=255))
+    elif mutation == "length":
+        declared = draw(
+            st.one_of(
+                st.integers(0, body_len + 64),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+        struct.pack_into(">I", stream, start + 4, declared)
+    elif body_len:
+        index = start + _HEADER_SIZE + draw(st.integers(0, body_len - 1))
+        stream[index] ^= draw(st.integers(min_value=1, max_value=255))
+    if draw(st.booleans()):
+        (declared,) = struct.unpack_from(">I", stream, start + 4)
+        crc_at = start + _HEADER_SIZE + declared
+        if crc_at + 4 <= len(stream):
+            body = stream[start + _HEADER_SIZE : crc_at]
+            struct.pack_into(">I", stream, crc_at, zlib.crc32(body))
+    cut = draw(st.one_of(st.just(len(stream)), st.integers(0, len(stream))))
+    return bytes(stream[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_streams())
+def test_mutated_streams_raise_only_typed_errors_in_bounded_time(stream):
+    """Read frame by frame off a ``StreamReader``, as the fetcher does,
+    a damaged stream ends in a ``ProtocolError`` or a
+    ``ConnectionLostError`` (or decodes, when a re-sealed frame is
+    valid again) — never another exception, and never a read that
+    waits past its bound."""
+
+    async def read_all():
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        while True:
+            raw = await read_raw_frame(reader)
+            frame, end = decode_frame(raw)
+            assert end == len(raw)
+            if frame.kind is FrameKind.EOF:
+                return
+
+    async def bounded():
+        await asyncio.wait_for(read_all(), timeout=5.0)
+
+    try:
+        asyncio.run(bounded())
+    except (ProtocolError, ConnectionLostError):
+        pass
+
+
 # -- salvage ------------------------------------------------------------
 
 
@@ -305,8 +392,6 @@ def test_bad_crc_raises():
 
 
 def test_oversized_declared_body_is_corruption_not_allocation():
-    import struct
-
     from repro.netserve.protocol import MAGIC, PROTOCOL_VERSION
 
     header = struct.pack(

@@ -1,0 +1,189 @@
+"""The serve loop over real sockets: batching, fairness, demand checks.
+
+The server sends a session in batches of whole frames and yields once
+per batch; the fetcher yields once after a landing wakes a waiter.
+These tests pin what that buys — a waiting caller resumes when its
+unit lands, and a second session's handshake interleaves with the
+first session's bulk — and what it must not change: the bytes on the
+wire and the per-connection counts.
+"""
+
+import asyncio
+
+import pytest
+
+from repro import figure1_program
+from repro.netserve import (
+    ArtifactCache,
+    ClassFileServer,
+    Frame,
+    FrameKind,
+    NonStrictFetcher,
+    decode_frame,
+    encode_frame,
+    eof_frame,
+    hello_frame,
+    program_fingerprint,
+    read_frame,
+)
+from repro.program import MethodId
+from repro.workloads.synthetic import generate_workload
+from repro.workloads.spec import PAPER_BENCHMARKS
+
+WORKLOADS = [spec.name for spec in PAPER_BENCHMARKS]
+
+
+def run(coroutine):
+    return asyncio.run(coroutine)
+
+
+async def greet(host, port, policy):
+    """A raw client: send HELLO, return (reader, writer, ack)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(encode_frame(hello_frame(policy)))
+    await writer.drain()
+    return reader, writer, await read_frame(reader)
+
+
+# -- a waiter resumes when its unit lands ------------------------------
+
+
+@pytest.mark.parametrize("policy", ["non_strict", "data_partitioned"])
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_entry_wait_returns_when_the_entry_unit_lands(name, policy):
+    """On an unpaced link, a passive wait for the entry method returns
+    with exactly the units up to the entry's unit landed — not once the
+    socket buffer, or the whole stream, has been decoded."""
+
+    async def scenario():
+        server = ClassFileServer(generate_workload(name).program)
+        host, port = await server.start()
+        fetcher = NonStrictFetcher(host, port, policy=policy)
+        try:
+            manifest = await fetcher.connect()
+            entry = MethodId(*manifest["entry"])
+            await fetcher.wait_for_method(entry, demand=False)
+            landed = fetcher.stats.units_received
+        finally:
+            await fetcher.aclose()
+            await server.aclose()
+        announced = [(row[1], row[2]) for row in manifest["sequence"]]
+        position = announced.index((entry.class_name, entry.method_name))
+        return landed, position
+
+    landed, position = run(scenario())
+    assert landed == position + 1
+
+
+def test_second_session_connects_while_the_first_streams():
+    """A second client's handshake is served between the first
+    session's batches, not after its whole stream."""
+
+    async def scenario():
+        server = ClassFileServer(generate_workload("Jess").program)
+        host, port = await server.start()
+        first = NonStrictFetcher(host, port)
+        second = NonStrictFetcher(host, port)
+        try:
+            manifest = await first.connect()
+            await second.connect()
+            landed = first.stats.units_received
+            await first.wait_until_complete()
+            await second.wait_until_complete()
+        finally:
+            await first.aclose()
+            await second.aclose()
+            await server.aclose()
+        return landed, manifest["unit_count"]
+
+    landed, total = run(scenario())
+    assert landed < total
+
+
+# -- batching changes writes, never bytes ------------------------------
+
+
+@pytest.mark.parametrize(
+    "policy", ["strict", "non_strict", "data_partitioned"]
+)
+def test_push_bytes_are_the_artifact_frames_in_sequence_order(policy):
+    """After the ack, a push session is every pre-encoded frame in plan
+    order, then EOF, then the end of the stream — and the connection's
+    counters match what was read."""
+
+    async def scenario():
+        program = generate_workload("Jess").program
+        cache = ArtifactCache()
+        server = ClassFileServer(program, cache=cache)
+        host, port = await server.start()
+        reader, writer, ack = await greet(host, port, policy)
+        stream = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        await server.aclose()
+
+        def missing():
+            raise LookupError(policy)
+
+        artifact = cache.get_or_build(
+            (program_fingerprint(program), policy, "static"), missing
+        )
+        return ack, stream, artifact, server.stats.connections[0]
+
+    ack, stream, artifact, conn = run(scenario())
+    assert ack.kind is FrameKind.HELLO_ACK
+    frames = [artifact.frames[unit] for unit in artifact.sequence]
+    assert stream == b"".join(frames) + encode_frame(eof_frame())
+    assert conn.frames_sent == len(frames) + 1
+    assert conn.units_sent == len(frames)
+    assert conn.bytes_sent == len(stream)
+    assert not conn.aborted
+
+
+# -- malformed demands are typed, not crashes --------------------------
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"class": "A", "kind": "abc", "resend": True},
+        {"class": ["a"], "resend": True},
+        {"class": "A", "method": 5},
+    ],
+    ids=["kind-not-int", "class-not-str", "method-not-str"],
+)
+def test_malformed_demand_ends_the_demand_loop_quietly(fields):
+    """A DEMAND_FETCH with a wrongly typed field is handled like a frame
+    that cannot be decoded: the demand loop stops listening, nothing
+    reaches the loop's exception handler, and the paced push session
+    still completes."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        unhandled = []
+        loop.set_exception_handler(lambda _loop, ctx: unhandled.append(ctx))
+        server = ClassFileServer(figure1_program(), bandwidth=4000, burst=64)
+        host, port = await server.start()
+        reader, writer, ack = await greet(host, port, "non_strict")
+        demand = Frame(
+            kind=FrameKind.DEMAND_FETCH, fields=tuple(sorted(fields.items()))
+        )
+        writer.write(encode_frame(demand))
+        await writer.drain()
+        stream = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.sleep(0.05)  # the handler finishes its teardown
+        await server.aclose()
+        return ack, stream, unhandled, server
+
+    ack, stream, unhandled, server = run(scenario())
+    kinds = []
+    offset = 0
+    while offset < len(stream):
+        frame, offset = decode_frame(stream, offset)
+        kinds.append(frame.kind)
+    assert kinds.count(FrameKind.UNIT) == ack.field_dict["unit_count"]
+    assert kinds[-1] is FrameKind.EOF
+    assert unhandled == []
+    assert server.stats.demand_loop_errors == 0
