@@ -8,14 +8,14 @@ a misprediction jumps to the *front* of the queue, §5.1).  A stream,
 once started, transfers to completion — streams are never preempted.
 
 Time is measured in CPU cycles.  The engine is event-driven and exact:
-it advances from unit-completion to unit-completion (or to an external
-wake-up), so no per-cycle stepping occurs.
+it advances from unit-completion to unit-completion, so no per-cycle
+stepping occurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from collections import deque
 
@@ -212,11 +212,7 @@ class StreamEngine:
         if finished:
             self._admit_waiting()
 
-    def _step(
-        self,
-        step_to: float,
-        on_advance: Optional[Callable[["StreamEngine"], None]],
-    ) -> None:
+    def _step(self, step_to: float) -> None:
         """Advance to ``step_to``, delivering bytes and completing units.
 
         If float resolution at large times swallows the step (``step_to``
@@ -240,26 +236,6 @@ class StreamEngine:
             self._deliver(step_to - self.time)
             self.time = max(self.time, step_to)
         self._complete_units()
-        if on_advance is not None:
-            on_advance(self)
-
-    def _bounded_step_target(
-        self,
-        limit: float,
-        wakeup: Optional[Callable[["StreamEngine"], Optional[float]]],
-    ) -> float:
-        step_to = limit
-        completion_dt = self._next_completion_dt()
-        if completion_dt is not None:
-            step_to = min(step_to, self.time + completion_dt)
-        if wakeup is not None:
-            wake_time = wakeup(self)
-            if (
-                wake_time is not None
-                and self.time + _EPSILON < wake_time < step_to
-            ):
-                step_to = wake_time
-        return step_to
 
     def next_event_dt(self) -> Optional[float]:
         """Cycles until this engine's earliest unit completion, if any.
@@ -270,11 +246,7 @@ class StreamEngine:
         """
         return self._next_completion_dt()
 
-    def advance(
-        self,
-        step_to: float,
-        on_advance: Optional[Callable[["StreamEngine"], None]] = None,
-    ) -> None:
+    def advance(self, step_to: float) -> None:
         """Take exactly one bounded step to ``step_to``.
 
         ``step_to`` must not lie beyond this engine's next completion
@@ -283,37 +255,22 @@ class StreamEngine:
         current time snaps the nearest completion to done, exactly as
         :meth:`run_until` does when float resolution swallows a step.
         """
-        self._step(step_to, on_advance)
+        self._step(step_to)
 
-    def run_until(
-        self,
-        target_time: float,
-        wakeup: Optional[Callable[["StreamEngine"], Optional[float]]] = None,
-        on_advance: Optional[Callable[["StreamEngine"], None]] = None,
-    ) -> None:
-        """Advance the engine to ``target_time``.
-
-        Args:
-            target_time: Absolute time (cycles) to stop at.
-            wakeup: Optional callback returning the next absolute time
-                an external controller needs control (or None).
-            on_advance: Optional callback invoked after every internal
-                event boundary; it may admit new streams.
-        """
+    def run_until(self, target_time: float) -> None:
+        """Advance the engine to ``target_time`` (absolute cycles)."""
         if target_time < self.time - _EPSILON:
             raise TransferError(
                 f"cannot run backwards: {target_time} < {self.time}"
             )
         while self.time < target_time:
-            step_to = self._bounded_step_target(target_time, wakeup)
-            self._step(step_to, on_advance)
+            step_to = target_time
+            completion_dt = self._next_completion_dt()
+            if completion_dt is not None:
+                step_to = min(step_to, self.time + completion_dt)
+            self._step(step_to)
 
-    def run_until_unit(
-        self,
-        unit: TransferUnit,
-        wakeup: Optional[Callable[["StreamEngine"], Optional[float]]] = None,
-        on_advance: Optional[Callable[["StreamEngine"], None]] = None,
-    ) -> float:
+    def run_until_unit(self, unit: TransferUnit) -> float:
         """Advance until ``unit`` arrives; return its arrival time.
 
         Raises:
@@ -321,20 +278,10 @@ class StreamEngine:
                 never requested — a scheduling bug).
         """
         while not self.arrived(unit):
-            if not self.active:
-                wake_time = wakeup(self) if wakeup is not None else None
-                if wake_time is not None and wake_time > self.time:
-                    self.time = wake_time
-                    self._complete_units()
-                    if on_advance is not None:
-                        on_advance(self)
-                    continue
+            completion_dt = self._next_completion_dt()
+            if completion_dt is None:
                 raise TransferError(
                     f"engine idle but unit never arrived: {unit}"
                 )
-            completion_dt = self._next_completion_dt()
-            step_to = self._bounded_step_target(
-                self.time + completion_dt, wakeup
-            )
-            self._step(step_to, on_advance)
+            self._step(self.time + completion_dt)
         return self.arrival_times[unit]

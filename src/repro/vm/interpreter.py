@@ -75,11 +75,6 @@ class VirtualMachine:
         instruments: BIT-style observers (see :mod:`repro.vm.instrument`).
         max_instructions: Safety limit; exceeding it raises VMError.
         rng_seed: Seed for the ``SYS RAND`` intrinsic.
-
-    An uninstrumented run takes the closure-threaded dispatch
-    (:mod:`repro.vm.threaded`); an instrumented one takes the classic
-    decode-each-time loop below, the only one with per-instruction
-    callbacks.  The two are observably identical.
     """
 
     def __init__(
@@ -125,12 +120,7 @@ class VirtualMachine:
         for instrument in self.instruments:
             instrument.on_start(self.program)
         self._push_frame(entry_id, list(args))
-        if self.instruments:
-            self._dispatch_loop()
-        else:
-            from .threaded import dispatch_threaded
-
-            dispatch_threaded(self)
+        self._dispatch_loop()
         for instrument in self.instruments:
             instrument.on_halt()
         return ExecutionResult(

@@ -1,8 +1,12 @@
 """Experiment harness: table structure and the paper's claims.
 
 These tests assert the *qualitative shapes* the reproduction must show
-(DESIGN.md §4), not absolute numbers.
+(DESIGN.md §4), not absolute numbers, plus that the hand-typed "Ours"
+columns of EXPERIMENTS.md are what the code computes.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,43 @@ from repro.harness import (
     table9_data_breakdown,
 )
 from repro.harness.results import ResultTable
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return table4_invocation_latency()
+
+
+@pytest.fixture(scope="module")
+def figure6():
+    return figure6_summary()
+
+
+def _ours_column(heading):
+    """Row label -> "Ours" cell of the table under ``heading``."""
+    section = EXPERIMENTS_MD.read_text().split(f"\n{heading}\n", 1)[1]
+    lines = [
+        line
+        for line in section.split("\n## ", 1)[0].splitlines()
+        if line.startswith("|")
+    ]
+    header, _, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in lines
+    ]
+    ours = header.index("Ours")
+    return {row[0]: row[ours] for row in rows}
+
+
+def _assert_printed(cell, values):
+    """``cell``'s numbers are ``values`` at the precision printed."""
+    printed = re.findall(r"\d+(?:\.\d+)?", cell)
+    assert len(printed) == len(values)
+    for number, value in zip(printed, values):
+        decimals = len(number.partition(".")[2])
+        assert number == f"{value:.{decimals}f}"
 
 
 def test_benchmark_names():
@@ -65,9 +106,9 @@ def test_table3_transfer_dominates_modem():
         assert row[table.columns.index("Modem % Transfer")] > 90
 
 
-def test_table4_nonstrict_cuts_invocation_latency():
+def test_table4_nonstrict_cuts_invocation_latency(table4):
     """Shape 2: non-strict helps a lot; partitioning helps more."""
-    table = table4_invocation_latency()
+    table = table4
     average = table.row_for("AVG")
     ns_decrease = average[table.columns.index("T1 NS %dec")]
     dp_decrease = average[table.columns.index("T1 DP %dec")]
@@ -98,10 +139,10 @@ def test_table7_ordering_quality():
     assert (100 - cell("modem SCG")) > (100 - cell("T1 SCG"))
 
 
-def test_figure6_summary_shapes():
+def test_figure6_summary_shapes(figure6):
     """Shape 4+5: interleaved beats parallel; partitioning adds gains;
     the overall reduction is tens of percent."""
-    table = figure6_summary()
+    table = figure6
 
     def row(label):
         return table.row_for(label)
@@ -127,6 +168,43 @@ def test_figure6_summary_shapes():
     # Modem, best configuration: a >25% average reduction.
     best = interleaved_dp[table.columns.index("Modem Test")]
     assert best < 72
+
+
+def test_experiments_md_table4_is_what_the_code_computes(table4):
+    ours = _ours_column("## Table 4 — invocation latency")
+    # The doc names no link; its percentages must hold on both.
+    for link in ("T1", "Modem"):
+        ns, dp = f"{link} NS %dec", f"{link} DP %dec"
+        _assert_printed(
+            ours["Avg % decrease, non-strict"], [table4.cell("AVG", ns)]
+        )
+        _assert_printed(
+            ours["Avg % decrease, + data partitioning"],
+            [table4.cell("AVG", dp)],
+        )
+        _assert_printed(
+            ours["TestDes anomaly (first class ≈ one huge procedure)"],
+            [table4.cell("TestDes", ns), table4.cell("TestDes", dp)],
+        )
+        winner = max(BENCHMARK_NAMES, key=lambda name: table4.cell(name, ns))
+        cell = ours["Largest per-program winner, non-strict"]
+        assert cell.split(" (")[0] == winner
+        _assert_printed(cell, [table4.cell(winner, ns)])
+
+
+def test_experiments_md_figure6_is_what_the_code_computes(figure6):
+    ours = _ours_column("## Figure 6 — summary")
+    doc_to_code = {
+        "Parallel file transfer": "Parallel File Transfer",
+        "Parallel + data partitioning": "PFC Data Partitioned",
+        "Interleaved file transfer": "Interleaved File Transfer",
+        "Interleaved + data partitioning": "IFC Data Partitioned",
+    }
+    assert sorted(ours) == sorted(doc_to_code)
+    for doc_label, code_label in doc_to_code.items():
+        _assert_printed(
+            ours[doc_label], [figure6.cell(code_label, "Modem Test")]
+        )
 
 
 def test_table8_pool_dominates_and_utf8_leads():

@@ -86,17 +86,9 @@ def test_demand_fetch_mid_run_jumps_whole_waiting_queue():
     engine.request_stream("b", [b])
     engine.request_stream("c", [c])
     demanded = unit("d", 50)
-    fired = []
-
-    def wakeup(e):
-        return None if fired else 40.0
-
-    def on_advance(e):
-        if not fired and e.time >= 40.0:
-            fired.append(True)
-            e.request_stream("d", [demanded], front=True)
-
-    engine.run_until(1000, wakeup=wakeup, on_advance=on_advance)
+    engine.run_until(40)
+    engine.request_stream("d", [demanded], front=True)
+    engine.run_until(1000)
     # The active stream is never preempted: it finishes at t=100.
     # The demand fetch then gets the slot before b and c.
     assert engine.stream_start_times["d"] == pytest.approx(100)
@@ -168,39 +160,15 @@ def test_bad_stream_limit_rejected():
         StreamEngine(LINK, max_streams=0)
 
 
-def test_wakeup_bounds_steps():
-    """A wakeup callback gains control at its requested time."""
-    engine = StreamEngine(LINK)
-    engine.request_stream("a", [unit("a", 1000)])
-    seen = []
-
-    def wakeup(e):
-        return 100.0
-
-    def on_advance(e):
-        seen.append(e.time)
-
-    engine.run_until(250, wakeup=wakeup, on_advance=on_advance)
-    assert 100.0 in [pytest.approx(t) for t in seen]
-
-
-def test_on_advance_can_admit_streams():
-    """Streams admitted mid-run by the callback still share correctly."""
+def test_stream_admitted_mid_run_shares_bandwidth():
+    """A stream requested between two runs shares from that time on."""
     engine = StreamEngine(LINK)
     a = unit("a", 200)
     b = unit("b", 100)
     engine.request_stream("a", [a])
-    admitted = []
-
-    def wakeup(e):
-        return None if admitted else 100.0
-
-    def on_advance(e):
-        if not admitted and e.time >= 100.0:
-            admitted.append(True)
-            e.request_stream("b", [b])
-
-    engine.run_until(400, wakeup=wakeup, on_advance=on_advance)
+    engine.run_until(100)
+    engine.request_stream("b", [b])
+    engine.run_until(400)
     # a alone until 100 (100 left), then shared: a done at 300.
     assert engine.arrival_time(a) == pytest.approx(300)
     assert engine.arrival_time(b) == pytest.approx(300)

@@ -54,9 +54,10 @@ def test_basic_block_counter_counts_loop_iterations():
 def test_block_entries_bounded_by_instructions():
     blocks = BasicBlockCounter()
     instructions = InstructionCounter()
-    VirtualMachine(
+    result = VirtualMachine(
         fibonacci_program(10), instruments=[blocks, instructions]
     ).run()
+    assert instructions.total == result.instructions_executed
     assert 0 < blocks.total_block_entries() <= instructions.total
 
 

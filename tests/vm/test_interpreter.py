@@ -68,6 +68,23 @@ def test_division_by_zero_raises():
         run_main("iconst 1\niconst 0\ndiv\nreturn")
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("iconst 1\npop", "T.main: fell off the end of the code"),
+        ("load 200\nreturn", "T.main: load from unallocated local 200"),
+        ("iconst 5\narraylen\nreturn", "arraylen on non-array"),
+        ("iconst 1\nsys 99\nreturn", "unknown SYS code 99"),
+    ],
+    ids=["fell-off-end", "unallocated-local", "arraylen", "unknown-sys"],
+)
+def test_error_paths_raise_typed_messages(source, message):
+    with pytest.raises(VMError) as raised:
+        run_main(source)
+    assert type(raised.value) is VMError
+    assert str(raised.value) == message
+
+
 def test_neg_dup_pop_swap():
     result = run_main(
         "iconst 5\nneg\n"
@@ -202,9 +219,10 @@ def test_instruction_limit_enforced():
         "main", "()V", assemble("loop:\ngoto loop")
     )
     program = Program(classes=[builder.build()])
-    machine = VirtualMachine(program, max_instructions=1000)
-    with pytest.raises(VMError):
+    machine = VirtualMachine(program, max_instructions=10_000)
+    with pytest.raises(VMError, match="instruction limit 10000 exceeded"):
         machine.run()
+    assert machine.instructions_executed == 10_001  # counted, then raised
 
 
 def test_sys_halt_stops_execution():
@@ -252,6 +270,35 @@ def test_call_arity_mismatch_raises():
     program = Program(classes=[builder.build()])
     with pytest.raises(StackUnderflowError):
         VirtualMachine(program).run()
+
+
+def test_entry_args_bind_to_locals():
+    builder = ClassFileBuilder("T")
+    builder.add_method(
+        "main", "(II)I", assemble("load 0\nload 1\nmul\nireturn")
+    )
+    program = Program(classes=[builder.build()])
+    result = VirtualMachine(program).run(
+        entry=MethodId("T", "main"), args=(6, 7)
+    )
+    assert result.output == [42]
+
+
+def test_replaced_class_runs_its_new_code():
+    """Nothing compiled from a class outlives it: after a class is
+    replaced, the next run executes the replacement."""
+
+    def printer(value):
+        builder = ClassFileBuilder("T")
+        builder.add_method(
+            "main", "()V", assemble(f"iconst {value}\nsys 0\nreturn")
+        )
+        return builder.build()
+
+    program = Program(classes=[printer(1)])
+    assert VirtualMachine(program).run().output == [1]
+    program.classes[0] = printer(2)
+    assert VirtualMachine(program).run().output == [2]
 
 
 def test_missing_entry_point_raises():
