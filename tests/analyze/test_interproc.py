@@ -8,6 +8,7 @@ methods, pure execution cycles) before and after
 methodologies.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from repro.analyze import (
     branch_probabilities,
     prune_dead_methods,
     run_lint,
+    sarif_dumps,
 )
 from repro.analyze.interproc import BACK_EDGE_PROBABILITY
 from repro.bytecode import assemble
@@ -279,12 +281,22 @@ def test_lint_unreachable_call_target_is_error():
     assert report.has_errors
 
 
+#: SHA-256 of ``sarif_dumps`` for the static-model lint of each paper
+#: workload.  All six produce the same document: every rule listed,
+#: no results.
+WORKLOAD_SARIF_DIGEST = (
+    "62f3381d3f3bc47e4a73a651089226ac584e023e72e649d6de15c49002430128"
+)
+
+
 def test_workloads_are_clean_under_new_rules():
     for name in BENCHMARK_NAMES:
         report = run_lint(bundle(name).workload.program)
         by_rule = report.by_rule()
         assert by_rule.get("dead-method-shipped", 0) == 0
         assert by_rule.get("unreachable-call-target", 0) == 0
+        sarif = sarif_dumps(report).encode()
+        assert hashlib.sha256(sarif).hexdigest() == WORKLOAD_SARIF_DIGEST, name
 
 
 # -- pruning soundness, cross-checked on the simulator ------------------
