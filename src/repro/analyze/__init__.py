@@ -34,6 +34,7 @@ _EXPORTS: Dict[str, str] = {
     "DataflowIssue": "dataflow",
     "MethodDataflow": "dataflow",
     "analyze_method": "dataflow",
+    "analyze_program": "dataflow",
     # workmodel
     "FirstUseLowerBounds": "workmodel",
     "first_use_lower_bounds": "workmodel",

@@ -1,8 +1,9 @@
 """Abstract-interpretation dataflow over one method's bytecode.
 
-A block-level fixpoint over :func:`repro.cfg.build_cfg`: every reachable
-basic block gets a typed :class:`~repro.analyze.domain.AbstractState`
-at entry, the transfer function interprets each instruction over the
+A block-level fixpoint over the CFG in the method's
+:class:`~repro.cfg.MethodFacts`: every reachable basic block gets a
+typed :class:`~repro.analyze.domain.AbstractState` at entry, the
+transfer function interprets each instruction over the
 type lattice, and states merge pointwise at control-flow joins until
 nothing changes.  The engine subsumes the checks the depth-only
 verifier used to hand-roll — underflow, ``max_stack``, join-depth
@@ -31,11 +32,12 @@ from ..classfile import (
     MethodRefEntry,
     parse_descriptor,
 )
-from ..cfg import ControlFlowGraph, build_cfg
-from ..errors import CFGError, ClassFileError
+from ..cfg import ControlFlowGraph, MethodFacts, ProgramFacts
+from ..errors import ClassFileError
+from ..program import MethodId, Program
 from .domain import AbstractState, ValType, compatible, merge_states
 
-__all__ = ["DataflowIssue", "MethodDataflow", "analyze_method"]
+__all__ = ["DataflowIssue", "MethodDataflow", "analyze_method", "analyze_program"]
 
 #: Opcodes whose operands the VM coerces through 32-bit int arithmetic.
 _ARITH_BINARY = (
@@ -105,9 +107,12 @@ class MethodDataflow:
 class _Analysis:
     """One fixpoint run; collects issues instead of raising."""
 
-    def __init__(self, classfile: ClassFile, method: MethodInfo) -> None:
+    def __init__(
+        self, classfile: ClassFile, method: MethodInfo, facts: MethodFacts
+    ) -> None:
         self.classfile = classfile
         self.method = method
+        self.facts = facts
         self.descriptor: Optional[MethodDescriptor] = None
         self.issues: List[DataflowIssue] = []
         self.entry_states: Dict[int, AbstractState] = {}
@@ -142,10 +147,9 @@ class _Analysis:
                 f"max_locals {method.max_locals}",
             )
             return self._result(None)
-        try:
-            cfg = build_cfg(method.instructions)
-        except CFGError as error:
-            self.issue("cfg", f"{where}: {error}")
+        cfg = self.facts.cfg
+        if cfg is None:
+            self.issue("cfg", f"{where}: {self.facts.error}")
             return self._result(None)
 
         self.descriptor = descriptor
@@ -534,11 +538,29 @@ class _Analysis:
 
 
 def analyze_method(
-    classfile: ClassFile, method: MethodInfo
+    classfile: ClassFile, method: MethodInfo, facts: MethodFacts
 ) -> MethodDataflow:
     """Run the typed dataflow fixpoint over one method.
 
-    Never raises for defects in the analyzed code — they come back as
-    :attr:`MethodDataflow.issues`.
+    ``facts`` are ``method``'s :class:`~repro.cfg.MethodFacts`.  Never
+    raises for defects in the analyzed code — they come back as
+    :attr:`MethodDataflow.issues`, a failed CFG as a ``"cfg"`` issue —
+    but raises :class:`~repro.errors.CFGError` if ``facts`` were built
+    from other code.
     """
-    return _Analysis(classfile, method).run()
+    facts.check(MethodId(classfile.name, method.name), method)
+    return _Analysis(classfile, method, facts).run()
+
+
+def analyze_program(
+    program: Program, facts: ProgramFacts
+) -> Dict[MethodId, MethodDataflow]:
+    """:func:`analyze_method` over every method, in program order."""
+    dataflows: Dict[MethodId, MethodDataflow] = {}
+    for classfile in program.classes:
+        for method in classfile.methods:
+            method_id = MethodId(classfile.name, method.name)
+            dataflows[method_id] = analyze_method(
+                classfile, method, facts.of(method_id, method)
+            )
+    return dataflows

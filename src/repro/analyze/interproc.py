@@ -41,19 +41,29 @@ on dead-method-injected variants to exercise the interesting case.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..bytecode.opcodes import OPCODE_TABLE, Opcode
-from ..cfg.basic_blocks import BasicBlock
-from ..cfg.callgraph import CallEdge, CallGraph, build_call_graph
-from ..cfg.graph import ControlFlowGraph, EdgeKind
-from ..cfg.loops import LoopAnalysis, analyze_loops
+from ..cfg import (
+    BasicBlock,
+    CallEdge,
+    CallGraph,
+    ControlFlowGraph,
+    EdgeKind,
+    LoopAnalysis,
+    ProgramFacts,
+    build_call_graph,
+    dominates,
+    dominator_tree,
+    shortest_paths,
+    strongly_connected_components,
+)
 from ..classfile.classfile import ClassFile
+from ..errors import AnalysisError
 from ..program import MethodId, Program
-from .dataflow import MethodDataflow, analyze_method
+from .dataflow import MethodDataflow
 from .domain import ValType
 
 __all__ = [
@@ -161,7 +171,7 @@ def _pointerish(dataflow: Optional[MethodDataflow], block: BasicBlock) -> bool:
 
 def branch_probabilities(
     cfg: ControlFlowGraph,
-    loops: Optional[LoopAnalysis] = None,
+    loops: LoopAnalysis,
     dataflow: Optional[MethodDataflow] = None,
 ) -> Dict[Tuple[int, int], float]:
     """Assign a static probability to every CFG edge.
@@ -178,7 +188,6 @@ def branch_probabilities(
     * **call**: prefer the successor that does not immediately call.
     * **return**: avoid the successor that immediately returns.
     """
-    loops = loops or analyze_loops(cfg)
     result: Dict[Tuple[int, int], float] = {}
     for block in cfg.blocks:
         edges = cfg.successor_edges(block.block_id)
@@ -266,7 +275,7 @@ def branch_probabilities(
 def block_frequencies(
     cfg: ControlFlowGraph,
     probabilities: Mapping[Tuple[int, int], float],
-    loops: Optional[LoopAnalysis] = None,
+    loops: LoopAnalysis,
 ) -> Dict[int, float]:
     """Propagate branch probabilities into expected block frequencies.
 
@@ -278,7 +287,6 @@ def block_frequencies(
     its simplest sound-for-ranking form — the consumers only need
     relative weights, not exact counts.
     """
-    loops = loops or analyze_loops(cfg)
     incoming_edges: Dict[int, List[Tuple[int, int]]] = {}
     for edge in cfg.edges:
         if loops.is_back_edge(edge.source, edge.target):
@@ -415,14 +423,7 @@ class InterprocAnalysis:
         """True when every call chain reaching ``method`` first runs
         ``dominator`` — i.e. ``dominator``'s first use provably
         precedes ``method``'s in any execution."""
-        if dominator == method:
-            return True
-        current: Optional[MethodId] = method
-        while current is not None:
-            current = self.immediate_dominators.get(current)
-            if current == dominator:
-                return True
-        return False
+        return dominates(self.immediate_dominators, dominator, method)
 
 
 def _feasible_indexes(dataflow: MethodDataflow) -> Optional[Set[int]]:
@@ -443,63 +444,15 @@ def _method_scc_frequencies(
 ) -> Dict[MethodId, float]:
     """Propagate invocation frequencies over the call-graph SCC DAG."""
     index_of = {node: i for i, node in enumerate(nodes)}
-    # Iterative Tarjan SCC over the feasible call graph.
-    low: Dict[MethodId, int] = {}
-    order: Dict[MethodId, int] = {}
-    on_stack: Set[MethodId] = set()
-    stack: List[MethodId] = []
-    components: List[List[MethodId]] = []
-    counter = 0
-    for root in nodes:
-        if root in order:
-            continue
-        work: List[Tuple[MethodId, int]] = [(root, 0)]
-        while work:
-            node, edge_index = work[-1]
-            if edge_index == 0:
-                order[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            targets = edges.get(node, [])
-            advanced = False
-            while edge_index < len(targets):
-                target = targets[edge_index][0]
-                edge_index += 1
-                if target not in order:
-                    work[-1] = (node, edge_index)
-                    work.append((target, 0))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    low[node] = min(low[node], order[target])
-            if advanced:
-                continue
-            work[-1] = (node, edge_index)
-            if edge_index >= len(targets):
-                work.pop()
-                if low[node] == order[node]:
-                    component: List[MethodId] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+    components = strongly_connected_components(
+        {node: [target for target, _ in edges.get(node, [])] for node in nodes}
+    )
     # Tarjan emits components in reverse topological order.
     components.reverse()
-    component_of: Dict[MethodId, int] = {}
-    for i, component in enumerate(components):
-        for member in component:
-            component_of[member] = i
 
     frequencies: Dict[MethodId, float] = {node: 0.0 for node in nodes}
     frequencies[entry] = 1.0
-    for i, component in enumerate(components):
+    for component in components:
         members = set(component)
         recursive = len(component) > 1 or any(
             target in members
@@ -529,201 +482,118 @@ def _method_scc_frequencies(
     return frequencies
 
 
-def _call_graph_dominators(
-    entry: MethodId,
-    nodes: Sequence[MethodId],
-    successors: Mapping[MethodId, List[MethodId]],
-) -> Dict[MethodId, Optional[MethodId]]:
-    """Cooper–Harvey–Kennedy dominators over the feasible call graph."""
-    # Reverse postorder from the entry.
-    visited: Set[MethodId] = set()
-    postorder: List[MethodId] = []
-    work: List[Tuple[MethodId, int]] = [(entry, 0)]
-    visited.add(entry)
-    while work:
-        node, i = work[-1]
-        targets = successors.get(node, [])
-        if i < len(targets):
-            work[-1] = (node, i + 1)
-            target = targets[i]
-            if target not in visited:
-                visited.add(target)
-                work.append((target, 0))
-        else:
-            postorder.append(node)
-            work.pop()
-    rpo = list(reversed(postorder))
-    number = {node: i for i, node in enumerate(rpo)}
-    predecessors: Dict[MethodId, List[MethodId]] = {node: [] for node in rpo}
-    for node in rpo:
-        for target in successors.get(node, []):
-            if target in number:
-                predecessors[target].append(node)
-
-    idom: Dict[MethodId, Optional[MethodId]] = {entry: None}
-
-    def intersect(a: MethodId, b: MethodId) -> MethodId:
-        while a != b:
-            while number[a] > number[b]:
-                parent = idom[a]
-                assert parent is not None
-                a = parent
-            while number[b] > number[a]:
-                parent = idom[b]
-                assert parent is not None
-                b = parent
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo[1:]:
-            candidates = [p for p in predecessors[node] if p in idom]
-            if not candidates:
-                continue
-            new = candidates[0]
-            for other in candidates[1:]:
-                new = intersect(new, other)
-            if idom.get(node) != new:
-                idom[node] = new
-                changed = True
-    return idom
-
-
-def _first_use_distances(
-    entry: MethodId,
-    nodes: Sequence[MethodId],
-    site_costs: Mapping[MethodId, List[Tuple[MethodId, float]]],
-) -> Dict[MethodId, float]:
-    """Probability-discounted shortest first-use distance per method."""
-    distances: Dict[MethodId, float] = {node: math.inf for node in nodes}
-    distances[entry] = 0.0
-    heap: List[Tuple[float, int, MethodId]] = [(0.0, 0, entry)]
-    tiebreak = 0
-    while heap:
-        distance, _, node = heapq.heappop(heap)
-        if distance > distances.get(node, math.inf):
-            continue
-        for target, cost in site_costs.get(node, []):
-            candidate = distance + cost
-            if candidate < distances.get(target, math.inf):
-                distances[target] = candidate
-                tiebreak += 1
-                heapq.heappush(heap, (candidate, tiebreak, target))
-    return distances
-
-
-def _intra_method_reach_costs(
-    cfg: ControlFlowGraph,
-    probabilities: Mapping[Tuple[int, int], float],
-) -> Dict[int, float]:
-    """Discounted instruction distance from method entry to each block.
+def _discounted_edges(
+    cfg: ControlFlowGraph, probabilities: Mapping[Tuple[int, int], float]
+) -> Dict[int, List[Tuple[int, float]]]:
+    """CFG edges costed in discounted instructions.
 
     Edge cost is the source block's instruction count divided by the
     edge probability (floored), so unlikely paths look long without
     becoming unreachable.
     """
-    distances: Dict[int, float] = {cfg.entry.block_id: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, cfg.entry.block_id)]
-    while heap:
-        distance, block_id = heapq.heappop(heap)
-        if distance > distances.get(block_id, math.inf):
-            continue
-        source = cfg.block(block_id)
-        for edge in cfg.successor_edges(block_id):
-            probability = max(
-                probabilities.get((edge.source, edge.target), 0.0),
-                _MIN_PATH_PROBABILITY,
-            )
-            candidate = distance + len(source.instructions) / probability
-            if candidate < distances.get(edge.target, math.inf):
-                distances[edge.target] = candidate
-                heapq.heappush(heap, (candidate, edge.target))
-    return distances
+    edges: Dict[int, List[Tuple[int, float]]] = {}
+    for block in cfg.blocks:
+        edges[block.block_id] = []
+        for edge in cfg.successor_edges(block.block_id):
+            probability = probabilities.get((edge.source, edge.target), 0.0)
+            cost = len(block) / max(probability, _MIN_PATH_PROBABILITY)
+            edges[block.block_id].append((edge.target, cost))
+    return edges
 
 
 def analyze_interproc(
-    program: Program, entry: Optional[MethodId] = None
+    program: Program,
+    facts: ProgramFacts,
+    dataflows: Mapping[MethodId, MethodDataflow],
 ) -> InterprocAnalysis:
-    """Run the full interprocedural analysis over ``program``."""
-    call_graph = build_call_graph(program)
-    entry_id = entry if entry is not None else program.resolve_entry()
+    """Run the full interprocedural analysis over ``program``.
+
+    Rooted at the program's entry point.  ``facts`` are its
+    :func:`~repro.cfg.program_facts` and ``dataflows`` its
+    :func:`~repro.analyze.dataflow.analyze_program` over them.
+
+    Raises:
+        CFGError: If a method body is structurally invalid, or
+            ``facts`` describe other code.
+        AnalysisError: If ``dataflows`` miss a method or were run over
+            other CFGs.
+        ClassFileError: If the program has no valid entry point.
+    """
+    call_graph = build_call_graph(program, facts)
+    entry_id = program.resolve_entry()
 
     # Per-method intraprocedural facts.
-    dataflows: Dict[MethodId, MethodDataflow] = {}
     branch_models: Dict[MethodId, BranchModel] = {}
     feasible_sets: Dict[MethodId, Optional[Set[int]]] = {}
     reach_costs: Dict[MethodId, Dict[int, float]] = {}
-    for classfile in program.classes:
-        for method in classfile.methods:
-            method_id = MethodId(classfile.name, method.name)
-            dataflow = analyze_method(classfile, method)
-            dataflows[method_id] = dataflow
-            cfg = call_graph.cfg(method_id)
-            loops = analyze_loops(cfg)
-            probabilities = branch_probabilities(cfg, loops, dataflow)
-            frequencies = block_frequencies(cfg, probabilities, loops)
-            branch_models[method_id] = BranchModel(
-                probabilities=probabilities, frequencies=frequencies
+    for method_id in call_graph.methods:
+        cfg, loops = facts.methods[method_id].require()
+        dataflow = dataflows.get(method_id)
+        if dataflow is None or (
+            dataflow.cfg is not None and dataflow.cfg is not cfg
+        ):
+            raise AnalysisError(
+                f"no dataflow of {method_id} over the given facts"
             )
-            feasible_sets[method_id] = _feasible_indexes(dataflow)
-            reach_costs[method_id] = _intra_method_reach_costs(
-                cfg, probabilities
-            )
+        probabilities = branch_probabilities(cfg, loops, dataflow)
+        frequencies = block_frequencies(cfg, probabilities, loops)
+        branch_models[method_id] = BranchModel(
+            probabilities=probabilities, frequencies=frequencies
+        )
+        feasible_sets[method_id] = _feasible_indexes(dataflow)
+        reach_costs[method_id] = shortest_paths(
+            cfg.entry.block_id, _discounted_edges(cfg, probabilities)
+        )
 
     def site_feasible(edge: CallEdge) -> bool:
         feasible = feasible_sets.get(edge.caller)
         return feasible is None or edge.instruction_index in feasible
 
-    # Interprocedural reachability over feasible internal edges.
-    reachable: Set[MethodId] = {entry_id}
-    frontier: List[MethodId] = [entry_id]
-    while frontier:
-        caller = frontier.pop()
-        for edge in call_graph.calls_from(caller):
-            if not edge.internal or not site_feasible(edge):
-                continue
-            if edge.callee not in reachable:
-                reachable.add(edge.callee)
-                frontier.append(edge.callee)
-
-    nodes: List[MethodId] = [
-        m for m in call_graph.methods if m in reachable
-    ]
-    # Per-caller feasible internal edges with per-site frequencies.
+    # Feasible internal call edges, per caller, in call-site order.
+    feasible_edges: Dict[MethodId, List[CallEdge]] = {
+        caller: [
+            edge
+            for edge in call_graph.calls_from(caller)
+            if edge.internal and site_feasible(edge)
+        ]
+        for caller in call_graph.methods
+    }
+    # The dominator tree spans exactly the methods reachable from the
+    # entry over feasible edges.
+    idoms = dominator_tree(
+        entry_id,
+        {
+            caller: [edge.callee for edge in edges]
+            for caller, edges in feasible_edges.items()
+        },
+    )
+    reachable = set(idoms)
+    nodes = [m for m in call_graph.methods if m in reachable]
+    # Per-site frequencies, and instruction distances to each site.
     weighted_edges: Dict[MethodId, List[Tuple[MethodId, float]]] = {}
-    successor_lists: Dict[MethodId, List[MethodId]] = {}
     site_cost_lists: Dict[MethodId, List[Tuple[MethodId, float]]] = {}
-    feasible_edge_list: List[CallEdge] = []
     for caller in nodes:
         model = branch_models[caller]
         costs = reach_costs[caller]
-        for edge in call_graph.calls_from(caller):
-            if not edge.internal or not site_feasible(edge):
-                continue
-            feasible_edge_list.append(edge)
-            site_frequency = model.frequency(edge.block_id)
-            weighted_edges.setdefault(caller, []).append(
-                (edge.callee, site_frequency)
-            )
-            successors = successor_lists.setdefault(caller, [])
-            if edge.callee not in successors:
-                successors.append(edge.callee)
-            cost = costs.get(edge.block_id, math.inf)
-            if math.isfinite(cost):
-                site_cost_lists.setdefault(caller, []).append(
-                    (edge.callee, cost + 1.0)
-                )
+        weighted_edges[caller] = [
+            (edge.callee, model.frequency(edge.block_id))
+            for edge in feasible_edges[caller]
+        ]
+        site_cost_lists[caller] = [
+            (edge.callee, costs[edge.block_id] + 1.0)
+            for edge in feasible_edges[caller]
+            if edge.block_id in costs
+        ]
 
     frequencies = _method_scc_frequencies(entry_id, nodes, weighted_edges)
-    idoms = _call_graph_dominators(entry_id, nodes, successor_lists)
-    first_use = _first_use_distances(entry_id, nodes, site_cost_lists)
-
-    edge_weights: Dict[CallEdge, float] = {}
-    for edge in feasible_edge_list:
-        edge_weights[edge] = frequencies.get(edge.caller, 0.0) * branch_models[
-            edge.caller
-        ].frequency(edge.block_id)
+    first_use = shortest_paths(entry_id, site_cost_lists)
+    edge_weights: Dict[CallEdge, float] = {
+        edge: frequencies[caller] * branch_models[caller].frequency(
+            edge.block_id
+        )
+        for caller in nodes
+        for edge in feasible_edges[caller]
+    }
 
     # Resolve every call site.
     call_sites: List[ResolvedCallSite] = []
@@ -801,7 +671,7 @@ class PruneResult:
 
 
 def prune_dead_methods(
-    program: Program, analysis: Optional[InterprocAnalysis] = None
+    program: Program, analysis: InterprocAnalysis
 ) -> PruneResult:
     """Drop provably-unreachable methods from the shipped program.
 
@@ -810,8 +680,16 @@ def prune_dead_methods(
     verbatim (surviving code addresses pools by index), and classes
     whose methods are all dead remain as data-only classes, so the
     surviving program links and executes exactly as before.
+
+    Args:
+        program: The program to prune.
+        analysis: ``program``'s :func:`analyze_interproc` result.
+
+    Raises:
+        AnalysisError: If ``analysis`` is another program's.
     """
-    analysis = analysis or analyze_interproc(program)
+    if analysis.program is not program:
+        raise AnalysisError("prune needs the analysis of this program")
     dead = set(analysis.dead)
     if not dead:
         return PruneResult(program=program, pruned=(), bytes_saved=0)

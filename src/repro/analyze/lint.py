@@ -51,18 +51,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
 
-from ..errors import AnalysisError
+from ..cfg import program_facts
+from ..errors import AnalysisError, CFGError, ClassFileError, ReproError
 from ..program import MethodId, Program
-from ..reorder import FirstUseOrder, estimate_first_use
+from ..reorder import FirstUseOrder, StaticFirstUseEstimator
 from ..transfer import NetworkLink
 from ..vm import ExecutionTrace
-from .dataflow import MethodDataflow, analyze_method
+from .dataflow import MethodDataflow, analyze_program
 from .interproc import InterprocAnalysis, analyze_interproc
-from .transferplan import (
-    StallVerdict,
-    TransferPlanReport,
-    analyze_transfer_plan,
-)
+from .transferplan import TransferPlanReport, analyze_transfer_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..observe import MetricsRegistry, TraceRecorder
@@ -123,10 +120,14 @@ class Finding:
 
 @dataclass
 class LintContext:
-    """Everything rules may read; computed once per lint run."""
+    """Everything rules may read; computed once per lint run.
+
+    ``order`` is ``None`` when none was given and the static estimate
+    could not be built (a method's CFG failed).
+    """
 
     program: Program
-    order: FirstUseOrder
+    order: Optional[FirstUseOrder]
     link: NetworkLink
     cpi: float
     dataflows: Dict[MethodId, MethodDataflow]
@@ -295,12 +296,12 @@ class ProvenStallRule(LintRule):
     )
 
     def run(self, context: LintContext) -> Iterable[Finding]:
+        entry = None
+        try:
+            entry = context.program.resolve_entry()
+        except ClassFileError:
+            pass
         for methodology, report in context.reports.items():
-            entry = None
-            try:
-                entry = context.program.resolve_entry()
-            except Exception:
-                pass
             for method_id in report.proven_stalls:
                 if method_id == entry:
                     continue  # the entry always stalls (invocation latency)
@@ -327,7 +328,7 @@ class DeadMethodShippedRule(LintRule):
 
     def run(self, context: LintContext) -> Iterable[Finding]:
         analysis = context.interproc
-        if analysis is None or not analysis.dead:
+        if analysis is None or context.order is None or not analysis.dead:
             return
         dead = set(analysis.dead)
         positions: Dict[MethodId, int] = {}
@@ -365,7 +366,7 @@ class GuaranteedMispredictOrderRule(LintRule):
 
     def run(self, context: LintContext) -> Iterable[Finding]:
         analysis = context.interproc
-        if analysis is None:
+        if analysis is None or context.order is None:
             return
         positions = {
             entry.method: position
@@ -466,7 +467,9 @@ def run_lint(
 
     Args:
         program: The program to lint (original layout).
-        order: First-use order; static-estimated when omitted.
+        order: First-use order; static-estimated when omitted.  If
+            the estimate fails (a method's CFG cannot be built), the
+            transfer-plan analyses are skipped with a note.
         link: Network link model; T1 when omitted.
         cpi: Average cycles per bytecode instruction.
         trace: Execution trace enabling the precise interval replay
@@ -480,26 +483,38 @@ def run_lint(
             event per finding (clock: seconds of analyzer runtime).
     """
     started = time.perf_counter()
-    if order is None:
-        order = estimate_first_use(program)
     if link is None:
         from ..transfer import T1_LINK
 
         link = T1_LINK
     report = LintReport(rules=rules if rules is not None else all_rules())
 
-    dataflows: Dict[MethodId, MethodDataflow] = {}
-    for classfile in program.classes:
-        for method in classfile.methods:
-            method_id = MethodId(classfile.name, method.name)
-            dataflows[method_id] = analyze_method(classfile, method)
+    # One CFG, loop nest and dataflow per method for every analysis
+    # below; each that needs a failed CFG is skipped with a note.
+    facts = program_facts(program)
+    dataflows = analyze_program(program, facts)
     report.methods_analyzed = len(dataflows)
+
+    order_error: Optional[CFGError] = None
+    if order is None:
+        try:
+            order = StaticFirstUseEstimator(program, facts).estimate()
+        except CFGError as exc:
+            order_error = exc
+            report.notes.append(f"static first-use order skipped: {exc}")
 
     reports: Dict[str, TransferPlanReport] = {}
     for methodology in methodologies:
+        if order is None:
+            report.notes.append(
+                f"transfer-plan analysis skipped for {methodology}: "
+                f"no first-use order ({order_error})"
+            )
+            continue
         try:
             reports[methodology] = analyze_transfer_plan(
                 program,
+                facts,
                 order,
                 link,
                 cpi,
@@ -513,8 +528,8 @@ def run_lint(
 
     interproc: Optional[InterprocAnalysis] = None
     try:
-        interproc = analyze_interproc(program)
-    except Exception as exc:  # advisory: rules degrade, lint proceeds
+        interproc = analyze_interproc(program, facts, dataflows)
+    except ReproError as exc:  # advisory: rules degrade, lint proceeds
         report.notes.append(f"interprocedural analysis skipped: {exc}")
 
     context = LintContext(

@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..cfg import CallGraph, build_call_graph
+from ..cfg import CallGraph, MethodFacts, ProgramFacts, build_call_graph
 from ..errors import AnalysisError, CFGError, ClassFileError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
@@ -460,6 +460,7 @@ def _dead_methods(
 
 def analyze_transfer_plan(
     program: Program,
+    facts: ProgramFacts,
     order: FirstUseOrder,
     link: NetworkLink,
     cpi: float,
@@ -479,6 +480,8 @@ def analyze_transfer_plan(
 
     Args:
         program: The program (original layout).
+        facts: :func:`~repro.cfg.program_facts` of ``program`` (they
+            describe its restructured copy too: same method bodies).
         order: First-use order guiding restructuring and scheduling.
         link: Network link model.
         cpi: Average cycles per bytecode instruction.
@@ -500,8 +503,9 @@ def analyze_transfer_plan(
             engine's escalation-free multi-link arrival model.
 
     Raises:
-        AnalysisError: On an unknown methodology, or a trace method
-            absent from the program.
+        AnalysisError: On an unknown methodology, a trace method
+            absent from the program, or (static model only) no entry
+            point or a method whose CFG failed.
     """
     if methodology not in _METHODOLOGIES:
         raise AnalysisError(
@@ -557,10 +561,8 @@ def analyze_transfer_plan(
     else:
         arrivals = _interleaved_arrivals(plans, order, cpb)
 
-    try:
-        call_graph: Optional[CallGraph] = build_call_graph(target)
-    except CFGError:
-        call_graph = None
+    failures = facts.failures(target)
+    call_graph = None if failures else build_call_graph(target, facts)
 
     report = TransferPlanReport(
         methodology=methodology,
@@ -574,7 +576,7 @@ def analyze_transfer_plan(
     if trace is not None:
         _replay_trace(report, target, trace, arrivals, s_min, cpi)
     else:
-        _static_verdicts(report, target, arrivals, call_graph, cpi)
+        _static_verdicts(report, target, facts, failures, arrivals, cpi)
     return report
 
 
@@ -685,8 +687,9 @@ def _replay_trace(
 def _static_verdicts(
     report: TransferPlanReport,
     target: Program,
+    facts: ProgramFacts,
+    failures: List[MethodFacts],
     arrivals: Dict[MethodId, _ArrivalBounds],
-    call_graph: Optional[CallGraph],
     cpi: float,
 ) -> None:
     """Work-model verdicts when no trace is available.
@@ -704,12 +707,13 @@ def _static_verdicts(
         raise AnalysisError(
             "static transfer-plan analysis needs an entry point"
         ) from exc
-    if call_graph is None:
+    if failures:
+        failed = failures[0]
         raise AnalysisError(
             "static transfer-plan analysis needs well-formed method "
-            "bodies (CFG construction failed)"
+            f"bodies ({failed.method}: {failed.error})"
         )
-    lower_bounds = first_use_lower_bounds(target, call_graph)
+    lower_bounds = first_use_lower_bounds(target, facts)
     entry_bounds = arrivals.get(entry)
     entry_arrival_lo = entry_bounds.lo if entry_bounds is not None else 0.0
     for method_id in target.method_ids():

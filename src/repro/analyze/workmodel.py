@@ -29,44 +29,32 @@ reports separately).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from ..cfg import CallGraph, ControlFlowGraph, build_call_graph
+from ..cfg import ControlFlowGraph, ProgramFacts, build_call_graph, shortest_paths
 from ..program import MethodId, Program
 
 __all__ = ["FirstUseLowerBounds", "first_use_lower_bounds"]
 
 
-def _block_entry_costs(cfg: ControlFlowGraph) -> Dict[int, int]:
-    """Minimum instructions executed before each block's first
-    instruction, from the method entry block."""
-    weights = {
-        block.block_id: len(block.instructions) for block in cfg.blocks
-    }
-    dist: Dict[int, int] = {cfg.entry.block_id: 0}
-    heap: List[Tuple[int, int]] = [(0, cfg.entry.block_id)]
-    while heap:
-        cost, block_id = heapq.heappop(heap)
-        if cost > dist.get(block_id, math.inf):
-            continue
-        through = cost + weights[block_id]
-        for target in cfg.successors(block_id):
-            if through < dist.get(target, math.inf):
-                dist[target] = through
-                heapq.heappush(heap, (through, target))
-    return dist
-
-
-def _call_costs(
-    cfg: ControlFlowGraph,
-) -> List[Tuple[int, int]]:
-    """``(instruction_index, min instructions through the CALL)`` for
-    every call site reachable from the method entry."""
-    entry_costs = _block_entry_costs(cfg)
-    costs: List[Tuple[int, int]] = []
+def _call_costs(cfg: ControlFlowGraph) -> Dict[int, float]:
+    """Instruction index → min instructions through the CALL, for every
+    call site reachable from the method entry."""
+    # Minimum instructions executed before each block's first one:
+    # leaving a block costs its instruction count.
+    successors = cfg.successor_map()
+    entry_costs = shortest_paths(
+        cfg.entry.block_id,
+        {
+            block.block_id: [
+                (target, len(block)) for target in successors[block.block_id]
+            ]
+            for block in cfg.blocks
+        },
+    )
+    costs: Dict[int, float] = {}
     for block in cfg.blocks:
         base = entry_costs.get(block.block_id)
         if base is None:  # unreachable block: its calls never execute
@@ -75,7 +63,7 @@ def _call_costs(
             position = block.instruction_indexes.index(
                 call_site.instruction_index
             )
-            costs.append((call_site.instruction_index, base + position + 1))
+            costs[call_site.instruction_index] = base + position + 1
     return costs
 
 
@@ -88,13 +76,10 @@ class FirstUseLowerBounds:
         bounds: Minimum instructions executed strictly before each
             method's first instruction; ``math.inf`` for methods not
             reachable from the entry through the call graph.
-        call_graph: The underlying call graph (reused by callers for
-            dead-method detection).
     """
 
     entry: MethodId
     bounds: Dict[MethodId, float]
-    call_graph: CallGraph
 
     def bound(self, method_id: MethodId) -> float:
         return self.bounds.get(method_id, math.inf)
@@ -104,32 +89,32 @@ class FirstUseLowerBounds:
 
 
 def first_use_lower_bounds(
-    program: Program,
-    call_graph: Optional[CallGraph] = None,
+    program: Program, facts: ProgramFacts
 ) -> FirstUseLowerBounds:
     """Compute per-method lower bounds on work before first use.
 
     Args:
         program: The program to analyze (restructured or not — the
             bounds depend only on code, not layout).
-        call_graph: Reuse an already-built call graph.
+        facts: :func:`~repro.cfg.program_facts` of ``program``.
 
     Raises:
-        CFGError: If a method body is structurally invalid (only when
-            ``call_graph`` is not supplied).
+        CFGError: If a method body is structurally invalid, or
+            ``facts`` describe other code.
         ClassFileError: If the program has no valid entry point.
     """
-    graph = call_graph if call_graph is not None else build_call_graph(program)
+    graph = build_call_graph(program, facts)
     entry = program.resolve_entry()
 
     # Cheapest route from each caller's entry to each internal callee.
-    cheapest_edge: Dict[MethodId, Dict[MethodId, int]] = {}
+    cheapest_edge: Dict[MethodId, Dict[MethodId, float]] = {}
     for method_id in graph.methods:
         edges = [edge for edge in graph.calls_from(method_id) if edge.internal]
         if not edges:
             continue
-        cost_by_index = dict(_call_costs(graph.cfg(method_id)))
-        per_callee: Dict[MethodId, int] = {}
+        cfg, _ = facts.methods[method_id].require()
+        cost_by_index = _call_costs(cfg)
+        per_callee: Dict[MethodId, float] = {}
         for edge in edges:
             cost = cost_by_index.get(edge.instruction_index)
             if cost is None:  # call site in an unreachable block
@@ -140,20 +125,8 @@ def first_use_lower_bounds(
         if per_callee:
             cheapest_edge[method_id] = per_callee
 
-    bounds: Dict[MethodId, float] = {
-        method_id: math.inf for method_id in graph.methods
-    }
-    bounds[entry] = 0.0
-    heap: List[Tuple[float, int, MethodId]] = [(0.0, 0, entry)]
-    tiebreak = 1
-    while heap:
-        cost, _, method_id = heapq.heappop(heap)
-        if cost > bounds.get(method_id, math.inf):
-            continue
-        for callee, edge_cost in cheapest_edge.get(method_id, {}).items():
-            relaxed = cost + edge_cost
-            if relaxed < bounds.get(callee, math.inf):
-                bounds[callee] = relaxed
-                heapq.heappush(heap, (relaxed, tiebreak, callee))
-                tiebreak += 1
-    return FirstUseLowerBounds(entry=entry, bounds=bounds, call_graph=graph)
+    costs = shortest_paths(
+        entry, {m: list(edges.items()) for m, edges in cheapest_edge.items()}
+    )
+    bounds = {m: costs.get(m, math.inf) for m in graph.methods}
+    return FirstUseLowerBounds(entry=entry, bounds=bounds)

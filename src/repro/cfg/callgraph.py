@@ -12,7 +12,7 @@ from typing import Dict, List, Set
 
 from ..errors import CFGError
 from ..program import MethodId, Program
-from .graph import ControlFlowGraph, build_cfg
+from .facts import ProgramFacts
 
 __all__ = ["CallEdge", "CallGraph", "build_call_graph"]
 
@@ -37,17 +37,14 @@ class CallEdge:
 
 
 class CallGraph:
-    """Call edges for every method of a program, plus per-method CFGs."""
+    """Call edges for every method of a program, in program order."""
 
     def __init__(
-        self,
-        program: Program,
-        edges: List[CallEdge],
-        cfgs: Dict[MethodId, ControlFlowGraph],
+        self, program: Program, edges: List[CallEdge], methods: List[MethodId]
     ) -> None:
         self.program = program
         self.edges = edges
-        self.cfgs = cfgs
+        self._methods = methods
         self._out: Dict[MethodId, List[CallEdge]] = {}
         self._in: Dict[MethodId, List[CallEdge]] = {}
         for edge in edges:
@@ -59,13 +56,7 @@ class CallGraph:
 
     @property
     def methods(self) -> List[MethodId]:
-        return list(self.cfgs)
-
-    def cfg(self, method_id: MethodId) -> ControlFlowGraph:
-        try:
-            return self.cfgs[method_id]
-        except KeyError as exc:
-            raise CFGError(f"no CFG for {method_id}") from exc
+        return list(self._methods)
 
     def calls_from(self, method_id: MethodId) -> List[CallEdge]:
         """Outgoing call edges in instruction order."""
@@ -93,7 +84,7 @@ class CallGraph:
 
     def reachable_from(self, root: MethodId) -> List[MethodId]:
         """Methods reachable from ``root`` (root first, BFS order)."""
-        if root not in self.cfgs:
+        if root not in self._methods:
             raise CFGError(f"unknown method {root}")
         seen = {root}
         order = [root]
@@ -112,7 +103,7 @@ class CallGraph:
         import networkx
 
         graph = networkx.MultiDiGraph()
-        for method_id in self.cfgs:
+        for method_id in self._methods:
             graph.add_node(method_id)
         for edge in self.edges:
             graph.add_edge(
@@ -124,21 +115,25 @@ class CallGraph:
         return graph
 
 
-def build_call_graph(program: Program) -> CallGraph:
-    """Construct CFGs for all methods and the program call graph.
+def build_call_graph(program: Program, facts: ProgramFacts) -> CallGraph:
+    """Construct the program call graph from each method's CFG.
+
+    ``facts`` are :func:`~repro.cfg.program_facts` of ``program`` (or
+    of a copy sharing its method bodies, such as a restructured one).
 
     Raises:
-        CFGError: If any method body is structurally invalid or a CALL
-            operand does not resolve to a MethodRef.
+        CFGError: If ``facts`` describe other code, any method body is
+            structurally invalid, or a CALL operand does not resolve to
+            a MethodRef.
     """
     edges: List[CallEdge] = []
-    cfgs: Dict[MethodId, ControlFlowGraph] = {}
+    methods: List[MethodId] = []
     for classfile in program.classes:
         pool = classfile.constant_pool
         for method in classfile.methods:
             caller = MethodId(classfile.name, method.name)
-            cfg = build_cfg(method.instructions)
-            cfgs[caller] = cfg
+            cfg, _ = facts.of(caller, method).require()
+            methods.append(caller)
             for block in cfg.blocks:
                 for call_site in block.call_sites:
                     class_name, method_name, _ = pool.member_ref(
@@ -154,4 +149,4 @@ def build_call_graph(program: Program) -> CallGraph:
                             internal=program.has_method(callee),
                         )
                     )
-    return CallGraph(program, edges, cfgs)
+    return CallGraph(program, edges, methods)

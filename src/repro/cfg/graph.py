@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..bytecode import Instruction
 from ..errors import CFGError
 from .basic_blocks import BasicBlock, partition_blocks
+from .digraph import dominator_tree, reverse_postorder
 
-__all__ = ["EdgeKind", "Edge", "ControlFlowGraph", "build_cfg"]
+__all__ = [
+    "EdgeKind", "Edge", "ControlFlowGraph", "build_cfg", "immediate_dominators"
+]
 
 
 class EdgeKind(enum.Enum):
@@ -72,34 +75,16 @@ class ControlFlowGraph:
     def predecessors(self, block_id: int) -> List[int]:
         return [edge.source for edge in self._predecessors[block_id]]
 
+    def successor_map(self) -> Dict[int, List[int]]:
+        """Block id → successor block ids, in edge order."""
+        return {
+            block_id: [edge.target for edge in edges]
+            for block_id, edges in self._successors.items()
+        }
+
     def reverse_postorder(self) -> List[int]:
         """Block ids in reverse postorder from the entry."""
-        visited = set()
-        order: List[int] = []
-
-        def visit(block_id: int) -> None:
-            stack = [(block_id, iter(self.successors(block_id)))]
-            visited.add(block_id)
-            while stack:
-                current, successors = stack[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in visited:
-                        visited.add(successor)
-                        stack.append(
-                            (successor, iter(self.successors(successor)))
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(current)
-                    stack.pop()
-
-        visit(self.entry.block_id)
-        return list(reversed(order))
-
-    def reachable_blocks(self) -> List[int]:
-        return self.reverse_postorder()
+        return reverse_postorder(self.entry.block_id, self.successor_map())
 
     @property
     def instruction_count(self) -> int:
@@ -152,3 +137,8 @@ def build_cfg(instructions: List[Instruction]) -> ControlFlowGraph:
                 )
             )
     return ControlFlowGraph(blocks, edges)
+
+
+def immediate_dominators(cfg: ControlFlowGraph) -> Dict[int, Optional[int]]:
+    """Block id → immediate dominator; entry → ``None``, unreachable absent."""
+    return dominator_tree(cfg.entry.block_id, cfg.successor_map())

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .dominators import dominates, immediate_dominators
-from .graph import ControlFlowGraph, Edge
+from .digraph import dominates, strongly_connected_components
+from .graph import ControlFlowGraph, Edge, immediate_dominators
 
 __all__ = ["NaturalLoop", "LoopAnalysis", "analyze_loops"]
 
@@ -58,12 +58,6 @@ class LoopAnalysis:
     loop_depth: Dict[int, int]
     forward_loop_count: Dict[int, int]
     forward_instruction_count: Dict[int, int]
-
-    def loop_with_header(self, header: int) -> NaturalLoop:
-        for loop in self.loops:
-            if loop.header == header:
-                return loop
-        raise KeyError(f"no loop with header {header}")
 
     def is_back_edge(self, source: int, target: int) -> bool:
         return (source, target) in self.back_edges
@@ -124,23 +118,22 @@ def analyze_loops(cfg: ControlFlowGraph) -> LoopAnalysis:
         for block_id in loop.body:
             loop_depth[block_id] += 1
 
-    forward_loop_count = _forward_reachability(
-        cfg,
-        back_edges,
-        seed={header: {header} for header in bodies},
-        combine=set.union,
-        empty=set,
+    # Dominance-based back-edge removal only breaks reducible cycles,
+    # so irreducible regions and unreachable cycles survive in the
+    # forward graph; both sweeps run over its SCC condensation.
+    forward = _forward_edges(cfg, back_edges)
+    components = strongly_connected_components(forward)
+    forward_headers = _forward_reachability(
+        forward, components, {header: {header} for header in bodies}
     )
     loop_counts = {
         block_id: len(headers)
-        for block_id, headers in forward_loop_count.items()
-    }
-
-    instruction_seed = {
-        block.block_id: len(block) for block in cfg.blocks
+        for block_id, headers in forward_headers.items()
     }
     forward_instructions = _forward_sum(
-        cfg, back_edges, instruction_seed
+        forward,
+        components,
+        {block.block_id: len(block) for block in cfg.blocks},
     )
 
     return LoopAnalysis(
@@ -165,71 +158,12 @@ def _forward_edges(
     return successors
 
 
-def _strongly_connected_components(
-    successors: Dict[int, List[int]]
-) -> List[List[int]]:
-    """Tarjan's SCC algorithm, iterative.
-
-    Components are emitted in *reverse topological* order of the
-    condensation (every component appears before any component that can
-    reach it), which is exactly the sweep order the forward analyses
-    need.  Dominance-based back-edge removal only breaks reducible
-    cycles, so irreducible regions (and unreachable cycles) survive in
-    the "forward" graph — condensing them first makes the sweeps exact
-    instead of silently undercounting whenever a plain DFS postorder
-    happened to visit a cycle in the wrong order.
-    """
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    components: List[List[int]] = []
-    counter = 0
-
-    for root in successors:
-        if root in index:
-            continue
-        work: List[Tuple[int, object]] = [(root, iter(successors[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for successor in iterator:  # type: ignore[attr-defined]
-                if successor not in index:
-                    index[successor] = lowlink[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (successor, iter(successors[successor]))
-                    )
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
-def _forward_reachability(cfg, back_edges, seed, combine, empty):
-    """Per-block set union over the forward graph.
+def _forward_reachability(
+    forward: Dict[int, List[int]],
+    components: List[List[int]],
+    seed: Dict[int, Set[int]],
+) -> Dict[int, Set[int]]:
+    """Per-block union of ``seed`` over everything forward-reachable.
 
     Sweeps the SCC condensation in reverse topological order, so the
     result is exact even when the forward graph retains cycles
@@ -237,25 +171,23 @@ def _forward_reachability(cfg, back_edges, seed, combine, empty):
     component reaches every other, so all members share the union of
     the component's seeds plus everything its exits reach.
     """
-    successors = _forward_edges(cfg, back_edges)
-    components = _strongly_connected_components(successors)
     result: Dict[int, Set[int]] = {}
     for component in components:
         members = set(component)
-        value = empty()
+        value: Set[int] = set()
         for block_id in component:
-            value = combine(value, set(seed.get(block_id, empty())))
-            for successor in successors[block_id]:
+            value = value.union(seed.get(block_id, set()))
+            for successor in forward[block_id]:
                 if successor not in members:
-                    value = combine(value, result[successor])
+                    value = value.union(result[successor])
         for block_id in component:
             result[block_id] = value
     return result
 
 
 def _forward_sum(
-    cfg: ControlFlowGraph,
-    back_edges: Set[Tuple[int, int]],
+    forward: Dict[int, List[int]],
+    components: List[List[int]],
     seed: Dict[int, int],
 ) -> Dict[int, int]:
     """Max-over-paths sum of ``seed`` along the forward graph.
@@ -267,15 +199,13 @@ def _forward_sum(
     component once plus the heaviest exit path, matching how the
     reducible case charges a loop body once per static walk.
     """
-    successors = _forward_edges(cfg, back_edges)
-    components = _strongly_connected_components(successors)
     result: Dict[int, int] = {}
     for component in components:
         members = set(component)
         internal = sum(seed.get(block_id, 0) for block_id in component)
         best_exit = 0
         for block_id in component:
-            for successor in successors[block_id]:
+            for successor in forward[block_id]:
                 if successor not in members:
                     best_exit = max(best_exit, result[successor])
         for block_id in component:

@@ -38,6 +38,7 @@ from ..classfile import (
     Utf8Entry,
 )
 from ..errors import VerificationError
+from ..program import MethodId
 
 __all__ = [
     "verify_structure",
@@ -127,8 +128,10 @@ def verify_method(classfile: ClassFile, method: MethodInfo) -> None:
     # Imported here: repro.analyze also serves non-verifier callers and
     # pulls in the cfg layer; the linker package stays light to import.
     from ..analyze.dataflow import analyze_method
+    from ..cfg import method_facts
 
-    dataflow = analyze_method(classfile, method)
+    facts = method_facts(MethodId(classfile.name, method.name), method)
+    dataflow = analyze_method(classfile, method, facts)
     if not dataflow.ok:
         raise VerificationError(dataflow.issues[0].message)
 

@@ -9,12 +9,14 @@ the parallel transfer scheduler accumulates (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Collection, Dict, Iterable, List
 
 from ..errors import ReorderError
 from ..program import MethodId, Program
 
-__all__ = ["FirstUseEntry", "FirstUseOrder", "textual_first_use"]
+__all__ = [
+    "FirstUseEntry", "FirstUseOrder", "laid_out_entries", "textual_first_use"
+]
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,36 @@ class FirstUseOrder:
         return self.order
 
 
+def laid_out_entries(
+    program: Program,
+    methods: Iterable[MethodId],
+    measured: Collection[MethodId] = (),
+    bytes_before: int = 0,
+    instructions_before: int = 0,
+) -> List[FirstUseEntry]:
+    """Entries for ``methods`` laid out back to back, in this order.
+
+    Each entry's ``bytes_before`` and ``instructions_before`` add up
+    the static sizes and instruction counts of the methods before it,
+    from the given starting offsets.  Only methods in ``measured`` are
+    marked as not estimated.
+    """
+    entries: List[FirstUseEntry] = []
+    for method_id in methods:
+        entries.append(
+            FirstUseEntry(
+                method=method_id,
+                bytes_before=bytes_before,
+                instructions_before=instructions_before,
+                estimated=method_id not in measured,
+            )
+        )
+        method = program.method(method_id)
+        bytes_before += method.size
+        instructions_before += len(method.instructions)
+    return entries
+
+
 def textual_first_use(program: Program) -> FirstUseOrder:
     """The no-reordering baseline: methods in textual (file) order.
 
@@ -130,19 +162,5 @@ def textual_first_use(program: Program) -> FirstUseOrder:
     what non-strict execution gets *without* the paper's restructuring.
     Used by the reordering ablation.
     """
-    entries: List[FirstUseEntry] = []
-    cumulative = 0
-    cumulative_instructions = 0
-    for method_id in program.method_ids():
-        entries.append(
-            FirstUseEntry(
-                method=method_id,
-                bytes_before=cumulative,
-                instructions_before=cumulative_instructions,
-                estimated=True,
-            )
-        )
-        method = program.method(method_id)
-        cumulative += method.size
-        cumulative_instructions += len(method.instructions)
+    entries = laid_out_entries(program, program.method_ids())
     return FirstUseOrder(entries=entries, source="textual")

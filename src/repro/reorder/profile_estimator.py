@@ -13,7 +13,7 @@ from typing import List, Optional
 from ..errors import ReorderError
 from ..program import MethodId, Program
 from ..vm import FirstUseProfile, TraceRecorder, VirtualMachine
-from .first_use import FirstUseEntry, FirstUseOrder
+from .first_use import FirstUseEntry, FirstUseOrder, laid_out_entries
 from .static_estimator import estimate_first_use
 
 __all__ = ["order_from_profile", "profile_program", "profile_first_use"]
@@ -73,22 +73,12 @@ def order_from_profile(
         stats.unique_bytes for stats in profile.method_stats.values()
     )
     fallback = static_order or estimate_first_use(program)
-    cumulative = executed_bytes
-    cumulative_instructions = profile.total_instructions
-    for method_id in fallback.order:
-        if method_id in profiled:
-            continue
-        entries.append(
-            FirstUseEntry(
-                method=method_id,
-                bytes_before=cumulative,
-                instructions_before=cumulative_instructions,
-                estimated=True,
-            )
-        )
-        method = program.method(method_id)
-        cumulative += method.size
-        cumulative_instructions += len(method.instructions)
+    entries += laid_out_entries(
+        program,
+        [method for method in fallback.order if method not in profiled],
+        bytes_before=executed_bytes,
+        instructions_before=profile.total_instructions,
+    )
     order = FirstUseOrder(entries=entries, source="profile")
     order.validate_against(program)
     return order

@@ -31,11 +31,12 @@ from ..cfg import (
     ControlFlowGraph,
     Edge,
     LoopAnalysis,
-    analyze_loops,
+    ProgramFacts,
     build_call_graph,
+    program_facts,
 )
 from ..program import MethodId, Program
-from .first_use import FirstUseEntry, FirstUseOrder
+from .first_use import FirstUseOrder, laid_out_entries
 
 __all__ = ["StaticFirstUseEstimator", "estimate_first_use"]
 
@@ -59,10 +60,10 @@ class _MethodTraversal:
     """
 
     def __init__(
-        self, cfg: ControlFlowGraph, loop_priority: bool = True
+        self, cfg: ControlFlowGraph, analysis: LoopAnalysis, loop_priority: bool = True
     ) -> None:
         self.cfg = cfg
-        self.analysis = analyze_loops(cfg)
+        self.analysis = analysis
         self.loop_priority = loop_priority
         self.block_order: List[int] = []
         self._visited: Set[int] = set()
@@ -140,24 +141,28 @@ class StaticFirstUseEstimator:
 
     Args:
         program: The program to analyze.
+        facts: :func:`~repro.cfg.program_facts` of ``program``; raises
+            :class:`~repro.errors.CFGError` if a method's CFG failed.
         loop_priority: Enable the §4.1 heuristics (loop-priority path
             selection and loop-exit deferral).  Disable for the
             plain-DFS ablation baseline.
     """
 
     def __init__(
-        self, program: Program, loop_priority: bool = True
+        self, program: Program, facts: ProgramFacts, loop_priority: bool = True
     ) -> None:
         self.program = program
+        self.facts = facts
         self.loop_priority = loop_priority
-        self.call_graph: CallGraph = build_call_graph(program)
+        self.call_graph: CallGraph = build_call_graph(program, facts)
         self._traversals: Dict[MethodId, _MethodTraversal] = {}
 
     def traversal(self, method_id: MethodId) -> _MethodTraversal:
         if method_id not in self._traversals:
+            # build_call_graph checked every method's facts.
+            cfg, loops = self.facts.methods[method_id].require()
             self._traversals[method_id] = _MethodTraversal(
-                self.call_graph.cfg(method_id),
-                loop_priority=self.loop_priority,
+                cfg, loops, loop_priority=self.loop_priority
             )
         return self._traversals[method_id]
 
@@ -210,21 +215,7 @@ class StaticFirstUseEstimator:
                 visited.add(method_id)
                 order.append(method_id)
 
-        entries: List[FirstUseEntry] = []
-        cumulative = 0
-        cumulative_instructions = 0
-        for method_id in order:
-            entries.append(
-                FirstUseEntry(
-                    method=method_id,
-                    bytes_before=cumulative,
-                    instructions_before=cumulative_instructions,
-                    estimated=True,
-                )
-            )
-            method = self.program.method(method_id)
-            cumulative += method.size
-            cumulative_instructions += len(method.instructions)
+        entries = laid_out_entries(self.program, order)
         result = FirstUseOrder(entries=entries, source="static")
         result.validate_against(self.program)
         return result
@@ -233,7 +224,7 @@ class StaticFirstUseEstimator:
 def estimate_first_use(
     program: Program, loop_priority: bool = True
 ) -> FirstUseOrder:
-    """Convenience wrapper: static first-use order of ``program``."""
+    """Static first-use order of ``program``, from freshly built facts."""
     return StaticFirstUseEstimator(
-        program, loop_priority=loop_priority
+        program, program_facts(program), loop_priority=loop_priority
     ).estimate()

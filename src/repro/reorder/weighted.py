@@ -51,12 +51,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analyze.dataflow import analyze_program
 from ..analyze.interproc import InterprocAnalysis, analyze_interproc
+from ..cfg import program_facts
 from ..classfile import class_layout
 from ..program import MethodId, Program
 from ..transfer.link import T1_LINK, NetworkLink
 from ..vm import FirstUseProfile
-from .first_use import FirstUseEntry, FirstUseOrder
+from .first_use import FirstUseOrder, laid_out_entries
 
 __all__ = ["weighted_first_use"]
 
@@ -173,8 +175,6 @@ def _predicted_first_use(
 def weighted_first_use(
     program: Program,
     profile: Optional[FirstUseProfile] = None,
-    entry: Optional[MethodId] = None,
-    analysis: Optional[InterprocAnalysis] = None,
     link: Optional[NetworkLink] = None,
     cpi: float = DEFAULT_CPI,
 ) -> FirstUseOrder:
@@ -186,13 +186,12 @@ def weighted_first_use(
             first-use times drive the layout (the Train-comparable
             configuration).  Without it the layout is fully static
             (the SCG-comparable configuration).
-        entry: Entry override, defaulting to the program's.
-        analysis: Pre-computed interprocedural analysis to reuse.
         link: Link whose byte rate prices the insertion gate
             (default T1).
         cpi: Cycles per executed instruction for first-use times.
     """
-    analysis = analysis or analyze_interproc(program, entry=entry)
+    facts = program_facts(program)
+    analysis = analyze_interproc(program, facts, analyze_program(program, facts))
     link = link or T1_LINK
     times, measured = _predicted_first_use(program, analysis, profile, cpi)
     affinity = _affinity_graph(analysis)
@@ -298,21 +297,8 @@ def _as_order(
     layout: Sequence[MethodId],
     measured: Dict[MethodId, bool],
 ) -> FirstUseOrder:
-    entries: List[FirstUseEntry] = []
-    cumulative = 0
-    cumulative_instructions = 0
-    for method_id in layout:
-        entries.append(
-            FirstUseEntry(
-                method=method_id,
-                bytes_before=cumulative,
-                instructions_before=cumulative_instructions,
-                estimated=not measured.get(method_id, False),
-            )
-        )
-        method = program.method(method_id)
-        cumulative += method.size
-        cumulative_instructions += len(method.instructions)
+    profiled = {method for method, flag in measured.items() if flag}
+    entries = laid_out_entries(program, layout, measured=profiled)
     order = FirstUseOrder(entries=entries, source="weighted")
     order.validate_against(program)
     return order

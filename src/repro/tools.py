@@ -243,7 +243,8 @@ def _cmd_lint(arguments) -> int:
 def _cmd_interproc(arguments) -> int:
     import json
 
-    from .analyze import analyze_interproc, prune_dead_methods
+    from .analyze import analyze_interproc, analyze_program, prune_dead_methods
+    from .cfg import program_facts
 
     if (arguments.directory is None) == (arguments.workload is None):
         print(
@@ -261,8 +262,9 @@ def _cmd_interproc(arguments) -> int:
     else:
         program = load_program(arguments.directory)
 
-    analysis = analyze_interproc(program)
-    pruned = prune_dead_methods(program, analysis=analysis)
+    facts = program_facts(program)
+    analysis = analyze_interproc(program, facts, analyze_program(program, facts))
+    pruned = prune_dead_methods(program, analysis)
     total = len(list(program.method_ids()))
     feasible = [site for site in analysis.call_sites if site.feasible]
     monomorphic = analysis.monomorphic_sites

@@ -4,9 +4,11 @@ import pytest
 
 from repro.analyze import ValType, analyze_method
 from repro.bytecode import assemble
+from repro.cfg import method_facts
 from repro.classfile import ClassFileBuilder
 from repro.errors import VerificationError
 from repro.linker import verify_method
+from repro.program import MethodId
 from repro.workloads import (
     fibonacci_program,
     figure1_program,
@@ -27,9 +29,13 @@ def build_method(source, descriptor="()V", max_stack=16, max_locals=8):
     return classfile, classfile.method("m")
 
 
+def facts_of(classfile, method):
+    return method_facts(MethodId(classfile.name, method.name), method)
+
+
 def issues_of(source, **kwargs):
     classfile, method = build_method(source, **kwargs)
-    return analyze_method(classfile, method).issues
+    return analyze_method(classfile, method, facts_of(classfile, method)).issues
 
 
 def test_example_programs_are_clean():
@@ -40,7 +46,7 @@ def test_example_programs_are_clean():
     ):
         for classfile in program.classes:
             for method in classfile.methods:
-                result = analyze_method(classfile, method)
+                result = analyze_method(classfile, method, facts_of(classfile, method))
                 assert result.ok, result.issues
 
 
@@ -56,7 +62,7 @@ def test_entry_states_expose_types():
         return
         """
     )
-    result = analyze_method(classfile, method)
+    result = analyze_method(classfile, method, facts_of(classfile, method))
     assert result.ok
     # Before `load 0` the array is in local slot 0.
     assert result.state_before(3).locals[0] is ValType.ARR
@@ -74,7 +80,7 @@ def test_unreachable_instructions_have_no_state():
         return
         """
     )
-    result = analyze_method(classfile, method)
+    result = analyze_method(classfile, method, facts_of(classfile, method))
     assert result.ok
     assert result.reachable_indexes == [0]
 
@@ -151,7 +157,8 @@ def test_arith_on_string_rejected():
         "bad", "()V", assemble(f"ldc {index}\niconst 1\nadd\npop\nreturn")
     )
     classfile = builder.build()
-    result = analyze_method(classfile, classfile.method("bad"))
+    bad = classfile.method("bad")
+    result = analyze_method(classfile, bad, facts_of(classfile, bad))
     assert [issue.kind for issue in result.issues] == ["type"]
     assert "T.bad" in result.issues[0].message
     with pytest.raises(VerificationError):
@@ -173,7 +180,8 @@ def test_store_into_array_field_requires_array():
         assemble(f"iconst 1\nputstatic {field_ref}\nreturn"),
     )
     classfile = builder.build()
-    result = analyze_method(classfile, classfile.method("bad"))
+    bad = classfile.method("bad")
+    result = analyze_method(classfile, bad, facts_of(classfile, bad))
     assert [issue.kind for issue in result.issues] == ["type"]
 
 
@@ -196,10 +204,12 @@ def test_untyped_word_parameters_accept_arrays():
     )
     classfile = builder.build()
     for name in ("sum", "m"):
-        result = analyze_method(classfile, classfile.method(name))
+        method = classfile.method(name)
+        result = analyze_method(classfile, method, facts_of(classfile, method))
         assert result.ok, result.issues
     # A call's "I" return is likewise an unknown word, not an int.
-    main = analyze_method(classfile, classfile.method("m"))
+    m = classfile.method("m")
+    main = analyze_method(classfile, m, facts_of(classfile, m))
     assert main.state_before(3).stack[-1] is ValType.TOP
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analyze import (
     analyze_interproc,
+    analyze_program,
     block_frequencies,
     branch_probabilities,
     prune_dead_methods,
@@ -23,9 +24,10 @@ from repro.analyze import (
 )
 from repro.analyze.interproc import BACK_EDGE_PROBABILITY
 from repro.bytecode import assemble
-from repro.cfg import analyze_loops, build_cfg
+from repro.cfg import analyze_loops, build_cfg, program_facts
 from repro.classfile import ClassFileBuilder
 from repro.core import run_nonstrict
+from repro.errors import AnalysisError
 from repro.harness.experiments import BENCHMARK_NAMES, bundle
 from repro.program import MethodId, Program
 from repro.reorder import estimate_first_use, textual_first_use
@@ -45,6 +47,11 @@ loop:
 done:
     return
 """
+
+
+def _interproc(program):
+    facts = program_facts(program)
+    return analyze_interproc(program, facts, analyze_program(program, facts))
 
 
 def _loop_cfg():
@@ -130,7 +137,7 @@ def _diamond_program(dead=False, torn=False):
 
 
 def test_reachability_and_dead_methods():
-    analysis = analyze_interproc(_diamond_program(dead=True))
+    analysis = _interproc(_diamond_program(dead=True))
     assert MethodId("C", "main") in analysis.reachable
     assert MethodId("C", "a") in analysis.reachable
     assert MethodId("C", "b") in analysis.reachable
@@ -141,7 +148,7 @@ def test_reachability_and_dead_methods():
 
 
 def test_monomorphic_and_torn_sites():
-    analysis = analyze_interproc(_diamond_program(torn=True))
+    analysis = _interproc(_diamond_program(torn=True))
     monomorphic = {
         (site.caller, site.targets[0])
         for site in analysis.monomorphic_sites
@@ -155,7 +162,7 @@ def test_monomorphic_and_torn_sites():
 
 
 def test_call_graph_dominators():
-    analysis = analyze_interproc(_diamond_program())
+    analysis = _interproc(_diamond_program())
     main = MethodId("C", "main")
     a = MethodId("C", "a")
     b = MethodId("C", "b")
@@ -192,7 +199,7 @@ def test_edge_weights_discount_conditional_calls():
         classes=[builder.build()],
         entry_point=MethodId("C", "main"),
     )
-    analysis = analyze_interproc(program)
+    analysis = _interproc(program)
     weights = {
         (edge.caller.method_name, edge.callee.method_name): weight
         for edge, weight in analysis.edge_weights.items()
@@ -203,7 +210,7 @@ def test_edge_weights_discount_conditional_calls():
 
 def test_prune_removes_only_dead_methods():
     program = _diamond_program(dead=True)
-    result = prune_dead_methods(program)
+    result = prune_dead_methods(program, _interproc(program))
     assert result.pruned == (MethodId("C", "unused"),)
     assert result.bytes_saved > 0
     (classfile,) = result.program.classes
@@ -217,9 +224,23 @@ def test_prune_removes_only_dead_methods():
     assert classfile.constant_pool == original.constant_pool
 
 
+def test_analysis_inputs_are_checked():
+    program = _diamond_program(dead=True)
+    facts = program_facts(program)
+    other = _diamond_program(dead=True)
+    # Dataflows over another program's CFGs are refused, and so is
+    # pruning with another program's analysis.
+    with pytest.raises(AnalysisError, match="no dataflow of C.main"):
+        analyze_interproc(
+            program, facts, analyze_program(other, program_facts(other))
+        )
+    with pytest.raises(AnalysisError):
+        prune_dead_methods(program, _interproc(other))
+
+
 def test_prune_is_identity_without_dead_methods():
     program = _diamond_program()
-    result = prune_dead_methods(program)
+    result = prune_dead_methods(program, _interproc(program))
     assert result.pruned == ()
     assert result.bytes_saved == 0
     assert result.program is program
@@ -321,7 +342,7 @@ def _inject_dead_class(program):
 def test_prune_soundness_on_workloads(name, methodology):
     item = bundle(name)
     variant = _inject_dead_class(item.workload.program)
-    analysis = analyze_interproc(variant)
+    analysis = _interproc(variant)
     injected = {
         MethodId("Deadwood", "lump"),
         MethodId("Deadwood", "sink"),

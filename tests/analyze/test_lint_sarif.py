@@ -14,9 +14,12 @@ from repro.analyze import (
     to_sarif,
     validate_sarif,
 )
+from repro.analyze import dataflow, interproc
 from repro.bytecode import assemble
+from repro.cfg import ControlFlowGraph, LoopAnalysis
 from repro.classfile import ClassFileBuilder
 from repro.errors import AnalysisError
+from repro.harness.experiments import bundle
 from repro.observe import MetricsRegistry, TraceRecorder
 from repro.program import Program
 from repro.tools import main
@@ -42,6 +45,13 @@ def broken_program():
     builder.add_method(
         "helper", "()V", assemble(f"ldc {index}\niconst 1\nadd\npop\nreturn")
     )
+    return Program(classes=[builder.build()])
+
+
+def fall_off_program():
+    """The only method lets control fall off the end of its code."""
+    builder = ClassFileBuilder("C")
+    builder.add_method("main", "()V", assemble("iconst 1\npop"))
     return Program(classes=[builder.build()])
 
 
@@ -73,6 +83,61 @@ def test_lint_flags_type_errors():
         if finding.rule_id == "type-error"
     ]
     assert errors and errors[0].span.qualified_name == "Bad.helper"
+
+
+def test_lint_reports_a_malformed_body_instead_of_raising():
+    report = run_lint(fall_off_program())
+    assert report.has_errors
+    assert [
+        (finding.rule_id, finding.span.qualified_name, finding.message)
+        for finding in report.findings
+    ] == [
+        ("type-error", "C.main", "cfg: control falls off the end of the code")
+    ]
+    # The static order, both transfer plans and the interprocedural
+    # pass need the CFG: each is skipped with a note naming the method.
+    assert len(report.notes) == 4
+    for note in report.notes:
+        assert "C.main: control falls off the end of the code" in note
+
+
+def test_lint_builds_each_method_fact_once(monkeypatch):
+    program = bundle("Hanoi").workload.program
+    counts = {"cfg": 0, "loops": 0, "dataflow": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ControlFlowGraph, "__init__", "cfg")
+    counting(LoopAnalysis, "__init__", "loops")
+    counting(dataflow._Analysis, "run", "dataflow")
+    run_lint(program)
+    methods = program.method_count
+    assert counts == {"cfg": methods, "loops": methods, "dataflow": methods}
+
+
+def test_lint_lets_an_interprocedural_bug_escape(monkeypatch):
+    def bug(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(interproc, "block_frequencies", bug)
+    with pytest.raises(KeyError):
+        run_lint(figure1_program())
+
+
+def test_lint_notes_a_typed_interprocedural_failure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AnalysisError("refused")
+
+    monkeypatch.setattr(interproc, "block_frequencies", refuse)
+    report = run_lint(figure1_program())
+    assert report.notes == ["interprocedural analysis skipped: refused"]
 
 
 def test_lint_publishes_metrics_and_events():
@@ -184,6 +249,14 @@ def test_cli_lint_broken_program_exits_nonzero(tmp_path, capsys):
     code = main(["lint", str(directory)])
     assert code == 1
     assert "type-error" in capsys.readouterr().out
+
+
+def test_cli_lint_malformed_body_exits_one(tmp_path, capsys):
+    directory = save_program(fall_off_program(), tmp_path / "falloff")
+    assert main(["lint", str(directory), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "type-error" in out
+    assert "note: interprocedural analysis skipped: C.main:" in out
 
 
 def test_cli_lint_workload_mode(tmp_path, capsys):

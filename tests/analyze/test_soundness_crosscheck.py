@@ -16,6 +16,7 @@ import pytest
 
 from repro import T1_LINK
 from repro.analyze import analyze_transfer_plan
+from repro.cfg import program_facts
 from repro.core import run_nonstrict
 from repro.reorder import FirstUseEntry, FirstUseOrder, estimate_first_use
 from repro.workloads.spec import PAPER_BENCHMARKS, benchmark_spec
@@ -47,7 +48,13 @@ def reversed_order(program):
 
 def check_soundness(program, trace, order, link, cpi, methodology):
     report = analyze_transfer_plan(
-        program, order, link, cpi, methodology=methodology, trace=trace
+        program,
+        program_facts(program),
+        order,
+        link,
+        cpi,
+        methodology=methodology,
+        trace=trace,
     )
     result = run_nonstrict(
         program, trace, order, link, cpi, method=methodology

@@ -10,6 +10,7 @@ from repro.analyze import (
     analyze_schedule,
     analyze_transfer_plan,
 )
+from repro.cfg import program_facts
 from repro.core import run_nonstrict
 from repro.errors import AnalysisError
 from repro.lang import compile_source
@@ -33,7 +34,13 @@ def figure1():
 def test_interleaved_trace_verdicts_are_exact(figure1):
     program, trace, order = figure1
     report = analyze_transfer_plan(
-        program, order, T1_LINK, CPI, methodology="interleaved", trace=trace
+        program,
+        program_facts(program),
+        order,
+        T1_LINK,
+        CPI,
+        methodology="interleaved",
+        trace=trace,
     )
     assert report.model == "trace"
     result = run_nonstrict(
@@ -52,7 +59,7 @@ def test_entry_method_always_stalls(figure1):
     program, trace, order = figure1
     for methodology in ("parallel", "interleaved"):
         report = analyze_transfer_plan(
-            program, order, T1_LINK, CPI,
+            program, program_facts(program), order, T1_LINK, CPI,
             methodology=methodology, trace=trace,
         )
         entry = program.resolve_entry()
@@ -63,7 +70,12 @@ def test_static_model_never_claims_mispredicts(figure1):
     program, trace, order = figure1
     for methodology in ("parallel", "interleaved"):
         report = analyze_transfer_plan(
-            program, order, T1_LINK, CPI, methodology=methodology
+            program,
+            program_facts(program),
+            order,
+            T1_LINK,
+            CPI,
+            methodology=methodology,
         )
         assert report.model == "static"
         assert report.guaranteed_mispredicts == []
@@ -79,7 +91,12 @@ def test_unknown_methodology_rejected(figure1):
     program, _, order = figure1
     with pytest.raises(AnalysisError):
         analyze_transfer_plan(
-            program, order, T1_LINK, CPI, methodology="carrier-pigeon"
+            program,
+            program_facts(program),
+            order,
+            T1_LINK,
+            CPI,
+            methodology="carrier-pigeon",
         )
 
 
@@ -118,7 +135,7 @@ def test_tampered_schedule_deadlock_detected(figure1):
     assert finding.achievable_bytes < finding.start_after_bytes
 
     report = analyze_transfer_plan(
-        program, order, T1_LINK, CPI,
+        program, program_facts(program), order, T1_LINK, CPI,
         methodology="parallel", trace=trace, schedule=tampered,
     )
     assert report.schedule_health is not None
@@ -145,7 +162,12 @@ def test_dead_methods_reported():
     )
     order = estimate_first_use(program)
     report = analyze_transfer_plan(
-        program, order, T1_LINK, CPI, methodology="interleaved"
+        program,
+        program_facts(program),
+        order,
+        T1_LINK,
+        CPI,
+        methodology="interleaved",
     )
     assert MethodId("A", "orphan") in report.dead_methods
     assert MethodId("A", "live") not in report.dead_methods

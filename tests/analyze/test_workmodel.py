@@ -4,6 +4,7 @@ import math
 
 from repro import MethodId, record_run
 from repro.analyze import first_use_lower_bounds
+from repro.cfg import program_facts
 from repro.lang import compile_source
 from repro.workloads import (
     fibonacci_program,
@@ -13,7 +14,8 @@ from repro.workloads import (
 
 
 def test_figure1_bounds_are_exact_shortest_work():
-    bounds = first_use_lower_bounds(figure1_program())
+    program = figure1_program()
+    bounds = first_use_lower_bounds(program, program_facts(program))
     assert bounds.bound(MethodId("A", "main")) == 0.0
     # Figure 1's call structure: main loops, calling Bar_B first.
     assert bounds.bound(MethodId("B", "Bar_B")) == 6.0
@@ -28,7 +30,7 @@ def test_bounds_never_exceed_observed_first_use():
         fibonacci_program(),
         mutual_recursion_program(),
     ):
-        bounds = first_use_lower_bounds(program)
+        bounds = first_use_lower_bounds(program, program_facts(program))
         _, recorder = record_run(program)
         for event in recorder.profile.events:
             assert (
@@ -39,7 +41,7 @@ def test_bounds_never_exceed_observed_first_use():
 
 def test_recursive_call_graphs_get_finite_bounds():
     for program in (fibonacci_program(), mutual_recursion_program()):
-        bounds = first_use_lower_bounds(program)
+        bounds = first_use_lower_bounds(program, program_facts(program))
         for method_id in program.method_ids():
             assert bounds.reachable(method_id)
             assert math.isfinite(bounds.bound(method_id))
@@ -54,7 +56,7 @@ def test_unreachable_method_is_infinite():
         }
         """
     )
-    bounds = first_use_lower_bounds(program)
+    bounds = first_use_lower_bounds(program, program_facts(program))
     assert bounds.bound(MethodId("A", "main")) == 0.0
     assert not bounds.reachable(MethodId("A", "orphan"))
     assert bounds.bound(MethodId("A", "orphan")) == math.inf

@@ -3,15 +3,19 @@
 import pytest
 
 from repro.bytecode import CodeBuilder, Instruction, Opcode
-from repro.cfg import build_call_graph
+from repro.cfg import build_call_graph, program_facts
 from repro.classfile import ClassFileBuilder
 from repro.errors import CFGError
 from repro.program import MethodId, Program
 from repro.workloads import figure1_program, mutual_recursion_program
 
 
+def call_graph_of(program):
+    return build_call_graph(program, program_facts(program))
+
+
 def test_figure1_call_edges():
-    graph = build_call_graph(figure1_program())
+    graph = call_graph_of(figure1_program())
     assert graph.callees(MethodId("A", "main")) == [MethodId("B", "Bar_B")]
     assert graph.callees(MethodId("B", "Bar_B")) == [MethodId("A", "Bar_A")]
     assert graph.callees(MethodId("A", "Bar_A")) == [MethodId("A", "Foo_A")]
@@ -21,7 +25,7 @@ def test_figure1_call_edges():
 
 def test_reachable_from_entry_is_first_use_like():
     program = figure1_program()
-    graph = build_call_graph(program)
+    graph = call_graph_of(program)
     order = graph.reachable_from(MethodId("A", "main"))
     assert order == [
         MethodId("A", "main"),
@@ -34,12 +38,12 @@ def test_reachable_from_entry_is_first_use_like():
 
 def test_every_method_has_a_cfg():
     program = figure1_program()
-    graph = build_call_graph(program)
+    graph = call_graph_of(program)
     assert set(graph.methods) == set(program.method_ids())
 
 
 def test_calls_to():
-    graph = build_call_graph(figure1_program())
+    graph = call_graph_of(figure1_program())
     callers = [
         edge.caller for edge in graph.calls_to(MethodId("A", "Bar_A"))
     ]
@@ -47,7 +51,7 @@ def test_calls_to():
 
 
 def test_mutual_recursion_cycle():
-    graph = build_call_graph(mutual_recursion_program())
+    graph = call_graph_of(mutual_recursion_program())
     assert graph.callees(MethodId("Even", "is_even")) == [
         MethodId("Odd", "is_odd")
     ]
@@ -67,7 +71,7 @@ def test_external_call_marked():
     code.emit(Opcode.RETURN)
     builder.add_method("main", "()V", code.build())
     program = Program(classes=[builder.build()])
-    graph = build_call_graph(program)
+    graph = call_graph_of(program)
     main = MethodId("Solo", "main")
     assert graph.callees(main) == []
     assert graph.external_callees(main) == [
@@ -89,7 +93,7 @@ def test_callees_deduplicated_in_order():
     builder.add_method("helper", "()V", [Instruction(Opcode.RETURN)])
     builder.add_method("other", "()V", [Instruction(Opcode.RETURN)])
     program = Program(classes=[builder.build()])
-    graph = build_call_graph(program)
+    graph = call_graph_of(program)
     assert graph.callees(MethodId("C", "main")) == [
         MethodId("C", "helper"),
         MethodId("C", "other"),
@@ -112,7 +116,7 @@ def test_duplicate_call_sites_keep_distinct_edges():
     builder.add_method("main", "()V", code.build())
     builder.add_method("helper", "()V", [Instruction(Opcode.RETURN)])
     program = Program(classes=[builder.build()])
-    graph = build_call_graph(program)
+    graph = call_graph_of(program)
     main = MethodId("C", "main")
     assert graph.callees(main) == [MethodId("C", "helper")]
     edges = graph.calls_from(main)
@@ -127,13 +131,13 @@ def test_duplicate_call_sites_keep_distinct_edges():
 
 
 def test_reachable_from_unknown_method_raises():
-    graph = build_call_graph(figure1_program())
+    graph = call_graph_of(figure1_program())
     with pytest.raises(CFGError):
         graph.reachable_from(MethodId("A", "missing"))
 
 
 def test_to_networkx_export():
-    graph = build_call_graph(figure1_program())
+    graph = call_graph_of(figure1_program())
     nx_graph = graph.to_networkx()
     assert nx_graph.number_of_nodes() == 5
     assert nx_graph.number_of_edges() == len(graph.edges)

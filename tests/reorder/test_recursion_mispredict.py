@@ -10,6 +10,7 @@ cycle-exact simulator actually performs.
 
 from repro import T1_LINK, record_run
 from repro.analyze import analyze_transfer_plan
+from repro.cfg import program_facts
 from repro.core import run_nonstrict
 from repro.reorder import FirstUseEntry, FirstUseOrder, estimate_first_use
 from repro.workloads import fibonacci_program, mutual_recursion_program
@@ -22,7 +23,13 @@ def demand_fetch_agreement(program, order):
     _, recorder = record_run(program)
     trace = recorder.trace
     report = analyze_transfer_plan(
-        program, order, T1_LINK, CPI, methodology="parallel", trace=trace
+        program,
+        program_facts(program),
+        order,
+        T1_LINK,
+        CPI,
+        methodology="parallel",
+        trace=trace,
     )
     result = run_nonstrict(
         program, trace, order, T1_LINK, CPI, method="parallel"

@@ -211,10 +211,10 @@ def test_scg_order_invariant_under_class_permutation(structure):
     )
     permuted = _build_call_program(num_classes, calls, permutation)
 
-    from repro.cfg import build_call_graph
+    from repro.cfg import build_call_graph, program_facts
 
     reachable = set(
-        build_call_graph(baseline).reachable_from(
+        build_call_graph(baseline, program_facts(baseline)).reachable_from(
             MethodId("K0", "main")
         )
     )

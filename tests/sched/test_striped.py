@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.analyze import StallVerdict, analyze_transfer_plan
+from repro.cfg import program_facts
 from repro.core import run_nonstrict
 from repro.errors import TransferError
 from repro.harness import BENCHMARK_NAMES, bundle
@@ -248,6 +249,7 @@ def test_striped_analyzer_verdicts_hold_in_simulation():
     links = links_from_bandwidths((57_600, 28_800))
     report = analyze_transfer_plan(
         workload.program,
+        program_facts(workload.program),
         item.scg,
         links[0],
         workload.cpi,
