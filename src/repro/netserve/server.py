@@ -56,7 +56,12 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
-from ..errors import ConnectionLostError, ProtocolError, ReproError
+from ..errors import (
+    ConnectionLostError,
+    FrameCorruptionError,
+    ProtocolError,
+    ReproError,
+)
 from ..faults import ConnectionFaults, FaultInjector, FaultPlan, FrameDirective
 from ..program import Program
 from ..reorder import (
@@ -70,6 +75,7 @@ from ..reorder import (
 from ..transfer import (
     TransferPolicy,
     TransferUnit,
+    UnitKind,
     build_interleaved_file,
     build_program_plans,
 )
@@ -85,6 +91,7 @@ from .protocol import (
     read_frame,
     resume_ack_frame,
     unit_frame,
+    unit_kind_from_code,
     unit_wire_key,
 )
 from .stats import ConnectionStats, ServerStats
@@ -856,6 +863,37 @@ class ClassFileServer:
             raise ProtocolError(f"malformed DEMAND_FETCH {fields!r}")
         return demanded, method, kind_code, bool(fields.get("resend"))
 
+    @staticmethod
+    def _resend_matches(
+        artifact: SessionArtifact,
+        demanded: str,
+        method: Optional[str],
+        kind_code: Optional[int],
+    ) -> List[TransferUnit]:
+        """The demanded class's units a ``resend`` names.
+
+        A unit matches when it has the given kind and method name;
+        either may be left out.  An unknown kind code matches nothing.
+        """
+        kind: Optional[UnitKind] = None
+        if kind_code is not None:
+            try:
+                kind = unit_kind_from_code(kind_code)
+            except FrameCorruptionError:
+                return []
+        return [
+            unit
+            for unit in artifact.units_by_class.get(demanded, ())
+            if (kind is None or unit.kind is kind)
+            and (
+                method is None
+                or (
+                    unit.method is not None
+                    and unit.method.method_name == method
+                )
+            )
+        ]
+
     async def _demand_requests(
         self,
         reader: asyncio.StreamReader,
@@ -880,20 +918,12 @@ class ClassFileServer:
                 if unit.class_name == demanded
             ]
             if resend:
-                in_pending = set(pending)
-
-                def matches(unit: TransferUnit) -> bool:
-                    code, _, method_name = unit_wire_key(unit)
-                    if kind_code is not None and code != kind_code:
-                        return False
-                    if method is not None and method_name != method:
-                        return False
-                    return True
-
                 promoted = [
                     unit
-                    for unit in artifact.units_by_class.get(demanded, ())
-                    if unit not in in_pending and matches(unit)
+                    for unit in self._resend_matches(
+                        artifact, demanded, method, kind_code
+                    )
+                    if unit not in pending
                 ] + promoted
             conn.record_demand_fetch(len(promoted))
             if self.recorder is not None:
@@ -904,11 +934,12 @@ class ClassFileServer:
                 )
             if not promoted:
                 continue  # already sent (or unknown): nothing to jump
-            promoted_set = set(promoted)
+            # Only the demanded class's units move, so the rest of
+            # ``pending`` keeps its order behind them.
             remaining = [
                 unit
                 for unit in pending
-                if unit not in promoted_set
+                if unit.class_name != demanded
             ]
             pending.clear()
             pending.extend(promoted)

@@ -2,17 +2,24 @@
 
 Unlike :mod:`repro.core.metrics`, which accounts in simulated CPU
 cycles, these structures count what actually happened on the wire.
-Since PR 3 they are thin views over a
-:class:`repro.observe.MetricsRegistry`: every counter is a labeled
-series (``conn``/``peer`` on the server, ``policy`` on the client), so
-one snapshot exposes all per-connection and per-session metrics, and
-the legacy attribute names (``units_sent``, ``bytes_received``, …)
-remain as read-only properties over the registry.
+
+The server keeps two kinds of record.  :class:`ServerStats` owns a
+:class:`repro.observe.MetricsRegistry` of server-wide totals only
+(``netserve_bytes_sent``, ``netserve_faults_injected`` by fault kind,
+…), with no per-connection label series, so the registry stays the
+same size however many connections the server handles.  Each
+:class:`ConnectionStats` counts its own connection in plain slotted
+ints behind read-only properties (``units_sent``, ``bytes_sent``, …),
+and a finished connection keeps only those few hundred bytes.
+
+:class:`FetchStats` is one client session: its counters are labeled
+series (``policy``, and ``link`` for per-link counts) in the session's
+own registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..observe.metrics import Counter, Histogram, MetricsRegistry
 from ..program import MethodId
@@ -31,98 +38,108 @@ STALL_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0)
 class ConnectionStats:
     """One client connection, as seen by the server.
 
-    Counters live in the owning :class:`ServerStats` registry under
-    this connection's labels; identity fields stay plain attributes.
+    The counts are plain ints on the connection; every recording call
+    also adds to the owning :class:`ServerStats` totals.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        labels: Mapping[str, str],
-        peer: str = "",
-    ) -> None:
-        self._registry = registry
-        self._labels = dict(labels)
+    __slots__ = (
+        "_server",
+        "peer",
+        "policy",
+        "strategy",
+        "started_at",
+        "finished_at",
+        "aborted",
+        "_frames_sent",
+        "_bytes_sent",
+        "_units_sent",
+        "_demand_fetches",
+        "_promoted_units",
+        "_resumes",
+        "_pull_sessions",
+    )
+
+    def __init__(self, server: "ServerStats", peer: str = "") -> None:
+        self._server = server
         self.peer = peer
         self.policy = ""
         self.strategy = ""
         self.started_at = 0.0
         self.finished_at: Optional[float] = None
         self.aborted = False
-        self._series: Dict[str, Counter] = {}
-
-    def _counter(self, name: str) -> Counter:
-        """This connection's series of ``name``, looked up in the
-        registry once per connection (each lookup sorts the labels)."""
-        series = self._series.get(name)
-        if series is None:
-            series = self._registry.counter(name, self._labels)
-            self._series[name] = series
-        return series
+        self._frames_sent = 0
+        self._bytes_sent = 0
+        self._units_sent = 0
+        self._demand_fetches = 0
+        self._promoted_units = 0
+        self._resumes = 0
+        self._pull_sessions = 0
 
     # -- recording (server call sites) ------------------------------------
 
     def record_batch(self, frames: int, wire_bytes: int, units: int) -> None:
         """Account one write of ``frames`` frames, ``units`` of them
         transfer units, totalling ``wire_bytes``."""
-        self._counter("netserve_frames_sent").inc(frames)
-        self._counter("netserve_bytes_sent").inc(wire_bytes)
-        if units:
-            self._counter("netserve_units_sent").inc(units)
+        self._frames_sent += frames
+        self._bytes_sent += wire_bytes
+        self._units_sent += units
+        server = self._server
+        server._frames.inc(frames)
+        server._bytes.inc(wire_bytes)
+        server._units.inc(units)
 
     def record_demand_fetch(self, promoted_units: int) -> None:
-        self._counter("netserve_demand_fetches").inc()
-        if promoted_units:
-            self._counter("netserve_promoted_units").inc(promoted_units)
+        self._demand_fetches += 1
+        self._promoted_units += promoted_units
+        self._server._demands.inc()
+        self._server._promoted.inc(promoted_units)
 
     def record_fault(self, kind: str) -> None:
         """Account one deliberately injected fault, labeled by kind."""
-        self._registry.counter(
-            "netserve_faults_injected",
-            {**self._labels, "fault": kind},
+        self._server.metrics.counter(
+            "netserve_faults_injected", {"fault": kind}
         ).inc()
 
     def record_resume(self, skipped_units: int) -> None:
         """Account a RESUME negotiation and the units it skipped."""
-        self._counter("netserve_resumes").inc()
-        if skipped_units:
-            self._counter("netserve_resume_skipped_units").inc(
-                skipped_units
-            )
+        self._resumes += 1
+        self._server._resumes.inc()
+        self._server._resume_skipped.inc(skipped_units)
 
     def record_pull_session(self) -> None:
         """Account a session negotiated in pull mode (striped link)."""
-        self._counter("netserve_pull_sessions").inc()
+        self._pull_sessions += 1
+        self._server._pull_sessions.inc()
 
-    # -- legacy read interface --------------------------------------------
+    # -- read interface ---------------------------------------------------
 
     @property
     def frames_sent(self) -> int:
-        return int(self._counter("netserve_frames_sent").value)
+        return self._frames_sent
 
     @property
     def units_sent(self) -> int:
-        return int(self._counter("netserve_units_sent").value)
+        return self._units_sent
 
     @property
     def bytes_sent(self) -> int:
-        return int(self._counter("netserve_bytes_sent").value)
+        return self._bytes_sent
 
     @property
     def demand_fetches(self) -> int:
-        return int(self._counter("netserve_demand_fetches").value)
+        return self._demand_fetches
 
     @property
     def promoted_units(self) -> int:
-        return int(self._counter("netserve_promoted_units").value)
+        return self._promoted_units
 
     @property
     def resumes(self) -> int:
-        return int(self._counter("netserve_resumes").value)
+        return self._resumes
 
     @property
     def pull_sessions(self) -> int:
-        return int(self._counter("netserve_pull_sessions").value)
+        return self._pull_sessions
 
     @property
     def duration(self) -> Optional[float]:
@@ -132,21 +149,32 @@ class ConnectionStats:
 
 
 class ServerStats:
-    """All connections a server has handled, over one registry."""
+    """Every connection a server has handled, plus server-wide totals.
+
+    The totals a connection adds to are looked up in :attr:`metrics`
+    once, here, so recording a send batch costs a few additions.
+    """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.connections: List[ConnectionStats] = []
+        counter = self.metrics.counter
+        self._frames = counter("netserve_frames_sent")
+        self._bytes = counter("netserve_bytes_sent")
+        self._units = counter("netserve_units_sent")
+        self._demands = counter("netserve_demand_fetches")
+        self._promoted = counter("netserve_promoted_units")
+        self._resumes = counter("netserve_resumes")
+        self._resume_skipped = counter(
+            "netserve_resume_skipped_units"
+        )
+        self._pull_sessions = counter("netserve_pull_sessions")
 
     def open_connection(
         self, peer: str, started_at: float
     ) -> ConnectionStats:
-        """Create the labeled per-connection series and its view."""
-        conn = ConnectionStats(
-            self.metrics,
-            labels={"conn": str(len(self.connections)), "peer": peer},
-            peer=peer,
-        )
+        """Create one connection's record."""
+        conn = ConnectionStats(self, peer=peer)
         conn.started_at = started_at
         self.connections.append(conn)
         self.metrics.counter("netserve_connections_total").inc()
@@ -184,17 +212,15 @@ class ServerStats:
 
     @property
     def bytes_sent(self) -> int:
-        return int(self.metrics.counter_total("netserve_bytes_sent"))
+        return int(self._bytes.value)
 
     @property
     def units_sent(self) -> int:
-        return int(self.metrics.counter_total("netserve_units_sent"))
+        return int(self._units.value)
 
     @property
     def demand_fetches(self) -> int:
-        return int(
-            self.metrics.counter_total("netserve_demand_fetches")
-        )
+        return int(self._demands.value)
 
     @property
     def faults_injected(self) -> int:
@@ -204,7 +230,7 @@ class ServerStats:
 
     @property
     def resumes(self) -> int:
-        return int(self.metrics.counter_total("netserve_resumes"))
+        return int(self._resumes.value)
 
     def snapshot(self) -> Dict[str, List[Dict[str, object]]]:
         return self.metrics.snapshot()

@@ -6,9 +6,9 @@ frozen set of label pairs identifies one *series* inside it, and
 :meth:`MetricsRegistry.snapshot` renders everything into plain dicts
 (JSON-ready, stable ordering) for reports and tests.
 
-The netserve server and fetcher keep their per-connection counters in a
-registry (labels: ``peer``, ``policy``); the simulator's callers can
-pass one to accumulate cross-run series.
+The netserve server keeps its server-wide totals in a registry, and
+each fetch session its counters (labels: ``policy``, ``link``); the
+simulator's callers can pass one to accumulate cross-run series.
 """
 
 from __future__ import annotations

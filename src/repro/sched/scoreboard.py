@@ -28,10 +28,20 @@ never let execution start before the paper's semantics allow.
 Demand-fetch correction (§5.1 misprediction handling) appears here as
 *hazard-priority escalation*: an escalated item sorts before every
 deadline at the next arbitration round.
+
+The board keeps its ``READY`` set ordered as transitions happen, so an
+arbitration round costs the same at any plan size: a watermark
+release, :meth:`Scoreboard.escalate` and :meth:`Scoreboard.requeue`
+insert an item, and :meth:`Scoreboard.mark_issued` (or a landing)
+removes it.  :meth:`Scoreboard.ready_items` checks only the items
+still ``WAITING`` on a watermark.  Every state change therefore goes
+through the board's methods; an item's ``state``, ``escalated``,
+``deadline`` and ``seq`` are not to be set from outside.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -123,6 +133,11 @@ class Scoreboard:
     :class:`~repro.sched.engine.IssueEngine` asks it which items are
     ready, tells it what was issued and what landed, and reads back
     retire times.
+
+    Ordering invariant: the ``READY`` items are held sorted by
+    ``(escalated, deadline, seq)``, ties in the order the items were
+    added, which is exactly a stable sort of the ready set by
+    :meth:`IssueItem.priority_key`.
     """
 
     items: Dict[str, IssueItem] = field(default_factory=dict)
@@ -133,6 +148,19 @@ class Scoreboard:
         self._label_of_unit: Dict[TransferUnit, str] = {}
         self._unit_deps: Dict[TransferUnit, Tuple[TransferUnit, ...]] = {}
         self._dependents: Dict[TransferUnit, List[TransferUnit]] = {}
+        #: Add order of each label: the tie-break of the ready order.
+        self._rank: Dict[str, int] = {}
+        #: Items still ``WAITING`` on a watermark, in add order.
+        self._waiting: Dict[str, IssueItem] = {}
+        #: ``READY`` items best first, and their sort keys, index for
+        #: index.
+        self._ready: List[IssueItem] = []
+        self._ready_keys: List[Tuple[int, float, int, int]] = []
+        #: Units of each item that have not landed yet.
+        self._unlanded: Dict[str, int] = {}
+        given, self.items = self.items, {}
+        for item in given.values():
+            self.add_item(item)
 
     # -- construction ------------------------------------------------------
 
@@ -155,6 +183,14 @@ class Scoreboard:
                 )
             self._label_of_unit[unit] = item.label
         self.items[item.label] = item
+        self._rank[item.label] = len(self._rank)
+        self._unlanded[item.label] = sum(
+            1 for unit in item.units if unit not in self.land_times
+        )
+        if item.state is ItemState.WAITING:
+            self._waiting[item.label] = item
+        elif item.state is ItemState.READY:
+            self._insert_ready(item)
 
     def add_unit_dep(
         self, unit: TransferUnit, *deps: TransferUnit
@@ -204,24 +240,24 @@ class Scoreboard:
     ) -> List[IssueItem]:
         """Promote watermark-satisfied items and list the ready set.
 
+        Only items still ``WAITING`` are checked; the ready set itself
+        is kept in order as items enter and leave it.
+
         Args:
             delivered: Callback returning the bytes delivered so far
                 for an item's watermark classes (summed across links).
 
         Returns:
-            Every ``READY`` item, best-priority first.
+            Every ``READY`` item, best-priority first: a copy of the
+            board's ordered list, so the caller may issue while
+            iterating over it.
         """
-        ready: List[IssueItem] = []
-        for item in self.items.values():
-            if item.state is ItemState.WAITING:
-                if item.watermark_bytes <= (
-                    delivered(item) + WATERMARK_SLOP
-                ):
-                    item.state = ItemState.READY
-            if item.state is ItemState.READY:
-                ready.append(item)
-        ready.sort(key=IssueItem.priority_key)
-        return ready
+        for label, item in list(self._waiting.items()):
+            if item.watermark_bytes <= delivered(item) + WATERMARK_SLOP:
+                del self._waiting[label]
+                item.state = ItemState.READY
+                self._insert_ready(item)
+        return list(self._ready)
 
     def escalate(self, label: str) -> bool:
         """Escalate an unlanded item's priority (demand correction).
@@ -233,10 +269,14 @@ class Scoreboard:
         item = self.items[label]
         if item.state is ItemState.LANDED or item.escalated:
             return False
+        if item.state is ItemState.ISSUED:
+            item.escalated = True
+            return True
+        # A demand fetch overrides the byte watermark outright.
+        self._leave_queue(item)
         item.escalated = True
-        if item.state is ItemState.WAITING:
-            # A demand fetch overrides the byte watermark outright.
-            item.state = ItemState.READY
+        item.state = ItemState.READY
+        self._insert_ready(item)
         return True
 
     def mark_issued(
@@ -247,6 +287,7 @@ class Scoreboard:
             raise TransferError(
                 f"cannot issue item {label!r} in state {item.state}"
             )
+        self._leave_queue(item)
         item.state = ItemState.ISSUED
         item.channel = channel
         item.issue_time = time
@@ -258,6 +299,11 @@ class Scoreboard:
 
         Partially delivered bytes on the dead link are lost; the
         surviving units retransmit whole on another link.
+
+        Args:
+            remaining: Exactly the item's units that have not landed
+                (in any order); a requeue may drop only landed units,
+                or the dropped ones would never be sent again.
         """
         item = self.items[label]
         if item.state is not ItemState.ISSUED:
@@ -268,10 +314,20 @@ class Scoreboard:
             raise TransferError(
                 f"requeue of {label!r} with no remaining units"
             )
+        if len(set(remaining)) != self._unlanded[label] or any(
+            self._label_of_unit.get(unit) != label
+            or unit in self.land_times
+            for unit in remaining
+        ):
+            raise TransferError(
+                f"requeue of {label!r} must resend exactly its "
+                f"{self._unlanded[label]} unlanded units"
+            )
         item.units = remaining
         item.state = ItemState.READY
         item.channel = None
         item.issue_time = None
+        self._insert_ready(item)
 
     def mark_landed(
         self, unit: TransferUnit, time: float
@@ -306,7 +362,31 @@ class Scoreboard:
             worklist.extend(self._dependents.get(candidate, ()))
         label = self._label_of_unit.get(unit)
         if label is not None:
-            item = self.items[label]
-            if all(u in self.land_times for u in item.units):
+            self._unlanded[label] -= 1
+            if not self._unlanded[label]:
+                item = self.items[label]
+                self._leave_queue(item)
                 item.state = ItemState.LANDED
         return retired
+
+    # -- the ordered ready set ---------------------------------------------
+
+    def _sort_key(self, item: IssueItem) -> Tuple[int, float, int, int]:
+        return item.priority_key() + (self._rank[item.label],)
+
+    def _insert_ready(self, item: IssueItem) -> None:
+        key = self._sort_key(item)
+        index = bisect.bisect_right(self._ready_keys, key)
+        self._ready_keys.insert(index, key)
+        self._ready.insert(index, item)
+
+    def _leave_queue(self, item: IssueItem) -> None:
+        """Take a ``WAITING`` or ``READY`` item out of its queue."""
+        if item.state is ItemState.WAITING:
+            del self._waiting[item.label]
+        elif item.state is ItemState.READY:
+            index = bisect.bisect_left(
+                self._ready_keys, self._sort_key(item)
+            )
+            del self._ready_keys[index]
+            del self._ready[index]

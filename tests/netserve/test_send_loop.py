@@ -9,6 +9,7 @@ wire and the per-connection counts.
 """
 
 import asyncio
+from collections import deque
 
 import pytest
 
@@ -26,7 +27,10 @@ from repro.netserve import (
     program_fingerprint,
     read_frame,
 )
+from repro.netserve import protocol
+from repro.netserve import server as server_module
 from repro.program import MethodId
+from repro.transfer import TransferPolicy, UnitKind
 from repro.workloads.synthetic import generate_workload
 from repro.workloads.spec import PAPER_BENCHMARKS
 
@@ -187,3 +191,110 @@ def test_malformed_demand_ends_the_demand_loop_quietly(fields):
     assert kinds[-1] is FrameKind.EOF
     assert unhandled == []
     assert server.stats.demand_loop_errors == 0
+
+
+# -- a resend is matched inside its class ------------------------------
+
+
+def _resend_by_wire_keys(artifact, pending, fields):
+    """What a resend promotes, matched by wire keys: the class's units
+    that are not pending and match its kind code and method name, then
+    the class's pending units."""
+    demanded, held = fields["class"], set(pending)
+    kind_code, method = fields.get("kind"), fields.get("method")
+    return [
+        unit
+        for unit in artifact.units_by_class.get(demanded, ())
+        if unit not in held
+        and kind_code in (None, protocol.unit_wire_key(unit)[0])
+        and method in (None, protocol.unit_wire_key(unit)[2])
+    ] + [unit for unit in pending if unit.class_name == demanded]
+
+
+_METHOD = protocol.unit_kind_code(UnitKind.METHOD)
+_GLOBAL_FIRST = protocol.unit_kind_code(UnitKind.GLOBAL_FIRST)
+_CLASS_FILE = protocol.unit_kind_code(UnitKind.CLASS_FILE)
+
+
+@pytest.mark.parametrize(
+    "fields, expect",
+    [
+        ({"class": "A", "method": "main", "kind": _METHOD}, "main"),
+        ({"class": "A", "kind": _GLOBAL_FIRST}, UnitKind.GLOBAL_FIRST),
+        ({"class": "A", "method": "Foo_A", "kind": _METHOD}, None),
+        ({"class": "A", "kind": _METHOD}, None),
+        ({"class": "A", "method": "Bar_A"}, None),
+        ({"class": "A"}, None),
+        ({"class": "A", "kind": 99}, "plain"),
+        ({"class": "A", "kind": _CLASS_FILE}, "plain"),
+        ({"class": "Z", "method": "main", "kind": _METHOD}, "plain"),
+    ],
+    ids=[
+        "exact-method",
+        "exact-global",
+        "exact-but-pending",
+        "method-kind-any-method",
+        "method-name-any-kind",
+        "whole-class",
+        "unknown-kind-code",
+        "kind-not-in-class",
+        "unknown-class",
+    ],
+)
+def test_resend_promotes_its_matches_ahead_of_the_class(
+    monkeypatch, fields, expect
+):
+    """A resend re-enqueues the sent units of its class that match its
+    kind and method, ahead of the class's pending units, and the rest
+    of the queue keeps its order; matching never builds wire keys.
+
+    ``expect`` names the one unit an exact resend puts first, or is
+    ``"plain"`` when nothing matches and only the plain demand's
+    promotion is left."""
+    program = figure1_program()
+    server = ClassFileServer(program)
+    artifact = server._plan_session(TransferPolicy.DATA_PARTITIONED, "static")
+    sent = {
+        unit
+        for unit in artifact.units_by_class["A"]
+        if unit.kind is UnitKind.GLOBAL_FIRST
+        or (unit.method and unit.method.method_name in ("main", "Bar_A"))
+    }
+    pending = deque(unit for unit in artifact.sequence if unit not in sent)
+    before = list(pending)
+    promoted = _resend_by_wire_keys(artifact, before, fields)
+    wire_keys = []
+    monkeypatch.setattr(
+        server_module, "unit_wire_key", lambda unit: wire_keys.append(unit)
+    )
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(
+            encode_frame(
+                Frame(
+                    kind=FrameKind.DEMAND_FETCH,
+                    fields=tuple(sorted({**fields, "resend": True}.items())),
+                )
+            )
+        )
+        reader.feed_eof()
+        conn = server.stats.open_connection("peer", 0.0)
+        await server._demand_requests(reader, pending, artifact, conn, None)
+        return conn
+
+    conn = run(scenario())
+    assert list(pending) == promoted + [
+        unit for unit in before if unit not in promoted
+    ]
+    plain = [unit for unit in before if unit.class_name == fields["class"]]
+    if expect == "plain":
+        assert promoted == plain
+    elif expect is not None:
+        head = pending[0]
+        assert head in sent
+        assert expect in (head.kind, head.method and head.method.method_name)
+        assert promoted == [head] + plain
+    assert conn.demand_fetches == 1
+    assert conn.promoted_units == len(promoted)
+    assert wire_keys == []

@@ -182,3 +182,56 @@ def test_links_from_bandwidths_validation():
         links_from_bandwidths(())
     with pytest.raises(TransferError):
         links_from_bandwidths((57_600, 0))
+
+
+def test_draining_a_large_board_costs_linear_priority_keys(monkeypatch):
+    """One issue per arbitration round: the ready set is kept in order,
+    so a drain computes O(1) priority keys per item, not a re-sort of
+    the whole set per round."""
+    calls = 0
+    original = IssueItem.priority_key
+
+    def counted(item):
+        nonlocal calls
+        calls += 1
+        return original(item)
+
+    monkeypatch.setattr(IssueItem, "priority_key", counted)
+    count = 2000
+    board = Scoreboard()
+    for index in range(count):
+        board.add_item(
+            IssueItem(
+                label=f"u{index}",
+                units=(_global(f"C{index}"),),
+                seq=(index * 7) % count,
+            )
+        )
+    drained = []
+    while True:
+        ready = board.ready_items(lambda item: 0.0)
+        if not ready:
+            break
+        board.mark_issued(ready[0].label, 0, 0.0)
+        drained.append(ready[0].seq)
+    assert drained == list(range(count))
+    assert calls <= 4 * count
+
+
+def test_requeue_must_resend_exactly_the_unlanded_units():
+    board = Scoreboard()
+    a, b, c = (_method("A", name) for name in ("a", "b", "c"))
+    board.add_item(IssueItem(label="s", units=(a, b, c), seq=0))
+    board.add_item(IssueItem(label="t", units=(_global("T"),), seq=1))
+    board.mark_issued("s", 0, 0.0)
+    board.mark_landed(a, 1.0)
+    for wrong in ((b,), (a, b, c), (b, c, _global("T"))):
+        with pytest.raises(TransferError):
+            board.requeue("s", wrong)
+    board.requeue("s", (c, b))
+    assert board.items["s"].units == (c, b)
+    board.mark_issued("s", 1, 2.0)
+    board.mark_landed(c, 3.0)
+    assert board.items["s"].state is ItemState.ISSUED
+    board.mark_landed(b, 4.0)
+    assert board.items["s"].state is ItemState.LANDED
