@@ -10,6 +10,12 @@ reproduction reports real byte fractions.
 Indices are 1-based; index 0 is reserved (as in the JVM).  Unlike the JVM
 we do not make Long/Double entries occupy two slots — slot accounting is
 irrelevant to the experiments, byte size is what matters.
+
+The wire format's u2 fields set two limits, both checked when an entry
+is made or added so they surface as :class:`~repro.errors.ConstantPoolError`:
+a Utf8 payload holds at most :data:`MAX_UTF8_BYTES` encoded bytes, and a
+pool holds at most :data:`MAX_POOL_ENTRIES` entries (its count field
+stores ``len(pool) + 1``).
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from typing import ClassVar, Dict, Iterator, List, Optional, Tuple, Union
 from ..errors import ConstantPoolError
 
 __all__ = [
+    "MAX_POOL_ENTRIES",
+    "MAX_UTF8_BYTES",
     "ConstantTag",
     "ConstantEntry",
     "Utf8Entry",
@@ -36,6 +44,12 @@ __all__ = [
     "NameAndTypeEntry",
     "ConstantPool",
 ]
+
+
+#: Largest Utf8 payload: its length is a u2 on the wire.
+MAX_UTF8_BYTES = 0xFFFF
+#: Most entries a pool can hold: the count u2 stores ``len(pool) + 1``.
+MAX_POOL_ENTRIES = 0xFFFF - 1
 
 
 class ConstantTag(enum.IntEnum):
@@ -71,6 +85,19 @@ class ConstantEntry:
 class Utf8Entry(ConstantEntry):
     value: str = ""
     tag: ClassVar[ConstantTag] = ConstantTag.UTF8
+
+    def __post_init__(self) -> None:
+        try:
+            length = len(self.encoded)
+        except UnicodeEncodeError as exc:
+            raise ConstantPoolError(
+                f"Utf8 constant is not encodable: {exc}"
+            ) from exc
+        if length > MAX_UTF8_BYTES:
+            raise ConstantPoolError(
+                f"Utf8 constant of {length} bytes exceeds "
+                f"{MAX_UTF8_BYTES}"
+            )
 
     @property
     def encoded(self) -> bytes:
@@ -210,11 +237,21 @@ class ConstantPool:
     ``add_*`` helpers intern their argument: adding the same logical
     constant twice returns the original index, exactly as ``javac``
     behaves, which keeps the global-data size model honest.
+
+    The pool is append-only, and :meth:`add` is its only mutator.  It
+    keeps the pool's byte total as entries arrive, so :attr:`size` is
+    O(1), and indexes Utf8 entries by their string, so
+    :meth:`find_utf8`/:meth:`add_utf8` look a string up without
+    building an entry.
     """
 
     def __init__(self) -> None:
         self._entries: List[ConstantEntry] = []
+        # Each entry has one index slot: Utf8 entries under their
+        # string in ``_utf8``, every other entry under itself.
         self._index: Dict[ConstantEntry, int] = {}
+        self._utf8: Dict[str, int] = {}
+        self._entry_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -227,13 +264,26 @@ class ConstantPool:
         return list(enumerate(self._entries, start=1))
 
     def add(self, entry: ConstantEntry) -> int:
-        """Intern ``entry`` and return its 1-based index."""
-        existing = self._index.get(entry)
+        """Intern ``entry`` and return its 1-based index.
+
+        Raises:
+            ConstantPoolError: If ``entry`` is new and the pool already
+                holds :data:`MAX_POOL_ENTRIES` entries.
+        """
+        existing = self.find(entry)
         if existing is not None:
             return existing
+        if len(self._entries) >= MAX_POOL_ENTRIES:
+            raise ConstantPoolError(
+                f"constant pool is full ({MAX_POOL_ENTRIES} entries)"
+            )
         self._entries.append(entry)
         index = len(self._entries)
-        self._index[entry] = index
+        if isinstance(entry, Utf8Entry):
+            self._utf8[entry.value] = index
+        else:
+            self._index[entry] = index
+        self._entry_bytes += entry.size
         return index
 
     def get(self, index: int) -> ConstantEntry:
@@ -261,7 +311,10 @@ class ConstantPool:
     # -- convenience constructors -------------------------------------
 
     def add_utf8(self, value: str) -> int:
-        return self.add(Utf8Entry(value))
+        index = self._utf8.get(value)
+        if index is None:
+            index = self.add(Utf8Entry(value))
+        return index
 
     def add_integer(self, value: int) -> int:
         return self.add(IntegerEntry(value))
@@ -364,8 +417,8 @@ class ConstantPool:
 
     @property
     def size(self) -> int:
-        """Serialized size: 2-byte count plus every entry."""
-        return 2 + sum(entry.size for entry in self._entries)
+        """Serialized size: 2-byte count plus every entry (O(1))."""
+        return 2 + self._entry_bytes
 
     def size_by_tag(self) -> Dict[ConstantTag, int]:
         """Bytes per entry tag — the raw material of Table 8."""
@@ -378,8 +431,10 @@ class ConstantPool:
 
     def find(self, entry: ConstantEntry) -> Optional[int]:
         """Index of an existing entry equal to ``entry``, or None."""
+        if isinstance(entry, Utf8Entry):
+            return self._utf8.get(entry.value)
         return self._index.get(entry)
 
     def find_utf8(self, value: str) -> Optional[int]:
         """Index of an existing Utf8 entry, or None."""
-        return self.find(Utf8Entry(value))
+        return self._utf8.get(value)

@@ -11,12 +11,17 @@ This module computes those sizes from the canonical
 consistent with :func:`repro.classfile.serializer.serialize`:
 ``global_size + sum(method sizes) == len(serialize(cf))`` (delimiters are
 wire-transfer overhead added on top of the canonical image).
+
+Nothing is serialized to get them.  The constant pool keeps its byte
+total as entries are added, so reading it is O(1), and each method's
+instructions are summed once, so laying out a class costs
+O(names + code) however often it is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ClassFileError
 from .classfile import ClassFile
@@ -131,20 +136,21 @@ def class_layout(classfile: ClassFile) -> ClassLayout:
         any missing names into the constant pool; to guarantee that the
         layout and the wire image agree, this function runs the same
         interning pass (:func:`~repro.classfile.serializer.intern_names`)
-        first.  It encodes no code and writes no bytes.
+        first.  It encodes no code, writes no bytes and sums each
+        method's instructions once.
     """
     intern_names(classfile)
-    method_sizes = tuple(
-        (method.name, method.size) for method in classfile.methods
-    )
-    local_sizes = tuple(
-        (method.name, method.local_bytes) for method in classfile.methods
-    )
+    method_sizes: List[Tuple[str, int]] = []
+    local_sizes: List[Tuple[str, int]] = []
+    for method in classfile.methods:
+        local = method.local_bytes
+        method_sizes.append((method.name, local + method.framing_bytes))
+        local_sizes.append((method.name, local))
     return ClassLayout(
         class_name=classfile.name,
         global_size=_method_table_overhead(classfile),
-        method_sizes=method_sizes,
-        local_data_sizes=local_sizes,
+        method_sizes=tuple(method_sizes),
+        local_data_sizes=tuple(local_sizes),
     )
 
 

@@ -29,6 +29,10 @@ __all__ = [
 CODE_ATTRIBUTE = "Code"
 LOCAL_DATA_ATTRIBUTE = "LocalData"
 
+#: Code attribute bytes besides the code: the 6-byte attribute header,
+#: u2 max_stack, u2 max_locals and u4 code_length.
+_CODE_ATTRIBUTE_HEADER = 6 + 2 + 2 + 4
+
 
 class AccessFlags:
     """Access flag bits (the subset this model uses)."""
@@ -161,7 +165,7 @@ class MethodInfo:
     @property
     def code_attribute_size(self) -> int:
         """Size of the Code attribute: 6-byte header + stack/locals/len."""
-        return 6 + 2 + 2 + 4 + self.code_bytes
+        return _CODE_ATTRIBUTE_HEADER + self.code_bytes
 
     @property
     def local_data_attribute_size(self) -> int:
@@ -178,17 +182,28 @@ class MethodInfo:
         the non-strict method delimiter (see
         :mod:`repro.classfile.layout`).
         """
-        return (
-            8
-            + self.code_attribute_size
-            + self.local_data_attribute_size
-            + sum(attribute.size for attribute in self.attributes)
-        )
+        return self.local_bytes + self.framing_bytes
 
     @property
     def local_bytes(self) -> int:
         """Paper Table 9 'local data': code plus method-local payload."""
         return self.code_bytes + len(self.local_data)
+
+    @property
+    def framing_bytes(self) -> int:
+        """Bytes of this method_info outside its code and local data.
+
+        The 8-byte member header, the Code and LocalData attribute
+        headers and any extra attributes: ``size - local_bytes``,
+        computed without encoding or summing the code.
+        """
+        return (
+            8
+            + _CODE_ATTRIBUTE_HEADER
+            + self.local_data_attribute_size
+            - len(self.local_data)
+            + sum(attribute.size for attribute in self.attributes)
+        )
 
     def replace_instructions(
         self, instructions: List[Instruction]

@@ -8,6 +8,12 @@ the *first* method (in file order) that references it; entries needed
 for class setup go to the up-front chunk; unreferenced entries are
 unused and transfer last.
 
+Attribution is one pruned walk per class
+(:func:`~repro.datapart.usage.extend_closure`): starting from the setup
+closure, each method in file order follows its references and stops at
+entries already assigned, so it takes exactly its closure minus what
+earlier methods took, and each entry is visited once.
+
 Byte accounting is exact:
 ``first_bytes + sum(gmd sizes) + unused_bytes == ClassLayout.global_bytes``.
 """
@@ -15,12 +21,12 @@ Byte accounting is exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..classfile import ClassFile, ClassLayout, class_layout
 from ..errors import ClassFileError
 from ..program import Program
-from .usage import pool_references_by_method, setup_pool_references
+from .usage import extend_closure, pool_roots_by_method, setup_pool_roots
 
 __all__ = ["DataPartition", "partition_class", "partition_program"]
 
@@ -98,37 +104,36 @@ def partition_class(
             f"layout of {layout.class_name!r} passed for {classfile.name!r}"
         )
     pool = classfile.constant_pool
-    entry_sizes = {index: entry.size for index, entry in pool.entries()}
-
-    setup = setup_pool_references(classfile)
-    assigned: Set[int] = set(setup)
-    gmd_sizes: List[Tuple[str, int]] = []
-    for method, references in zip(
-        classfile.methods, pool_references_by_method(classfile)
-    ):
-        fresh = references - assigned
-        assigned |= fresh
-        gmd_sizes.append(
-            (method.name, sum(entry_sizes[index] for index in fresh))
+    assigned: Set[int] = set()
+    setup_pool_bytes = extend_closure(
+        pool, setup_pool_roots(classfile), assigned
+    )
+    gmd_sizes = tuple(
+        (method.name, extend_closure(pool, roots, assigned))
+        for method, roots in zip(
+            classfile.methods, pool_roots_by_method(classfile)
         )
-    unused = set(entry_sizes) - assigned
-    unused_bytes = sum(entry_sizes[index] for index in unused)
+    )
+    unused_bytes = sum(
+        entry.size
+        for index, entry in enumerate(pool, start=1)
+        if index not in assigned
+    )
 
     # 'Needed first' = setup pool entries plus every non-pool global
     # byte (file framing, field table, interfaces, class attributes,
     # and the pool count header).
-    setup_pool_bytes = sum(entry_sizes[index] for index in setup)
-    pool_entry_bytes = sum(entry_sizes.values())
-    non_pool_global = layout.global_size - pool_entry_bytes
+    non_pool_global = layout.global_size - (pool.size - 2)
     first_bytes = setup_pool_bytes + non_pool_global
 
     partition = DataPartition(
         class_name=classfile.name,
         first_bytes=first_bytes,
         setup_pool_bytes=setup_pool_bytes,
-        gmd_sizes=tuple(gmd_sizes),
+        gmd_sizes=gmd_sizes,
         unused_bytes=unused_bytes,
     )
+    # The entries' own sizes must add up to the pool's running total.
     if partition.total_global_bytes != layout.global_size:
         raise ClassFileError(
             f"{classfile.name}: partition accounts for "

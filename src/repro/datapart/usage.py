@@ -12,12 +12,16 @@ Determines, for each class file, which constant pool entries are
 * **unused** — present in the class file but referenced by nothing.
 
 References are closed transitively (a MethodRef needs its Class and
-NameAndType entries, which need their Utf8 entries, ...).
+NameAndType entries, which need their Utf8 entries, ...).  One walk,
+:func:`extend_closure`, does every closing: it follows references from
+a set of roots and stops at entries already in the set it extends, so
+GMD attribution (:mod:`repro.datapart.gmd`) can extend one set, method
+by method, and visit each entry once per class.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..bytecode import Opcode
 from ..classfile import (
@@ -35,10 +39,13 @@ from ..classfile import (
 )
 
 __all__ = [
+    "extend_closure",
     "reference_closure",
     "method_pool_references",
     "pool_references_by_method",
+    "pool_roots_by_method",
     "setup_pool_references",
+    "setup_pool_roots",
 ]
 
 _POOL_OPERAND_OPCODES = frozenset(
@@ -46,16 +53,31 @@ _POOL_OPERAND_OPCODES = frozenset(
 )
 
 
-def reference_closure(pool: ConstantPool, roots: Set[int]) -> Set[int]:
-    """Transitively close a set of constant pool indices."""
-    closed: Set[int] = set()
+def extend_closure(
+    pool: ConstantPool, roots: Iterable[int], closed: Set[int]
+) -> int:
+    """Extend ``closed`` with every entry ``roots`` reach through new ones.
+
+    Follows references from ``roots`` and stops at any entry already in
+    ``closed``.  When ``closed`` is closed under references (empty, or
+    a union of closures), the entries added are exactly the closure of
+    ``roots`` minus ``closed``, and the result stays closed.
+
+    Returns:
+        The serialized bytes of the entries added.
+
+    Raises:
+        ConstantPoolError: If a reference is out of range.
+    """
+    added = 0
     frontier = list(roots)
     while frontier:
         index = frontier.pop()
         if index in closed:
             continue
-        closed.add(index)
         entry = pool.get(index)
+        closed.add(index)
+        added += entry.size
         if isinstance(entry, ClassEntry):
             frontier.append(entry.name_index)
         elif isinstance(entry, StringEntry):
@@ -69,6 +91,13 @@ def reference_closure(pool: ConstantPool, roots: Set[int]) -> Set[int]:
         elif isinstance(entry, NameAndTypeEntry):
             frontier.append(entry.name_index)
             frontier.append(entry.descriptor_index)
+    return added
+
+
+def reference_closure(pool: ConstantPool, roots: Set[int]) -> Set[int]:
+    """Transitively close a set of constant pool indices."""
+    closed: Set[int] = set()
+    extend_closure(pool, roots, closed)
     return closed
 
 
@@ -98,7 +127,7 @@ def _own_method_refs(classfile: ClassFile) -> Dict[Tuple[str, str], Set[int]]:
     return refs
 
 
-def _method_references(
+def _method_roots(
     classfile: ClassFile,
     method: MethodInfo,
     own_refs: Dict[Tuple[str, str], Set[int]],
@@ -116,32 +145,52 @@ def _method_references(
     roots |= _utf8_roots(pool, names)
     # The method's own MethodRef (created for intra-program calls).
     roots |= own_refs.get((method.name, method.descriptor), set())
-    return reference_closure(pool, roots)
+    return roots
+
+
+def pool_roots_by_method(classfile: ClassFile) -> List[Set[int]]:
+    """Every method's directly referenced pool indices, in file order.
+
+    The roots whose closure is :func:`method_pool_references`.  One
+    pass over the pool's MethodRefs serves every method, so the roots
+    of a whole class cost O(pool + code), not O(pool × methods).
+    """
+    own_refs = _own_method_refs(classfile)
+    return [
+        _method_roots(classfile, method, own_refs)
+        for method in classfile.methods
+    ]
 
 
 def method_pool_references(
     classfile: ClassFile, method: MethodInfo
 ) -> Set[int]:
     """All pool indices method execution and verification touch."""
-    return _method_references(classfile, method, _own_method_refs(classfile))
+    return reference_closure(
+        classfile.constant_pool,
+        _method_roots(classfile, method, _own_method_refs(classfile)),
+    )
 
 
 def pool_references_by_method(classfile: ClassFile) -> List[Set[int]]:
-    """:func:`method_pool_references` of every method, in file order.
-
-    One pass over the pool serves every method, so attributing a whole
-    class costs O(pool + code), not O(pool × methods).
-    """
-    own_refs = _own_method_refs(classfile)
+    """:func:`method_pool_references` of every method, in file order."""
+    pool = classfile.constant_pool
     return [
-        _method_references(classfile, method, own_refs)
-        for method in classfile.methods
+        reference_closure(pool, roots)
+        for roots in pool_roots_by_method(classfile)
     ]
 
 
 def setup_pool_references(classfile: ClassFile) -> Set[int]:
     """Pool indices needed before any method runs (verification steps
     1–2 and preparation, §3.1)."""
+    return reference_closure(
+        classfile.constant_pool, setup_pool_roots(classfile)
+    )
+
+
+def setup_pool_roots(classfile: ClassFile) -> Set[int]:
+    """The roots whose closure is :func:`setup_pool_references`."""
     pool = classfile.constant_pool
     roots: Set[int] = set()
     this_index = pool.find_utf8(classfile.name)
@@ -163,4 +212,4 @@ def setup_pool_references(classfile: ClassFile) -> Set[int]:
     for attribute in classfile.attributes:
         names.append(attribute.name)
     roots |= _utf8_roots(pool, names)
-    return reference_closure(pool, roots)
+    return roots

@@ -14,7 +14,7 @@ these same units, differing only in how streams share the link.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..classfile import METHOD_DELIMITER_SIZE, class_layout
@@ -84,28 +84,47 @@ class ClassTransferPlan:
     and interleaved transfer preserve intra-class order — so a method
     unit's arrival implies everything it needs from its own class has
     arrived too.
+
+    A plan indexes its method units, and the stream bytes through each,
+    by method name when it is built, so :meth:`method_unit`,
+    :meth:`required_unit_for`, :meth:`prefix_bytes_through` and
+    :attr:`total_bytes` are O(1).  The index is derived from ``units``
+    and takes no part in equality or ``repr``.
     """
 
     class_name: str
     policy: TransferPolicy
     units: Tuple[TransferUnit, ...]
+    _total_bytes: int = field(init=False, repr=False, compare=False)
+    _by_method: Dict[str, Tuple[TransferUnit, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        total = 0
+        by_method: Dict[str, Tuple[TransferUnit, int]] = {}
+        for unit in self.units:
+            total += unit.size
+            if unit.method is not None:
+                by_method.setdefault(unit.method.method_name, (unit, total))
+        object.__setattr__(self, "_total_bytes", total)
+        object.__setattr__(self, "_by_method", by_method)
 
     @property
     def total_bytes(self) -> int:
-        return sum(unit.size for unit in self.units)
+        return self._total_bytes
+
+    def _indexed(self, method_name: str) -> Tuple[TransferUnit, int]:
+        try:
+            return self._by_method[method_name]
+        except KeyError:
+            raise TransferError(
+                f"no method unit {method_name!r} in plan for "
+                f"{self.class_name!r}"
+            ) from None
 
     def method_unit(self, method_name: str) -> TransferUnit:
-        for unit in self.units:
-            if (
-                unit.kind == UnitKind.METHOD
-                and unit.method is not None
-                and unit.method.method_name == method_name
-            ):
-                return unit
-        raise TransferError(
-            f"no method unit {method_name!r} in plan for "
-            f"{self.class_name!r}"
-        )
+        return self._indexed(method_name)[0]
 
     def required_unit_for(self, method_name: str) -> TransferUnit:
         """The unit whose arrival lets ``method_name`` begin executing.
@@ -121,19 +140,7 @@ class ClassTransferPlan:
         """Bytes from stream start through the method's unit."""
         if self.policy == TransferPolicy.STRICT:
             return self.total_bytes
-        total = 0
-        for unit in self.units:
-            total += unit.size
-            if (
-                unit.kind == UnitKind.METHOD
-                and unit.method is not None
-                and unit.method.method_name == method_name
-            ):
-                return total
-        raise TransferError(
-            f"no method unit {method_name!r} in plan for "
-            f"{self.class_name!r}"
-        )
+        return self._indexed(method_name)[1]
 
 
 def build_class_plan(

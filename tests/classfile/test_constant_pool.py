@@ -3,12 +3,16 @@
 import pytest
 
 from repro.classfile import (
+    ClassFileBuilder,
     ConstantPool,
     ConstantTag,
     IntegerEntry,
     MethodRefEntry,
     Utf8Entry,
+    deserialize,
+    serialize,
 )
+from repro.classfile.constant_pool import MAX_POOL_ENTRIES, MAX_UTF8_BYTES
 from repro.errors import ConstantPoolError
 
 
@@ -128,3 +132,52 @@ def test_find_utf8():
     index = pool.add_utf8("needle")
     assert pool.find_utf8("needle") == index
     assert pool.find_utf8("missing") is None
+
+
+def test_find_utf8_sees_a_directly_added_entry():
+    pool = ConstantPool()
+    index = pool.add(Utf8Entry("direct"))
+    assert pool.find_utf8("direct") == index
+    assert pool.add_utf8("direct") == index
+    assert len(pool) == 1
+
+
+def test_utf8_constant_past_the_u2_length_is_a_pool_error():
+    # 70,000 bytes cannot be written: the Utf8 length field is a u2.
+    with pytest.raises(ConstantPoolError, match="exceeds"):
+        builder = ClassFileBuilder("Big")
+        builder.add_string_constant("x" * 70_000)
+        serialize(builder.build())
+    # Multi-byte characters count by encoded bytes, not characters.
+    with pytest.raises(ConstantPoolError):
+        Utf8Entry("\u00e9" * (MAX_UTF8_BYTES // 2 + 1))
+    assert Utf8Entry("x" * MAX_UTF8_BYTES).size == 3 + MAX_UTF8_BYTES
+
+
+def test_unencodable_utf8_constant_is_a_pool_error():
+    with pytest.raises(ConstantPoolError, match="not encodable"):
+        Utf8Entry("\ud800")
+
+
+def test_pool_past_the_u2_count_is_a_pool_error():
+    builder = ClassFileBuilder("Full")
+    pool = builder.constant_pool
+    value = 0
+    while len(pool) < MAX_POOL_ENTRIES:
+        pool.add_integer(value)
+        value += 1
+    # The count field stores len(pool) + 1 = 65,535, the largest u2, so
+    # a full pool still round-trips.
+    image = serialize(builder.build())
+    assert deserialize(image).constant_pool.size == pool.size
+    # Interning an existing constant still works on a full pool ...
+    assert pool.add_integer(0) == pool.find(IntegerEntry(0))
+    # ... but a new one is refused, and nothing changes.
+    size = pool.size
+    with pytest.raises(ConstantPoolError, match="full"):
+        pool.add_integer(-1)
+    with pytest.raises(ConstantPoolError, match="full"):
+        pool.add_utf8("new")
+    assert len(pool) == MAX_POOL_ENTRIES == 65_534
+    assert pool.size == size
+    assert pool.find_utf8("new") is None

@@ -18,7 +18,9 @@ from repro.classfile import (
     intern_names,
     serialize,
 )
+from repro.classfile import members
 from repro.errors import ClassFileError
+from repro.workloads.synthetic import generate_workload
 
 
 def build_class(method_count=3, local_data=b"", field_count=2):
@@ -179,3 +181,21 @@ def test_intern_names_twice_adds_nothing():
     interned = list(classfile.constant_pool)
     intern_names(classfile)
     assert list(classfile.constant_pool) == interned
+
+
+def test_layout_sums_each_method_once(monkeypatch):
+    """One code-size sum per method: size and local bytes share it."""
+    classfile = generate_workload("Jess").program.class_named("jess/C72")
+    expected = [(method.name, method.size) for method in classfile.methods]
+    sums = []
+    code_size = members.code_size
+
+    def counting_code_size(instructions):
+        sums.append(len(instructions))
+        return code_size(instructions)
+
+    monkeypatch.setattr(members, "code_size", counting_code_size)
+    layout = class_layout(classfile)
+    assert len(classfile.methods) == 16
+    assert len(sums) == 16
+    assert list(layout.method_sizes) == expected

@@ -1,0 +1,143 @@
+"""ConstantPool against a list-plus-dict model.
+
+The pool keeps a running byte total and a Utf8 value index as entries
+are added.  Random sequences of ``add_*`` helpers and direct ``add``
+calls over all eleven entry kinds, with many repeats, must leave it
+indistinguishable from the plain model: the same entries at the same
+indices, ``size`` equal to the re-summed entry sizes, and ``find_utf8``
+agreeing with ``find(Utf8Entry(...))`` for present and absent values.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.classfile import (
+    ClassEntry,
+    ConstantPool,
+    DoubleEntry,
+    FieldRefEntry,
+    FloatEntry,
+    IntegerEntry,
+    InterfaceMethodRefEntry,
+    LongEntry,
+    MethodRefEntry,
+    NameAndTypeEntry,
+    StringEntry,
+    Utf8Entry,
+)
+
+#: Few, short values, so most operations repeat an earlier one.
+_TEXT = st.text(alphabet="abé", max_size=2)
+_PROBES = ("", "a", "b", "ab", "ba", "é", "aé", "zzz")
+_NUMBER = st.integers(-2, 2)
+_REAL = st.sampled_from([0.0, -0.0, 1.5, -2.25])
+_INDEX = st.integers(1, 6)
+
+
+class Model:
+    """The pool's interning semantics, with nothing kept on the side."""
+
+    def __init__(self):
+        self.entries = []
+        self.index = {}
+
+    def add(self, entry):
+        if entry not in self.index:
+            self.entries.append(entry)
+            self.index[entry] = len(self.entries)
+        return self.index[entry]
+
+    def add_utf8(self, value):
+        return self.add(Utf8Entry(value))
+
+    def add_integer(self, value):
+        return self.add(IntegerEntry(value))
+
+    def add_float(self, value):
+        return self.add(FloatEntry(value))
+
+    def add_long(self, value):
+        return self.add(LongEntry(value))
+
+    def add_double(self, value):
+        return self.add(DoubleEntry(value))
+
+    def add_string(self, value):
+        return self.add(StringEntry(self.add_utf8(value)))
+
+    def add_class(self, name):
+        return self.add(ClassEntry(self.add_utf8(name)))
+
+    def add_name_and_type(self, name, descriptor):
+        return self.add(
+            NameAndTypeEntry(self.add_utf8(name), self.add_utf8(descriptor))
+        )
+
+    def _member(self, kind, class_name, name, descriptor):
+        return self.add(
+            kind(
+                self.add_class(class_name),
+                self.add_name_and_type(name, descriptor),
+            )
+        )
+
+    def add_field_ref(self, *names):
+        return self._member(FieldRefEntry, *names)
+
+    def add_method_ref(self, *names):
+        return self._member(MethodRefEntry, *names)
+
+    def add_interface_method_ref(self, *names):
+        return self._member(InterfaceMethodRefEntry, *names)
+
+
+_DIRECT_ENTRIES = st.one_of(
+    st.builds(Utf8Entry, _TEXT),
+    st.builds(IntegerEntry, _NUMBER),
+    st.builds(FloatEntry, _REAL),
+    st.builds(LongEntry, _NUMBER),
+    st.builds(DoubleEntry, _REAL),
+    st.builds(StringEntry, _INDEX),
+    st.builds(ClassEntry, _INDEX),
+    st.builds(FieldRefEntry, _INDEX, _INDEX),
+    st.builds(MethodRefEntry, _INDEX, _INDEX),
+    st.builds(InterfaceMethodRefEntry, _INDEX, _INDEX),
+    st.builds(NameAndTypeEntry, _INDEX, _INDEX),
+)
+
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("add"), _DIRECT_ENTRIES),
+    st.tuples(st.just("add_utf8"), _TEXT),
+    st.tuples(st.just("add_integer"), _NUMBER),
+    st.tuples(st.just("add_float"), _REAL),
+    st.tuples(st.just("add_long"), _NUMBER),
+    st.tuples(st.just("add_double"), _REAL),
+    st.tuples(st.just("add_string"), _TEXT),
+    st.tuples(st.just("add_class"), _TEXT),
+    st.tuples(st.just("add_name_and_type"), _TEXT, _TEXT),
+    st.tuples(st.just("add_field_ref"), _TEXT, _TEXT, _TEXT),
+    st.tuples(st.just("add_method_ref"), _TEXT, _TEXT, _TEXT),
+    st.tuples(st.just("add_interface_method_ref"), _TEXT, _TEXT, _TEXT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPERATIONS, max_size=40))
+def test_pool_matches_list_and_dict_model(operations):
+    pool = ConstantPool()
+    model = Model()
+    for name, *arguments in operations:
+        assert getattr(pool, name)(*arguments) == getattr(model, name)(
+            *arguments
+        )
+        assert list(pool) == model.entries
+        assert pool.entries() == list(enumerate(model.entries, start=1))
+        assert pool.size == 2 + sum(entry.size for entry in pool)
+        for entry, index in model.index.items():
+            assert pool.find(entry) == index
+        for value in _PROBES + tuple(
+            argument for argument in arguments if isinstance(argument, str)
+        ):
+            expected = model.index.get(Utf8Entry(value))
+            assert pool.find_utf8(value) == expected
+            assert pool.find(Utf8Entry(value)) == expected

@@ -20,6 +20,7 @@ from repro.harness import (
     table7_interleaved,
     table8_global_data,
     table9_data_breakdown,
+    table10_data_partitioning,
 )
 from repro.harness.results import ResultTable
 
@@ -36,8 +37,8 @@ def figure6():
     return figure6_summary()
 
 
-def _ours_column(heading):
-    """Row label -> "Ours" cell of the table under ``heading``."""
+def _ours_column(heading, column="Ours"):
+    """Row label -> ``column`` cell of the table under ``heading``."""
     section = EXPERIMENTS_MD.read_text().split(f"\n{heading}\n", 1)[1]
     lines = [
         line
@@ -48,7 +49,7 @@ def _ours_column(heading):
         [cell.strip() for cell in line.strip("|").split("|")]
         for line in lines
     ]
-    ours = header.index("Ours")
+    ours = header.index(column)
     return {row[0]: row[ours] for row in rows}
 
 
@@ -205,6 +206,54 @@ def test_experiments_md_figure6_is_what_the_code_computes(figure6):
         _assert_printed(
             ours[doc_label], [figure6.cell(code_label, "Modem Test")]
         )
+
+
+def test_experiments_md_table8_is_what_the_code_computes():
+    table = table8_global_data()
+    ours = _ours_column(
+        "## Table 8 — global data / constant pool breakdown", "Ours avg"
+    )
+    doc_to_code = {
+        "Constant pool share of global data": ("AVG", "CPool"),
+        "Utf8 share of the pool": ("AVG", "Utf8"),
+        "TestDes integer share (the outlier)": ("TestDes", "Ints"),
+        "JHLZip integer share": ("JHLZip", "Ints"),
+    }
+    assert sorted(ours) == sorted(doc_to_code)
+    for doc_label, (row, column) in doc_to_code.items():
+        _assert_printed(ours[doc_label], [table.cell(row, column)])
+
+
+def test_experiments_md_table9_is_what_the_code_computes():
+    table = table9_data_breakdown()
+    ours = _ours_column("## Table 9 — local/global data split", "Ours avg")
+    doc_to_code = {
+        "% globals needed first": "% Needed First",
+        "% globals needed in methods": "% In Methods",
+        "% globals unused": "% Unused",
+    }
+    assert sorted(ours) == sorted(doc_to_code)
+    for doc_label, column in doc_to_code.items():
+        _assert_printed(ours[doc_label], [table.cell("AVG", column)])
+
+
+def test_experiments_md_table10_is_what_the_code_computes():
+    table = table10_data_partitioning()
+    heading = "## Table 10 — global data partitioning"
+    doc_to_code = {
+        "Parallel(4)+DP, SCG": ("Par4", "SCG"),
+        "Parallel(4)+DP, Test": ("Par4", "Test"),
+        "Interleaved+DP, SCG": ("Intl", "SCG"),
+        "Interleaved+DP, Test": ("Intl", "Test"),
+    }
+    for link in ("T1", "modem"):
+        ours = _ours_column(heading, f"Ours {link}")
+        assert sorted(ours) == sorted(doc_to_code)
+        for doc_label, (method, ordering) in doc_to_code.items():
+            _assert_printed(
+                ours[doc_label],
+                [table.cell("AVG", f"{method} {link} {ordering}")],
+            )
 
 
 def test_table8_pool_dominates_and_utf8_leads():

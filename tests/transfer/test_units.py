@@ -5,6 +5,7 @@ import pytest
 from repro.classfile import METHOD_DELIMITER_SIZE, class_layout, serializer
 from repro.errors import TransferError
 from repro.transfer import (
+    ClassTransferPlan,
     TransferPolicy,
     TransferUnit,
     UnitKind,
@@ -131,3 +132,47 @@ def test_plan_building_neither_serializes_nor_encodes(monkeypatch, policy):
     plans = build_program_plans(generate_workload("Jess").program, policy)
     assert plans
     assert calls == []
+
+
+class _CountingUnits(tuple):
+    """A unit tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("policy", list(TransferPolicy), ids=lambda p: p.value)
+def test_plan_lookups_never_rescan_units(monkeypatch, policy):
+    """Lookups by method name read the index built with the plan."""
+    classfile = generate_workload("Jess").program.class_named("jess/C72")
+    built = build_class_plan(classfile, policy)
+    # Expected answers, from one scan of the units.
+    prefix = 0
+    expected = {}
+    for unit in built.units:
+        prefix += unit.size
+        if unit.method is not None:
+            expected.setdefault(unit.method.method_name, (unit, prefix))
+    total = prefix
+
+    plan = ClassTransferPlan(
+        built.class_name, built.policy, _CountingUnits(built.units)
+    )
+    assert plan == built and repr(plan) == repr(built)
+    monkeypatch.setattr(_CountingUnits, "iterations", 0)
+    for method in classfile.methods:
+        if policy == TransferPolicy.STRICT:
+            with pytest.raises(TransferError):
+                plan.method_unit(method.name)
+            assert plan.required_unit_for(method.name) == built.units[0]
+            assert plan.prefix_bytes_through(method.name) == total
+        else:
+            unit, through = expected[method.name]
+            assert plan.method_unit(method.name) == unit
+            assert plan.required_unit_for(method.name) == unit
+            assert plan.prefix_bytes_through(method.name) == through
+    assert plan.total_bytes == total
+    assert _CountingUnits.iterations == 0
