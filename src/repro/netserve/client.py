@@ -15,12 +15,17 @@ The endpoint count picks the link mode; there is no option for it:
 * **Two or more — pull.**  Every link negotiates a pull session, and a
   client-side :class:`repro.sched.Scoreboard` — the structure the
   simulator's :class:`~repro.sched.StripedController` uses — issues each
-  unit to the healthiest, least-loaded link.  Units land in any order,
-  but one only becomes *observable* at its scoreboard retire time,
-  after its class's leading global unit.  A misprediction escalates the
-  unit to the front of every queue and, if it is still missing after
-  ``hedge_delay``, races a duplicate request on the next-best link; the
-  losing copy is dropped by wire key.
+  unit to the healthiest, least-loaded link.  Issue happens in rounds,
+  once per socket read that landed units rather than once per unit, and
+  one ``DEMAND_FETCH`` per link names every unit the round gave that
+  link.  Units land in any order, but one only becomes *observable* at
+  its scoreboard retire time, after its class's leading global unit.  A
+  misprediction escalates the unit to the front of every queue and, if
+  it is still missing after ``hedge_delay``, races a duplicate request
+  on the next-best link; the losing copy is dropped by wire key.
+
+Every link reads its socket in chunks of up to :data:`READ_CHUNK_BYTES`
+and decodes each whole frame a read completes before it awaits again.
 
 Resilience is the same on every link.  A lost connection or any
 protocol violation (bad framing, a short ``EOF``, a rejected handshake)
@@ -51,6 +56,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,18 +78,18 @@ from ..program import MethodId
 from ..sched import IssueItem, ItemState, Scoreboard
 from ..transfer import TransferUnit, UnitKind
 from .protocol import (
+    FRAME_HEADER_BYTES,
     Frame,
     FrameKind,
     decode_frame,
     demand_fetch_frame,
     encode_frame,
+    frame_size,
     hello_frame,
     read_frame,
-    read_raw_frame,
     resume_frame,
     salvage_unit_key,
     unit_kind_code,
-    unit_kind_from_code,
     unit_wire_key,
 )
 from .stats import FetchStats
@@ -91,7 +97,7 @@ from .stats import FetchStats
 if TYPE_CHECKING:  # pragma: no cover
     from ..observe import TraceRecorder
 
-__all__ = ["LinkState", "NonStrictFetcher"]
+__all__ = ["LinkState", "NonStrictFetcher", "READ_CHUNK_BYTES"]
 
 #: A server endpoint: (host, port).
 Endpoint = Tuple[str, int]
@@ -100,6 +106,13 @@ UnitKey = Tuple[int, str, Optional[str]]
 
 #: Manifest rows name a unit kind by value; wire keys use its code.
 _KIND_CODE_OF_VALUE = {kind.value: unit_kind_code(kind) for kind in UnitKind}
+
+#: Most bytes one socket read takes: one server send batch
+#: (``server.SEND_BATCH_BYTES``).  Every whole frame a read completes
+#: is decoded before the link reads again.  64 KB reads measured no
+#: faster on reprobench serve-striped or serve-warm (2-vCPU host, 6 and
+#: 4 alternating pairs).
+READ_CHUNK_BYTES = 16 * 1024
 
 
 def _row_key(row: Sequence[Any]) -> UnitKey:
@@ -117,15 +130,64 @@ def _row_key(row: Sequence[Any]) -> UnitKey:
         raise ProtocolError(f"malformed manifest row {row!r}") from exc
 
 
-def _resend_frame(key: UnitKey) -> Frame:
-    """A request for exactly one unit (pull issue, or a damaged frame)."""
-    code, class_name, method_name = key
-    return demand_fetch_frame(
-        class_name,
-        method_name,
-        kind=unit_kind_from_code(code),
-        resend=True,
-    )
+def _resend_frame(keys: Sequence[UnitKey]) -> Frame:
+    """One request for exactly these units, in order: a pull link's
+    round of issues, a hedge, or a damaged frame's retry."""
+    return demand_fetch_frame(units=keys)
+
+
+class _Framer:
+    """Cuts one connection's byte stream into whole frames.
+
+    Only the framing is checked here (:func:`~.protocol.frame_size`);
+    each frame's bytes go to :func:`~.protocol.decode_frame` whole, so
+    a damaged unit can still be salvaged.  A frame longer than what has
+    arrived is kept as the list of its reads and joined once, when its
+    last byte lands, so a growing frame is neither copied nor scanned
+    again on every read.
+    """
+
+    __slots__ = ("_tail", "_parts", "_held", "_want")
+
+    def __init__(self) -> None:
+        #: Bytes after the last whole frame, too few for a header.
+        self._tail = b""
+        #: An incomplete frame of known size: its reads so far, their
+        #: length, and the frame's whole size (0 = none).
+        self._parts: List[bytes] = []
+        self._held = 0
+        self._want = 0
+
+    def feed(self, chunk: bytes) -> Iterator[bytes]:
+        """Yield every whole frame ``chunk`` completes, in stream order.
+
+        Raises:
+            FrameCorruptionError: At a frame whose framing is unreadable,
+                once the whole frames before it were yielded.
+        """
+        if self._want:
+            self._parts.append(chunk)
+            self._held += len(chunk)
+            if self._held < self._want:
+                return
+            data = b"".join(self._parts)
+            self._parts = []
+            self._held = self._want = 0
+        elif self._tail:
+            data = self._tail + chunk
+        else:
+            data = chunk
+        start, size = 0, len(data)
+        while size - start >= FRAME_HEADER_BYTES:
+            end = start + frame_size(data, start)
+            if end > size:
+                self._parts = [data[start:]]
+                self._held, self._want = size - start, end - start
+                self._tail = b""
+                return
+            yield data[start:end]
+            start = end
+        self._tail = data[start:]
 
 
 class LinkState(enum.IntEnum):
@@ -287,7 +349,6 @@ class NonStrictFetcher:
         self._classes_complete: Set[str] = set()
         #: Wire keys of units held intact (resume/duplicate filtering).
         self._received_keys: Set[UnitKey] = set()
-        self._wire_bytes = 0
         self._demanded: Set[MethodId] = set()
         self._events: Dict[MethodId, asyncio.Event] = {}
         self._eof = asyncio.Event()
@@ -621,29 +682,33 @@ class NonStrictFetcher:
         )
 
     async def _dispatch(self) -> None:
-        """Issue ready grains to links until windows or work run out.
+        """One issue round: ready grains go to links, in scoreboard
+        order, until windows or work run out; then each link gets one
+        ``DEMAND_FETCH`` naming every unit the round issued to it.
 
         Serialized by a lock: landings, reconnects, and demand
         escalations all call this, and scoreboard transitions plus the
-        matching sends must stay atomic per grain.  A push session has
-        no scoreboard, so this returns at once.
+        matching sends must stay atomic per round.  Issuing releases no
+        grain, so one ``ready_items`` list serves the whole round.  A
+        push session has no scoreboard, so this returns at once.
         """
         board = self._board
         if board is None:
             return
         async with self._dispatch_lock:
-            while not self._eof.is_set():
-                ready = board.ready_items(lambda item: 0.0)
-                if not ready:
-                    return
+            if self._eof.is_set():
+                return
+            issued: Dict[int, List[UnitKey]] = {}
+            for item in board.ready_items(lambda _: 0.0):
                 link = self._pick_link()
                 if link is None:
-                    return
-                item = ready[0]
+                    break
                 key = unit_wire_key(item.units[0])
                 board.mark_issued(item.label, link.index, self.elapsed())
                 link.in_flight[key] = (item.label, time.monotonic())
-                await self._send(link, _resend_frame(key))
+                issued.setdefault(link.index, []).append(key)
+            for index, keys in issued.items():
+                await self._send(self._links[index], _resend_frame(keys))
 
     async def _send(self, link: _Link, frame: Frame) -> None:
         """Put one client frame on a link.
@@ -692,76 +757,110 @@ class NonStrictFetcher:
     async def _drain(self, link: _Link) -> None:
         """Receive on one link until the fetch completes.
 
+        Each socket read's whole frames are decoded, in order, before
+        the link reads again, and a pull link issues new work once per
+        read that landed units, after all of them.  A landing that
+        wakes a waiter yields first, so the waiter runs before the next
+        frame is decoded.
+
         Raises :class:`~repro.errors.ConnectionLostError` or
         :class:`~repro.errors.ProtocolError` on a link failure.  ``EOF``
         is legal only on a push link, and only once nothing is missing.
+        An undecodable frame that names no unit raises
+        :class:`~repro.errors.StreamDecodeError` with its offset in
+        this connection's stream (counted from the end of the
+        handshake ack) and the last unit this connection delivered.
         """
         reader = link.reader
         assert reader is not None
-        read = (
-            read_raw_frame
-            if self._deadline_at is None
-            else self._read_by_deadline
-        )
+        framer = _Framer()
+        offset = 0  # this connection's stream bytes before the frame
+        last: Optional[TransferUnit] = None
         while True:
-            raw = await read(reader)
-            try:
-                frame, _ = decode_frame(raw)
-            except FrameCorruptionError as error:
-                key = salvage_unit_key(raw)
-                if key is None:
-                    raise StreamDecodeError(
-                        f"stream decode failed at byte {self._wire_bytes}: "
-                        f"{error}",
-                        byte_offset=self._wire_bytes,
-                    ) from error
-                self._wire_bytes += len(raw)
-                await self._retry_unit(link, key, error)
-                continue
-            self._wire_bytes += len(raw)
-            self.stats.record_frame(frame.wire_size)
-            if frame.kind is FrameKind.UNIT:
-                assert frame.unit is not None
-                woke = self._land_unit(link, frame.unit, frame.payload)
-                if self._eof.is_set():
+            landed = False
+            for raw in framer.feed(await self._read_chunk(reader)):
+                try:
+                    frame, _ = decode_frame(raw)
+                except FrameCorruptionError as error:
+                    key = salvage_unit_key(raw)
+                    if key is None:
+                        raise StreamDecodeError(
+                            f"stream decode failed at byte {offset}: "
+                            f"{error}",
+                            class_name=(
+                                last.class_name if last is not None else None
+                            ),
+                            method_name=(
+                                last.method.method_name
+                                if last is not None and last.method
+                                else None
+                            ),
+                            byte_offset=offset,
+                        ) from error
+                    offset += len(raw)
+                    await self._retry_unit(link, key, error)
+                    continue
+                offset += len(raw)
+                self.stats.record_frame(frame.wire_size)
+                if frame.kind is FrameKind.UNIT:
+                    assert frame.unit is not None
+                    last = frame.unit
+                    woke = self._land_unit(link, frame.unit, frame.payload)
+                    if self._eof.is_set():
+                        return
+                    landed = True
+                    if woke:
+                        # Reads never suspend while bytes are buffered:
+                        # let the woken caller run now, not once the
+                        # socket buffer is empty.
+                        await asyncio.sleep(0)
+                elif frame.kind is FrameKind.EOF and not link.pull:
+                    if not self._complete():
+                        raise ProtocolError(
+                            f"server EOF with {len(self._missing())} units "
+                            f"still missing"
+                        )
+                    self._finish()
                     return
-                if link.pull:
-                    await self._dispatch()
-                if woke:
-                    # The read above never suspends while bytes are
-                    # buffered: let the woken caller run now, not once
-                    # the socket buffer is empty.
-                    await asyncio.sleep(0)
-            elif frame.kind is FrameKind.EOF and not link.pull:
-                if not self._complete():
+                elif frame.kind is FrameKind.ERROR:
                     raise ProtocolError(
-                        f"server EOF with {len(self._missing())} units "
-                        f"still missing"
+                        f"server error: {frame.field_dict.get('message')}"
                     )
-                self._finish()
-                return
-            elif frame.kind is FrameKind.ERROR:
-                raise ProtocolError(
-                    f"server error: {frame.field_dict.get('message')}"
-                )
-            else:
-                raise ProtocolError(
-                    f"unexpected {frame.kind.name} frame on link "
-                    f"{link.index}"
-                )
+                else:
+                    raise ProtocolError(
+                        f"unexpected {frame.kind.name} frame on link "
+                        f"{link.index}"
+                    )
+            if landed and link.pull:
+                await self._dispatch()
 
-    async def _read_by_deadline(self, reader: asyncio.StreamReader) -> bytes:
-        """One frame's wire bytes, bounded by the fetch deadline."""
-        assert self._deadline_at is not None
-        remaining = self._deadline_at - time.monotonic()
-        if remaining <= 0:
-            raise self._deadline_error()
+    async def _read_chunk(self, reader: asyncio.StreamReader) -> bytes:
+        """The next bytes on a link's socket, at most
+        :data:`READ_CHUNK_BYTES`, bounded by the fetch deadline.
+
+        Raises:
+            ConnectionLostError: If the peer closed or reset the
+                connection.
+            TransferError: If the fetch deadline passed first.
+        """
         try:
-            return await asyncio.wait_for(
-                read_raw_frame(reader), timeout=remaining
-            )
-        except asyncio.TimeoutError as exc:
-            raise self._deadline_error() from exc
+            if self._deadline_at is None:
+                chunk = await reader.read(READ_CHUNK_BYTES)
+            else:
+                remaining = self._deadline_at - time.monotonic()
+                if remaining <= 0:
+                    raise self._deadline_error()
+                try:
+                    chunk = await asyncio.wait_for(
+                        reader.read(READ_CHUNK_BYTES), timeout=remaining
+                    )
+                except asyncio.TimeoutError as exc:
+                    raise self._deadline_error() from exc
+        except (ConnectionError, OSError) as exc:
+            raise ConnectionLostError(f"connection lost: {exc}") from exc
+        if not chunk:
+            raise ConnectionLostError("connection closed")
+        return chunk
 
     async def _retry_unit(
         self, link: _Link, key: UnitKey, error: FrameCorruptionError
@@ -777,7 +876,7 @@ class NonStrictFetcher:
                 link=str(link.index),
                 reason=str(error),
             )
-        await self._send(link, _resend_frame(key))
+        await self._send(link, _resend_frame([key]))
 
     # -- landing and retire -----------------------------------------------
 
@@ -1239,7 +1338,7 @@ class NonStrictFetcher:
             )
         self._hedges[key] = (item.channel, link.index)
         link.in_flight.setdefault(key, (label, time.monotonic()))
-        await self._send(link, _resend_frame(key))
+        await self._send(link, _resend_frame([key]))
 
     async def wait_until_complete(self) -> None:
         """Block until every unit is held (or a typed failure)."""

@@ -11,7 +11,11 @@ Every message is a *frame*::
 
 Control frames (``HELLO``, ``HELLO_ACK``, ``DEMAND_FETCH``, ``ERROR``,
 ``RESUME``, ``RESUME_ACK``) carry a UTF-8 JSON object as their body;
-``EOF`` has an empty body.  A
+``EOF`` has an empty body.  A unit's *wire key* is the JSON list
+``[kind code, class, method or null]`` (:func:`unit_wire_key`):
+``RESUME``'s ``have`` lists the keys a client holds, and
+``DEMAND_FETCH``'s optional ``units`` lists the keys it requests, in
+order, each as an exact ``resend`` of that one unit.  A
 ``UNIT`` frame carries one :class:`~repro.transfer.TransferUnit` plus
 its payload bytes::
 
@@ -52,6 +56,7 @@ __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
     "FRAME_OVERHEAD",
+    "FRAME_HEADER_BYTES",
     "MAX_BODY_BYTES",
     "FrameKind",
     "Frame",
@@ -65,6 +70,7 @@ __all__ = [
     "eof_frame",
     "encode_frame",
     "decode_frame",
+    "frame_size",
     "read_frame",
     "read_raw_frame",
     "salvage_unit_key",
@@ -77,6 +83,7 @@ MAGIC = 0x524E  # "RN"
 PROTOCOL_VERSION = 1
 
 _HEADER = struct.Struct(">HBBI")
+_KIND_OFFSET = 3  # the kind byte follows the u16 magic and u8 version
 _CRC = struct.Struct(">I")
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
@@ -84,6 +91,8 @@ _U32 = struct.Struct(">I")
 
 #: Fixed per-frame framing bytes (header + CRC trailer).
 FRAME_OVERHEAD = _HEADER.size + _CRC.size
+#: Bytes of the frame header: enough for :func:`frame_size`.
+FRAME_HEADER_BYTES = _HEADER.size
 
 #: Upper bound on a frame body — no legitimate unit is anywhere near
 #: this, so larger declared lengths are treated as corruption rather
@@ -194,11 +203,12 @@ def unit_frame(unit: TransferUnit, payload: bytes) -> Frame:
 
 
 def demand_fetch_frame(
-    class_name: str,
+    class_name: Optional[str] = None,
     method_name: Optional[str] = None,
     *,
     kind: Optional[UnitKind] = None,
     resend: bool = False,
+    units: Optional[Iterable[Tuple[int, str, Optional[str]]]] = None,
 ) -> Frame:
     """Client mispredict correction: prioritize this class/method.
 
@@ -206,12 +216,27 @@ def demand_fetch_frame(
     already sent — the recovery path for a unit whose frame arrived
     damaged.  ``kind`` narrows a resend to one unit kind so a single
     corrupted frame costs exactly one re-transmission.
+
+    ``units`` instead names whole units by wire key
+    (:func:`unit_wire_key`), sent as the JSON list ``units`` of
+    ``[kind code, class, method or null]`` entries.  Each entry is an
+    exact resend of its unit, and the server moves every match, in list
+    order, to the front of its queue as one block — a pull link's
+    whole round of requests in one frame.  The server reads the
+    single-unit fields only when ``units`` is absent.
     """
-    fields: Dict[str, Any] = {"class": class_name, "method": method_name}
+    fields: Dict[str, Any] = {}
+    if class_name is not None:
+        fields["class"] = class_name
+        fields["method"] = method_name
     if kind is not None:
         fields["kind"] = _UNIT_KIND_CODES[kind]
     if resend:
         fields["resend"] = True
+    if units is not None:
+        fields["units"] = [
+            [int(code), cls, method] for code, cls, method in units
+        ]
     return _json_frame(FrameKind.DEMAND_FETCH, fields)
 
 
@@ -412,19 +437,8 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise TruncatedFrameError(
             f"need {_HEADER.size} header bytes, have {len(data) - offset}"
         )
-    magic, version, kind_code, body_len = _HEADER.unpack_from(
-        data, offset
-    )
-    if magic != MAGIC:
-        raise FrameCorruptionError(f"bad magic 0x{magic:04x}")
-    if version != PROTOCOL_VERSION:
-        raise FrameCorruptionError(f"unsupported protocol v{version}")
-    if body_len > MAX_BODY_BYTES:
-        raise FrameCorruptionError(
-            f"declared body of {body_len} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
-    end = offset + _HEADER.size + body_len + _CRC.size
+    end = offset + frame_size(data, offset)
+    kind_code = data[offset + _KIND_OFFSET]
     if len(data) < end:
         raise TruncatedFrameError(
             f"need {end - offset} bytes, have {len(data) - offset}"
@@ -440,14 +454,39 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
     return _decode_validated(kind_code, body, end - offset), end
 
 
+def frame_size(data: bytes, offset: int = 0) -> int:
+    """Whole wire size of the frame whose header starts at ``offset``.
+
+    Checks only the framing — magic, version and a sane body length —
+    which is all a stream reader needs to find the next frame boundary.
+    CRC and body validation are :func:`decode_frame`'s.  ``data`` must
+    hold the :data:`FRAME_HEADER_BYTES` header bytes.
+
+    Raises:
+        FrameCorruptionError: If the framing is unreadable — there is
+            no way to find the next frame boundary after this.
+    """
+    magic, version, _kind, body_len = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise FrameCorruptionError(f"bad magic 0x{magic:04x}")
+    if version != PROTOCOL_VERSION:
+        raise FrameCorruptionError(f"unsupported protocol v{version}")
+    if body_len > MAX_BODY_BYTES:
+        raise FrameCorruptionError(
+            f"declared body of {body_len} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    return _HEADER.size + body_len + _CRC.size
+
+
 async def read_raw_frame(reader: asyncio.StreamReader) -> bytes:
     """Read one frame's complete wire bytes, deferring validation.
 
-    Only the framing itself is checked here (magic, version, sane body
-    length) — enough to know how many bytes to pull off the stream.
-    CRC and body validation happen in :func:`decode_frame`, so a caller
-    that wants to *salvage* a damaged frame (see
-    :func:`salvage_unit_key`) still gets the bytes.
+    Only the framing itself is checked here (:func:`frame_size`) —
+    enough to know how many bytes to pull off the stream.  CRC and body
+    validation happen in :func:`decode_frame`, so a caller that wants
+    to *salvage* a damaged frame (see :func:`salvage_unit_key`) still
+    gets the bytes.
 
     Raises:
         ConnectionLostError: If the peer closed or reset mid-frame (or
@@ -457,17 +496,7 @@ async def read_raw_frame(reader: asyncio.StreamReader) -> bytes:
     """
     try:
         header = await reader.readexactly(_HEADER.size)
-        magic, version, kind_code, body_len = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FrameCorruptionError(f"bad magic 0x{magic:04x}")
-        if version != PROTOCOL_VERSION:
-            raise FrameCorruptionError(f"unsupported protocol v{version}")
-        if body_len > MAX_BODY_BYTES:
-            raise FrameCorruptionError(
-                f"declared body of {body_len} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        rest = await reader.readexactly(body_len + _CRC.size)
+        rest = await reader.readexactly(frame_size(header) - _HEADER.size)
     except asyncio.IncompleteReadError as exc:
         raise ConnectionLostError(
             "connection closed mid-frame"

@@ -26,10 +26,13 @@ Two behaviours mirror the paper's transfer fabric (§5.1/§5.2):
 Striped sessions negotiate *pull mode* (``HELLO`` with ``pull:
 true``): the server answers with the full manifest but pushes nothing;
 every unit is requested explicitly through the demand path (a
-``DEMAND_FETCH`` with ``resend: true`` naming one wire key), so a
-multi-link client's issue engine — not the server — decides which unit
-travels on which connection and when.  A pull session has no ``EOF``;
-the client closes the connection once its scoreboard drains.
+``DEMAND_FETCH`` whose ``units`` list names wire keys, each an exact
+resend), so a multi-link client's issue engine — not the server —
+decides which unit travels on which connection and when.  One frame
+names every unit the client issued to the link in a round; the server
+promotes them as one block and wakes its sender once, so they leave in
+one batched write.  A pull session has no ``EOF``; the client closes
+the connection once its scoreboard drains.
 
 Fleet-scale controls:
 
@@ -624,7 +627,9 @@ class ClassFileServer:
         sequence = full_sequence
         resumed = hello.kind == FrameKind.RESUME
         if resumed:
-            have = self._have_keys(fields.get("have", []))
+            have = set(
+                self._wire_keys(fields.get("have", []), "RESUME 'have'")
+            )
             sequence = [
                 unit
                 for unit in full_sequence
@@ -666,27 +671,33 @@ class ClassFileServer:
         return sequence, artifact, pull
 
     @staticmethod
-    def _have_keys(raw: object) -> set:
-        """Parse a RESUME's ``have`` list into unit wire keys."""
+    def _wire_keys(
+        raw: object, what: str
+    ) -> List[Tuple[int, str, Optional[str]]]:
+        """Parse a JSON list of unit wire keys, keeping its order.
+
+        The one parser for RESUME's ``have`` and DEMAND_FETCH's
+        ``units``: each entry is ``[kind code, class, method or null]``.
+
+        Raises:
+            ProtocolError: If ``raw`` is not a list, or an entry is not
+                a 3-item list of an integer, a string and a string or
+                null.
+        """
         if not isinstance(raw, list):
-            raise ProtocolError("RESUME 'have' must be a list")
-        keys = set()
+            raise ProtocolError(f"{what} must be a list")
+        keys = []
         for entry in raw:
-            try:
-                code, class_name, method_name = entry
-                keys.add(
-                    (
-                        int(code),
-                        str(class_name),
-                        None
-                        if method_name is None
-                        else str(method_name),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed RESUME 'have' entry {entry!r}"
-                ) from exc
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 3
+                or not isinstance(entry[0], int)
+                or isinstance(entry[0], bool)
+                or not isinstance(entry[1], str)
+                or not (entry[2] is None or isinstance(entry[2], str))
+            ):
+                raise ProtocolError(f"malformed {what} entry {entry!r}")
+            keys.append((entry[0], entry[1], entry[2]))
         return keys
 
     async def _send_units(
@@ -816,9 +827,12 @@ class ClassFileServer:
 
         A plain demand promotes the demanded class's still-pending
         units to the front.  A ``resend`` demand (a client recovering a
-        damaged frame, or a pull session naming its next unit)
-        additionally re-enqueues already-sent units of the demanded
-        class that match the given method / kind.
+        damaged frame) additionally re-enqueues already-sent units of
+        the demanded class that match the given method / kind.  A
+        ``units`` list (a pull link's round of requests, a retry or a
+        hedge) is a list of exact resends: every match, sent or
+        pending, moves to the front as one block, in list order.  Each
+        frame counts as one demand fetch, whatever it names.
 
         Runs concurrently with the sender; the deque rearrangement is
         synchronous (no await between read and write of ``pending``),
@@ -907,40 +921,55 @@ class ClassFileServer:
                 frame = await read_frame(reader)
                 if frame.kind != FrameKind.DEMAND_FETCH:
                     continue  # tolerate chatty clients; units keep flowing
-                demanded, method, kind_code, resend = self._demand_fields(
-                    frame.field_dict
-                )
+                fields = frame.field_dict
+                listed = fields.get("units")
+                if listed is None:
+                    demanded, method, kind_code, resend = (
+                        self._demand_fields(fields)
+                    )
+                else:
+                    keys = self._wire_keys(listed, "DEMAND_FETCH 'units'")
             except ReproError:
                 return  # peer gone or talking garbage; sender notices
-            promoted = [
-                unit
-                for unit in pending
-                if unit.class_name == demanded
-            ]
-            if resend:
+            if listed is None:
                 promoted = [
                     unit
-                    for unit in self._resend_matches(
-                        artifact, demanded, method, kind_code
+                    for unit in pending
+                    if unit.class_name == demanded
+                ]
+                if resend:
+                    promoted = [
+                        unit
+                        for unit in self._resend_matches(
+                            artifact, demanded, method, kind_code
+                        )
+                        if unit not in pending
+                    ] + promoted
+                keys = [(kind_code, demanded, method)]
+            else:
+                # dict.fromkeys: a unit two entries match moves once.
+                promoted = list(
+                    dict.fromkeys(
+                        unit
+                        for code, cls, name in keys
+                        for unit in self._resend_matches(
+                            artifact, cls, name, code
+                        )
                     )
-                    if unit not in pending
-                ] + promoted
+                )
             conn.record_demand_fetch(len(promoted))
             if self.recorder is not None:
                 self.recorder.demand_fetch(
                     self._now(),
-                    method=f"{demanded}.{method}",
+                    method=",".join(f"{cls}.{name}" for _, cls, name in keys),
                     peer=conn.peer,
                 )
             if not promoted:
                 continue  # already sent (or unknown): nothing to jump
-            # Only the demanded class's units move, so the rest of
-            # ``pending`` keeps its order behind them.
-            remaining = [
-                unit
-                for unit in pending
-                if unit.class_name != demanded
-            ]
+            # Only the promoted units move, so the rest of ``pending``
+            # keeps its order behind them.
+            moved = set(promoted)
+            remaining = [unit for unit in pending if unit not in moved]
             pending.clear()
             pending.extend(promoted)
             pending.extend(remaining)
@@ -950,7 +979,7 @@ class ClassFileServer:
                 self.recorder.schedule_decision(
                     self._now(),
                     action="promote",
-                    target=demanded,
+                    target=",".join(dict.fromkeys(cls for _, cls, _ in keys)),
                     promoted_units=len(promoted),
                     peer=conn.peer,
                 )

@@ -1,6 +1,7 @@
 """Per-fault recovery paths, timeouts, and typed failure context."""
 
 import asyncio
+import struct
 
 import pytest
 
@@ -8,10 +9,13 @@ from repro import figure1_program
 from repro.errors import (
     ConnectionLostError,
     ResilienceExhaustedError,
+    StreamDecodeError,
     TransferError,
 )
 from repro.faults import FaultPlan
 from repro.netserve import (
+    MAGIC,
+    PROTOCOL_VERSION,
     ClassFileServer,
     FrameKind,
     NonStrictFetcher,
@@ -318,6 +322,62 @@ def test_stream_decode_error_names_unit_and_byte_offset():
         await server.wait_closed()
 
     run(scenario())
+
+
+def test_stream_decode_error_offset_counts_only_its_connection():
+    """On a stripe's second link, an undecodable frame that names no
+    unit is reported at its offset in that connection's stream, counted
+    from the end of the handshake ack, with the last unit that
+    connection delivered — whatever the other link already landed."""
+    units = [
+        TransferUnit(kind=UnitKind.GLOBAL_DATA, class_name="A", size=40),
+    ] + [
+        TransferUnit(
+            kind=UnitKind.METHOD,
+            class_name="A",
+            size=size,
+            method=MethodId("A", name),
+        )
+        for name, size in (("main", 30), ("helper", 20), ("tail", 10))
+    ]
+    fetcher = NonStrictFetcher("127.0.0.1", 1, links=[("127.0.0.1", 1)])
+    fetcher._accept_manifest(
+        {
+            "sequence": [
+                [unit.kind.value, "A", unit.method and unit.method.method_name, unit.size]
+                for unit in units
+            ]
+        }
+    )
+    fetcher._build_board()
+    frames = [
+        encode_frame(unit_frame(unit, bytes([index]) * unit.size))
+        for index, unit in enumerate(units)
+    ]
+    # An EOF frame with a body and a CRC that does not match it.
+    unreadable = struct.pack(
+        ">HBBI", MAGIC, PROTOCOL_VERSION, int(FrameKind.EOF), 4
+    ) + b"junk" + struct.pack(">I", 0)
+
+    async def drain(link, stream):
+        link.reader = asyncio.StreamReader()
+        link.reader.feed_data(stream)
+        link.reader.feed_eof()
+        await fetcher._drain(link)
+
+    async def scenario():
+        first, second = fetcher._links
+        with pytest.raises(ConnectionLostError):
+            await drain(first, frames[0])
+        with pytest.raises(StreamDecodeError) as caught:
+            await drain(second, frames[1] + frames[2] + unreadable)
+        return caught.value
+
+    error = run(scenario())
+    assert error.byte_offset == len(frames[1]) + len(frames[2])
+    assert f"at byte {error.byte_offset}:" in str(error)
+    assert (error.class_name, error.method_name) == ("A", "helper")
+    assert fetcher.stats.units_received == 3
 
 
 def test_framing_corruption_on_a_push_link_is_resumed():

@@ -4,6 +4,7 @@ import asyncio
 import itertools
 import struct
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.errors import (
 from repro.netserve import (
     FRAME_OVERHEAD,
     FrameKind,
+    NonStrictFetcher,
     decode_frame,
     demand_fetch_frame,
     encode_frame,
@@ -26,7 +28,6 @@ from repro.netserve import (
     error_frame,
     hello_ack_frame,
     hello_frame,
-    read_raw_frame,
     resume_ack_frame,
     resume_frame,
     salvage_unit_key,
@@ -34,6 +35,8 @@ from repro.netserve import (
     unit_kind_from_code,
     unit_wire_key,
 )
+from repro.netserve import client as client_module
+from repro.netserve.client import READ_CHUNK_BYTES, _Framer
 from repro.netserve.protocol import unit_kind_code
 from repro.program import MethodId
 from repro.transfer import TransferUnit, UnitKind
@@ -160,6 +163,14 @@ def test_resend_demand_carries_kind_and_flag():
     # The legacy shape stays untouched when the extras are absent.
     plain = demand_fetch_frame("Hot", "run")
     assert set(plain.field_dict) == {"class", "method"}
+
+
+def test_units_demand_carries_wire_keys_in_order():
+    keys = [(4, "Hot", "run"), (2, "Hot", None), (4, "Cold", "main")]
+    decoded, _ = decode_frame(encode_frame(demand_fetch_frame(units=keys)))
+    assert decoded.kind is FrameKind.DEMAND_FETCH
+    assert decoded.field_dict == {"units": [list(key) for key in keys]}
+    assert [tuple(key) for key in decoded.field_dict["units"]] == keys
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,25 +312,101 @@ def mutated_streams(draw):
     return bytes(stream[:cut])
 
 
+class _ChunkedReader:
+    """A socket stand-in whose reads return ``stream`` in chunks of the
+    given sizes, cycled (never more than asked for), then ``b""``."""
+
+    def __init__(self, stream, sizes):
+        self._stream = stream
+        self._sizes = itertools.cycle(sizes)
+        self._at = 0
+
+    async def read(self, limit):
+        size = min(next(self._sizes), limit)
+        chunk = self._stream[self._at : self._at + size]
+        self._at += len(chunk)
+        return chunk
+
+
+#: Read sizes from single bytes up to one whole client read.
+_chunk_sizes = st.lists(
+    st.one_of(st.integers(1, 16), st.integers(1, READ_CHUNK_BYTES)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        transfer_units_with_payload(),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda unit_and_payload: unit_wire_key(unit_and_payload[0]),
+    ),
+    _chunk_sizes,
+)
+def test_any_chunking_lands_what_frame_by_frame_decoding_does(units, sizes):
+    """Property: however the socket splits a push stream into reads,
+    the fetcher's receive loop lands the units and payloads that
+    decoding the stream frame by frame gives, in the same order, and
+    calls ``decode_frame`` once per frame with exactly its bytes."""
+    frames = [
+        encode_frame(unit_frame(unit, payload)) for unit, payload in units
+    ] + [encode_frame(eof_frame())]
+    stream = b"".join(frames)
+    expected = []
+    offset = 0
+    while offset < len(stream):
+        frame, offset = decode_frame(stream, offset)
+        if frame.kind is FrameKind.UNIT:
+            expected.append((frame.unit, frame.payload))
+
+    fetcher = NonStrictFetcher("127.0.0.1", 1)
+    link = fetcher._links[0]
+    link.reader = _ChunkedReader(stream, sizes)
+    landed = []
+    land = fetcher._land_unit
+
+    def record(link, unit, payload):
+        landed.append((unit, payload))
+        return land(link, unit, payload)
+
+    fetcher._land_unit = record
+    decoded = []
+
+    def counted(data, offset=0):
+        decoded.append(data)
+        return decode_frame(data, offset)
+
+    with mock.patch.object(client_module, "decode_frame", counted):
+        asyncio.run(fetcher._drain(link))
+    assert landed == expected
+    assert decoded == frames
+    assert fetcher._eof.is_set()
+
+
 @settings(max_examples=300, deadline=None)
-@given(mutated_streams())
-def test_mutated_streams_raise_only_typed_errors_in_bounded_time(stream):
-    """Read frame by frame off a ``StreamReader``, as the fetcher does,
-    a damaged stream ends in a ``ProtocolError`` or a
-    ``ConnectionLostError`` (or decodes, when a re-sealed frame is
-    valid again) — never another exception, and never a read that
-    waits past its bound."""
+@given(mutated_streams(), _chunk_sizes)
+def test_mutated_streams_raise_only_typed_errors_in_bounded_time(
+    stream, sizes
+):
+    """Read in drawn chunk sizes through the fetcher's chunked reader
+    and framer, as the fetcher does, a damaged stream ends in a
+    ``ProtocolError`` or a ``ConnectionLostError`` (or decodes, when a
+    re-sealed frame is valid again) — never another exception, and
+    never a read that waits past its bound."""
 
     async def read_all():
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
+        fetcher = NonStrictFetcher("127.0.0.1", 1)
+        reader = _ChunkedReader(stream, sizes)
+        framer = _Framer()
         while True:
-            raw = await read_raw_frame(reader)
-            frame, end = decode_frame(raw)
-            assert end == len(raw)
-            if frame.kind is FrameKind.EOF:
-                return
+            for raw in framer.feed(await fetcher._read_chunk(reader)):
+                frame, end = decode_frame(raw)
+                assert end == len(raw)
+                if frame.kind is FrameKind.EOF:
+                    return
 
     async def bounded():
         await asyncio.wait_for(read_all(), timeout=5.0)

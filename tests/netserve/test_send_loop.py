@@ -29,6 +29,7 @@ from repro.netserve import (
 )
 from repro.netserve import protocol
 from repro.netserve import server as server_module
+from repro.observe import TraceRecorder
 from repro.program import MethodId
 from repro.transfer import TransferPolicy, UnitKind
 from repro.workloads.synthetic import generate_workload
@@ -153,14 +154,31 @@ def test_push_bytes_are_the_artifact_frames_in_sequence_order(policy):
         {"class": "A", "kind": "abc", "resend": True},
         {"class": ["a"], "resend": True},
         {"class": "A", "method": 5},
+        {"units": "A.main"},
+        {"units": [[4, "A", "main"], [4, "A"]]},
+        {"units": [{"kind": 4, "class": "A", "method": "main"}]},
+        {"units": [["4", "A", "main"]]},
+        {"units": [[4.0, "A", "main"]]},
+        {"units": [[True, "A", "main"]]},
     ],
-    ids=["kind-not-int", "class-not-str", "method-not-str"],
+    ids=[
+        "kind-not-int",
+        "class-not-str",
+        "method-not-str",
+        "units-not-list",
+        "units-entry-not-3-items",
+        "units-entry-not-list",
+        "units-kind-str",
+        "units-kind-float",
+        "units-kind-bool",
+    ],
 )
 def test_malformed_demand_ends_the_demand_loop_quietly(fields):
-    """A DEMAND_FETCH with a wrongly typed field is handled like a frame
-    that cannot be decoded: the demand loop stops listening, nothing
-    reaches the loop's exception handler, and the paced push session
-    still completes."""
+    """A DEMAND_FETCH with a wrongly typed field, or a ``units`` list
+    that is not a list of ``[integer, string, string or null]``
+    entries, is handled like a frame that cannot be decoded: the demand
+    loop stops listening, nothing reaches the loop's exception handler,
+    and the paced push session still completes."""
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -297,4 +315,107 @@ def test_resend_promotes_its_matches_ahead_of_the_class(
         assert promoted == [head] + plain
     assert conn.demand_fetches == 1
     assert conn.promoted_units == len(promoted)
+    assert wire_keys == []
+
+
+# -- a units list is a block of exact resends --------------------------
+
+
+def _units_by_wire_keys(artifact, entries):
+    """What a ``units`` list promotes, matched by wire keys: for each
+    entry in order, the units of its class with its kind code and (when
+    given) method name, each unit once."""
+    block = []
+    for code, class_name, method in entries:
+        for unit in artifact.units_by_class.get(class_name, ()):
+            kind, _, name = protocol.unit_wire_key(unit)
+            if kind == code and method in (None, name) and unit not in block:
+                block.append(unit)
+    return block
+
+
+@pytest.mark.parametrize(
+    "entries, expect",
+    [
+        (
+            [[_METHOD, "A", "Foo_A"], [_METHOD, "A", "main"], [_GLOBAL_FIRST, "A", None]],
+            ["Foo_A", "main", UnitKind.GLOBAL_FIRST],
+        ),
+        (
+            [[_METHOD, "B", "Foo_B"], [_METHOD, "A", "Bar_A"], [_METHOD, "B", "Bar_B"]],
+            ["Foo_B", "Bar_A", "Bar_B"],
+        ),
+        ([[_METHOD, "A", "main"], [_METHOD, "A", "main"]], ["main"]),
+        ([[_METHOD, "Z", "main"]], []),
+        ([[_METHOD, "A", "nope"]], []),
+        ([[99, "A", "main"]], []),
+        ([[_CLASS_FILE, "A", None]], []),
+        ([], []),
+    ],
+    ids=[
+        "pending-then-sent",
+        "across-classes",
+        "repeated-entry",
+        "unknown-class",
+        "unknown-method",
+        "unknown-kind-code",
+        "kind-not-in-class",
+        "empty",
+    ],
+)
+def test_units_list_promotes_its_matches_as_one_block(
+    monkeypatch, entries, expect
+):
+    """A ``units`` list moves every match to the front as one block, in
+    list order: a sent unit is queued again, a pending one moves
+    without a second copy, and the rest of the queue keeps its order.
+    An entry naming an unknown class, method or kind code matches
+    nothing.  The frame counts as one demand fetch with every promoted
+    unit and emits one ``demand_fetch`` event (and one
+    ``schedule_decision`` when it promotes anything), and matching
+    never builds wire keys."""
+    program = figure1_program()
+    recorder = TraceRecorder(clock="seconds")
+    server = ClassFileServer(program, recorder=recorder)
+    artifact = server._plan_session(TransferPolicy.DATA_PARTITIONED, "static")
+    sent = {
+        unit
+        for unit in artifact.units_by_class["A"]
+        if unit.kind is UnitKind.GLOBAL_FIRST
+        or (unit.method and unit.method.method_name in ("main", "Bar_A"))
+    }
+    pending = deque(unit for unit in artifact.sequence if unit not in sent)
+    before = list(pending)
+    block = _units_by_wire_keys(artifact, entries)
+    wire_keys = []
+    monkeypatch.setattr(
+        server_module, "unit_wire_key", lambda unit: wire_keys.append(unit)
+    )
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(
+            encode_frame(protocol.demand_fetch_frame(units=entries))
+        )
+        reader.feed_eof()
+        conn = server.stats.open_connection("peer", 0.0)
+        await server._demand_requests(reader, pending, artifact, conn, None)
+        return conn
+
+    conn = run(scenario())
+    assert [
+        unit.method.method_name if unit.method else unit.kind
+        for unit in block
+    ] == expect
+    assert list(pending) == block + [
+        unit for unit in before if unit not in block
+    ]
+    assert len(pending) == len(before) + len(sent.intersection(block))
+    assert conn.demand_fetches == 1
+    assert conn.promoted_units == len(block)
+    assert len(recorder.named("demand_fetch")) == 1
+    decisions = recorder.named("schedule_decision")
+    assert [event.args["promoted_units"] for event in decisions] == (
+        [len(block)] if block else []
+    )
     assert wire_keys == []

@@ -1,10 +1,10 @@
 """The multi-link chaos suite: every scenario converges byte-identical.
 
 Each scenario runs a striped fetch against seeded per-link fault plans
-— mid-stream cuts, a permanent whole-link outage, a flapping link, a
-one-slow-link stall, and full degradation — and asserts the fetched
-bytes equal a fault-free run's, so striping never trades correctness
-for resilience.
+— mid-stream cuts, corrupted and duplicated frames, a permanent
+whole-link outage, a flapping link, a one-slow-link stall, and full
+degradation — and asserts the fetched bytes equal a fault-free run's,
+so striping never trades correctness for resilience.
 """
 
 import asyncio
@@ -14,9 +14,15 @@ import pytest
 from repro import figure1_program
 from repro.errors import ResilienceExhaustedError
 from repro.faults import FaultPlan
-from repro.netserve import ClassFileServer, LinkState, NonStrictFetcher
+from repro.netserve import (
+    ClassFileServer,
+    LinkState,
+    NonStrictFetcher,
+    unit_wire_key,
+)
 from repro.observe import TraceRecorder
 from repro.program import MethodId
+from repro.workloads.synthetic import generate_workload
 
 
 def run(coroutine):
@@ -95,6 +101,37 @@ def test_mid_stream_cuts_on_one_link_converge():
         for method_id in methods:
             assert fetcher.is_method_available(method_id)
         assert fetcher.stats.degraded == 0
+
+    run(scenario())
+
+
+def test_corrupt_and_duplicate_frames_on_a_pull_link_converge():
+    """A pull link whose server corrupts two of the frames it carries
+    and duplicates one: each damaged unit is re-requested alone, the
+    extra copy is dropped by wire key, and the stripe lands every
+    planned unit and reassembles the clean bytes."""
+
+    async def scenario():
+        program = generate_workload("Hanoi").program
+        clean, methods = await clean_reference(program)
+        plan = FaultPlan(seed=29, corrupt_frames=(3, 7), duplicate_frames=(5,))
+        data, fetcher, _ = await striped_chaos(program, [None, plan], seed=29)
+        assert data == clean
+        for method_id in methods:
+            assert fetcher.is_method_available(method_id)
+        assert fetcher.stats.unit_retries >= 1
+        assert fetcher.stats.duplicate_units >= 1
+        planned = {
+            (kind, class_name, method)
+            for kind, class_name, method, _ in fetcher.manifest["sequence"]
+        }
+        landed = [unit for unit, _ in fetcher.unit_log]
+        assert {
+            (unit.kind.value, unit.class_name, unit.method and unit.method.method_name)
+            for unit in landed
+        } == planned
+        assert len({unit_wire_key(unit) for unit in landed}) == len(landed)
+        assert fetcher.stats.link_units(1) > 7
 
     run(scenario())
 

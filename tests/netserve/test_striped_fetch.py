@@ -15,14 +15,17 @@ from repro import figure1_program
 from repro.netserve import ClassFileServer, NonStrictFetcher
 from repro.netserve.protocol import (
     FrameKind,
+    decode_frame,
     demand_fetch_frame,
     encode_frame,
     hello_frame,
     read_frame,
+    unit_wire_key,
 )
 from repro.netserve.client import LinkState, _Link
 from repro.program import MethodId
 from repro.transfer import UnitKind
+from repro.workloads.synthetic import generate_workload
 
 
 def run(coroutine):
@@ -157,6 +160,118 @@ def test_striped_fetch_matches_clean_run_and_uses_every_link():
         )
 
     run(scenario())
+
+
+def test_two_link_stripe_names_many_units_per_demand_frame():
+    """A real two-server stripe reassembles the push run's bytes, lands
+    every planned unit exactly once, and asks for them in fewer than
+    half as many demand frames as units: each frame names a link's
+    whole round, and a round follows a whole read, not one landing."""
+
+    async def scenario():
+        program = generate_workload("Hanoi").program
+        clean, methods = await clean_reference(program)
+        servers = [ClassFileServer(program) for _ in range(2)]
+        endpoints = [await server.start() for server in servers]
+        fetcher = NonStrictFetcher(*endpoints[0], links=endpoints[1:])
+        manifest = await fetcher.connect()
+        try:
+            await asyncio.wait_for(fetcher.wait_until_complete(), timeout=10)
+            data = {name: fetcher.class_bytes(name) for name in fetcher.buffers}
+        finally:
+            await fetcher.aclose()
+            for server in servers:
+                await server.aclose()
+        landed = [unit_wire_key(unit) for unit, _ in fetcher.unit_log]
+        demands = sum(
+            conn.demand_fetches
+            for server in servers
+            for conn in server.stats.connections
+        )
+        return data, clean, methods, fetcher, manifest, landed, demands
+
+    data, clean, methods, fetcher, manifest, landed, demands = run(scenario())
+    assert data == clean
+    assert all(fetcher.is_method_available(method) for method in methods)
+    assert len(landed) == len(set(landed)) == manifest["unit_count"]
+    assert fetcher.stats.duplicate_units == 0
+    assert demands < len(landed) / 2
+
+
+def _round_fetcher(states):
+    """A pull fetcher over ten ready grains whose links write into lists.
+
+    ``states`` sets each link's circuit state; every link has window 4.
+    """
+    rows = [[UnitKind.GLOBAL_DATA.value, "A", None, 10]] + [
+        [UnitKind.METHOD.value, "A", f"m{index}", 5 + index]
+        for index in range(9)
+    ]
+    fetcher = NonStrictFetcher(
+        "127.0.0.1", 1, links=[("127.0.0.1", 1)] * (len(states) - 1), window=4
+    )
+    fetcher._accept_manifest({"sequence": rows})
+    fetcher._build_board()
+
+    class Writer:
+        def __init__(self):
+            self.frames = []
+
+        def write(self, data):
+            self.frames.append(data)
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+    for link, state in zip(fetcher._links, states):
+        link.writer = Writer()
+        link.state = state
+    return fetcher
+
+
+def _named_keys(writer):
+    """Each frame a link wrote, as the wire keys its ``units`` names."""
+    named = []
+    for data in writer.frames:
+        frame, end = decode_frame(data)
+        assert end == len(data) and frame.kind is FrameKind.DEMAND_FETCH
+        named.append([tuple(key) for key in frame.field_dict["units"]])
+    return named
+
+
+def test_one_dispatch_sends_one_demand_frame_per_link():
+    """One issue round over two healthy links at window 4 writes one
+    DEMAND_FETCH per link, each naming the link's four units in
+    scoreboard order."""
+    fetcher = _round_fetcher([LinkState.HEALTHY, LinkState.HEALTHY])
+    board = fetcher._board
+    order = [
+        unit_wire_key(item.units[0])
+        for item in board.ready_items(lambda item: 0.0)
+    ]
+    run(fetcher._dispatch())
+    first, second = (_named_keys(link.writer) for link in fetcher._links)
+    assert first == [order[0:8:2]]
+    assert second == [order[1:8:2]]
+    assert [len(link.in_flight) for link in fetcher._links] == [4, 4]
+
+
+def test_half_open_link_frame_names_one_unit():
+    """A half-open link probes with exactly one unit, so its round's
+    frame names one key; the healthy link's names its full window."""
+    fetcher = _round_fetcher([LinkState.HEALTHY, LinkState.HALF_OPEN])
+    board = fetcher._board
+    order = [
+        unit_wire_key(item.units[0])
+        for item in board.ready_items(lambda item: 0.0)
+    ]
+    run(fetcher._dispatch())
+    healthy, probe = (_named_keys(link.writer) for link in fetcher._links)
+    assert probe == [order[:1]]
+    assert healthy == [order[1:5]]
 
 
 def test_hedged_demand_race_wins_on_the_healthy_link():
