@@ -40,7 +40,6 @@ def granularity_table() -> ResultTable:
                 target,
                 item.test,
                 (MODEM_LINK,),
-                workload.cpi,
                 policy="interleaved",
                 block_delimiters=block_level,
             )

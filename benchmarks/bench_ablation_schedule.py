@@ -39,7 +39,6 @@ def schedule_table() -> ResultTable:
                 target,
                 item.scg,
                 (MODEM_LINK,),
-                workload.cpi,
                 policy="parallel",
                 max_streams=None,
                 eager_start=eager,

@@ -45,7 +45,6 @@ def compression_table() -> ResultTable:
                     target,
                     item.test,
                     (MODEM_LINK,),
-                    workload.cpi,
                     policy="interleaved",
                     ratios=plan_ratios,
                 ),

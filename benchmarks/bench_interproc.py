@@ -90,7 +90,7 @@ def interproc_sweep():
                 order,
                 links,
                 workload.cpi,
-                policy="deadline",
+                policy="interleaved",
             )
             rows.append(
                 {

@@ -97,7 +97,6 @@ def grid() -> Iterator[Tuple[Dict[str, str], Simulator, StrictBaseline]]:
                         target,
                         order,
                         (link,),
-                        workload.cpi,
                         policy=method,
                         max_streams=max_streams,
                         data_partitioning=partitioned,

@@ -44,8 +44,7 @@ def main() -> None:
 
     def interleaved(**options):
         controller = StripedController(
-            target, item.test, (link,), workload.cpi,
-            policy="interleaved", **options,
+            target, item.test, (link,), policy="interleaved", **options,
         )
         return Simulator(target, trace, controller, workload.cpi).run()
 

@@ -67,8 +67,7 @@ def main() -> None:
                 target,
                 workload.test_trace,
                 StripedController(
-                    target, order, (link,), workload.cpi,
-                    policy="interleaved",
+                    target, order, (link,), policy="interleaved",
                 ),
                 workload.cpi,
             ).run()
@@ -76,7 +75,7 @@ def main() -> None:
                 target,
                 workload.test_trace,
                 StripedController(
-                    target, order, (link,), workload.cpi,
+                    target, order, (link,),
                     policy="parallel", max_streams=4,
                 ),
                 workload.cpi,

@@ -63,8 +63,6 @@ from .reorder import (
     profile_first_use,
     profile_program,
     restructure,
-    split_large_methods,
-    split_method,
 )
 from .transfer import (
     MODEM_LINK,
@@ -130,8 +128,6 @@ __all__ = [
     "profile_first_use",
     "profile_program",
     "restructure",
-    "split_large_methods",
-    "split_method",
     "MODEM_LINK",
     "T1_LINK",
     "LossyLink",

@@ -300,29 +300,28 @@ def _interleaved_arrivals(
 def _striped_arrivals(
     plans: Dict[str, ClassTransferPlan],
     order: FirstUseOrder,
-    cpi: float,
     links: Tuple[NetworkLink, ...],
 ) -> Dict[MethodId, _ArrivalBounds]:
     """Arrival bounds under escalation-free multi-link striping.
 
-    The scoreboard engine issues units in priority order (deadline,
-    then sequence), one per idle link, and a method unit *retires*
-    only after its class's global unit.  Bounds:
+    The scoreboard engine issues units in the virtual interleaved
+    file's order, one per idle link, and a method unit *retires* only
+    after its class's global unit.  Bounds:
 
     * ``lo``: both the unit and its global unit must traverse some
       link — at best the fastest one concurrently
       (``max(size) · cpb_fast``) — and their combined bytes cannot
       beat the aggregate capacity of the whole link set.  Sharper:
-      ``u`` issues only once every higher-priority unit has issued,
-      at which point at most ``N − 1`` of their bytes are still in
+      ``u`` issues only once every earlier unit has issued, at which
+      point at most ``N − 1`` of their bytes are still in
       flight, so at least ``W_before − top(N−1)`` bytes were already
       delivered at no better than the aggregate rate; ``u`` itself
       then needs ``size · cpb_fast``.  On one link this is the exact
       interleaved arrival.
     * ``hi``: list-scheduling makespan on uniform links.  Let ``W``
-      be the bytes of ``u``'s priority prefix and ``l`` its
-      last-landing unit.  Until ``l`` issues, no lower-priority grain
-      can issue and no link idles, so prefix bytes move at the full
+      be the bytes of ``u``'s sequence prefix and ``l`` its
+      last-landing unit.  Until ``l`` issues, no later unit can
+      issue and no link idles, so prefix bytes move at the full
       aggregate rate; ``l`` then finishes on its own link, at worst
       the slowest: ``T ≤ (W − p_l)/rate_total + p_l · cpb_slow``,
       maximised (the expression grows with ``p_l``) by the largest
@@ -334,28 +333,22 @@ def _striped_arrivals(
     can delay others), so verdicts model ``escalate=False`` runs; the
     demand bound is ``inf`` accordingly.
     """
-    from ..sched.striped import StripedEntry, striped_sequence
-
-    entries = striped_sequence(plans, order, cpi)
+    sequence = build_interleaved_file(plans, order)
     cpb_fast = min(l.cycles_per_byte for l in links)
     cpb_slow = max(l.cycles_per_byte for l in links)
     aggregate_bpc = sum(1.0 / l.cycles_per_byte for l in links)
     lead_size: Dict[str, int] = {}
-    for entry in entries:
-        if entry.unit.kind in (
-            UnitKind.GLOBAL_DATA,
-            UnitKind.GLOBAL_FIRST,
-        ):
-            lead_size[entry.unit.class_name] = entry.unit.size
+    for unit in sequence:
+        if unit.kind in (UnitKind.GLOBAL_DATA, UnitKind.GLOBAL_FIRST):
+            lead_size[unit.class_name] = unit.size
     arrivals: Dict[MethodId, _ArrivalBounds] = {}
     prefix = 0.0
     largest = 0.0
-    # Streaming top-(N−1) unit sizes of the priority prefix: the most
+    # Streaming top-(N−1) unit sizes of the sequence prefix: the most
     # bytes that can still be in flight when the next unit issues.
     in_flight_cap = len(links) - 1
     top_sizes: List[float] = []
-    for entry in sorted(entries, key=StripedEntry.priority_key):
-        unit = entry.unit
+    for unit in sequence:
         size = float(unit.size)
         if unit.kind == UnitKind.METHOD and unit.method is not None:
             size_g = float(lead_size.get(unit.class_name, 0))
@@ -409,7 +402,6 @@ def _exact_parallel_entry_arrival(
     target: Program,
     order: FirstUseOrder,
     link: NetworkLink,
-    cpi: float,
     entry_method: MethodId,
     max_streams: Optional[int],
     data_partitioning: bool,
@@ -428,7 +420,6 @@ def _exact_parallel_entry_arrival(
         target,
         order,
         (link,),
-        cpi,
         policy="parallel",
         max_streams=max_streams,
         data_partitioning=data_partitioning,
@@ -545,7 +536,6 @@ def analyze_transfer_plan(
                     target,
                     order,
                     link,
-                    cpi,
                     entry_method,
                     max_streams,
                     data_partitioning,
@@ -555,7 +545,7 @@ def analyze_transfer_plan(
                 )
     elif methodology == "striped":
         link_set = tuple(links) if links else (link,)
-        arrivals = _striped_arrivals(plans, order, cpi, link_set)
+        arrivals = _striped_arrivals(plans, order, link_set)
         cpb = max(l.cycles_per_byte for l in link_set)
         margin = 0.5 * cpb
     else:

@@ -90,13 +90,12 @@ def run_nonstrict(
             target,
             order,
             (link,),
-            cpi,
             max_streams=max_streams,
             data_partitioning=data_partitioning,
         )
     else:
         controller = InterleavedController(
-            target, order, (link,), cpi, data_partitioning=data_partitioning
+            target, order, (link,), data_partitioning=data_partitioning
         )
     simulator = Simulator(target, trace, controller, cpi, recorder=recorder)
     return simulator.run()
@@ -117,8 +116,6 @@ def run_strict(
     simulation shows what sequential strict transfer with on-demand
     execution actually does — useful for ablations.
     """
-    controller = StripedController(
-        program, None, (link,), cpi, policy="strict"
-    )
+    controller = StripedController(program, None, (link,), policy="strict")
     simulator = Simulator(program, trace, controller, cpi, recorder=recorder)
     return simulator.run()

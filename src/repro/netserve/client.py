@@ -13,9 +13,10 @@ The endpoint count picks the link mode; there is no option for it:
   ``DEMAND_FETCH`` so the server moves the missing class to the front
   of its queue (§5.1).
 * **Two or more — pull.**  Every link negotiates a pull session, and a
-  client-side :class:`repro.sched.Scoreboard` — the structure the
-  simulator's :class:`~repro.sched.StripedController` uses — issues each
-  unit to the healthiest, least-loaded link.  Issue happens in rounds,
+  client-side :class:`repro.sched.Scoreboard` — built by
+  :func:`repro.sched.unit_grain_scoreboard`, as the simulator's
+  unit-grain policies build theirs — issues each unit to the
+  healthiest, least-loaded link.  Issue happens in rounds,
   once per socket read that landed units rather than once per unit, and
   one ``DEMAND_FETCH`` per link names every unit the round gave that
   link.  Units land in any order, but one only becomes *observable* at
@@ -75,7 +76,7 @@ from ..errors import (
 )
 from ..faults.rng import derive_rng
 from ..program import MethodId
-from ..sched import IssueItem, ItemState, Scoreboard
+from ..sched import ItemState, Scoreboard, unit_grain_scoreboard
 from ..transfer import TransferUnit, UnitKind
 from .protocol import (
     FRAME_HEADER_BYTES,
@@ -374,8 +375,6 @@ class NonStrictFetcher:
         self._unindexed: List[Sequence[Any]] = []
         self._board: Optional[Scoreboard] = None
         self._unit_by_key: Dict[UnitKey, TransferUnit] = {}
-        self._label_by_key: Dict[UnitKey, str] = {}
-        self._lead_key_of_class: Dict[str, UnitKey] = {}
         #: Hedge races in flight: wire key -> (primary link, hedge link).
         self._hedges: Dict[UnitKey, Tuple[int, int]] = {}
         self._dispatch_lock = asyncio.Lock()
@@ -597,49 +596,28 @@ class NonStrictFetcher:
     def _build_board(self) -> None:
         """One issue grain per manifest unit, plus retire hazards.
 
-        Mirrors :meth:`repro.sched.StripedController._build_scoreboard`:
-        a class's leading global unit is a retire dependency of every
-        other unit of the class, so out-of-order landings never make a
-        method observable before its global data.
+        :func:`repro.sched.unit_grain_scoreboard` builds the board, as
+        it does for the co-simulator's unit-grain policies: a class's
+        leading global unit is a retire dependency of every other unit
+        of the class, so out-of-order landings never make a method
+        observable before its global data.
         """
         units: List[TransferUnit] = []
         for row in self.manifest.get("sequence", []):
             class_name, method_name = str(row[1]), row[2]
-            units.append(
-                TransferUnit(
-                    kind=UnitKind(row[0]),
-                    class_name=class_name,
-                    size=int(row[3]),
-                    method=(
-                        MethodId(class_name, str(method_name))
-                        if method_name is not None
-                        else None
-                    ),
-                )
+            unit = TransferUnit(
+                kind=UnitKind(row[0]),
+                class_name=class_name,
+                size=int(row[3]),
+                method=(
+                    MethodId(class_name, str(method_name))
+                    if method_name is not None
+                    else None
+                ),
             )
-        board = Scoreboard()
-        leading: Dict[str, TransferUnit] = {}
-        for unit in units:
-            if unit.kind in (UnitKind.GLOBAL_DATA, UnitKind.GLOBAL_FIRST):
-                leading.setdefault(unit.class_name, unit)
-        for seq, unit in enumerate(units):
-            tail = (
-                unit.method.method_name
-                if unit.method is not None
-                else unit.kind.value
-            )
-            label = f"{seq}:{unit.class_name}.{tail}"
-            board.add_item(IssueItem(label=label, units=(unit,), seq=seq))
-            key = unit_wire_key(unit)
-            self._unit_by_key[key] = unit
-            self._label_by_key[key] = label
-            lead = leading.get(unit.class_name)
-            if lead is not None:
-                if unit is lead:
-                    self._lead_key_of_class[unit.class_name] = key
-                else:
-                    board.add_unit_dep(unit, lead)
-        self._board = board
+            units.append(unit)
+            self._unit_by_key[unit_wire_key(unit)] = unit
+        self._board = unit_grain_scoreboard(units)
         self._planned = len(self._unit_by_key)
 
     # -- pull arbitration and issue -----------------------------------------
@@ -1238,7 +1216,7 @@ class NonStrictFetcher:
         key = self._needed_key(method_id) if pull else None
         for attempt in range(self.demand_retries):
             if pull:
-                self._escalate_for(method_id, key)
+                self._escalate_for(key)
                 await self._dispatch()
             else:
                 await self._send(
@@ -1299,18 +1277,15 @@ class NonStrictFetcher:
                 return unit_wire_key(unit)
         return None
 
-    def _escalate_for(
-        self, method_id: MethodId, key: Optional[UnitKey]
-    ) -> None:
-        """Escalate the unit's grain and its class's leading global."""
+    def _escalate_for(self, key: Optional[UnitKey]) -> None:
+        """Escalate the unit's grain and its retire hazard, its class's
+        leading global."""
         board = self._board
-        if board is None or key is None:
+        unit = self._unit_by_key.get(key) if key is not None else None
+        if board is None or unit is None:
             return
-        lead = self._lead_key_of_class.get(method_id.class_name)
-        for entry in (key, lead):
-            label = self._label_by_key.get(entry) if entry else None
-            if label is not None:
-                board.escalate(label)
+        for needed in (unit, *board.unit_deps(unit)):
+            board.escalate(board.label_of(needed))
 
     async def _fire_hedge(
         self, method_id: MethodId, key: Optional[UnitKey]
@@ -1319,9 +1294,10 @@ class NonStrictFetcher:
         if key is None or key in self._received_keys or key in self._hedges:
             return
         board = self._board
-        label = self._label_by_key.get(key)
-        if board is None or label is None:
+        unit = self._unit_by_key.get(key)
+        if board is None or unit is None:
             return
+        label = board.label_of(unit)
         item = board.items[label]
         if item.state is not ItemState.ISSUED or item.channel is None:
             return  # not in flight; escalation re-issues it instead

@@ -7,7 +7,6 @@ from .profile_estimator import (
     profile_program,
 )
 from .restructure import restructure
-from .splitting import split_large_methods, split_method
 from .static_estimator import StaticFirstUseEstimator, estimate_first_use
 from .weighted import weighted_first_use
 
@@ -19,8 +18,6 @@ __all__ = [
     "profile_first_use",
     "profile_program",
     "restructure",
-    "split_large_methods",
-    "split_method",
     "StaticFirstUseEstimator",
     "estimate_first_use",
     "weighted_first_use",

@@ -29,9 +29,6 @@ class FirstUseEntry:
             use.  For a static order this accumulates static procedure
             sizes; for a profile order it is the measured unique
             executed bytes (paper §5.1's two "unique bytes" variants).
-        instructions_before: Instructions predicted to execute before
-            this first use — the transfer scheduler multiplies this by
-            CPI to obtain the unit's deadline in cycles.
         estimated: True when this entry's position came from static
             estimation rather than an observed execution (profiles fall
             back to the static order for never-executed methods, §4.2).
@@ -39,7 +36,6 @@ class FirstUseEntry:
 
     method: MethodId
     bytes_before: int
-    instructions_before: int = 0
     estimated: bool = True
 
 
@@ -130,14 +126,12 @@ def laid_out_entries(
     methods: Iterable[MethodId],
     measured: Collection[MethodId] = (),
     bytes_before: int = 0,
-    instructions_before: int = 0,
 ) -> List[FirstUseEntry]:
     """Entries for ``methods`` laid out back to back, in this order.
 
-    Each entry's ``bytes_before`` and ``instructions_before`` add up
-    the static sizes and instruction counts of the methods before it,
-    from the given starting offsets.  Only methods in ``measured`` are
-    marked as not estimated.
+    Each entry's ``bytes_before`` adds up the static sizes of the
+    methods before it, from the given starting offset.  Only methods
+    in ``measured`` are marked as not estimated.
     """
     entries: List[FirstUseEntry] = []
     for method_id in methods:
@@ -145,13 +139,10 @@ def laid_out_entries(
             FirstUseEntry(
                 method=method_id,
                 bytes_before=bytes_before,
-                instructions_before=instructions_before,
                 estimated=method_id not in measured,
             )
         )
-        method = program.method(method_id)
-        bytes_before += method.size
-        instructions_before += len(method.instructions)
+        bytes_before += program.method(method_id).size
     return entries
 
 

@@ -61,7 +61,6 @@ def order_from_profile(
         FirstUseEntry(
             method=event.method,
             bytes_before=event.unique_bytes_before,
-            instructions_before=event.dynamic_instructions_before,
             estimated=False,
         )
         for event in profile.events
@@ -77,7 +76,6 @@ def order_from_profile(
         program,
         [method for method in fallback.order if method not in profiled],
         bytes_before=executed_bytes,
-        instructions_before=profile.total_instructions,
     )
     order = FirstUseOrder(entries=entries, source="profile")
     order.validate_against(program)

@@ -18,6 +18,9 @@ Entry points:
 * :func:`run_striped` — multi-link twin of
   :func:`repro.core.run_nonstrict`;
 * :class:`IssueEngine` / :class:`Scoreboard` — the engine room;
+* :func:`unit_grain_scoreboard` — the one-grain-per-unit board with
+  its retire hazards, shared by the unit-grain policies and the
+  pull-mode fetch client (:class:`repro.netserve.NonStrictFetcher`);
 * :class:`LinkOutage` — schedule a link death mid-stripe (chaos
   testing: the survivors re-issue the dead link's unlanded units).
 
@@ -32,14 +35,8 @@ property-tested across all six paper workloads).
 from __future__ import annotations
 
 from .engine import IssueEngine, LinkChannel, LinkOutage
-from .scoreboard import IssueItem, ItemState, Scoreboard
-from .striped import (
-    POLICIES,
-    StripedController,
-    StripedEntry,
-    run_striped,
-    striped_sequence,
-)
+from .scoreboard import IssueItem, ItemState, Scoreboard, unit_grain_scoreboard
+from .striped import POLICIES, StripedController, run_striped
 
 __all__ = [
     "IssueEngine",
@@ -50,7 +47,6 @@ __all__ = [
     "POLICIES",
     "Scoreboard",
     "StripedController",
-    "StripedEntry",
     "run_striped",
-    "striped_sequence",
+    "unit_grain_scoreboard",
 ]

@@ -27,7 +27,7 @@ never let execution start before the paper's semantics allow.
 
 Demand-fetch correction (§5.1 misprediction handling) appears here as
 *hazard-priority escalation*: an escalated item sorts before every
-deadline at the next arbitration round.
+unescalated one at the next arbitration round.
 
 The board keeps its ``READY`` set ordered as transitions happen, so an
 arbitration round costs the same at any plan size: a watermark
@@ -35,22 +35,25 @@ release, :meth:`Scoreboard.escalate` and :meth:`Scoreboard.requeue`
 insert an item, and :meth:`Scoreboard.mark_issued` (or a landing)
 removes it.  :meth:`Scoreboard.ready_items` checks only the items
 still ``WAITING`` on a watermark.  Every state change therefore goes
-through the board's methods; an item's ``state``, ``escalated``,
-``deadline`` and ``seq`` are not to be set from outside.
+through the board's methods; an item's ``state``, ``escalated`` and
+``seq`` are not to be set from outside.
+
+:func:`unit_grain_scoreboard` builds the board of every unit-grain
+transfer — the controller's unit-grain policies and the pull-mode
+fetch client alike — so both share one hazard rule.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransferError
-from ..transfer import TransferUnit
+from ..transfer import TransferUnit, UnitKind
 
-__all__ = ["ItemState", "IssueItem", "Scoreboard"]
+__all__ = ["ItemState", "IssueItem", "Scoreboard", "unit_grain_scoreboard"]
 
 #: Slop applied to byte-watermark comparisons; the batched parallel
 #: core in :mod:`repro.core.fastsim` and the transfer-plan analyzer use
@@ -75,10 +78,8 @@ class IssueItem:
         label: Unique scoreboard key; doubles as the stream name on
             the link engine.
         units: The grain's units, delivered strictly in this order.
-        seq: Program-order sequence number (ties and sequence-ordered
-            policies use it).
-        deadline: Cycles by which the grain should land (deadline
-            arbitration); ``math.inf`` when unconstrained.
+        seq: Program-order sequence number: the arbitration order
+            among items of equal escalation.
         watermark_bytes: Delivered-byte trigger: the item stays
             ``WAITING`` until the watermark classes have delivered
             this many bytes (0 = immediately ready).
@@ -86,7 +87,7 @@ class IssueItem:
             toward the watermark.
         state: Current lifecycle state.
         escalated: Demand-fetch escalation flag; sorts before every
-            deadline.
+            unescalated item.
         channel: Index of the link the item issued on, once issued.
         issue_time: Cycle at which the item issued, once issued.
     """
@@ -94,7 +95,6 @@ class IssueItem:
     label: str
     units: Tuple[TransferUnit, ...]
     seq: int
-    deadline: float = math.inf
     watermark_bytes: float = 0.0
     watermark_classes: Tuple[str, ...] = ()
     state: ItemState = ItemState.WAITING
@@ -119,10 +119,9 @@ class IssueItem:
             return next(iter(names))
         return self.label
 
-    def priority_key(self) -> Tuple[int, float, int]:
-        """Sort key for arbitration: escalated, then deadline, then
-        program order."""
-        return (0 if self.escalated else 1, self.deadline, self.seq)
+    def priority_key(self) -> Tuple[int, int]:
+        """Sort key for arbitration: escalated, then program order."""
+        return (0 if self.escalated else 1, self.seq)
 
 
 @dataclass
@@ -135,8 +134,8 @@ class Scoreboard:
     retire times.
 
     Ordering invariant: the ``READY`` items are held sorted by
-    ``(escalated, deadline, seq)``, ties in the order the items were
-    added, which is exactly a stable sort of the ready set by
+    ``(escalated, seq)``, ties in the order the items were added,
+    which is exactly a stable sort of the ready set by
     :meth:`IssueItem.priority_key`.
     """
 
@@ -155,7 +154,7 @@ class Scoreboard:
         #: ``READY`` items best first, and their sort keys, index for
         #: index.
         self._ready: List[IssueItem] = []
-        self._ready_keys: List[Tuple[int, float, int, int]] = []
+        self._ready_keys: List[Tuple[int, int, int]] = []
         #: Units of each item that have not landed yet.
         self._unlanded: Dict[str, int] = {}
         given, self.items = self.items, {}
@@ -214,6 +213,10 @@ class Scoreboard:
 
     def item_for_unit(self, unit: TransferUnit) -> IssueItem:
         return self.items[self.label_of(unit)]
+
+    def unit_deps(self, unit: TransferUnit) -> Tuple[TransferUnit, ...]:
+        """The units ``unit`` retires after (its retire hazards)."""
+        return self._unit_deps.get(unit, ())
 
     def unissued_bytes(self) -> float:
         """Bytes of grains not yet dispatched to any link."""
@@ -371,7 +374,7 @@ class Scoreboard:
 
     # -- the ordered ready set ---------------------------------------------
 
-    def _sort_key(self, item: IssueItem) -> Tuple[int, float, int, int]:
+    def _sort_key(self, item: IssueItem) -> Tuple[int, int, int]:
         return item.priority_key() + (self._rank[item.label],)
 
     def _insert_ready(self, item: IssueItem) -> None:
@@ -390,3 +393,37 @@ class Scoreboard:
             )
             del self._ready_keys[index]
             del self._ready[index]
+
+
+def unit_grain_scoreboard(units: Sequence[TransferUnit]) -> Scoreboard:
+    """A board of one issue grain per unit, in sequence order.
+
+    Item ``seq`` is the unit's position in ``units``, and its label is
+    ``"{seq}:{class}.{method or kind}"``.  Each class's leading global
+    unit (``GLOBAL_DATA`` or ``GLOBAL_FIRST``) is a retire hazard of
+    every other unit of the class: nothing of a class is usable before
+    its global data — the in-order stream invariant, made explicit so
+    landings may happen out of order.
+    """
+    leading: Dict[str, TransferUnit] = {}
+    for unit in units:
+        if unit.kind in (UnitKind.GLOBAL_DATA, UnitKind.GLOBAL_FIRST):
+            leading.setdefault(unit.class_name, unit)
+    board = Scoreboard()
+    for seq, unit in enumerate(units):
+        tail = (
+            unit.method.method_name
+            if unit.method is not None
+            else unit.kind.value
+        )
+        board.add_item(
+            IssueItem(
+                label=f"{seq}:{unit.class_name}.{tail}",
+                units=(unit,),
+                seq=seq,
+            )
+        )
+        lead = leading.get(unit.class_name)
+        if lead is not None and unit is not lead:
+            board.add_unit_dep(unit, lead)
+    return board

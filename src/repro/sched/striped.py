@@ -16,12 +16,9 @@ picks the grains, their hazards and the link arbitration:
 * ``"interleaved"`` — §5.2: on one link the whole virtual interleaved
   file is one stream grain; on several links its units stripe in
   sequence order, each to the link that lands it first.
-* ``"deadline"`` — out-of-order unit striping, earliest deadline
-  first: each unit's deadline is its method's predicted first-use
-  time (``instructions_before × CPI``, the first-use order's
-  annotation built for exactly this purpose).
 * ``"round_robin"`` — sequence-ordered units dealt round-robin
-  across links.
+  across links.  On one link this is the interleaved file issued a
+  unit at a time, so a stall can still escalate a later unit.
 
 One link is the degenerate stripe: strict, parallel and interleaved
 issue stream grains there, so the link's one
@@ -37,8 +34,6 @@ generalisation of §5.1's front-of-queue demand fetch.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransferError
@@ -50,42 +45,33 @@ from ..transfer import (
     TransferPolicy,
     TransferSchedule,
     TransferUnit,
-    UnitKind,
     build_interleaved_file,
     build_program_plans,
     build_schedule,
     compress_plans,
 )
 from .engine import IssueEngine, LinkChannel, LinkOutage
-from .scoreboard import IssueItem, ItemState, Scoreboard
+from .scoreboard import (
+    IssueItem,
+    ItemState,
+    Scoreboard,
+    unit_grain_scoreboard,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.simulation import SimulationResult
     from ..observe import TraceRecorder
     from ..vm import ExecutionTrace
 
-__all__ = [
-    "POLICIES",
-    "StripedEntry",
-    "StripedController",
-    "striped_sequence",
-    "run_striped",
-]
+__all__ = ["POLICIES", "StripedController", "run_striped"]
 
 #: The transfer policies :class:`StripedController` accepts.
-POLICIES = (
-    "strict",
-    "parallel",
-    "interleaved",
-    "deadline",
-    "round_robin",
-)
+POLICIES = ("strict", "parallel", "interleaved", "round_robin")
 
 _LINK_CHOICE_OF_POLICY = {
     "strict": "least_loaded",
     "parallel": "least_loaded",
     "interleaved": "earliest_finish",
-    "deadline": "earliest_finish",
     "round_robin": "round_robin",
 }
 
@@ -93,76 +79,14 @@ _LINK_CHOICE_OF_POLICY = {
 _STREAM_LABEL = {"strict": "strict-sequential", "interleaved": "interleaved"}
 
 
-@dataclass(frozen=True)
-class StripedEntry:
-    """One transfer unit with its striping priority.
-
-    Attributes:
-        unit: The unit.
-        deadline: Predicted first-use time in cycles (``math.inf``
-            for units no traced method needs).
-        seq: Position in the virtual interleaved file (sequence-
-            ordered policies, and the deadline tie-break).
-    """
-
-    unit: TransferUnit
-    deadline: float
-    seq: int
-
-    def priority_key(self) -> Tuple[float, int]:
-        return (self.deadline, self.seq)
-
-
-def striped_sequence(
-    plans: Dict[str, ClassTransferPlan],
-    order: FirstUseOrder,
-    cpi: float,
-) -> List[StripedEntry]:
-    """Annotate the interleaved unit sequence with issue deadlines.
-
-    Method units take their method's predicted first-use time
-    (``instructions_before × CPI``); each class's leading global unit
-    takes the earliest deadline among the class's method units (it
-    must retire before any of them); trailing / unpredicted units get
-    ``math.inf``.
-    """
-    if cpi <= 0:
-        raise TransferError(f"CPI must be positive, got {cpi}")
-    sequence = build_interleaved_file(plans, order)
-    deadlines: List[float] = []
-    for unit in sequence:
-        if unit.kind == UnitKind.METHOD and unit.method is not None:
-            if unit.method in order:
-                entry = order.entry_for(unit.method)
-                deadlines.append(entry.instructions_before * cpi)
-            else:
-                deadlines.append(math.inf)
-        else:
-            deadlines.append(math.inf)
-    earliest_of_class: Dict[str, float] = {}
-    for unit, deadline in zip(sequence, deadlines):
-        if unit.kind == UnitKind.METHOD:
-            current = earliest_of_class.get(unit.class_name, math.inf)
-            earliest_of_class[unit.class_name] = min(current, deadline)
-    entries: List[StripedEntry] = []
-    for index, (unit, deadline) in enumerate(zip(sequence, deadlines)):
-        if unit.kind in (UnitKind.GLOBAL_DATA, UnitKind.GLOBAL_FIRST):
-            deadline = earliest_of_class.get(unit.class_name, math.inf)
-        entries.append(
-            StripedEntry(unit=unit, deadline=deadline, seq=index)
-        )
-    return entries
-
-
 class StripedController:
     """One transfer policy over one or more links.
 
     Args:
         program: The (restructured) program to transfer.
-        order: First-use order guiding schedule, sequence and
-            deadlines; ``None`` only for ``"strict"``, which needs none.
+        order: First-use order guiding the schedule and the sequence;
+            ``None`` only for ``"strict"``, which needs none.
         links: The link set (1+ links, possibly heterogeneous).
-        cpi: Average cycles per bytecode instruction (deadlines).
         policy: One of :data:`POLICIES`.
         max_streams: Per-link concurrent stream limit of the stream
             grains (None = unlimited).
@@ -182,8 +106,7 @@ class StripedController:
         program: Program,
         order: Optional[FirstUseOrder],
         links: Sequence[NetworkLink],
-        cpi: float,
-        policy: str = "deadline",
+        policy: str = "interleaved",
         max_streams: Optional[int] = None,
         data_partitioning: bool = False,
         outages: Sequence[LinkOutage] = (),
@@ -243,10 +166,9 @@ class StripedController:
         # batched cores read ``schedule`` and ``sequence`` directly.
         #: Parallel: the greedy byte-triggered schedule.
         self.schedule: Optional[TransferSchedule] = None
-        #: Single-stream policies: the one stream's units.
+        #: Every other policy: the units in send order, as one stream
+        #: grain or as one grain per unit.
         self.sequence: Tuple[TransferUnit, ...] = ()
-        #: Unit-grain policies: the deadline-annotated unit sequence.
-        self._entries: List[StripedEntry] = []
         if policy == "strict":
             self.sequence = tuple(
                 unit
@@ -259,17 +181,17 @@ class StripedController:
             )
         elif policy == "parallel":
             self.schedule = build_schedule(program, self.plans, order)
-        elif self._grain == "stream":
-            self.sequence = tuple(build_interleaved_file(self.plans, order))
         else:
-            self._entries = striped_sequence(self.plans, order, float(cpi))
-        if self._grain == "stream" and self.schedule is None and not self.sequence:
+            self.sequence = tuple(build_interleaved_file(self.plans, order))
+        if self.schedule is None and not self.sequence:
             raise TransferError("program has no classes to transfer")
         self._engine: Optional[IssueEngine] = None
 
     # -- scoreboard construction ------------------------------------------
 
     def _build_scoreboard(self) -> Scoreboard:
+        if self._grain == "unit":
+            return unit_grain_scoreboard(self.sequence)
         board = Scoreboard()
         if self.schedule is not None:
             for seq, start in enumerate(self.schedule.in_start_order()):
@@ -287,50 +209,14 @@ class StripedController:
                     )
                 )
             return board
-        if self.sequence:
-            board.add_item(
-                IssueItem(
-                    label=_STREAM_LABEL[self.policy],
-                    units=self.sequence,
-                    seq=0,
-                )
+        board.add_item(
+            IssueItem(
+                label=_STREAM_LABEL[self.policy],
+                units=self.sequence,
+                seq=0,
             )
-            return board
-        use_deadlines = self.policy == "deadline"
-        leading: Dict[str, TransferUnit] = {}
-        for entry in self._entries:
-            if entry.unit.kind in (
-                UnitKind.GLOBAL_DATA,
-                UnitKind.GLOBAL_FIRST,
-            ):
-                leading[entry.unit.class_name] = entry.unit
-        for entry in self._entries:
-            board.add_item(
-                IssueItem(
-                    label=self._unit_label(entry),
-                    units=(entry.unit,),
-                    seq=entry.seq,
-                    deadline=(
-                        entry.deadline if use_deadlines else math.inf
-                    ),
-                )
-            )
-            lead = leading.get(entry.unit.class_name)
-            if lead is not None and entry.unit is not lead:
-                # Retire hazard: nothing of a class is usable before
-                # its global unit — the in-order stream invariant,
-                # made explicit so landings may happen out of order.
-                board.add_unit_dep(entry.unit, lead)
+        )
         return board
-
-    @staticmethod
-    def _unit_label(entry: StripedEntry) -> str:
-        unit = entry.unit
-        if unit.method is not None:
-            tail = unit.method.method_name
-        else:
-            tail = unit.kind.value
-        return f"{entry.seq}:{unit.class_name}.{tail}"
 
     # -- simulator interface ----------------------------------------------
 
@@ -420,16 +306,11 @@ class StripedController:
             needed = self.required_unit(method_id)
         except TransferError:
             return
-        labels = [board.label_of(needed)]
-        plan = self.plans[method_id.class_name]
-        lead = plan.units[0]
-        if lead is not needed:
-            try:
-                labels.append(board.label_of(lead))
-            except TransferError:
-                pass
+        # The unit, then its retire hazard: its class's global unit.
         escalated = [
-            label for label in labels if board.escalate(label)
+            unit
+            for unit in (needed, *board.unit_deps(needed))
+            if board.escalate(board.label_of(unit))
         ]
         if not escalated:
             return
@@ -466,7 +347,7 @@ class StripedController:
                 start_after_bytes=start.start_after_bytes,
                 required_prefix_bytes=start.required_prefix_bytes,
             )
-        elif self.sequence:
+        elif self._grain == "stream":
             self.recorder.schedule_decision(
                 time,
                 action="stream_start",
@@ -481,7 +362,7 @@ def run_striped(
     order: FirstUseOrder,
     links: Sequence[NetworkLink],
     cpi: float,
-    policy: str = "deadline",
+    policy: str = "interleaved",
     max_streams: Optional[int] = None,
     data_partitioning: bool = False,
     outages: Sequence[LinkOutage] = (),
@@ -512,7 +393,6 @@ def run_striped(
         target,
         order,
         links,
-        cpi,
         policy=policy,
         max_streams=max_streams,
         data_partitioning=data_partitioning,

@@ -910,7 +910,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     simulate.add_argument(
         "--sched-policy",
         choices=_SCHED_POLICIES,
-        default="deadline",
+        default="interleaved",
         help="transfer policy for --links (strict runs on one link)",
     )
     simulate.add_argument(

@@ -28,8 +28,10 @@ def build_interleaved_file(
 
     For each method in first-use order: the owning class's leading
     global unit is emitted on first encounter, then the method's unit.
-    Trailing units (unused global data) are appended at the end.  A
-    class with no method in the order follows whole, in plan order.
+    Then every class's units not yet emitted follow, class by class in
+    plan order: the trailing unused global data, any method the order
+    leaves out, and the whole of a class it never names.  Every plan
+    unit is sent exactly once.
 
     Raises:
         TransferError: If the order references a class with no plan.
@@ -55,15 +57,10 @@ def build_interleaved_file(
                 )
             sequence.append(leading)
         sequence.append(plan.method_unit(method_id.method_name))
-    for class_name, plan in plans.items():
-        if class_name in emitted_classes:
-            sequence.extend(
-                unit
-                for unit in plan.units
-                if unit.kind == UnitKind.GLOBAL_UNUSED
-            )
-        else:
-            # A class none of whose methods are in the order: transfer
-            # it whole at the end, in plan order.
-            sequence.extend(plan.units)
+    # Plan units are distinct objects, so identity tells what was sent.
+    emitted = {id(unit) for unit in sequence}
+    for plan in plans.values():
+        sequence.extend(
+            unit for unit in plan.units if id(unit) not in emitted
+        )
     return sequence

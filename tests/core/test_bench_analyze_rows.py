@@ -41,7 +41,7 @@ def test_committed_striped_rows_match_run_striped():
                 item.order(order_label),
                 links,
                 workload.cpi,
-                policy="deadline",
+                policy="interleaved",
             )
             rows.append(
                 {

@@ -71,7 +71,6 @@ def _configured(
         target,
         order,
         (link,),
-        cpi,
         policy=method,
         max_streams=max_streams,
         data_partitioning=data_partitioning,
@@ -155,7 +154,7 @@ def test_data_partitioned_equivalence():
 
 def _strict_simulator(program, trace, link, cpi):
     controller = StripedController(
-        program, None, (link,), cpi, policy="strict"
+        program, None, (link,), policy="strict"
     )
     return Simulator(program, trace, controller, cpi)
 
@@ -200,7 +199,7 @@ def test_controller_equivalence(kind, name):
     options = _DIRECT_OPTIONS[kind](target)
     for link in (T1_LINK, MODEM_LINK):
         controller = StripedController(
-            target, order, (link,), workload.cpi, **options
+            target, order, (link,), **options
         )
         simulator = Simulator(
             target, workload.test_trace, controller, workload.cpi
@@ -263,20 +262,20 @@ def test_engine_resolution():
     for policy in POLICIES:
         batched = policy in ("strict", "parallel", "interleaved")
         one = StripedController(
-            program, order, (T1_LINK,), 30.0, policy=policy
+            program, order, (T1_LINK,), policy=policy
         )
         assert resolve_engine(one) == (
             "batched" if batched else "reference"
         ), policy
         assert resolve_engine(one, recorder) == "reference", policy
         custom = CustomController(
-            program, order, (T1_LINK,), 30.0, policy=policy
+            program, order, (T1_LINK,), policy=policy
         )
         assert resolve_engine(custom) == "reference", policy
         if policy == "strict":
             continue  # one link only
         two = StripedController(
-            program, order, (T1_LINK, MODEM_LINK), 30.0, policy=policy
+            program, order, (T1_LINK, MODEM_LINK), policy=policy
         )
         assert resolve_engine(two) == "reference", policy
         assert resolve_engine(two, recorder) == "reference", policy
@@ -296,14 +295,12 @@ def test_rerun_is_identical_recorded_or_not(kind):
             target,
             order,
             links_from_bandwidths((57_600, 28_800)),
-            workload.cpi,
         )
     else:
         controller = StripedController(
             target,
             order,
             (MODEM_LINK,),
-            workload.cpi,
             policy=kind,
             max_streams=4 if kind == "parallel" else None,
         )

@@ -153,7 +153,7 @@ def test_normalized_to_requires_positive_baseline(setup):
 def test_invalid_cpi_rejected(setup):
     program, trace, order = setup
     controller = StripedController(
-        program, order, (T1_LINK,), CPI, policy="interleaved"
+        program, order, (T1_LINK,), policy="interleaved"
     )
     with pytest.raises(SimulationError):
         Simulator(program, trace, controller, cpi=0)

@@ -163,7 +163,7 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
     order = estimate_first_use(compiled)
     restructured = restructure(compiled, order)
     controller = StripedController(
-        restructured, order, (T1_LINK,), CPI, policy="interleaved"
+        restructured, order, (T1_LINK,), policy="interleaved"
     )
     engine = controller.start()
     engine.run_until(1e12)
@@ -182,14 +182,3 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
         linker.on_first_invocation(method)
     assert linker.report.methods_verified == restructured.method_count
     assert linker.report.classes_prepared == len(restructured.classes)
-
-
-def test_procedure_splitting_integrates(compiled):
-    from repro.reorder import split_large_methods
-
-    split = split_large_methods(compiled, max_unit_bytes=40)
-    baseline = VirtualMachine(compiled).run()
-    result = VirtualMachine(split).run()
-    assert result.output == baseline.output
-    for classfile in split.classes:
-        verify_class(classfile)

@@ -3,7 +3,7 @@
 Random Mini programs are generated structurally (never from raw text),
 so every sample is syntactically valid; the properties under test are
 semantic: compiled programs verify, run deterministically, and survive
-restructuring and splitting unchanged.
+restructuring unchanged.
 """
 
 import pytest

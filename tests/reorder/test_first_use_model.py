@@ -45,14 +45,10 @@ def test_textual_first_use_is_file_order():
     order = textual_first_use(program)
     assert order.order == list(program.method_ids())
     assert order.source == "textual"
-    # Cumulative byte/instruction prefixes are monotone.
+    # Cumulative byte prefixes are monotone.
     byte_values = [entry.bytes_before for entry in order.entries]
     assert byte_values == sorted(byte_values)
     assert byte_values[0] == 0
-    instruction_values = [
-        entry.instructions_before for entry in order.entries
-    ]
-    assert instruction_values == sorted(instruction_values)
 
 
 def test_textual_order_drives_restructure_as_identity():

@@ -1,12 +1,15 @@
 """Scoreboard unit tests: states, hazards, retirement, escalation."""
 
-import math
-
 import pytest
 
 from repro.errors import TransferError
 from repro.program import MethodId
-from repro.sched import IssueItem, ItemState, Scoreboard
+from repro.sched import (
+    IssueItem,
+    ItemState,
+    Scoreboard,
+    unit_grain_scoreboard,
+)
 from repro.transfer import (
     TransferUnit,
     UnitKind,
@@ -118,21 +121,44 @@ def test_escalation_overrides_watermark_and_priority():
             label="urgent",
             units=(_global("A"),),
             seq=5,
-            deadline=9000.0,
             watermark_bytes=1e9,
             watermark_classes=("x",),
         )
     )
-    board.add_item(
-        IssueItem(
-            label="early", units=(_global("B"),), seq=0, deadline=1.0
-        )
-    )
+    board.add_item(IssueItem(label="early", units=(_global("B"),), seq=0))
     assert board.escalate("urgent") is True
     assert board.escalate("urgent") is False  # already escalated
     ready = board.ready_items(lambda item: 0.0)
-    # Escalation beats every deadline.
+    # Escalation beats program order.
     assert [item.label for item in ready] == ["urgent", "early"]
+
+
+def test_unit_grain_scoreboard_labels_and_retire_hazards():
+    """One grain per unit in sequence order; every other unit of a
+    class retires after the class's leading global unit."""
+    g_a, run = _global("A"), _method("A", "run")
+    g_b, go = _global("B"), _method("B", "go")
+    tail = TransferUnit(kind=UnitKind.GLOBAL_UNUSED, class_name="A", size=7)
+    board = unit_grain_scoreboard((g_a, run, g_b, go, tail))
+    assert list(board.items) == [
+        "0:A.global_data",
+        "1:A.run",
+        "2:B.global_data",
+        "3:B.go",
+        "4:A.global_unused",
+    ]
+    assert [item.seq for item in board.items.values()] == [0, 1, 2, 3, 4]
+    assert [board.unit_deps(unit) for unit in (g_a, run, g_b, go, tail)] == [
+        (),
+        (g_a,),
+        (),
+        (g_b,),
+        (g_a,),
+    ]
+    for label in board.items:
+        board.mark_issued(label, 0, 0.0)
+    assert board.mark_landed(run, 1.0) == []
+    assert board.mark_landed(g_a, 3.0) == [(g_a, 3.0), (run, 3.0)]
 
 
 def test_requeue_returns_item_to_ready():
@@ -159,16 +185,13 @@ def test_label_lookup():
 
 
 def test_priority_key_ordering():
-    normal = IssueItem(label="a", units=(_global("A"),), seq=2)
-    dated = IssueItem(
-        label="b", units=(_global("B"),), seq=9, deadline=100.0
-    )
+    early = IssueItem(label="a", units=(_global("A"),), seq=2)
+    late = IssueItem(label="b", units=(_global("B"),), seq=9)
     hot = IssueItem(
         label="c", units=(_global("C"),), seq=99, escalated=True
     )
-    ordered = sorted([normal, dated, hot], key=IssueItem.priority_key)
-    assert [item.label for item in ordered] == ["c", "b", "a"]
-    assert normal.deadline == math.inf
+    ordered = sorted([late, early, hot], key=IssueItem.priority_key)
+    assert [item.label for item in ordered] == ["c", "a", "b"]
 
 
 def test_links_from_bandwidths_validation():

@@ -118,7 +118,7 @@ def _unit(index):
 
 @st.composite
 def boards(draw):
-    """Item specs (with ties in seq and deadline) and retire deps."""
+    """Item specs (with ties in seq) and retire deps."""
     items = []
     units = []
     for index in range(draw(st.integers(1, 12))):
@@ -132,7 +132,6 @@ def boards(draw):
                 label=f"i{index}",
                 units=own,
                 seq=draw(st.integers(0, 4)),
-                deadline=draw(st.sampled_from([math.inf, 10.0, 20.0])),
                 watermark_bytes=draw(
                     st.sampled_from([0.0, 0.0, 50.0, 120.0, 300.0])
                 ),

@@ -6,8 +6,6 @@ and the committed ``BENCH_sim.json`` rows pin their numbers
 (``tests/core/test_bench_sim_rows.py``).
 """
 
-import math
-
 import pytest
 
 from repro.analyze import StallVerdict, analyze_transfer_plan
@@ -17,19 +15,8 @@ from repro.errors import TransferError
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
 from repro.reorder import estimate_first_use
-from repro.sched import (
-    LinkOutage,
-    StripedController,
-    run_striped,
-    striped_sequence,
-)
-from repro.transfer import (
-    MODEM_LINK,
-    T1_LINK,
-    build_program_plans,
-    links_from_bandwidths,
-)
-from repro.transfer.units import TransferPolicy, UnitKind
+from repro.sched import LinkOutage, StripedController, run_striped
+from repro.transfer import MODEM_LINK, T1_LINK, links_from_bandwidths
 from repro.vm import record_run
 from repro.workloads import figure1_program
 
@@ -73,7 +60,7 @@ def test_one_link_fidelity_is_exact(name):
             ), key
 
 
-@pytest.mark.parametrize("policy", ("deadline", "round_robin", "interleaved"))
+@pytest.mark.parametrize("policy", ("round_robin", "interleaved"))
 def test_striping_two_links_beats_one(policy):
     item = bundle("BIT")
     workload = item.workload
@@ -125,7 +112,7 @@ def test_link_outage_converges_byte_identical():
 
     def controllers(outages):
         return StripedController(
-            target, item.scg, links, workload.cpi, outages=outages
+            target, item.scg, links, outages=outages
         )
 
     from repro.core import Simulator
@@ -158,19 +145,19 @@ def test_validation_errors():
     workload = item.workload
     with pytest.raises(TransferError, match="unknown striping policy"):
         StripedController(
-            workload.program, item.scg, (T1_LINK,), workload.cpi,
-            policy="psychic",
+            workload.program, item.scg, (T1_LINK,), policy="psychic"
+        )
+    with pytest.raises(TransferError, match="unknown striping policy"):
+        StripedController(
+            workload.program, item.scg, (T1_LINK,), policy="deadline"
         )
     with pytest.raises(TransferError, match="at least one link"):
-        StripedController(
-            workload.program, item.scg, (), workload.cpi
-        )
+        StripedController(workload.program, item.scg, ())
     with pytest.raises(TransferError, match="not supported"):
         StripedController(
             workload.program,
             item.scg,
             (T1_LINK,),
-            workload.cpi,
             policy="parallel",
             outages=(LinkOutage(1.0, 0),),
         )
@@ -179,44 +166,12 @@ def test_validation_errors():
             workload.program,
             None,
             (T1_LINK, MODEM_LINK),
-            workload.cpi,
             policy="strict",
         )
     with pytest.raises(TransferError, match="needs a first-use order"):
         StripedController(
-            workload.program, None, (T1_LINK,), workload.cpi,
-            policy="interleaved",
+            workload.program, None, (T1_LINK,), policy="interleaved"
         )
-
-
-def test_striped_sequence_deadlines():
-    item = bundle("Hanoi")
-    workload = item.workload
-    plans = build_program_plans(
-        workload.program, TransferPolicy.NON_STRICT
-    )
-    entries = striped_sequence(plans, item.scg, workload.cpi)
-    assert [entry.seq for entry in entries] == list(range(len(entries)))
-    by_class = {}
-    for entry in entries:
-        if entry.unit.kind == UnitKind.METHOD:
-            method = entry.unit.method
-            if method in item.scg:
-                expected = (
-                    item.scg.entry_for(method).instructions_before
-                    * workload.cpi
-                )
-                assert entry.deadline == expected
-            else:
-                assert math.isinf(entry.deadline)
-            lead = by_class.get(entry.unit.class_name)
-            if lead is not None:
-                # Class global unit deadline = earliest method need.
-                assert lead.deadline <= entry.deadline
-        elif entry.unit.kind == UnitKind.GLOBAL_DATA:
-            by_class[entry.unit.class_name] = entry
-    with pytest.raises(TransferError):
-        striped_sequence(plans, item.scg, 0.0)
 
 
 def test_escalation_toggle_controls_demand_correction():
@@ -263,7 +218,6 @@ def test_striped_analyzer_verdicts_hold_in_simulation():
         item.scg,
         links,
         workload.cpi,
-        policy="deadline",
         escalate=False,  # the analyzer models escalation-free runs
     )
     stalled = {stall.method for stall in result.stalls}

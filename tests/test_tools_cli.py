@@ -110,7 +110,7 @@ def test_simulate_striped_links(stored, capsys):
                 "--links",
                 "modem,57600",
                 "--sched-policy",
-                "deadline",
+                "round_robin",
                 "--cpi",
                 "50",
             ]
@@ -120,7 +120,7 @@ def test_simulate_striped_links(stored, capsys):
     out = capsys.readouterr().out
     assert "striped links:" in out
     assert "modem, link1@57600bps" in out
-    assert "policy deadline" in out
+    assert "policy round_robin" in out
 
 
 def test_simulate_engine_ab_identical(stored, capsys, monkeypatch):

@@ -77,7 +77,6 @@ def test_compressed_controller_transfers_fewer_bytes():
             target,
             order,
             (T1_LINK,),
-            100.0,
             policy="interleaved",
             ratios=ratios,
         )

@@ -9,8 +9,9 @@ import pytest
 from repro.bytecode import assemble
 from repro.classfile import ClassFileBuilder
 from repro.errors import TransferError
+from repro.harness import bundle
 from repro.program import MethodId, Program
-from repro.reorder import estimate_first_use, restructure
+from repro.reorder import FirstUseOrder, estimate_first_use, restructure
 from repro.sched import StripedController
 from repro.transfer import (
     T1_LINK,
@@ -50,12 +51,22 @@ def test_interleaved_file_order(restructured):
 
 
 def test_interleaved_file_conserves_bytes(restructured):
-    program, order = restructured
-    plans = build_program_plans(program, TransferPolicy.NON_STRICT)
-    sequence = build_interleaved_file(plans, order)
-    assert sum(unit.size for unit in sequence) == sum(
-        plan.total_bytes for plan in plans.values()
-    )
+    # Hanoi's SCG order minus its last three entries names every class
+    # but leaves methods out: those must still go out, after the order.
+    item = bundle("Hanoi")
+    partial = FirstUseOrder(entries=item.scg.entries[:-3], source="partial")
+    for program, order in (
+        restructured,
+        (restructure(item.workload.program, item.scg), partial),
+    ):
+        plans = build_program_plans(program, TransferPolicy.NON_STRICT)
+        sequence = build_interleaved_file(plans, order)
+        assert sum(unit.size for unit in sequence) == sum(
+            plan.total_bytes for plan in plans.values()
+        )
+        # Every plan unit goes out exactly once.
+        planned = [unit for plan in plans.values() for unit in plan.units]
+        assert sorted(map(id, sequence)) == sorted(map(id, planned))
 
 
 def methodless_class_program():
@@ -100,7 +111,7 @@ def test_methodless_class_with_unused_data_goes_out_global_first():
 
 def _one_link(program, order, policy, **options):
     return StripedController(
-        program, order, (T1_LINK,), 100.0, policy=policy, **options
+        program, order, (T1_LINK,), policy=policy, **options
     )
 
 
@@ -188,7 +199,6 @@ def test_parallel_demand_fetch_on_stall():
         FirstUseEntry(
             method=entry.method,
             bytes_before=0 if entry.method.class_name == "A" else 10**9,
-            instructions_before=entry.instructions_before,
         )
         for entry in static.entries
     ]

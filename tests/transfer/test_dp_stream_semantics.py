@@ -65,7 +65,6 @@ def _data_partitioned(program, order, policy, **options):
         program,
         order,
         (T1_LINK,),
-        100.0,
         policy=policy,
         data_partitioning=True,
         **options,

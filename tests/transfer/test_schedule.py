@@ -67,7 +67,6 @@ def test_eager_start_requests_everything_immediately():
         FirstUseEntry(
             method=entry.method,
             bytes_before=0 if entry.method.class_name == "A" else 10**9,
-            instructions_before=entry.instructions_before,
         )
         for entry in order.entries
     ]
@@ -77,7 +76,6 @@ def test_eager_start_requests_everything_immediately():
             target,
             heavy,
             (T1_LINK,),
-            100.0,
             policy="parallel",
             max_streams=4,
             eager_start=eager,
