@@ -11,7 +11,7 @@ from repro.harness import bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
 from repro.sched import StripedController
-from repro.transfer import MODEM_LINK
+from repro.transfer import MODEM_LINK, TransferPolicy, transfer_layout
 
 
 def granularity_table() -> ResultTable:
@@ -37,17 +37,20 @@ def granularity_table() -> ResultTable:
             ("Block-level", True),
         ):
             controller = StripedController(
-                target,
-                item.test,
+                transfer_layout(
+                    target,
+                    TransferPolicy.NON_STRICT,
+                    item.test,
+                    block_delimiters=block_level,
+                ),
                 (MODEM_LINK,),
                 policy="interleaved",
-                block_delimiters=block_level,
             )
             overhead[label] = sum(
                 unit.size for unit in controller.sequence
             )
             result = Simulator(
-                target, workload.test_trace, controller, workload.cpi
+                workload.test_trace, controller, workload.cpi
             ).run()
             results[label] = result.normalized_to(base.total_cycles)
         table.add_row(

@@ -13,7 +13,7 @@ from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
 from repro.sched import StripedController
-from repro.transfer import MODEM_LINK
+from repro.transfer import MODEM_LINK, TransferPolicy, transfer_layout
 
 
 def schedule_table() -> ResultTable:
@@ -29,22 +29,25 @@ def schedule_table() -> ResultTable:
     for name in BENCHMARK_NAMES:
         item = bundle(name)
         workload = item.workload
-        target = restructure(workload.program, item.scg)
+        layout = transfer_layout(
+            restructure(workload.program, item.scg),
+            TransferPolicy.NON_STRICT,
+            item.scg,
+        )
         base = strict_baseline(
             workload.program, workload.test_trace, MODEM_LINK, workload.cpi
         )
         cells = []
         for eager in (False, True):
             controller = StripedController(
-                target,
-                item.scg,
+                layout,
                 (MODEM_LINK,),
                 policy="parallel",
                 max_streams=None,
                 eager_start=eager,
             )
             result = Simulator(
-                target, workload.test_trace, controller, workload.cpi
+                workload.test_trace, controller, workload.cpi
             ).run()
             cells.append(result.normalized_to(base.total_cycles))
         table.add_row(name, *cells)

@@ -12,7 +12,12 @@ from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
 from repro.sched import StripedController
-from repro.transfer import MODEM_LINK, program_compression_ratios
+from repro.transfer import (
+    MODEM_LINK,
+    TransferPolicy,
+    program_compression_ratios,
+    transfer_layout,
+)
 
 
 def compression_table() -> ResultTable:
@@ -39,14 +44,16 @@ def compression_table() -> ResultTable:
         ratios = program_compression_ratios(target)
         plain, compressed = (
             Simulator(
-                target,
                 workload.test_trace,
                 StripedController(
-                    target,
-                    item.test,
+                    transfer_layout(
+                        target,
+                        TransferPolicy.NON_STRICT,
+                        item.test,
+                        ratios=plan_ratios,
+                    ),
                     (MODEM_LINK,),
                     policy="interleaved",
-                    ratios=plan_ratios,
                 ),
                 workload.cpi,
             ).run()

@@ -50,7 +50,7 @@ from repro.harness import BENCHMARK_NAMES, bundle
 from repro.harness.results import ResultTable
 from repro.reorder import restructure
 from repro.sched import StripedController
-from repro.transfer import MODEM_LINK, T1_LINK
+from repro.transfer import MODEM_LINK, T1_LINK, TransferPolicy, transfer_layout
 
 #: The Figure 6 configuration grid (label, method, max_streams, dp).
 CONFIGS: Tuple[Tuple[str, str, Optional[int], bool], ...] = (
@@ -80,26 +80,35 @@ def grid() -> Iterator[Tuple[Dict[str, str], Simulator, StrictBaseline]]:
     """Every grid point as (row labels, simulator, strict baseline).
 
     Each simulator is configured exactly as ``run_nonstrict`` would
-    configure it.
+    configure it.  A workload's six layouts (ordering × partitioning)
+    are built once and shared by both links and both methodologies.
     """
     for name in BENCHMARK_NAMES:
         item = bundle(name)
         workload = item.workload
+        layouts = {}
+        for ordering in ORDERINGS:
+            order = item.order(ordering)
+            target = restructure(workload.program, order)
+            for partitioned in (False, True):
+                layouts[ordering, partitioned] = transfer_layout(
+                    target,
+                    TransferPolicy.DATA_PARTITIONED
+                    if partitioned
+                    else TransferPolicy.NON_STRICT,
+                    order,
+                )
         for link_name, link in LINKS:
             base = strict_baseline(
                 workload.program, workload.test_trace, link, workload.cpi
             )
             for ordering in ORDERINGS:
-                order = item.order(ordering)
-                target = restructure(workload.program, order)
                 for label, method, max_streams, partitioned in CONFIGS:
                     controller = StripedController(
-                        target,
-                        order,
+                        layouts[ordering, partitioned],
                         (link,),
                         policy=method,
                         max_streams=max_streams,
-                        data_partitioning=partitioned,
                     )
                     labels = {
                         "workload": name,
@@ -108,7 +117,7 @@ def grid() -> Iterator[Tuple[Dict[str, str], Simulator, StrictBaseline]]:
                         "config": label,
                     }
                     simulator = Simulator(
-                        target, workload.test_trace, controller, workload.cpi
+                        workload.test_trace, controller, workload.cpi
                     )
                     yield labels, simulator, base
 

@@ -21,7 +21,13 @@ from repro.core import (
 from repro.harness import bundle
 from repro.reorder import restructure
 from repro.sched import StripedController
-from repro.transfer import MODEM_LINK, T1_LINK, program_compression_ratios
+from repro.transfer import (
+    MODEM_LINK,
+    T1_LINK,
+    TransferPolicy,
+    program_compression_ratios,
+    transfer_layout,
+)
 
 JIT = JitModel(compile_cycles_per_byte=600.0, compiled_cpi=60.0)
 
@@ -43,10 +49,11 @@ def main() -> None:
     )
 
     def interleaved(**options):
-        controller = StripedController(
-            target, item.test, (link,), policy="interleaved", **options,
+        layout = transfer_layout(
+            target, TransferPolicy.NON_STRICT, item.test, **options
         )
-        return Simulator(target, trace, controller, workload.cpi).run()
+        controller = StripedController(layout, (link,), policy="interleaved")
+        return Simulator(trace, controller, workload.cpi).run()
 
     plain = interleaved()
     print(

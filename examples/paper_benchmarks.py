@@ -17,6 +17,7 @@ from repro.core import Simulator
 from repro.harness import bundle
 from repro.reorder import restructure
 from repro.sched import StripedController
+from repro.transfer import TransferPolicy, transfer_layout
 
 
 def main() -> None:
@@ -62,21 +63,18 @@ def main() -> None:
             ("Train", item.train),
             ("Test ", item.test),
         ):
-            target = restructure(program, order)
+            layout = transfer_layout(
+                restructure(program, order), TransferPolicy.NON_STRICT, order
+            )
             interleaved = Simulator(
-                target,
                 workload.test_trace,
-                StripedController(
-                    target, order, (link,), policy="interleaved",
-                ),
+                StripedController(layout, (link,), policy="interleaved"),
                 workload.cpi,
             ).run()
             parallel = Simulator(
-                target,
                 workload.test_trace,
                 StripedController(
-                    target, order, (link,),
-                    policy="parallel", max_streams=4,
+                    layout, (link,), policy="parallel", max_streams=4,
                 ),
                 workload.cpi,
             ).run()

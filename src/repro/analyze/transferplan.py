@@ -67,13 +67,13 @@ from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
 from ..transfer import NetworkLink, build_schedule
-from ..transfer.interleaved import build_interleaved_file
+from ..transfer.layout import TransferLayout, transfer_layout
 from ..transfer.schedule import TransferSchedule
 from ..transfer.units import (
     ClassTransferPlan,
     TransferPolicy,
+    TransferUnit,
     UnitKind,
-    build_program_plans,
 )
 from ..vm import ExecutionTrace
 from .workmodel import first_use_lower_bounds
@@ -281,13 +281,12 @@ class _ArrivalBounds:
 
 
 def _interleaved_arrivals(
-    plans: Dict[str, ClassTransferPlan],
-    order: FirstUseOrder,
+    sequence: Tuple[TransferUnit, ...],
     cpb: float,
 ) -> Dict[MethodId, _ArrivalBounds]:
     arrivals: Dict[MethodId, _ArrivalBounds] = {}
     cumulative = 0
-    for unit in build_interleaved_file(plans, order):
+    for unit in sequence:
         cumulative += unit.size
         if unit.kind == UnitKind.METHOD and unit.method is not None:
             exact = cumulative * cpb
@@ -298,8 +297,7 @@ def _interleaved_arrivals(
 
 
 def _striped_arrivals(
-    plans: Dict[str, ClassTransferPlan],
-    order: FirstUseOrder,
+    sequence: Tuple[TransferUnit, ...],
     links: Tuple[NetworkLink, ...],
 ) -> Dict[MethodId, _ArrivalBounds]:
     """Arrival bounds under escalation-free multi-link striping.
@@ -333,7 +331,6 @@ def _striped_arrivals(
     can delay others), so verdicts model ``escalate=False`` runs; the
     demand bound is ``inf`` accordingly.
     """
-    sequence = build_interleaved_file(plans, order)
     cpb_fast = min(l.cycles_per_byte for l in links)
     cpb_slow = max(l.cycles_per_byte for l in links)
     aggregate_bpc = sum(1.0 / l.cycles_per_byte for l in links)
@@ -399,12 +396,10 @@ def _parallel_arrivals(
 
 
 def _exact_parallel_entry_arrival(
-    target: Program,
-    order: FirstUseOrder,
+    layout: TransferLayout,
     link: NetworkLink,
     entry_method: MethodId,
     max_streams: Optional[int],
-    data_partitioning: bool,
 ) -> float:
     """The parallel entry stall's end, computed exactly.
 
@@ -417,12 +412,7 @@ def _exact_parallel_entry_arrival(
     from ..sched.striped import StripedController
 
     controller = StripedController(
-        target,
-        order,
-        (link,),
-        policy="parallel",
-        max_streams=max_streams,
-        data_partitioning=data_partitioning,
+        layout, (link,), policy="parallel", max_streams=max_streams
     )
     engine = controller.start()
     unit = controller.required_unit(entry_method)
@@ -504,12 +494,14 @@ def analyze_transfer_plan(
             f"pick from {_METHODOLOGIES}"
         )
     target = apply_restructure(program, order) if restructure else program
-    policy = (
+    layout = transfer_layout(
+        target,
         TransferPolicy.DATA_PARTITIONED
         if data_partitioning
-        else TransferPolicy.NON_STRICT
+        else TransferPolicy.NON_STRICT,
+        order,
     )
-    plans = build_program_plans(target, policy)
+    plans = layout.plans
     cpb = link.cycles_per_byte
     margin = 0.5 * cpb
 
@@ -518,7 +510,7 @@ def analyze_transfer_plan(
     if methodology == "parallel":
         tampered = schedule is not None
         if schedule is None:
-            schedule = build_schedule(target, plans, order, link, cpi)
+            schedule = build_schedule(target, plans, order)
         health = analyze_schedule(schedule, plans)
         startable = set(health.startable)
         for start in schedule.starts:
@@ -533,23 +525,18 @@ def analyze_transfer_plan(
             bounds = arrivals.get(entry_method)
             if bounds is not None:
                 exact = _exact_parallel_entry_arrival(
-                    target,
-                    order,
-                    link,
-                    entry_method,
-                    max_streams,
-                    data_partitioning,
+                    layout, link, entry_method, max_streams
                 )
                 arrivals[entry_method] = _ArrivalBounds(
                     exact, exact, bounds.demand_bound
                 )
     elif methodology == "striped":
         link_set = tuple(links) if links else (link,)
-        arrivals = _striped_arrivals(plans, order, link_set)
+        arrivals = _striped_arrivals(layout.sequence(), link_set)
         cpb = max(l.cycles_per_byte for l in link_set)
         margin = 0.5 * cpb
     else:
-        arrivals = _interleaved_arrivals(plans, order, cpb)
+        arrivals = _interleaved_arrivals(layout.sequence(), cpb)
 
     failures = facts.failures(target)
     call_graph = None if failures else build_call_graph(target, facts)

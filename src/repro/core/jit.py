@@ -33,8 +33,7 @@ from ..transfer import (
     StreamEngine,
     TransferPolicy,
     UnitKind,
-    build_interleaved_file,
-    build_program_plans,
+    transfer_layout,
 )
 from ..vm import ExecutionTrace
 
@@ -117,20 +116,21 @@ def simulate_jit_overlap(
     transfer; a method invoked before its compilation finished pays the
     remainder before executing (modelling compile-on-first-call).
     """
-    target = apply_restructure(program, order)
-    plans = build_program_plans(
-        target,
+    layout = transfer_layout(
+        apply_restructure(program, order),
         TransferPolicy.DATA_PARTITIONED
         if data_partitioning
         else TransferPolicy.NON_STRICT,
+        order,
     )
+    plans = layout.plans
     # The interleaved file on one link: a single stream, in order.
     engine = StreamEngine(link)
-    engine.request_stream("interleaved", build_interleaved_file(plans, order))
+    engine.request_stream("interleaved", layout.sequence())
 
     code_bytes: Dict[MethodId, int] = {
         method_id: method.code_bytes
-        for method_id, method in target.methods()
+        for method_id, method in layout.program.methods()
     }
     remaining_compile: Dict[MethodId, float] = {
         method_id: jit.compile_cycles(size)

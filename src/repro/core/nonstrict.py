@@ -28,7 +28,7 @@ from ..program import Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
 from ..sched import StripedController
-from ..transfer import NetworkLink
+from ..transfer import NetworkLink, TransferPolicy, transfer_layout
 from ..vm import ExecutionTrace
 from .simulation import SimulationResult, Simulator
 
@@ -85,19 +85,20 @@ def run_nonstrict(
             f"unknown transfer method {method!r}; pick from {_METHODS}"
         )
     target = apply_restructure(program, order) if restructure else program
+    layout = transfer_layout(
+        target,
+        TransferPolicy.DATA_PARTITIONED
+        if data_partitioning
+        else TransferPolicy.NON_STRICT,
+        order,
+    )
     if method == "parallel":
         controller = ParallelController(
-            target,
-            order,
-            (link,),
-            max_streams=max_streams,
-            data_partitioning=data_partitioning,
+            layout, (link,), max_streams=max_streams
         )
     else:
-        controller = InterleavedController(
-            target, order, (link,), data_partitioning=data_partitioning
-        )
-    simulator = Simulator(target, trace, controller, cpi, recorder=recorder)
+        controller = InterleavedController(layout, (link,))
+    simulator = Simulator(trace, controller, cpi, recorder=recorder)
     return simulator.run()
 
 
@@ -116,6 +117,10 @@ def run_strict(
     simulation shows what sequential strict transfer with on-demand
     execution actually does — useful for ablations.
     """
-    controller = StripedController(program, None, (link,), policy="strict")
-    simulator = Simulator(program, trace, controller, cpi, recorder=recorder)
+    controller = StripedController(
+        transfer_layout(program, TransferPolicy.STRICT),
+        (link,),
+        policy="strict",
+    )
+    simulator = Simulator(trace, controller, cpi, recorder=recorder)
     return simulator.run()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..errors import SimulationError
-from ..program import MethodId, Program
+from ..program import MethodId
 from ..sched import StripedController
 from ..vm import ExecutionTrace
 from .metrics import InvocationLatencyReport
@@ -144,10 +144,10 @@ class Simulator:
     """Co-simulates one configuration.
 
     Args:
-        program: The (possibly restructured) program being transferred.
         trace: The execution trace to replay (method ids must exist in
-            ``program``).
-        controller: The transfer controller, with its policy and links.
+            the controller's layout).
+        controller: The transfer controller, with its layout, policy
+            and links.
         cpi: Average cycles per bytecode instruction.
         recorder: Optional :class:`repro.observe.TraceRecorder` (clock
             ``"cycles"``); when given, the run emits ``unit_arrived``,
@@ -159,7 +159,6 @@ class Simulator:
 
     def __init__(
         self,
-        program: Program,
         trace: ExecutionTrace,
         controller: StripedController,
         cpi: float,
@@ -167,7 +166,6 @@ class Simulator:
     ) -> None:
         if cpi <= 0:
             raise SimulationError(f"CPI must be positive, got {cpi}")
-        self.program = program
         self.trace = trace
         self.controller = controller
         self.cpi = float(cpi)

@@ -2,8 +2,8 @@
 
 Every experiment runs on the calibrated synthetic six-benchmark suite
 (:mod:`repro.workloads.synthetic`).  Heavy shared work — workload
-generation, first-use orders, strict baselines — is computed once per
-process through :func:`bundle`.
+generation, first-use orders, strict baselines, transfer layouts — is
+computed once per process through :func:`bundle` and its neighbours.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..classfile import class_layout, global_data_breakdown
 from ..core import (
+    Simulator,
     invocation_latency_cycles,
-    run_nonstrict,
     strict_baseline,
 )
 from ..datapart import partition_class
@@ -26,7 +26,15 @@ from ..reorder import (
     restructure,
     weighted_first_use,
 )
-from ..transfer import MODEM_LINK, T1_LINK, NetworkLink, TransferPolicy
+from ..sched import StripedController
+from ..transfer import (
+    MODEM_LINK,
+    T1_LINK,
+    NetworkLink,
+    TransferLayout,
+    TransferPolicy,
+    transfer_layout,
+)
 from ..vm import synthesize_profile
 from ..workloads.spec import PAPER_BENCHMARKS
 from ..workloads.synthetic import SyntheticWorkload, generate_workload
@@ -127,6 +135,26 @@ def _baseline(name: str, link_name: str):
 
 
 @lru_cache(maxsize=None)
+def _layout(
+    name: str, ordering: str, data_partitioning: bool
+) -> TransferLayout:
+    """The restructured program's units, as ``run_nonstrict`` plans them.
+
+    Neither the link nor the parallel/interleaved choice changes a
+    layout, so each of these serves every table cell that sends it.
+    """
+    item = bundle(name)
+    order = item.order(ordering)
+    return transfer_layout(
+        restructure(item.workload.program, order),
+        TransferPolicy.DATA_PARTITIONED
+        if data_partitioning
+        else TransferPolicy.NON_STRICT,
+        order,
+    )
+
+
+@lru_cache(maxsize=None)
 def _normalized(
     name: str,
     link_name: str,
@@ -137,17 +165,15 @@ def _normalized(
 ) -> float:
     """Normalized execution time (percent of strict) for one config."""
     item = bundle(name)
-    link = dict(_LINKS)[link_name]
-    result = run_nonstrict(
-        item.workload.program,
-        item.workload.test_trace,
-        item.order(ordering),
-        link,
-        item.workload.cpi,
-        method=method,
+    controller = StripedController(
+        _layout(name, ordering, data_partitioning),
+        (dict(_LINKS)[link_name],),
+        policy=method,
         max_streams=max_streams,
-        data_partitioning=data_partitioning,
     )
+    result = Simulator(
+        item.workload.test_trace, controller, item.workload.cpi
+    ).run()
     base = _baseline(name, link_name)
     return result.normalized_to(base.total_cycles)
 

@@ -1,14 +1,14 @@
 """The transfer controller: every transfer policy over one or more links.
 
 :class:`StripedController` is the co-simulator's only controller.  It
-turns a program's transfer plans into issue grains on a
-:class:`~repro.sched.scoreboard.Scoreboard` and drives them over its
-link set with an :class:`~repro.sched.engine.IssueEngine`.  The policy
-picks the grains, their hazards and the link arbitration:
+turns a :class:`~repro.transfer.TransferLayout`'s units into issue
+grains on a :class:`~repro.sched.scoreboard.Scoreboard` and drives them
+over its link set with an :class:`~repro.sched.engine.IssueEngine`.
+The policy picks the grains, their hazards and the link arbitration:
 
-* ``"strict"`` — the paper's base case (§7): whole class files in
-  program file order on one stream; a method needs its whole class.
-  One link only.
+* ``"strict"`` — the paper's base case (§7): the layout's whole class
+  files in program file order on one stream; a method needs its whole
+  class.  One link only, and only a ``STRICT`` layout.
 * ``"parallel"`` — §5.1: one stream grain per class, released by the
   greedy schedule's byte watermarks (all at once with
   ``eager_start``), with demand-fetch correction at the queue front.
@@ -42,13 +42,12 @@ from ..reorder import FirstUseOrder
 from ..transfer import (
     ClassTransferPlan,
     NetworkLink,
+    TransferLayout,
     TransferPolicy,
     TransferSchedule,
     TransferUnit,
-    build_interleaved_file,
-    build_program_plans,
     build_schedule,
-    compress_plans,
+    transfer_layout,
 )
 from .engine import IssueEngine, LinkChannel, LinkOutage
 from .scoreboard import (
@@ -83,37 +82,33 @@ class StripedController:
     """One transfer policy over one or more links.
 
     Args:
-        program: The (restructured) program to transfer.
-        order: First-use order guiding the schedule and the sequence;
-            ``None`` only for ``"strict"``, which needs none.
+        layout: What to send (:func:`~repro.transfer.transfer_layout`):
+            whole class files for ``"strict"``, non-strict or
+            data-partitioned units for every other policy.
         links: The link set (1+ links, possibly heterogeneous).
         policy: One of :data:`POLICIES`.
         max_streams: Per-link concurrent stream limit of the stream
             grains (None = unlimited).
-        data_partitioning: Split global data into GMDs (§7.3).
         outages: Scheduled link deaths (unit-grain policies only).
         escalate: Unit-grain demand correction on a stall.
         eager_start: Parallel ablation: release every class at once,
             in schedule order, instead of at its byte watermark.
-        block_delimiters: One delimiter per basic block instead of
-            per method (the granularity ablation).
-        ratios: Per-class compression ratios applied to every plan
-            (:func:`~repro.transfer.compress_plans`); None = raw.
+
+    Raises:
+        TransferError: On an unknown policy, no links, several links
+            under ``"strict"``, outages on a stream-grain policy, or a
+            layout whose unit policy the policy cannot send.
     """
 
     def __init__(
         self,
-        program: Program,
-        order: Optional[FirstUseOrder],
+        layout: TransferLayout,
         links: Sequence[NetworkLink],
         policy: str = "interleaved",
         max_streams: Optional[int] = None,
-        data_partitioning: bool = False,
         outages: Sequence[LinkOutage] = (),
         escalate: bool = True,
         eager_start: bool = False,
-        block_delimiters: bool = False,
-        ratios: Optional[Dict[str, float]] = None,
     ) -> None:
         if policy not in POLICIES:
             raise TransferError(
@@ -127,12 +122,11 @@ class StripedController:
             raise TransferError(
                 "the 'strict' policy runs on exactly one link"
             )
-        if policy == "strict":
-            unit_policy = TransferPolicy.STRICT
-        elif data_partitioning:
-            unit_policy = TransferPolicy.DATA_PARTITIONED
-        else:
-            unit_policy = TransferPolicy.NON_STRICT
+        if (policy == "strict") != (layout.policy == TransferPolicy.STRICT):
+            raise TransferError(
+                f"the {policy!r} policy cannot send a "
+                f"{layout.policy.value!r} layout"
+            )
         self.links: Tuple[NetworkLink, ...] = tuple(links)
         self.policy = policy
         self.max_streams = max_streams
@@ -157,11 +151,7 @@ class StripedController:
                 f"link outages are not supported by the "
                 f"{policy!r} policy on this link count"
             )
-        self.plans: Dict[str, ClassTransferPlan] = build_program_plans(
-            program, unit_policy, block_delimiters=block_delimiters
-        )
-        if ratios is not None:
-            self.plans = compress_plans(self.plans, ratios)
+        self.plans: Dict[str, ClassTransferPlan] = layout.plans
         # Each policy's grains are built once per controller; the
         # batched cores read ``schedule`` and ``sequence`` directly.
         #: Parallel: the greedy byte-triggered schedule.
@@ -169,20 +159,13 @@ class StripedController:
         #: Every other policy: the units in send order, as one stream
         #: grain or as one grain per unit.
         self.sequence: Tuple[TransferUnit, ...] = ()
-        if policy == "strict":
-            self.sequence = tuple(
-                unit
-                for class_name in program.class_names
-                for unit in self.plans[class_name].units
+        if policy == "parallel":
+            assert layout.order is not None  # non-strict layouts have one
+            self.schedule = build_schedule(
+                layout.program, self.plans, layout.order
             )
-        elif order is None:
-            raise TransferError(
-                f"the {policy!r} policy needs a first-use order"
-            )
-        elif policy == "parallel":
-            self.schedule = build_schedule(program, self.plans, order)
         else:
-            self.sequence = tuple(build_interleaved_file(self.plans, order))
+            self.sequence = layout.sequence()
         if self.schedule is None and not self.sequence:
             raise TransferError("program has no classes to transfer")
         self._engine: Optional[IssueEngine] = None
@@ -382,6 +365,11 @@ def run_striped(
 
     Returns:
         The :class:`repro.core.SimulationResult`.
+
+    Raises:
+        TransferError: Among the controller's checks, for
+            ``data_partitioning`` under ``"strict"``: whole class files
+            have no global data to partition.
     """
     from ..core.simulation import Simulator
     from ..reorder import restructure as apply_restructure
@@ -389,17 +377,19 @@ def run_striped(
     target = (
         apply_restructure(program, order) if restructure else program
     )
+    if data_partitioning:
+        unit_policy = TransferPolicy.DATA_PARTITIONED
+    elif policy == "strict":
+        unit_policy = TransferPolicy.STRICT
+    else:
+        unit_policy = TransferPolicy.NON_STRICT
     controller = StripedController(
-        target,
-        order,
+        transfer_layout(target, unit_policy, order),
         links,
         policy=policy,
         max_streams=max_streams,
-        data_partitioning=data_partitioning,
         outages=outages,
         escalate=escalate,
     )
-    simulator = Simulator(
-        target, trace, controller, cpi, recorder=recorder
-    )
+    simulator = Simulator(trace, controller, cpi, recorder=recorder)
     return simulator.run()

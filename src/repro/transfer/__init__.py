@@ -1,7 +1,7 @@
 """Transfer model: links, units, streams, the schedule and plan transforms.
 
-The one controller that moves these units over links is
-:class:`repro.sched.StripedController`.
+:func:`transfer_layout` plans a program's units once; the one controller
+that moves them over links is :class:`repro.sched.StripedController`.
 """
 
 from .compression import (
@@ -11,6 +11,7 @@ from .compression import (
     program_compression_ratios,
 )
 from .interleaved import build_interleaved_file
+from .layout import TransferLayout, transfer_layout
 from .link import (
     CPU_HZ,
     MODEM_LINK,
@@ -38,6 +39,8 @@ __all__ = [
     "compress_plans",
     "program_compression_ratios",
     "build_interleaved_file",
+    "TransferLayout",
+    "transfer_layout",
     "CPU_HZ",
     "MODEM_LINK",
     "T1_LINK",

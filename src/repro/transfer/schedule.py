@@ -28,12 +28,11 @@ corrected at simulation time by demand fetching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import TransferError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
-from .link import NetworkLink
 from .units import ClassTransferPlan
 
 __all__ = ["ScheduledStart", "TransferSchedule", "build_schedule"]
@@ -92,8 +91,6 @@ def build_schedule(
     program: Program,
     plans: Dict[str, ClassTransferPlan],
     order: FirstUseOrder,
-    link: Optional[NetworkLink] = None,
-    cpi: Optional[float] = None,
 ) -> TransferSchedule:
     """Build the greedy byte-triggered schedule for a program.
 
@@ -101,9 +98,6 @@ def build_schedule(
         program: The (restructured) program.
         plans: Per-class transfer plans.
         order: First-use order providing dependencies and unique bytes.
-        link: Unused; kept so callers can pass their link for future
-            clock-based variants.
-        cpi: Unused; see ``link``.
     """
     first_method_of_class: Dict[str, MethodId] = {}
     class_first_use_order: List[str] = []

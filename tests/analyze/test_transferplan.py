@@ -103,7 +103,7 @@ def test_unknown_methodology_rejected(figure1):
 def test_real_schedules_never_deadlock(figure1):
     program, _, order = figure1
     plans = build_program_plans(program, TransferPolicy.NON_STRICT)
-    schedule = build_schedule(program, plans, order, T1_LINK, CPI)
+    schedule = build_schedule(program, plans, order)
     health = analyze_schedule(schedule, plans)
     assert health.ok
     assert set(health.startable) == set(plans)
@@ -112,7 +112,7 @@ def test_real_schedules_never_deadlock(figure1):
 def test_tampered_schedule_deadlock_detected(figure1):
     program, trace, order = figure1
     plans = build_program_plans(program, TransferPolicy.NON_STRICT)
-    real = build_schedule(program, plans, order, T1_LINK, CPI)
+    real = build_schedule(program, plans, order)
     starts = []
     for start in real.starts:
         if start.class_name == "B":

@@ -21,8 +21,10 @@ from repro.sched import POLICIES, StripedController, run_striped
 from repro.transfer import (
     MODEM_LINK,
     T1_LINK,
+    TransferPolicy,
     links_from_bandwidths,
     program_compression_ratios,
+    transfer_layout,
 )
 from repro.vm import record_run
 from repro.workloads import figure1_program
@@ -66,16 +68,17 @@ def _configured(
     data_partitioning=False,
 ):
     """The Simulator ``run_nonstrict`` builds for one configuration."""
-    target = restructure(program, order)
-    controller = StripedController(
-        target,
+    layout = transfer_layout(
+        restructure(program, order),
+        TransferPolicy.DATA_PARTITIONED
+        if data_partitioning
+        else TransferPolicy.NON_STRICT,
         order,
-        (link,),
-        policy=method,
-        max_streams=max_streams,
-        data_partitioning=data_partitioning,
     )
-    return Simulator(target, trace, controller, cpi)
+    controller = StripedController(
+        layout, (link,), policy=method, max_streams=max_streams
+    )
+    return Simulator(trace, controller, cpi)
 
 
 def _assert_nonstrict_matches_oracle(program, trace, order, link, cpi, **kwargs):
@@ -154,9 +157,11 @@ def test_data_partitioned_equivalence():
 
 def _strict_simulator(program, trace, link, cpi):
     controller = StripedController(
-        program, None, (link,), policy="strict"
+        transfer_layout(program, TransferPolicy.STRICT),
+        (link,),
+        policy="strict",
     )
-    return Simulator(program, trace, controller, cpi)
+    return Simulator(trace, controller, cpi)
 
 
 def test_strict_equivalence():
@@ -174,17 +179,21 @@ def test_strict_equivalence():
     _assert_same(simulator.run(), simulator.run_reference())
 
 
-#: Options callers pass the controller directly: the compression
+#: Options callers pass the layout and the controller directly (as
+#: ``(layout options, controller options)``): the compression
 #: extension and the two ablations.
 _DIRECT_OPTIONS = {
-    "compressed": lambda target: dict(
-        policy="interleaved", ratios=program_compression_ratios(target)
+    "compressed": lambda target: (
+        dict(ratios=program_compression_ratios(target)),
+        dict(policy="interleaved"),
     ),
-    "eager_start": lambda target: dict(
-        policy="parallel", eager_start=True
+    "eager_start": lambda target: (
+        {},
+        dict(policy="parallel", eager_start=True),
     ),
-    "block_delimiters": lambda target: dict(
-        policy="interleaved", block_delimiters=True
+    "block_delimiters": lambda target: (
+        dict(block_delimiters=True),
+        dict(policy="interleaved"),
     ),
 }
 
@@ -196,13 +205,14 @@ def test_controller_equivalence(kind, name):
     workload = item.workload
     order = item.order("Test")
     target = restructure(workload.program, order)
-    options = _DIRECT_OPTIONS[kind](target)
+    layout_options, options = _DIRECT_OPTIONS[kind](target)
+    layout = transfer_layout(
+        target, TransferPolicy.NON_STRICT, order, **layout_options
+    )
     for link in (T1_LINK, MODEM_LINK):
-        controller = StripedController(
-            target, order, (link,), **options
-        )
+        controller = StripedController(layout, (link,), **options)
         simulator = Simulator(
-            target, workload.test_trace, controller, workload.cpi
+            workload.test_trace, controller, workload.cpi
         )
         _assert_same(simulator.run(), simulator.run_reference())
 
@@ -251,6 +261,10 @@ def test_engine_resolution():
     itself take a batched core."""
     program = figure1_program()
     order = estimate_first_use(program)
+    layouts = {
+        policy: transfer_layout(program, policy, order)
+        for policy in (TransferPolicy.STRICT, TransferPolicy.NON_STRICT)
+    }
     recorder = TraceRecorder(clock="cycles")
     assert resolve_engine() == "batched"
     assert resolve_engine(None) == "batched"
@@ -261,21 +275,22 @@ def test_engine_resolution():
 
     for policy in POLICIES:
         batched = policy in ("strict", "parallel", "interleaved")
-        one = StripedController(
-            program, order, (T1_LINK,), policy=policy
-        )
+        layout = layouts[
+            TransferPolicy.STRICT
+            if policy == "strict"
+            else TransferPolicy.NON_STRICT
+        ]
+        one = StripedController(layout, (T1_LINK,), policy=policy)
         assert resolve_engine(one) == (
             "batched" if batched else "reference"
         ), policy
         assert resolve_engine(one, recorder) == "reference", policy
-        custom = CustomController(
-            program, order, (T1_LINK,), policy=policy
-        )
+        custom = CustomController(layout, (T1_LINK,), policy=policy)
         assert resolve_engine(custom) == "reference", policy
         if policy == "strict":
             continue  # one link only
         two = StripedController(
-            program, order, (T1_LINK, MODEM_LINK), policy=policy
+            layout, (T1_LINK, MODEM_LINK), policy=policy
         )
         assert resolve_engine(two) == "reference", policy
         assert resolve_engine(two, recorder) == "reference", policy
@@ -289,24 +304,23 @@ def test_rerun_is_identical_recorded_or_not(kind):
     item = bundle("Hanoi")
     workload = item.workload
     order = item.order("Test")
-    target = restructure(workload.program, order)
+    layout = transfer_layout(
+        restructure(workload.program, order),
+        TransferPolicy.NON_STRICT,
+        order,
+    )
     if kind == "striped":
         controller = StripedController(
-            target,
-            order,
-            links_from_bandwidths((57_600, 28_800)),
+            layout, links_from_bandwidths((57_600, 28_800))
         )
     else:
         controller = StripedController(
-            target,
-            order,
+            layout,
             (MODEM_LINK,),
             policy=kind,
             max_streams=4 if kind == "parallel" else None,
         )
-    simulator = Simulator(
-        target, workload.test_trace, controller, workload.cpi
-    )
+    simulator = Simulator(workload.test_trace, controller, workload.cpi)
     recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
     keys = []
     for recorder in (None, recorders[0], recorders[1], None):

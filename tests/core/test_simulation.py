@@ -15,6 +15,8 @@ from repro.transfer import (
     MODEM_LINK,
     T1_LINK,
     NetworkLink,
+    TransferPolicy,
+    transfer_layout,
 )
 from repro.vm import ExecutionTrace, record_run
 from repro.workloads import figure1_program
@@ -153,10 +155,12 @@ def test_normalized_to_requires_positive_baseline(setup):
 def test_invalid_cpi_rejected(setup):
     program, trace, order = setup
     controller = StripedController(
-        program, order, (T1_LINK,), policy="interleaved"
+        transfer_layout(program, TransferPolicy.NON_STRICT, order),
+        (T1_LINK,),
+        policy="interleaved",
     )
     with pytest.raises(SimulationError):
-        Simulator(program, trace, controller, cpi=0)
+        Simulator(trace, controller, cpi=0)
 
 
 def test_unknown_method_name_rejected(setup):

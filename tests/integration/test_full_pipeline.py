@@ -158,12 +158,14 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
     non-strict transfer produces: globals, then methods, in stream
     order — linking must succeed with no ordering violations."""
     from repro.sched import StripedController
-    from repro.transfer import UnitKind
+    from repro.transfer import TransferPolicy, UnitKind, transfer_layout
 
     order = estimate_first_use(compiled)
     restructured = restructure(compiled, order)
     controller = StripedController(
-        restructured, order, (T1_LINK,), policy="interleaved"
+        transfer_layout(restructured, TransferPolicy.NON_STRICT, order),
+        (T1_LINK,),
+        policy="interleaved",
     )
     engine = controller.start()
     engine.run_until(1e12)

@@ -16,7 +16,13 @@ from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
 from repro.reorder import estimate_first_use
 from repro.sched import LinkOutage, StripedController, run_striped
-from repro.transfer import MODEM_LINK, T1_LINK, links_from_bandwidths
+from repro.transfer import (
+    MODEM_LINK,
+    T1_LINK,
+    TransferPolicy,
+    links_from_bandwidths,
+    transfer_layout,
+)
 from repro.vm import record_run
 from repro.workloads import figure1_program
 
@@ -111,22 +117,24 @@ def test_link_outage_converges_byte_identical():
     links = (MODEM_LINK, MODEM_LINK)
 
     def controllers(outages):
-        return StripedController(
-            target, item.scg, links, outages=outages
-        )
+        return StripedController(layout, links, outages=outages)
 
     from repro.core import Simulator
     from repro.reorder import restructure
 
-    target = restructure(workload.program, item.scg)
+    layout = transfer_layout(
+        restructure(workload.program, item.scg),
+        TransferPolicy.NON_STRICT,
+        item.scg,
+    )
     baseline_ctrl = controllers(())
     baseline = Simulator(
-        target, workload.test_trace, baseline_ctrl, workload.cpi
+        workload.test_trace, baseline_ctrl, workload.cpi
     ).run()
     outage_at = baseline.total_cycles / 4.0
     chaos_ctrl = controllers((LinkOutage(outage_at, link_index=1),))
     chaos = Simulator(
-        target, workload.test_trace, chaos_ctrl, workload.cpi
+        workload.test_trace, chaos_ctrl, workload.cpi
     ).run()
     # The fetch converges: the exact same unit set arrives in full.
     assert baseline_ctrl._engine is not None
@@ -143,34 +151,52 @@ def test_link_outage_converges_byte_identical():
 def test_validation_errors():
     item = bundle("Hanoi")
     workload = item.workload
+    layout = transfer_layout(
+        workload.program, TransferPolicy.NON_STRICT, item.scg
+    )
+    strict = transfer_layout(workload.program, TransferPolicy.STRICT)
     with pytest.raises(TransferError, match="unknown striping policy"):
-        StripedController(
-            workload.program, item.scg, (T1_LINK,), policy="psychic"
-        )
+        StripedController(layout, (T1_LINK,), policy="psychic")
     with pytest.raises(TransferError, match="unknown striping policy"):
-        StripedController(
-            workload.program, item.scg, (T1_LINK,), policy="deadline"
-        )
+        StripedController(layout, (T1_LINK,), policy="deadline")
     with pytest.raises(TransferError, match="at least one link"):
-        StripedController(workload.program, item.scg, ())
+        StripedController(layout, ())
     with pytest.raises(TransferError, match="not supported"):
         StripedController(
-            workload.program,
-            item.scg,
+            layout,
             (T1_LINK,),
             policy="parallel",
             outages=(LinkOutage(1.0, 0),),
         )
     with pytest.raises(TransferError, match="exactly one link"):
-        StripedController(
-            workload.program,
-            None,
-            (T1_LINK, MODEM_LINK),
-            policy="strict",
-        )
+        StripedController(strict, (T1_LINK, MODEM_LINK), policy="strict")
     with pytest.raises(TransferError, match="needs a first-use order"):
-        StripedController(
-            workload.program, None, (T1_LINK,), policy="interleaved"
+        transfer_layout(workload.program, TransferPolicy.NON_STRICT)
+    # The controller's policy sends whole files if and only if the
+    # layout's unit policy is STRICT.
+    partitioned = transfer_layout(
+        workload.program, TransferPolicy.DATA_PARTITIONED, item.scg
+    )
+    for policy, wrong in (
+        ("strict", layout),
+        ("strict", partitioned),
+        ("interleaved", strict),
+        ("parallel", strict),
+        ("round_robin", strict),
+    ):
+        with pytest.raises(TransferError, match="cannot send"):
+            StripedController(wrong, (T1_LINK,), policy=policy)
+    # The façade reaches the same check: strict transfer has no global
+    # data to partition.
+    with pytest.raises(TransferError, match="cannot send"):
+        run_striped(
+            workload.program,
+            workload.test_trace,
+            item.scg,
+            (T1_LINK,),
+            workload.cpi,
+            policy="strict",
+            data_partitioning=True,
         )
 
 

@@ -12,6 +12,7 @@ from repro.transfer import (
     compress_plans,
     build_class_plan,
     program_compression_ratios,
+    transfer_layout,
 )
 from repro.workloads import figure1_program
 
@@ -74,11 +75,11 @@ def test_compressed_controller_transfers_fewer_bytes():
     target = restructure(program, order)
     plain, compressed = (
         StripedController(
-            target,
-            order,
+            transfer_layout(
+                target, TransferPolicy.NON_STRICT, order, ratios=ratios
+            ),
             (T1_LINK,),
             policy="interleaved",
-            ratios=ratios,
         )
         for ratios in (None, program_compression_ratios(target))
     )

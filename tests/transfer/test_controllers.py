@@ -20,6 +20,7 @@ from repro.transfer import (
     build_interleaved_file,
     build_program_plans,
     build_schedule,
+    transfer_layout,
 )
 from repro.workloads import figure1_program
 
@@ -110,9 +111,14 @@ def test_methodless_class_with_unused_data_goes_out_global_first():
 
 
 def _one_link(program, order, policy, **options):
-    return StripedController(
-        program, order, (T1_LINK,), policy=policy, **options
+    layout = transfer_layout(
+        program,
+        TransferPolicy.STRICT
+        if policy == "strict"
+        else TransferPolicy.NON_STRICT,
+        order,
     )
+    return StripedController(layout, (T1_LINK,), policy=policy, **options)
 
 
 def test_interleaved_controller_single_stream(restructured):

@@ -14,6 +14,7 @@ from repro.transfer import (
     TransferPolicy,
     UnitKind,
     build_class_plan,
+    transfer_layout,
 )
 from repro.workloads import figure1_program
 from repro.workloads.synthetic import generate_workload
@@ -62,11 +63,9 @@ def _assert_arrivals_sound(engine, controller, program):
 
 def _data_partitioned(program, order, policy, **options):
     return StripedController(
-        program,
-        order,
+        transfer_layout(program, TransferPolicy.DATA_PARTITIONED, order),
         (T1_LINK,),
         policy=policy,
-        data_partitioning=True,
         **options,
     )
 

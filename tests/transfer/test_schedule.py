@@ -11,6 +11,7 @@ from repro.transfer import (
     TransferPolicy,
     build_program_plans,
     build_schedule,
+    transfer_layout,
 )
 from repro.workloads import figure1_program, mutual_recursion_program
 
@@ -71,10 +72,10 @@ def test_eager_start_requests_everything_immediately():
         for entry in order.entries
     ]
     heavy = FirstUseOrder(entries=entries, source="static")
+    layout = transfer_layout(target, TransferPolicy.NON_STRICT, heavy)
     for eager, expected in ((False, {"A"}), (True, {"A", "B"})):
         controller = StripedController(
-            target,
-            heavy,
+            layout,
             (T1_LINK,),
             policy="parallel",
             max_streams=4,
