@@ -5,8 +5,9 @@ serves it to many concurrent clients.  Each connection negotiates a
 transfer policy (strict / non-strict / data-partitioned) and a reorder
 strategy via ``HELLO``; the server resolves the negotiated
 configuration to a shared immutable :class:`~.cache.SessionArtifact`
-(restructured program, transfer plan, payload bytes, and pre-encoded
-``UNIT`` frames) and streams the unit sequence over the socket.
+(the :class:`~repro.transfer.TransferLayout`'s send sequence, payload
+bytes, and pre-encoded ``UNIT`` frames) and streams the unit sequence
+over the socket.
 
 Two behaviours mirror the paper's transfer fabric (§5.1/§5.2):
 
