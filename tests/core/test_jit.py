@@ -99,3 +99,46 @@ def test_total_decomposition(setup):
         + visible_compile,
         rel=1e-6,
     )
+
+
+#: The JIT bench's model (``benchmarks/bench_extension_jit_overlap.py``).
+BENCH_JIT = JitModel(compile_cycles_per_byte=600.0, compiled_cpi=60.0)
+
+#: Every workload's JitResult at the bench's settings (T1, Test order):
+#: total, execution, compile, overlapped compile and stall cycles.
+_BENCH_JIT_RESULTS = {
+    "BIT": (911851740.0, 465780000.0, 8048400.0, 8048400.0, 438023340.0),
+    "Hanoi": (42792500.0, 19740000.0, 465000.0, 465000.0, 22587500.0),
+    "JavaCup": (
+        537004355.0, 19080000.0, 14269800.0, 14269800.0, 503654555.0,
+    ),
+    "Jess": (
+        1174241915.0, 186960000.0, 9187200.0, 9187200.0, 978094715.0,
+    ),
+    "JHLZip": (
+        284529570.0, 142800000.0, 3697800.0, 3690600.0, 138031770.0,
+    ),
+    "TestDes": (
+        223199170.0, 18600000.0, 7002600.0, 6995400.0, 197596570.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_JIT_RESULTS))
+def test_bench_settings_are_pinned(name):
+    """The bench's six JitResults, exact: a faster compile queue or
+    arrival scan must not move a single cycle."""
+    from repro.harness import bundle
+
+    item = bundle(name)
+    workload = item.workload
+    result = simulate_jit_overlap(
+        workload.program, workload.test_trace, item.test, T1_LINK, BENCH_JIT
+    )
+    assert (
+        result.total_cycles,
+        result.execution_cycles,
+        result.compile_cycles,
+        result.overlapped_compile_cycles,
+        result.stall_cycles,
+    ) == _BENCH_JIT_RESULTS[name]
