@@ -21,8 +21,9 @@ pending compilations (in arrival order), then by idle waiting.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Deque, Dict, Set
 
 from ..errors import SimulationError
 from ..program import MethodId, Program
@@ -124,9 +125,11 @@ def simulate_jit_overlap(
         order,
     )
     plans = layout.plans
-    # The interleaved file on one link: a single stream, in order.
+    # The interleaved file on one link: a single stream, in order, so
+    # units arrive in sequence order.
+    sequence = layout.sequence()
     engine = StreamEngine(link)
-    engine.request_stream("interleaved", layout.sequence())
+    engine.request_stream("interleaved", sequence)
 
     code_bytes: Dict[MethodId, int] = {
         method_id: method.code_bytes
@@ -136,8 +139,11 @@ def simulate_jit_overlap(
         method_id: jit.compile_cycles(size)
         for method_id, size in code_bytes.items()
     }
-    compile_queue: List[MethodId] = []
-    enqueued: set = set()
+    # A method compiled on first call stays queued with nothing left
+    # to compile; compile_during drops it when it reaches the front.
+    compile_queue: Deque[MethodId] = deque()
+    enqueued: Set[MethodId] = set()
+    consumed = 0  # arrivals already read into the queue
     time = 0.0
     compile_spent = 0.0
     overlapped = 0.0
@@ -145,7 +151,11 @@ def simulate_jit_overlap(
 
     def refresh_queue() -> None:
         """Pull newly arrived methods into the compile queue."""
-        for unit in list(engine.arrival_times):
+        nonlocal consumed
+        arrived = len(engine.arrival_times)
+        while consumed < arrived:
+            unit = sequence[consumed]
+            consumed += 1
             if (
                 unit.kind == UnitKind.METHOD
                 and unit.method not in enqueued
@@ -161,7 +171,7 @@ def simulate_jit_overlap(
             method_id = compile_queue[0]
             need = remaining_compile[method_id]
             if need <= 1e-9:
-                compile_queue.pop(0)
+                compile_queue.popleft()
                 continue
             step = min(need, budget)
             remaining_compile[method_id] = need - step
@@ -169,7 +179,7 @@ def simulate_jit_overlap(
             used += step
             compile_spent += step
             if remaining_compile[method_id] <= 1e-9:
-                compile_queue.pop(0)
+                compile_queue.popleft()
         return used
 
     for segment in trace.segments:
@@ -192,8 +202,6 @@ def simulate_jit_overlap(
             remaining_compile[segment.method] = 0.0
             compile_spent += pending
             time += pending
-            if segment.method in compile_queue:
-                compile_queue.remove(segment.method)
         time += segment.instructions * jit.compiled_cpi
         engine.run_until(time)
 
