@@ -3,7 +3,7 @@
 Walks the Figure 6 grid (4 configurations × 2 links × 3 orderings × 6
 workloads).  Each grid point is built once as a
 :class:`~repro.core.Simulator` and timed both ways, back to back:
-``run()`` (the batched cores every library run takes) and
+``run()`` (the batched core every library run takes) and
 ``run_reference()`` (the per-segment oracle loop).  Timing each pair
 back to back keeps drift in the host's speed out of the ratio;
 restructuring and controller builds, which both loops share, stay
@@ -12,7 +12,7 @@ outside the timed regions.  The payload is persisted to
 
 * ``rows`` — one entry per grid point with integer-rounded cycle
   counts and first-invocation latencies.  These are **deterministic**
-  (the batched cores replicate the reference float arithmetic
+  (the batched core replicates the reference float arithmetic
   bit-for-bit); any diff against the committed file means simulated
   behaviour changed.
 * ``engines`` / ``speedup`` — wall-clock seconds per loop, summed over
@@ -218,7 +218,7 @@ def test_batched_engine_speedup(benchmark, show):
     # Conservative in-test floor; the committed baseline records the
     # real ratio and perf_gate.py polices regressions from it.
     assert payload["speedup"] >= 2.0, (
-        f"batched cores only {payload['speedup']}x faster than the "
+        f"batched core only {payload['speedup']}x faster than the "
         "reference loop on the Figure 6 grid"
     )
     if os.environ.get("REPRO_REBASELINE") == "1":

@@ -1,8 +1,8 @@
-"""Event-batched co-simulation cores: the fast loops behind ``Simulator.run``.
+"""The event-batched co-simulation core: the fast loop behind ``Simulator.run``.
 
 The reference loop (:meth:`~repro.core.simulation.Simulator.run_reference`)
 walks the trace segment by segment through layered abstractions —
-controller callbacks, generator-expression byte sums, per-event
+controller callbacks, a scoreboard, an issue engine, per-event
 attribute lookups.  That is the right shape for exposition but pays
 Python overhead on every one of the millions of micro-steps a parameter
 sweep takes.
@@ -12,52 +12,48 @@ loop over flat lists:
 
 * the trace is **precompiled** once per run into per-segment execution
   costs and first-use markers with their resolved transfer units;
-* the paper's policies on one link get **specialized cores**, keyed
-  on the controller's policy (single-stream for ``strict`` and
-  ``interleaved``; processor-sharing for ``parallel``), that inline
-  the :class:`~repro.transfer.streams.StreamEngine` event loop into
-  local-variable arithmetic.
+* one **processor-sharing core** replays the controller's stream
+  grains (:attr:`~repro.sched.StripedController.stream_grains`) on its
+  one link, inlining the :class:`~repro.transfer.streams.StreamEngine`
+  step, completion and snap rules and the scoreboard's watermark
+  releases into local-variable arithmetic.  A stall demand-fetches the
+  stalled class's grain, or promotes its queued stream; a
+  single-grain policy's grain is already running, so there a stall
+  only waits.
 
-:meth:`Simulator.run` sends a run here only for those policies on one
-link and only when no recorder is attached
-(:func:`~repro.core.simulation.resolve_engine`).  The cores keep every
-piece of per-run state locally and never mutate the controller, and
-they build no scoreboard or issue engine.
+:meth:`Simulator.run` sends a run here only when its controller issues
+stream grains on one link and no recorder is attached
+(:func:`~repro.core.simulation.resolve_engine`).  The core keeps every
+piece of per-run state locally and never mutates the controller, and it
+builds no scoreboard or issue engine.
 
-Fidelity contract: the batched cores perform *bit-for-bit the same
-float operations in the same order* as the reference loop, so
+Fidelity contract: the core performs *bit-for-bit the same float
+operations in the same order* as the reference loop, so
 ``total_cycles``, every stall, and every per-method first-invocation
 latency are exactly equal — property-tested in
 ``tests/core/test_fastsim.py`` across all six workloads, both
 methodologies, and both orderings, plus data partitioning, strict,
-eager starts, block delimiters and compressed plans.  Schedule-release checks are the one
-place the batched parallel core does *less* work: releases are byte-
-monotone, so a class whose byte trigger is provably unreachable since
-the last check is skipped until enough bytes flow (the skipped checks
-are exactly the ones the reference evaluates to False).
+eager starts, block delimiters and compressed plans.  Watermark
+releases are the one place the core does *less* work: they are byte-
+monotone, so a grain whose trigger is provably unreachable since the
+last check is skipped until enough bytes flow (the skipped checks are
+exactly the ones the reference evaluates to False).
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import TransferError
 from ..program import MethodId
+from ..sched.scoreboard import WATERMARK_SLOP
 from ..transfer.units import TransferUnit
-from .metrics import InvocationLatencyReport, MethodInvocationLatency
+from .metrics import InvocationLatencyReport
 from .simulation import SimulationResult, StallEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sched import StripedController
-    from ..transfer.schedule import ScheduledStart
+    from ..sched import StreamGrain, StripedController
     from ..vm import ExecutionTrace
     from .simulation import Simulator
 
@@ -70,6 +66,8 @@ _EPSILON = 1e-6
 #: noise in the recomputed dependency sums can never postpone a check
 #: past the boundary where the reference engine would admit the stream.
 _RELEASE_SLACK = 1e-3
+
+_INF = float("inf")
 
 
 class CompiledTrace:
@@ -103,7 +101,7 @@ def compile_trace(
     controller: "StripedController",
     cpi: float,
 ) -> CompiledTrace:
-    """Flatten a trace into the batched cores' per-segment lists.
+    """Flatten a trace into the batched core's per-segment lists.
 
     Each cost is the same ``int × float`` product the reference loop
     computes per segment, so the floats are identical.
@@ -124,261 +122,59 @@ def compile_trace(
     return CompiledTrace(costs, first_use, trace.total_instructions)
 
 
-def run_batched(simulator: "Simulator") -> SimulationResult:
-    """Run one co-simulation on its policy's batched core.
-
-    The processor-sharing core serves ``parallel``; the single-stream
-    core serves ``strict`` and ``interleaved``
-    (:data:`~repro.core.simulation.BATCHED_POLICIES`).
-    """
-    controller = simulator.controller
-    compiled = compile_trace(simulator.trace, controller, simulator.cpi)
-    if controller.policy == "parallel":
-        return _run_parallel(simulator, compiled)
-    return _run_single_stream(simulator, compiled)
-
-
-def _report(
-    entries: List[MethodInvocationLatency],
-) -> InvocationLatencyReport:
-    report = InvocationLatencyReport(unit="cycles")
-    report.entries = entries
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Single-stream core: interleaved and strict-sequential transfer
-# ---------------------------------------------------------------------------
-
-
-def _run_single_stream(
-    simulator: "Simulator", compiled: CompiledTrace
-) -> SimulationResult:
-    """One stream, full bandwidth: interleaved and strict methodologies.
-
-    Inlines the reference engine's bounded-step loop for the
-    ``len(active) == 1`` case.  Units complete strictly in sequence
-    order, so ``arrived(unit)`` reduces to an index comparison.
-    """
-    controller = simulator.controller
-    link = controller.links[0]
-    cycles_per_byte = link.cycles_per_byte
-    bytes_per_cycle = link.bytes_per_cycle
-
-    units = controller.sequence
-    unit_count = len(units)
-    sizes = [float(unit.size) for unit in units]
-    int_sizes = [unit.size for unit in units]
-    unit_index: Dict[TransferUnit, int] = {
-        unit: position for position, unit in enumerate(units)
-    }
-    arrivals = array("d", bytes(8 * unit_count))
-
-    time = 0.0  # execution clock
-    engine_time = 0.0
-    remaining = sizes[0]  # Stream.__post_init__: float(units[0].size)
-    done = 0  # units completed so far (completion order == sequence)
-    total_delivered = 0.0
-    stall_cycles = 0.0
-    stalls: List[StallEvent] = []
-    entries: List[MethodInvocationLatency] = []
-
-    costs = compiled.costs
-    first_use = compiled.first_use
-    for index in range(len(costs)):
-        pair = first_use[index]
-        if pair is not None:
-            method, unit = pair
-            position = unit_index.get(unit)
-            if position is None or position >= done:
-                # Stall: single-stream policies have a no-op on_stall
-                # (the unit is already en route), so this is
-                # run_until_unit — full completion steps to arrival.
-                while position is None or position >= done:
-                    if done >= unit_count:
-                        raise TransferError(
-                            "engine idle but unit never arrived: "
-                            f"{unit}"
-                        )
-                    step_to = engine_time + remaining * cycles_per_byte
-                    if step_to <= engine_time:
-                        total_delivered += remaining
-                        remaining = 0.0
-                    else:
-                        delivered = (
-                            step_to - engine_time
-                        ) * bytes_per_cycle
-                        remaining -= delivered
-                        total_delivered += delivered
-                        engine_time = step_to
-                    while done < unit_count and remaining <= _EPSILON:
-                        arrivals[done] = engine_time
-                        done += 1
-                        if done < unit_count:
-                            remaining += sizes[done]
-                        else:
-                            remaining = 0.0
-                arrival = arrivals[position]
-                if arrival < time:
-                    arrival = time
-                stalls.append(
-                    StallEvent(
-                        method=method,
-                        start=time,
-                        duration=arrival - time,
-                    )
-                )
-                stall_cycles += arrival - time
-                time = arrival
-            entries.append(
-                MethodInvocationLatency(
-                    method=method, latency=time, demand_fetched=False
-                )
-            )
-        time = time + costs[index]
-        # engine.run_until(time): bounded steps to the target.
-        while engine_time < time:
-            step_to = time
-            if done < unit_count:
-                boundary = engine_time + remaining * cycles_per_byte
-                if boundary < step_to:
-                    step_to = boundary
-                if step_to <= engine_time:
-                    # Float resolution swallowed the step: snap the
-                    # nearest completion to done (reference `_step`).
-                    total_delivered += remaining
-                    remaining = 0.0
-                else:
-                    delta = step_to - engine_time
-                    if delta > 0:
-                        delivered = delta * bytes_per_cycle
-                        remaining -= delivered
-                        total_delivered += delivered
-                    if step_to > engine_time:
-                        engine_time = step_to
-                while done < unit_count and remaining <= _EPSILON:
-                    arrivals[done] = engine_time
-                    done += 1
-                    if done < unit_count:
-                        remaining += sizes[done]
-                    else:
-                        remaining = 0.0
-            else:
-                if step_to > engine_time:
-                    engine_time = step_to
-
-    if done < unit_count:
-        later = 0
-        for position in range(done + 1, unit_count):
-            later += int_sizes[position]
-        bytes_terminated: float = remaining + later
-    else:
-        bytes_terminated = 0
-
-    return SimulationResult(
-        total_cycles=time,
-        execution_cycles=compiled.total_cost_basis * simulator.cpi,
-        stall_cycles=stall_cycles,
-        invocation_latency=entries[0].latency if entries else 0.0,
-        bytes_delivered=total_delivered,
-        bytes_terminated=bytes_terminated,
-        stalls=stalls,
-        controller_name=controller.name,
-        latencies=_report(entries),
-        engine="batched",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Processor-sharing core: parallel file transfer
-# ---------------------------------------------------------------------------
-
-
 class _FastStream:
-    """Flat mirror of :class:`repro.transfer.streams.Stream`."""
+    """One requested grain: a flat mirror of
+    :class:`repro.transfer.streams.Stream`."""
 
-    __slots__ = (
-        "name",
-        "units",
-        "sizes",
-        "int_sizes",
-        "count",
-        "index",
-        "remaining",
-        "started",
-    )
+    __slots__ = ("units", "count", "index", "remaining", "delivered", "started")
 
-    def __init__(
-        self, name: str, units: Tuple[TransferUnit, ...]
-    ) -> None:
-        self.name = name
-        self.units = units
-        self.sizes = [float(unit.size) for unit in units]
-        self.int_sizes = [unit.size for unit in units]
-        self.count = len(units)
-        self.index = 0
-        self.remaining = self.sizes[0]
+    def __init__(self, grain: "StreamGrain") -> None:
+        if not grain.units:
+            raise TransferError(f"stream {grain.label!r} has no units")
+        self.units = grain.units
+        self.count = len(grain.units)
+        self.index = 0  # the unit on the wire
+        self.remaining = float(grain.units[0].size)  # of that unit
+        self.delivered = 0.0
         self.started = False
 
     def remaining_bytes(self) -> float:
-        if self.index >= self.count:
-            return 0.0
-        later = 0
-        for position in range(self.index + 1, self.count):
-            later += self.int_sizes[position]
+        later = sum(unit.size for unit in self.units[self.index + 1:])
         return self.remaining + later
 
 
-def _run_parallel(
-    simulator: "Simulator", compiled: CompiledTrace
-) -> SimulationResult:
-    """Scheduled multi-stream transfer with demand-fetch correction.
+def run_batched(simulator: "Simulator") -> SimulationResult:
+    """Replay one run's trace against its controller's stream grains.
 
-    Replicates the ``parallel`` policy's scoreboard releases, demand
-    fetches and the one link's
-    :class:`~repro.transfer.streams.StreamEngine` with the per-run
-    state (pending starts, streams, demand fetches) kept locally, so
-    the controller itself is never mutated.
+    Per-run state (pending grains, streams, demand fetches) is kept
+    locally, so the controller itself is never mutated.
     """
     controller = simulator.controller
-    assert controller.schedule is not None
+    compiled = compile_trace(simulator.trace, controller, simulator.cpi)
     link = controller.links[0]
     cycles_per_byte = link.cycles_per_byte
     bytes_per_cycle = link.bytes_per_cycle
     max_streams = controller.max_streams
-    eager_start = controller.eager_start
-    plans = controller.plans
 
-    active: List[_FastStream] = []
-    waiting: deque[_FastStream] = deque()
+    #: Grains not yet requested, in issue order.
+    pending: Dict[str, "StreamGrain"] = {
+        grain.label: grain for grain in controller.stream_grains
+    }
     streams: Dict[str, _FastStream] = {}
+    active: List[_FastStream] = []
+    waiting: Deque[_FastStream] = deque()
     arrivals: Dict[TransferUnit, float] = {}
-    delivered_per_stream: Dict[str, float] = {}
-    pending: List["ScheduledStart"] = controller.schedule.in_start_order()
-    demand_fetches: List[MethodId] = []
+    demand_fetches: Set[MethodId] = set()
 
     engine_time = 0.0
     total_delivered = 0.0
-    # Total-delivered level below which no pending release trigger can
-    # possibly fire (set by each full scan; -inf forces a scan).
-    scan_floor = float("-inf")
+    # Total-delivered level below which no pending watermark can
+    # possibly be reached (set by each full scan).
+    scan_floor = 0.0
 
-    def request(class_name: str, front: bool) -> None:
-        nonlocal pending
-        if class_name in streams:
-            return
-        pending = [
-            start
-            for start in pending
-            if start.class_name != class_name
-        ]
-        units = plans[class_name].units
-        if not units:
-            raise TransferError(
-                f"stream {class_name!r} has no units"
-            )
-        stream = _FastStream(class_name, units)
-        streams[class_name] = stream
+    def request(grain: "StreamGrain", front: bool) -> None:
+        stream = _FastStream(grain)
+        streams[grain.label] = stream
         if max_streams is None or len(active) < max_streams:
             stream.started = True
             active.append(stream)
@@ -387,156 +183,129 @@ def _run_parallel(
         else:
             waiting.append(stream)
 
-    def release_due() -> None:
+    def release() -> None:
         """The scoreboard's watermark releases, byte-monotone deferred.
 
-        Evaluates exactly the reference's trigger condition, but only
-        when total delivered bytes have crossed ``scan_floor`` — the
-        level below which *no* pending trigger can have fired since the
-        last full scan (a trigger's dependency byte sum grows no faster
-        than the total, and the floor keeps a slack margin well above
-        accumulated float rounding).  Every skipped scan is one the
-        reference evaluates all-False.
+        Evaluates exactly the reference's trigger condition, but is
+        called only once total delivered bytes have crossed
+        ``scan_floor`` — the level below which *no* pending trigger can
+        have fired since the last full scan (a trigger's dependency
+        byte sum grows no faster than the total, and the floor keeps a
+        slack margin well above accumulated float rounding).  Every
+        skipped scan is one the reference evaluates all-False.
         """
         nonlocal scan_floor
-        if total_delivered < scan_floor:
-            return
-        due: List["ScheduledStart"] = []
-        min_need: Optional[float] = None
-        get_delivered = delivered_per_stream.get
-        for start in pending:
-            if eager_start:
-                due.append(start)
-                continue
+        due: List["StreamGrain"] = []
+        min_need = _INF
+        for grain in pending.values():
             delivered = 0.0
-            for dependency in start.dependency_classes:
-                delivered += get_delivered(dependency, 0.0)
-            if start.start_after_bytes <= delivered + 1e-9:
-                due.append(start)
+            for label in grain.watermark_classes:
+                stream = streams.get(label)
+                if stream is not None:
+                    delivered += stream.delivered
+            if grain.watermark_bytes <= delivered + WATERMARK_SLOP:
+                due.append(grain)
             else:
-                need = start.start_after_bytes - delivered - 1e-9
-                if min_need is None or need < min_need:
+                need = grain.watermark_bytes - delivered - WATERMARK_SLOP
+                if need < min_need:
                     min_need = need
-        if min_need is None:
-            # Nothing deferred: pending will be empty once the due
-            # classes are requested below.
-            scan_floor = float("inf")
-        else:
-            scan_floor = total_delivered + min_need - _RELEASE_SLACK
-        for start in due:
-            request(start.class_name, False)
+        scan_floor = total_delivered + min_need - _RELEASE_SLACK
+        for grain in due:
+            del pending[grain.label]
+            request(grain, False)
 
-    def step(step_to: float) -> None:
-        """One bounded engine step: deliver, complete, release."""
+    def step(limit: float) -> None:
+        """One bounded engine step toward ``limit``: deliver to the
+        nearest unit completion or ``limit``, complete, admit,
+        release."""
         nonlocal engine_time, total_delivered
-        stream_count = len(active)
-        if step_to <= engine_time and stream_count:
+        count = len(active)
+        step_to = limit
+        if count:
             floor = active[0].remaining
             for stream in active:
                 if stream.remaining < floor:
                     floor = stream.remaining
-            for stream in active:
-                if stream.remaining <= floor:
-                    total_delivered += stream.remaining
-                    delivered_per_stream[stream.name] = (
-                        delivered_per_stream.get(stream.name, 0.0)
-                        + stream.remaining
-                    )
-                    stream.remaining = 0.0
-        else:
-            delta = step_to - engine_time
-            if delta > 0 and stream_count:
-                share = delta * bytes_per_cycle / stream_count
+            boundary = engine_time + floor * cycles_per_byte * count
+            if boundary < step_to:
+                step_to = boundary
+            if step_to <= engine_time:
+                # Float resolution swallowed the step: snap the nearest
+                # completion to done (reference `_step`).
+                for stream in active:
+                    if stream.remaining <= floor:
+                        total_delivered += stream.remaining
+                        stream.delivered += stream.remaining
+                        stream.remaining = 0.0
+            else:
+                share = (step_to - engine_time) * bytes_per_cycle / count
                 for stream in active:
                     stream.remaining -= share
+                    stream.delivered += share
                     total_delivered += share
-                    delivered_per_stream[stream.name] = (
-                        delivered_per_stream.get(stream.name, 0.0)
-                        + share
-                    )
-            if step_to > engine_time:
                 engine_time = step_to
-        finished: List[_FastStream] = []
-        for stream in active:
-            while (
-                stream.index < stream.count
-                and stream.remaining <= _EPSILON
-            ):
-                arrivals[stream.units[stream.index]] = engine_time
-                stream.index += 1
-                if stream.index < stream.count:
-                    stream.remaining += stream.sizes[stream.index]
-                else:
-                    stream.remaining = 0.0
-                    finished.append(stream)
-        for stream in finished:
-            active.remove(stream)
-        if finished:
-            while waiting and (
-                max_streams is None or len(active) < max_streams
-            ):
-                stream = waiting.popleft()
-                stream.started = True
-                active.append(stream)
-        release_due()
-
-    def next_boundary(limit: float) -> float:
-        stream_count = len(active)
-        if not stream_count:
-            return limit
-        floor = active[0].remaining
-        for stream in active:
-            if stream.remaining < floor:
-                floor = stream.remaining
-        boundary = engine_time + (
-            floor * cycles_per_byte * stream_count
-        )
-        return boundary if boundary < limit else limit
+            finished: Optional[List[_FastStream]] = None
+            for stream in active:
+                while stream.remaining <= _EPSILON:
+                    arrivals[stream.units[stream.index]] = engine_time
+                    stream.index += 1
+                    if stream.index < stream.count:
+                        stream.remaining += float(
+                            stream.units[stream.index].size
+                        )
+                    else:
+                        stream.remaining = 0.0
+                        if finished is None:
+                            finished = []
+                        finished.append(stream)
+                        break
+            if finished is not None:
+                for stream in finished:
+                    active.remove(stream)
+                while waiting and (
+                    max_streams is None or len(active) < max_streams
+                ):
+                    stream = waiting.popleft()
+                    stream.started = True
+                    active.append(stream)
+        elif step_to > engine_time:
+            engine_time = step_to
+        if pending and total_delivered >= scan_floor:
+            release()
 
     # controller.start(): release whatever is due at byte zero.
-    release_due()
+    release()
 
     time = 0.0
     stall_cycles = 0.0
     stalls: List[StallEvent] = []
-    entries: List[MethodInvocationLatency] = []
+    latencies = InvocationLatencyReport(unit="cycles")
+    record = latencies.record
 
-    costs = compiled.costs
-    first_use = compiled.first_use
-    for index in range(len(costs)):
-        pair = first_use[index]
+    for cost, pair in zip(compiled.costs, compiled.first_use):
         if pair is not None:
             method, unit = pair
             if unit not in arrivals:
-                # on_stall: demand-fetch correction.
+                # on_stall: demand-fetch the class's grain at the queue
+                # front, or promote its queued stream.
                 class_name = method.class_name
-                stream = streams.get(class_name)
-                if stream is None:
-                    demand_fetches.append(method)
-                    request(class_name, True)
-                elif (
-                    not stream.started
-                    and stream.index < stream.count
-                ):
-                    demand_fetches.append(method)
-                    if stream in waiting:
+                grain = pending.pop(class_name, None)
+                if grain is not None:
+                    demand_fetches.add(method)
+                    request(grain, True)
+                else:
+                    stream = streams.get(class_name)
+                    if stream is not None and not stream.started:
+                        demand_fetches.add(method)
                         waiting.remove(stream)
                         waiting.appendleft(stream)
                 # run_until_unit: completion-to-completion steps.
                 while unit not in arrivals:
                     if not active:
                         raise TransferError(
-                            "engine idle but unit never arrived: "
-                            f"{unit}"
+                            f"engine idle but unit never arrived: {unit}"
                         )
-                    floor = active[0].remaining
-                    for candidate in active:
-                        if candidate.remaining < floor:
-                            floor = candidate.remaining
-                    step(
-                        engine_time
-                        + floor * cycles_per_byte * len(active)
-                    )
+                    step(_INF)
                 arrival = arrivals[unit]
                 if arrival < time:
                     arrival = time
@@ -549,33 +318,25 @@ def _run_parallel(
                 )
                 stall_cycles += arrival - time
                 time = arrival
-            entries.append(
-                MethodInvocationLatency(
-                    method=method,
-                    latency=time,
-                    demand_fetched=method in demand_fetches,
-                )
-            )
-        time = time + costs[index]
+            record(method, time, method in demand_fetches)
+        time = time + cost
         while engine_time < time:
-            step(next_boundary(time))
+            step(time)
 
-    pending_bytes = 0
-    for stream in active:
-        pending_bytes = pending_bytes + stream.remaining_bytes()
-    queued_bytes = 0
-    for stream in waiting:
-        queued_bytes = queued_bytes + stream.remaining_bytes()
-
+    bytes_terminated = sum(
+        stream.remaining_bytes() for stream in active
+    ) + sum(stream.remaining_bytes() for stream in waiting)
     return SimulationResult(
         total_cycles=time,
         execution_cycles=compiled.total_cost_basis * simulator.cpi,
         stall_cycles=stall_cycles,
-        invocation_latency=entries[0].latency if entries else 0.0,
+        invocation_latency=(
+            latencies.entries[0].latency if latencies.entries else 0.0
+        ),
         bytes_delivered=total_delivered,
-        bytes_terminated=pending_bytes + queued_bytes,
+        bytes_terminated=bytes_terminated,
         stalls=stalls,
         controller_name=controller.name,
-        latencies=_report(entries),
+        latencies=latencies,
         engine="batched",
     )

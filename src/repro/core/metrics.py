@@ -15,7 +15,7 @@ Reproduces the paper's accounting conventions exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..classfile import class_layout
 from ..errors import SimulationError
@@ -106,10 +106,23 @@ class InvocationLatencyReport:
     Both the cycle-exact simulator and the real network bridge populate
     this structure; ``unit`` says which clock was used (``"cycles"`` or
     ``"seconds"``), so the two can be printed side by side.
+
+    :meth:`record` is the one way in.  Entries are indexed by method,
+    so :meth:`record`, :meth:`latency_for` and ``in`` are O(1); the
+    index takes no part in equality or ``repr``.
     """
 
     unit: str = "cycles"
     entries: List[MethodInvocationLatency] = field(default_factory=list)
+    _by_method: Dict[MethodId, MethodInvocationLatency] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        given, self.entries = self.entries, []
+        self._by_method = {}
+        for entry in given:
+            self.record(entry.method, entry.latency, entry.demand_fetched)
 
     def record(
         self,
@@ -117,23 +130,28 @@ class InvocationLatencyReport:
         latency: float,
         demand_fetched: bool = False,
     ) -> None:
-        if any(entry.method == method for entry in self.entries):
+        """Add one method's first-invocation latency.
+
+        Raises:
+            SimulationError: If ``method`` already has one.
+        """
+        if method in self._by_method:
             raise SimulationError(
                 f"duplicate first-invocation latency for {method}"
             )
-        self.entries.append(
-            MethodInvocationLatency(
-                method=method,
-                latency=latency,
-                demand_fetched=demand_fetched,
-            )
+        entry = MethodInvocationLatency(
+            method=method,
+            latency=latency,
+            demand_fetched=demand_fetched,
         )
+        self._by_method[method] = entry
+        self.entries.append(entry)
 
     def latency_for(self, method: MethodId) -> float:
-        for entry in self.entries:
-            if entry.method == method:
-                return entry.latency
-        raise SimulationError(f"no latency recorded for {method}")
+        entry = self._by_method.get(method)
+        if entry is None:
+            raise SimulationError(f"no latency recorded for {method}")
+        return entry.latency
 
     def methods(self) -> List[MethodId]:
         return [entry.method for entry in self.entries]
@@ -142,7 +160,7 @@ class InvocationLatencyReport:
         return len(self.entries)
 
     def __contains__(self, method: MethodId) -> bool:
-        return any(entry.method == method for entry in self.entries)
+        return method in self._by_method
 
 
 def invocation_latency_cycles(

@@ -18,11 +18,11 @@ The transfer side is always a :class:`~repro.sched.StripedController`,
 which owns its links; its ``strict`` policy (whole-file units)
 simulates the paper's base case.
 
-:meth:`Simulator.run` has one rule, :func:`resolve_engine`: unrecorded
-one-link runs of the paper's policies (strict, parallel, interleaved)
-take the batched cores in :mod:`repro.core.fastsim`; everything else
-takes the per-segment reference loop below, which is also the tests'
-oracle.
+:meth:`Simulator.run` has one rule, :func:`resolve_engine`: an
+unrecorded run whose controller issues stream grains on one link (the
+paper's strict, parallel and interleaved policies) takes the batched
+core in :mod:`repro.core.fastsim`; everything else takes the
+per-segment reference loop below, which is also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,33 +41,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["StallEvent", "SimulationResult", "Simulator", "resolve_engine"]
 
-#: The policies with a batched core in :mod:`repro.core.fastsim`, each
-#: on one link.
-BATCHED_POLICIES = ("strict", "parallel", "interleaved")
-
-
 def resolve_engine(
     controller: Optional[StripedController] = None,
     recorder: Optional["TraceRecorder"] = None,
 ) -> str:
     """Name the loop :meth:`Simulator.run` takes for these inputs.
 
-    ``"batched"`` (the cores in :mod:`repro.core.fastsim`) for an
-    unrecorded run of a :class:`~repro.sched.StripedController` with one
-    link and a policy in :data:`BATCHED_POLICIES`; ``controller=None``
-    stands for those, the controllers :func:`~repro.core.run_nonstrict`
-    and :func:`~repro.core.run_strict` build.  ``"reference"``
+    ``"batched"`` (the core in :mod:`repro.core.fastsim`) for an
+    unrecorded run of a :class:`~repro.sched.StripedController` that
+    issues stream grains on one link; ``controller=None`` stands for
+    those, the controllers :func:`~repro.core.run_nonstrict` and
+    :func:`~repro.core.run_strict` build.  ``"reference"``
     (:meth:`Simulator.run_reference`) otherwise: a recorder needs its
-    event stream, several links or the striping policies need the issue
-    engine, and a subclass may override any controller callback (the
-    match is on the exact type).  Both loops give bit-identical results.
+    event stream, several links or unit grains need the issue engine,
+    and a subclass may override any controller callback (the match is
+    on the exact type).  Both loops give bit-identical results.
     """
     if recorder is None and (
         controller is None
         or (
             type(controller) is StripedController
+            and controller.grain == "stream"
             and len(controller.links) == 1
-            and controller.policy in BATCHED_POLICIES
         )
     ):
         return "batched"
@@ -186,7 +181,7 @@ class Simulator:
     def run_reference(self) -> SimulationResult:
         """Run the readable per-segment loop, whatever the inputs.
 
-        This is the oracle the batched cores are tested against, bit for
+        This is the oracle the batched core is tested against, bit for
         bit.  It drives the controller's issue engine through the
         controller's callbacks and emits the recorder's event stream.
         """

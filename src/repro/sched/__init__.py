@@ -25,10 +25,11 @@ Entry points:
   testing: the survivors re-issue the dead link's unlanded units).
 
 One link is a degenerate stripe: there the ``"strict"``,
-``"parallel"`` and ``"interleaved"`` policies issue whole streams,
-so the link's stream engine sees exactly the paper methodology's
-request sequence, and their unrecorded runs take the batched cores
-in :mod:`repro.core.fastsim` (bit-identical to the reference loop,
+``"parallel"`` and ``"interleaved"`` policies issue whole streams
+(:class:`StreamGrain`, built once per controller), so the link's
+stream engine sees exactly the paper methodology's request sequence,
+and their unrecorded runs take the batched core in
+:mod:`repro.core.fastsim` (bit-identical to the reference loop,
 property-tested across all six paper workloads).
 """
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from .engine import IssueEngine, LinkChannel, LinkOutage
 from .scoreboard import IssueItem, ItemState, Scoreboard, unit_grain_scoreboard
-from .striped import POLICIES, StripedController, run_striped
+from .striped import POLICIES, StreamGrain, StripedController, run_striped
 
 __all__ = [
     "IssueEngine",
@@ -46,6 +47,7 @@ __all__ = [
     "LinkOutage",
     "POLICIES",
     "Scoreboard",
+    "StreamGrain",
     "StripedController",
     "run_striped",
     "unit_grain_scoreboard",

@@ -55,8 +55,8 @@ from ..transfer import TransferUnit, UnitKind
 
 __all__ = ["ItemState", "IssueItem", "Scoreboard", "unit_grain_scoreboard"]
 
-#: Slop applied to byte-watermark comparisons; the batched parallel
-#: core in :mod:`repro.core.fastsim` and the transfer-plan analyzer use
+#: Slop applied to byte-watermark comparisons; the batched core in
+#: :mod:`repro.core.fastsim` and the transfer-plan analyzer use
 #: the same tolerance, so their releases match the scoreboard's.
 WATERMARK_SLOP = 1e-9
 

@@ -20,11 +20,15 @@ The policy picks the grains, their hazards and the link arbitration:
   across links.  On one link this is the interleaved file issued a
   unit at a time, so a stall can still escalate a later unit.
 
-One link is the degenerate stripe: strict, parallel and interleaved
-issue stream grains there, so the link's one
+The stream grains a controller issues (:class:`StreamGrain`) are built
+once, at construction: one per class under ``parallel``, one for the
+whole sequence under ``strict`` and one-link ``interleaved``.  The
+reference loop's scoreboard and the batched core in
+:mod:`repro.core.fastsim` both replay them, so one link is the
+degenerate stripe: its one
 :class:`~repro.transfer.streams.StreamEngine` sees exactly the paper
-methodology's request sequence, and unrecorded runs of those three
-take the batched cores in :mod:`repro.core.fastsim`.
+methodology's request sequence, and unrecorded one-link runs of the
+stream-grain policies take the batched core.
 
 The unit-grain policies handle mispredictions by *hazard-priority
 escalation*: the stalled method's unit (and its class's global unit)
@@ -34,6 +38,7 @@ generalisation of §5.1's front-of-queue demand fetch.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransferError
@@ -62,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..observe import TraceRecorder
     from ..vm import ExecutionTrace
 
-__all__ = ["POLICIES", "StripedController", "run_striped"]
+__all__ = ["POLICIES", "StreamGrain", "StripedController", "run_striped"]
 
 #: The transfer policies :class:`StripedController` accepts.
 POLICIES = ("strict", "parallel", "interleaved", "round_robin")
@@ -78,6 +83,28 @@ _LINK_CHOICE_OF_POLICY = {
 _STREAM_LABEL = {"strict": "strict-sequential", "interleaved": "interleaved"}
 
 
+@dataclass(frozen=True)
+class StreamGrain:
+    """One in-order stream a controller issues, and when to release it.
+
+    Attributes:
+        label: Stream name and scoreboard label: the class under
+            ``parallel``, the methodology under the single-stream
+            policies.
+        units: The stream's units, delivered strictly in this order.
+        watermark_bytes: Release trigger: the grain is requested once
+            the watermark classes have delivered this many bytes
+            (0 = at time zero).
+        watermark_classes: Labels of the grains whose delivered bytes
+            count toward the watermark.
+    """
+
+    label: str
+    units: Tuple[TransferUnit, ...]
+    watermark_bytes: float = 0.0
+    watermark_classes: Tuple[str, ...] = ()
+
+
 class StripedController:
     """One transfer policy over one or more links.
 
@@ -88,7 +115,7 @@ class StripedController:
         links: The link set (1+ links, possibly heterogeneous).
         policy: One of :data:`POLICIES`.
         max_streams: Per-link concurrent stream limit of the stream
-            grains (None = unlimited).
+            grains (None = unlimited; at least 1 otherwise).
         outages: Scheduled link deaths (unit-grain policies only).
         escalate: Unit-grain demand correction on a stall.
         eager_start: Parallel ablation: release every class at once,
@@ -96,8 +123,9 @@ class StripedController:
 
     Raises:
         TransferError: On an unknown policy, no links, several links
-            under ``"strict"``, outages on a stream-grain policy, or a
-            layout whose unit policy the policy cannot send.
+            under ``"strict"``, a stream limit below 1, outages on a
+            stream-grain policy, or a layout whose unit policy the
+            policy cannot send.
     """
 
     def __init__(
@@ -122,6 +150,10 @@ class StripedController:
             raise TransferError(
                 "the 'strict' policy runs on exactly one link"
             )
+        if max_streams is not None and max_streams < 1:
+            raise TransferError(
+                f"max_streams must be >= 1, got {max_streams}"
+            )
         if (policy == "strict") != (layout.policy == TransferPolicy.STRICT):
             raise TransferError(
                 f"the {policy!r} policy cannot send a "
@@ -140,65 +172,69 @@ class StripedController:
         )
         self.recorder: Optional["TraceRecorder"] = None
         self.demand_fetches: List[MethodId] = []
-        self._grain = (
+        #: ``"stream"`` (whole in-order streams) or ``"unit"`` (one
+        #: unit per grain): the issue engine's dispatch grain.
+        self.grain = (
             "stream"
             if policy in ("strict", "parallel")
             or (policy == "interleaved" and len(self.links) == 1)
             else "unit"
         )
-        if self.outages and self._grain == "stream":
+        if self.outages and self.grain == "stream":
             raise TransferError(
                 f"link outages are not supported by the "
                 f"{policy!r} policy on this link count"
             )
         self.plans: Dict[str, ClassTransferPlan] = layout.plans
-        # Each policy's grains are built once per controller; the
-        # batched cores read ``schedule`` and ``sequence`` directly.
         #: Parallel: the greedy byte-triggered schedule.
         self.schedule: Optional[TransferSchedule] = None
         #: Every other policy: the units in send order, as one stream
         #: grain or as one grain per unit.
         self.sequence: Tuple[TransferUnit, ...] = ()
+        #: The stream grains, in issue order (none on the unit grain).
+        self.stream_grains: Tuple[StreamGrain, ...] = ()
         if policy == "parallel":
             assert layout.order is not None  # non-strict layouts have one
             self.schedule = build_schedule(
                 layout.program, self.plans, layout.order
             )
+            self.stream_grains = tuple(
+                StreamGrain(
+                    label=start.class_name,
+                    units=self.plans[start.class_name].units,
+                    watermark_bytes=(
+                        0.0 if eager_start else start.start_after_bytes
+                    ),
+                    watermark_classes=start.dependency_classes,
+                )
+                for start in self.schedule.in_start_order()
+            )
         else:
             self.sequence = layout.sequence()
-        if self.schedule is None and not self.sequence:
-            raise TransferError("program has no classes to transfer")
+            if not self.sequence:
+                raise TransferError("program has no classes to transfer")
+            if self.grain == "stream":
+                self.stream_grains = (
+                    StreamGrain(_STREAM_LABEL[policy], self.sequence),
+                )
         self._engine: Optional[IssueEngine] = None
 
     # -- scoreboard construction ------------------------------------------
 
     def _build_scoreboard(self) -> Scoreboard:
-        if self._grain == "unit":
+        if self.grain == "unit":
             return unit_grain_scoreboard(self.sequence)
         board = Scoreboard()
-        if self.schedule is not None:
-            for seq, start in enumerate(self.schedule.in_start_order()):
-                board.add_item(
-                    IssueItem(
-                        label=start.class_name,
-                        units=self.plans[start.class_name].units,
-                        seq=seq,
-                        watermark_bytes=(
-                            0.0
-                            if self.eager_start
-                            else start.start_after_bytes
-                        ),
-                        watermark_classes=start.dependency_classes,
-                    )
+        for seq, grain in enumerate(self.stream_grains):
+            board.add_item(
+                IssueItem(
+                    label=grain.label,
+                    units=grain.units,
+                    seq=seq,
+                    watermark_bytes=grain.watermark_bytes,
+                    watermark_classes=grain.watermark_classes,
                 )
-            return board
-        board.add_item(
-            IssueItem(
-                label=_STREAM_LABEL[self.policy],
-                units=self.sequence,
-                seq=0,
             )
-        )
         return board
 
     # -- simulator interface ----------------------------------------------
@@ -218,7 +254,7 @@ class StripedController:
         engine = IssueEngine(
             self.links,
             self._build_scoreboard(),
-            grain=self._grain,
+            grain=self.grain,
             link_choice=_LINK_CHOICE_OF_POLICY[self.policy],
             max_streams=self.max_streams,
             outages=self.outages,
@@ -242,7 +278,7 @@ class StripedController:
         """Execution stalled waiting for ``method_id``: correct."""
         if self.schedule is not None:
             self._parallel_stall(engine, method_id)
-        elif self._grain == "unit" and self.escalate:
+        elif self.grain == "unit" and self.escalate:
             self._escalate_stall(engine, method_id)
         # A single stream is already in flight, in order: nothing can
         # be reordered.
@@ -330,7 +366,7 @@ class StripedController:
                 start_after_bytes=start.start_after_bytes,
                 required_prefix_bytes=start.required_prefix_bytes,
             )
-        elif self._grain == "stream":
+        elif self.grain == "stream":
             self.recorder.schedule_decision(
                 time,
                 action="stream_start",
@@ -359,9 +395,9 @@ def run_striped(
     program is restructured into first-use order (unless
     ``restructure=False``), a :class:`StripedController` is built
     over the link set, and the co-simulator replays the trace.  On one
-    link the strict, parallel and interleaved policies take the
-    batched cores (unless recorded); every other run takes the
-    reference loop.
+    link the stream-grain policies (strict, parallel, interleaved)
+    take the batched core (unless recorded); every other run takes
+    the reference loop.
 
     Returns:
         The :class:`repro.core.SimulationResult`.

@@ -170,6 +170,16 @@ def test_validation_errors():
         )
     with pytest.raises(TransferError, match="exactly one link"):
         StripedController(strict, (T1_LINK, MODEM_LINK), policy="strict")
+    # Both loops run with the controller's stream limit, so the
+    # controller rejects one neither could honour.
+    for policy in ("parallel", "interleaved"):
+        for limit in (0, -1):
+            with pytest.raises(
+                TransferError, match=f"max_streams must be >= 1, got {limit}"
+            ):
+                StripedController(
+                    layout, (T1_LINK,), policy=policy, max_streams=limit
+                )
     with pytest.raises(TransferError, match="needs a first-use order"):
         transfer_layout(workload.program, TransferPolicy.NON_STRICT)
     # The controller's policy sends whole files if and only if the
