@@ -19,6 +19,7 @@ from ..core import (
     strict_baseline,
 )
 from ..datapart import partition_class
+from ..program import Program
 from ..reorder import (
     FirstUseOrder,
     estimate_first_use,
@@ -135,6 +136,17 @@ def _baseline(name: str, link_name: str):
 
 
 @lru_cache(maxsize=None)
+def _restructured(name: str, ordering: str) -> Program:
+    """The workload laid out in one first-use order.
+
+    Data partitioning splits units, not the layout, so both unit
+    policies share this program.
+    """
+    item = bundle(name)
+    return restructure(item.workload.program, item.order(ordering))
+
+
+@lru_cache(maxsize=None)
 def _layout(
     name: str, ordering: str, data_partitioning: bool
 ) -> TransferLayout:
@@ -143,14 +155,12 @@ def _layout(
     Neither the link nor the parallel/interleaved choice changes a
     layout, so each of these serves every table cell that sends it.
     """
-    item = bundle(name)
-    order = item.order(ordering)
     return transfer_layout(
-        restructure(item.workload.program, order),
+        _restructured(name, ordering),
         TransferPolicy.DATA_PARTITIONED
         if data_partitioning
         else TransferPolicy.NON_STRICT,
-        order,
+        bundle(name).order(ordering),
     )
 
 
@@ -290,8 +300,7 @@ def table4_invocation_latency() -> ResultTable:
         ],
     )
     for name in BENCHMARK_NAMES:
-        item = bundle(name)
-        target = restructure(item.workload.program, item.scg)
+        target = _restructured(name, "SCG")
         cells: List[float] = []
         for _, link in _LINKS:
             strict = invocation_latency_cycles(

@@ -305,3 +305,40 @@ def test_result_table_helpers():
     as_dict = table.to_dict()
     assert as_dict["key"] == "t"
     assert len(as_dict["rows"]) == 3
+
+
+def test_figure6_restructures_once_per_workload_and_ordering(monkeypatch):
+    """From cold caches, Figure 6 restructures each (workload,
+    ordering) once, shared by both unit policies, and plans each
+    (workload, ordering, unit policy) once."""
+    import importlib
+
+    from repro.harness import experiments
+
+    layout_module = importlib.import_module("repro.transfer.layout")
+    calls = {"restructure": 0, "plans": 0}
+
+    def counted(kind, function):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        experiments, "restructure", counted("restructure", experiments.restructure)
+    )
+    monkeypatch.setattr(
+        layout_module,
+        "build_program_plans",
+        counted("plans", layout_module.build_program_plans),
+    )
+    for value in vars(experiments).values():
+        if (
+            hasattr(value, "cache_clear")
+            and getattr(value, "__module__", None) == experiments.__name__
+            and value is not experiments.bundle
+        ):
+            value.cache_clear()
+    figure6_summary()
+    assert calls == {"restructure": 18, "plans": 36}
