@@ -300,6 +300,9 @@ class ClassFileServer:
             cache if cache is not None else ArtifactCache()
         )
         self._fingerprint: Optional[str] = None
+        #: Resolved strategy -> first-use order.  The program and the
+        #: profile are fixed, so each order is computed once per server.
+        self._orders: Dict[str, FirstUseOrder] = {}
         self._bucket: Optional[TokenBucket] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: List[asyncio.StreamWriter] = []
@@ -377,15 +380,22 @@ class ClassFileServer:
 
     def _order_for(self, strategy: str) -> FirstUseOrder:
         """First-use order for an already-resolved strategy."""
-        if strategy == "textual":
-            return textual_first_use(self.program)
-        if strategy == "profile":
-            assert self.profile is not None  # resolved upstream
-            return order_from_profile(self.program, self.profile)
-        if strategy == "weighted":
-            # Degrades to the pure-static layout without a profile.
-            return weighted_first_use(self.program, profile=self.profile)
-        return estimate_first_use(self.program)
+        order = self._orders.get(strategy)
+        if order is None:
+            if strategy == "textual":
+                order = textual_first_use(self.program)
+            elif strategy == "profile":
+                assert self.profile is not None  # resolved upstream
+                order = order_from_profile(self.program, self.profile)
+            elif strategy == "weighted":
+                # Degrades to the pure-static layout without a profile.
+                order = weighted_first_use(
+                    self.program, profile=self.profile
+                )
+            else:
+                order = estimate_first_use(self.program)
+            self._orders[strategy] = order
+        return order
 
     def _build_artifact(
         self, policy: TransferPolicy, strategy: str

@@ -57,3 +57,38 @@ def test_artifact_is_the_simulated_layout(name, strategy):
         assert set(artifact.units_by_class) == set(layout.plans)
         for class_name, plan in layout.plans.items():
             assert artifact.units_by_class[class_name] == plan.units
+
+
+#: The server-module function that computes each strategy's order.
+ORDER_FUNCTIONS = {
+    "static": "estimate_first_use",
+    "textual": "textual_first_use",
+    "profile": "order_from_profile",
+    "weighted": "weighted_first_use",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ORDER_FUNCTIONS))
+def test_each_strategy_is_ordered_once_per_server(monkeypatch, strategy):
+    """Every unit policy of one strategy lays out the same order, so a
+    server computes it once, however many artifacts it builds."""
+    from repro.netserve import server as server_module
+
+    workload = bundle("Hanoi").workload
+    program = workload.program
+    server = ClassFileServer(
+        program, profile=synthesize_profile(program, workload.train_trace)
+    )
+    name = ORDER_FUNCTIONS[strategy]
+    order_function = getattr(server_module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return order_function(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, name, counted)
+    for policy in TransferPolicy:
+        server._plan_session(policy, strategy)
+    assert server.artifact_cache.misses == len(TransferPolicy)
+    assert len(calls) == 1
