@@ -239,9 +239,13 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                         stream.remaining = 0.0
             else:
                 share = (step_to - engine_time) * bytes_per_cycle / count
+                # Delivered bytes are read only by watermark releases,
+                # and no grain is pending again once none is.
+                watched = bool(pending)
                 for stream in active:
                     stream.remaining -= share
-                    stream.delivered += share
+                    if watched:
+                        stream.delivered += share
                     total_delivered += share
                 engine_time = step_to
             finished: Optional[List[_FastStream]] = None
