@@ -112,12 +112,16 @@ def compile_trace(
     first_use: List[Optional[Tuple[MethodId, TransferUnit]]] = (
         [None] * len(segments)
     )
-    seen = set()
+    # Seen methods are keyed by their name pair, which is what
+    # MethodId equality compares: a pair of strings hashes in C, the
+    # dataclass's generated __hash__ in Python, once per segment.
+    seen: Set[Tuple[str, str]] = set()
     required_unit = controller.required_unit
     for index, segment in enumerate(segments):
         method = segment.method
-        if method not in seen:
-            seen.add(method)
+        key = (method.class_name, method.method_name)
+        if key not in seen:
+            seen.add(key)
             first_use[index] = (method, required_unit(method))
     return CompiledTrace(costs, first_use, trace.total_instructions)
 
@@ -220,15 +224,18 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
         release."""
         nonlocal engine_time, total_delivered
         count = len(active)
-        step_to = limit
-        if count:
+        if not count:
+            if limit > engine_time:
+                engine_time = limit
+        else:
             floor = active[0].remaining
-            for stream in active:
-                if stream.remaining < floor:
-                    floor = stream.remaining
-            boundary = engine_time + floor * cycles_per_byte * count
-            if boundary < step_to:
-                step_to = boundary
+            if count > 1:
+                for stream in active:
+                    if stream.remaining < floor:
+                        floor = stream.remaining
+            step_to = engine_time + floor * cycles_per_byte * count
+            if limit < step_to:
+                step_to = limit
             if step_to <= engine_time:
                 # Float resolution swallowed the step: snap the nearest
                 # completion to done (reference `_step`).
@@ -237,6 +244,7 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                         total_delivered += stream.remaining
                         stream.delivered += stream.remaining
                         stream.remaining = 0.0
+                floor = 0.0
             else:
                 share = (step_to - engine_time) * bytes_per_cycle / count
                 # Delivered bytes are read only by watermark releases,
@@ -248,32 +256,32 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                         stream.delivered += share
                     total_delivered += share
                 engine_time = step_to
-            finished: Optional[List[_FastStream]] = None
-            for stream in active:
-                while stream.remaining <= _EPSILON:
-                    arrivals[stream.units[stream.index]] = engine_time
-                    stream.index += 1
-                    if stream.index < stream.count:
-                        stream.remaining += float(
-                            stream.units[stream.index].size
-                        )
-                    else:
-                        stream.remaining = 0.0
-                        if finished is None:
-                            finished = []
-                        finished.append(stream)
-                        break
-            if finished is not None:
-                for stream in finished:
-                    active.remove(stream)
-                while waiting and (
-                    max_streams is None or len(active) < max_streams
-                ):
-                    stream = waiting.popleft()
-                    stream.started = True
-                    active.append(stream)
-        elif step_to > engine_time:
-            engine_time = step_to
+                # The floor stream's new remaining, bit for bit; no other
+                # stream's can be lower (IEEE subtraction is monotone).
+                floor -= share
+            if floor <= _EPSILON:
+                finished: List[_FastStream] = []
+                for stream in active:
+                    while stream.remaining <= _EPSILON:
+                        arrivals[stream.units[stream.index]] = engine_time
+                        stream.index += 1
+                        if stream.index < stream.count:
+                            stream.remaining += float(
+                                stream.units[stream.index].size
+                            )
+                        else:
+                            stream.remaining = 0.0
+                            finished.append(stream)
+                            break
+                if finished:
+                    for stream in finished:
+                        active.remove(stream)
+                    while waiting and (
+                        max_streams is None or len(active) < max_streams
+                    ):
+                        stream = waiting.popleft()
+                        stream.started = True
+                        active.append(stream)
         if pending and total_delivered >= scan_floor:
             release()
 
