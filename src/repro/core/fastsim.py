@@ -299,7 +299,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
             method, unit = pair
             if unit not in arrivals:
                 # on_stall: demand-fetch the class's grain at the queue
-                # front, or promote its queued stream.
+                # front, or promote its queued stream.  A single-grain
+                # policy labels no grain by class: its one grain runs.
                 class_name = method.class_name
                 grain = pending.pop(class_name, None)
                 if grain is not None:

@@ -163,7 +163,6 @@ class StripedController:
         self.policy = policy
         self.max_streams = max_streams
         self.escalate = escalate
-        self.eager_start = eager_start
         self.outages: Tuple[LinkOutage, ...] = tuple(outages)
         self.name = (
             policy
