@@ -28,7 +28,7 @@ per-segment reference loop below, which is also the tests' oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional
 
 from ..errors import SimulationError
 from ..program import MethodId
@@ -194,7 +194,6 @@ class Simulator:
         stall_cycles = 0.0
         stalls: List[StallEvent] = []
         latencies = _cycle_latency_report()
-        invoked: Set[MethodId] = set()
         invocation_latency: Optional[float] = None
 
         for segment in self.trace.segments:
@@ -220,8 +219,7 @@ class Simulator:
                         duration=arrival - time,
                     )
                 time = arrival
-            if segment.method not in invoked:
-                invoked.add(segment.method)
+            if segment.method not in latencies:
                 demand_fetched = segment.method in controller.demand_fetches
                 latencies.record(
                     segment.method, time, demand_fetched=demand_fetched
