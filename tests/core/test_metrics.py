@@ -128,3 +128,31 @@ def test_unrestructured_entry_method_costs_more(setup):
         shuffled_program, T1_LINK, TransferPolicy.NON_STRICT
     )
     assert bad > good
+
+
+def test_latency_report_records_each_method_once():
+    """``record`` is the one way in: entries keep their order, lookups
+    go through the method index, and a method recorded twice (also
+    through the constructor) is an error.  The index takes no part in
+    equality or ``repr``."""
+    from repro.core import InvocationLatencyReport, MethodInvocationLatency
+
+    main, helper = MethodId("Main", "main"), MethodId("Main", "helper")
+    report = InvocationLatencyReport(unit="cycles")
+    report.record(main, 0.0)
+    report.record(helper, 42.5, demand_fetched=True)
+    assert report.methods() == [main, helper]
+    assert report.latency_for(helper) == 42.5
+    assert helper in report and MethodId("Main", "other") not in report
+    with pytest.raises(SimulationError, match="duplicate"):
+        report.record(main, 1.0)
+    with pytest.raises(SimulationError, match="no latency recorded"):
+        report.latency_for(MethodId("Main", "other"))
+    rebuilt = InvocationLatencyReport("cycles", list(report.entries))
+    assert rebuilt == report
+    assert rebuilt.latency_for(main) == 0.0
+    assert "_by_method" not in repr(report)
+    with pytest.raises(SimulationError, match="duplicate"):
+        InvocationLatencyReport(
+            "cycles", [MethodInvocationLatency(main, 0.0)] * 2
+        )
