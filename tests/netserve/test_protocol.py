@@ -37,7 +37,7 @@ from repro.netserve import (
 )
 from repro.netserve import client as client_module
 from repro.netserve.client import READ_CHUNK_BYTES, _Framer
-from repro.netserve.protocol import unit_kind_code
+from repro.netserve.protocol import MAGIC, PROTOCOL_VERSION, unit_kind_code
 from repro.program import MethodId
 from repro.transfer import TransferUnit, UnitKind
 
@@ -261,6 +261,176 @@ def test_flipping_any_single_byte_raises_cleanly(
         decode_frame(bytes(encoded))
 
 
+def _sealed(kind_code, body, magic=None, version=None, length=None):
+    """A frame around ``body`` whose CRC is right for that body."""
+    header = struct.pack(
+        ">HBBI",
+        MAGIC if magic is None else magic,
+        PROTOCOL_VERSION if version is None else version,
+        kind_code,
+        len(body) if length is None else length,
+    )
+    return header + body + struct.pack(">I", zlib.crc32(body))
+
+
+def _unit_body(
+    kind=4,
+    class_name=b"Hot",
+    method_name=b"run",
+    payload=b"\x07\x07\x07\x07",
+    class_len=None,
+    method_len=None,
+    size=None,
+):
+    """A UNIT body, any field of which may be made inconsistent."""
+    return b"".join(
+        (
+            struct.pack(
+                ">BH",
+                kind,
+                len(class_name) if class_len is None else class_len,
+            ),
+            class_name,
+            struct.pack(
+                ">H", len(method_name) if method_len is None else method_len
+            ),
+            method_name,
+            struct.pack(">I", len(payload) if size is None else size),
+            payload,
+        )
+    )
+
+
+_UNIT = int(FrameKind.UNIT)
+_VALID = _sealed(_UNIT, _unit_body())
+_CRC_DAMAGED = _VALID[:-1] + bytes([_VALID[-1] ^ 0xFF])
+
+#: One malformed input per check the decoder makes, and the exact error
+#: class it raises.  The UNIT bodies carry a valid CRC, so each reaches
+#: the body check it names.
+_MALFORMED = {
+    "unit-empty-body": (_sealed(_UNIT, b""), FrameCorruptionError),
+    "unit-kind-only": (_sealed(_UNIT, b"\x04"), FrameCorruptionError),
+    "unit-class-name-overruns": (
+        _sealed(_UNIT, _unit_body(class_len=200)),
+        FrameCorruptionError,
+    ),
+    "unit-method-name-overruns": (
+        _sealed(_UNIT, _unit_body(method_len=200)),
+        FrameCorruptionError,
+    ),
+    "unit-no-size-field": (
+        _sealed(_UNIT, _unit_body()[:-6]),
+        FrameCorruptionError,
+    ),
+    "unit-class-name-not-utf8": (
+        _sealed(_UNIT, _unit_body(class_name=b"H\xffot")),
+        FrameCorruptionError,
+    ),
+    "unit-method-name-not-utf8": (
+        _sealed(_UNIT, _unit_body(method_name=b"r\xc3(n")),
+        FrameCorruptionError,
+    ),
+    "unit-size-above-payload": (
+        _sealed(_UNIT, _unit_body(size=5)),
+        FrameCorruptionError,
+    ),
+    "unit-size-below-payload": (
+        _sealed(_UNIT, _unit_body(size=3)),
+        FrameCorruptionError,
+    ),
+    "unit-unknown-kind-code": (
+        _sealed(_UNIT, _unit_body(kind=9)),
+        FrameCorruptionError,
+    ),
+    "unit-kind-code-zero": (
+        _sealed(_UNIT, _unit_body(kind=0)),
+        FrameCorruptionError,
+    ),
+    "unit-method-without-method-name": (
+        _sealed(_UNIT, _unit_body(kind=4, method_name=b"")),
+        FrameCorruptionError,
+    ),
+    "unit-global-with-method-name": (
+        _sealed(_UNIT, _unit_body(kind=2)),
+        FrameCorruptionError,
+    ),
+    "unit-class-file-with-method-name": (
+        _sealed(_UNIT, _unit_body(kind=1)),
+        FrameCorruptionError,
+    ),
+    "bad-magic": (
+        _sealed(_UNIT, _unit_body(), magic=0x4E52),
+        FrameCorruptionError,
+    ),
+    "bad-version": (
+        _sealed(_UNIT, _unit_body(), version=2),
+        FrameCorruptionError,
+    ),
+    "oversized-body-length": (
+        _sealed(_UNIT, _unit_body(), length=2**31),
+        FrameCorruptionError,
+    ),
+    "empty-buffer": (b"", TruncatedFrameError),
+    "truncated-header": (_VALID[:5], TruncatedFrameError),
+    "truncated-body": (_VALID[:12], TruncatedFrameError),
+    "truncated-crc": (_VALID[:-1], TruncatedFrameError),
+    "body-length-past-the-end": (
+        _sealed(_UNIT, _unit_body(), length=len(_unit_body()) + 1),
+        TruncatedFrameError,
+    ),
+    "crc-mismatch": (_CRC_DAMAGED, FrameCorruptionError),
+    "unknown-frame-kind": (_sealed(99, b"{}"), FrameCorruptionError),
+    "frame-kind-zero": (_sealed(0, b"{}"), FrameCorruptionError),
+    "eof-with-a-body": (
+        _sealed(int(FrameKind.EOF), b"{}"),
+        FrameCorruptionError,
+    ),
+    "control-body-not-json": (
+        _sealed(int(FrameKind.HELLO), b"{"),
+        FrameCorruptionError,
+    ),
+    "control-body-not-utf8": (
+        _sealed(int(FrameKind.HELLO), b'"\xff"'),
+        FrameCorruptionError,
+    ),
+    "control-body-not-an-object": (
+        _sealed(int(FrameKind.ERROR), b"[1, 2]"),
+        FrameCorruptionError,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "prefix", [b"", encode_frame(eof_frame())], ids=["at-0", "after-a-frame"]
+)
+@pytest.mark.parametrize(
+    "data, error", list(_MALFORMED.values()), ids=list(_MALFORMED)
+)
+def test_each_malformed_frame_raises_its_exact_error_class(
+    data, error, prefix
+):
+    """Every check the decoder makes raises exactly one error class:
+    ``TruncatedFrameError`` when the buffer ends mid-frame (a stream
+    reader waits for more), ``FrameCorruptionError`` for anything
+    else — including UNIT bodies whose CRC is right but whose fields
+    disagree."""
+    with pytest.raises(ProtocolError) as caught:
+        decode_frame(prefix + data, len(prefix))
+    assert type(caught.value) is error
+
+
+def test_the_sealed_unit_frame_is_valid():
+    """The malformed cases above are one fault away from this frame."""
+    frame, end = decode_frame(_VALID)
+    assert end == len(_VALID) == frame.wire_size
+    assert frame.unit == TransferUnit(
+        UnitKind.METHOD, "Hot", 4, MethodId("Hot", "run")
+    )
+    assert frame.payload == b"\x07" * 4
+    assert _VALID == encode_frame(unit_frame(frame.unit, frame.payload))
+
+
 # -- the stream boundary ------------------------------------------------
 
 _HEADER_SIZE = FRAME_OVERHEAD - 4  # magic, version, kind, body length
@@ -479,8 +649,6 @@ def test_bad_crc_raises():
 
 
 def test_oversized_declared_body_is_corruption_not_allocation():
-    from repro.netserve.protocol import MAGIC, PROTOCOL_VERSION
-
     header = struct.pack(
         ">HBBI", MAGIC, PROTOCOL_VERSION, int(FrameKind.UNIT), 2**31
     )
