@@ -112,16 +112,12 @@ def compile_trace(
     first_use: List[Optional[Tuple[MethodId, TransferUnit]]] = (
         [None] * len(segments)
     )
-    # Seen methods are keyed by their name pair, which is what
-    # MethodId equality compares: a pair of strings hashes in C, the
-    # dataclass's generated __hash__ in Python, once per segment.
-    seen: Set[Tuple[str, str]] = set()
+    seen: Set[MethodId] = set()
     required_unit = controller.required_unit
     for index, segment in enumerate(segments):
         method = segment.method
-        key = (method.class_name, method.method_name)
-        if key not in seen:
-            seen.add(key)
+        if method not in seen:
+            seen.add(method)
             first_use[index] = (method, required_unit(method))
     return CompiledTrace(costs, first_use, trace.total_instructions)
 

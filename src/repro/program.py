@@ -9,7 +9,7 @@ no overloading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .classfile import ClassFile, MethodInfo
 from .errors import ClassFileError
@@ -17,9 +17,10 @@ from .errors import ClassFileError
 __all__ = ["MethodId", "Program"]
 
 
-@dataclass(frozen=True, order=True)
-class MethodId:
-    """Identity of a method within a program."""
+class MethodId(NamedTuple):
+    """Identity of a method within a program: a named
+    ``(class_name, method_name)`` pair that hashes, compares and sorts
+    in C as the plain tuple does, and equals it."""
 
     class_name: str
     method_name: str

@@ -42,7 +42,10 @@ class TransferPolicy(enum.Enum):
 
 
 class UnitKind(enum.Enum):
-    """What a transfer unit carries."""
+    """What a transfer unit carries.  Members compare and hash by
+    identity, in C (``Enum.__hash__`` runs a Python frame)."""
+
+    __hash__ = object.__hash__
 
     CLASS_FILE = "class_file"  # strict: the whole file
     GLOBAL_DATA = "global_data"  # non-strict: all global data up front

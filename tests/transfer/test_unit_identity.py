@@ -154,3 +154,17 @@ def test_a_decoded_unit_finds_the_plans_equal_unit(units):
         if decoded.method is not None:
             assert decoded.method is not unit.method
             assert methods[decoded.method] is unit
+
+
+def test_a_method_id_equals_its_plain_name_pair():
+    """A ``MethodId`` is a named ``(class_name, method_name)`` pair: it
+    equals, hashes and orders as the plain tuple, so either finds the
+    other in a map."""
+    method = MethodId("Hanoi", "main")
+    pair = ("Hanoi", "main")
+    assert method == pair and hash(method) == hash(pair)
+    assert {pair: "entry"}[method] == "entry"
+    assert {method: "entry"}[pair] == "entry"
+    assert tuple(method) == pair
+    assert MethodId(*pair) == method
+    assert method < ("Hanoi", "move")
