@@ -30,7 +30,8 @@ kind, CRC, or inconsistent body raises
 :class:`~repro.errors.FrameCorruptionError`; an incomplete buffer
 raises :class:`~repro.errors.TruncatedFrameError` so stream readers
 know to wait for more bytes; a vanished peer surfaces as
-:class:`~repro.errors.ConnectionLostError`.
+:class:`~repro.errors.ConnectionLostError`.  :func:`decode_frame`
+parses a frame, ``UNIT`` body included, in one pass.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ MAGIC = 0x524E  # "RN"
 PROTOCOL_VERSION = 1
 
 _HEADER = struct.Struct(">HBBI")
-_KIND_OFFSET = 3  # the kind byte follows the u16 magic and u8 version
 _CRC = struct.Struct(">I")
-_U8 = struct.Struct(">B")
+_UNIT_HEAD = struct.Struct(">BH")  # unit kind code, class-name length
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 
@@ -112,6 +112,9 @@ class FrameKind(enum.IntEnum):
     RESUME = 7  # client -> server: resume a session, skipping held units
     RESUME_ACK = 8  # server -> client: accepted resume + remaining manifest
 
+
+#: Frame kinds by wire code: a dict lookup, not ``FrameKind(code)``.
+_FRAME_KINDS: Dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
 
 _UNIT_KIND_CODES: Dict[UnitKind, int] = {
     UnitKind.CLASS_FILE: 1,
@@ -305,8 +308,7 @@ def _encode_body(frame: Frame) -> bytes:
         )
         return b"".join(
             (
-                _U8.pack(_UNIT_KIND_CODES[unit.kind]),
-                _U16.pack(len(class_bytes)),
+                _UNIT_HEAD.pack(_UNIT_KIND_CODES[unit.kind], len(class_bytes)),
                 class_bytes,
                 _U16.pack(len(method_bytes)),
                 method_bytes,
@@ -336,95 +338,13 @@ def encode_frame(frame: Frame) -> bytes:
 # --- decoding ----------------------------------------------------------
 
 
-def _decode_unit_body(body: bytes, wire_size: int) -> Frame:
-    try:
-        offset = 0
-        (kind_code,) = _U8.unpack_from(body, offset)
-        offset += _U8.size
-        (class_len,) = _U16.unpack_from(body, offset)
-        offset += _U16.size
-        if offset + class_len > len(body):
-            raise FrameCorruptionError("class name overruns body")
-        class_name = body[offset : offset + class_len].decode("utf-8")
-        offset += class_len
-        (method_len,) = _U16.unpack_from(body, offset)
-        offset += _U16.size
-        if offset + method_len > len(body):
-            raise FrameCorruptionError("method name overruns body")
-        method_name = (
-            body[offset : offset + method_len].decode("utf-8")
-            if method_len
-            else None
-        )
-        offset += method_len
-        (declared_size,) = _U32.unpack_from(body, offset)
-        offset += _U32.size
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FrameCorruptionError(
-            f"malformed UNIT body: {exc}"
-        ) from exc
-    payload = body[offset:]
-    if len(payload) != declared_size:
-        raise FrameCorruptionError(
-            f"UNIT payload is {len(payload)} bytes, declared "
-            f"{declared_size}"
-        )
-    unit_kind = _UNIT_KINDS_BY_CODE.get(kind_code)
-    if unit_kind is None:
-        raise FrameCorruptionError(f"unknown unit kind code {kind_code}")
-    try:
-        unit = TransferUnit(
-            kind=unit_kind,
-            class_name=class_name,
-            size=declared_size,
-            method=(
-                MethodId(class_name, method_name)
-                if method_name is not None
-                else None
-            ),
-        )
-    except TransferError as exc:
-        raise FrameCorruptionError(f"inconsistent unit: {exc}") from exc
-    return Frame(
-        kind=FrameKind.UNIT,
-        unit=unit,
-        payload=payload,
-        wire_size=wire_size,
-    )
-
-
-def _decode_validated(
-    kind_code: int, body: bytes, wire_size: int
-) -> Frame:
-    try:
-        kind = FrameKind(kind_code)
-    except ValueError as exc:
-        raise FrameCorruptionError(
-            f"unknown frame kind {kind_code}"
-        ) from exc
-    if kind == FrameKind.UNIT:
-        return _decode_unit_body(body, wire_size)
-    if kind == FrameKind.EOF:
-        if body:
-            raise FrameCorruptionError("EOF frame with a body")
-        return Frame(kind=kind, wire_size=wire_size)
-    try:
-        fields = json.loads(body.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FrameCorruptionError(
-            f"control frame body is not JSON: {exc}"
-        ) from exc
-    if not isinstance(fields, dict):
-        raise FrameCorruptionError("control frame body is not an object")
-    return Frame(
-        kind=kind,
-        fields=tuple(sorted(fields.items())),
-        wire_size=wire_size,
-    )
-
-
 def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
     """Decode one frame from ``data`` starting at ``offset``.
+
+    One pass: the header is unpacked once and a ``UNIT`` body parsed
+    here, with no helper call per frame.  The checks run in a fixed
+    order — framing (:func:`frame_size`'s errors), length, CRC, kind,
+    body — so each malformed input has one error class.
 
     Returns:
         The frame and the offset just past it.
@@ -437,21 +357,98 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise TruncatedFrameError(
             f"need {_HEADER.size} header bytes, have {len(data) - offset}"
         )
-    end = offset + frame_size(data, offset)
-    kind_code = data[offset + _KIND_OFFSET]
+    magic, version, kind_code, body_len = _HEADER.unpack_from(data, offset)
+    if (
+        magic != MAGIC
+        or version != PROTOCOL_VERSION
+        or body_len > MAX_BODY_BYTES
+    ):
+        frame_size(data, offset)  # raises the framing error
+    start = offset + _HEADER.size
+    crc_at = start + body_len
+    end = crc_at + _CRC.size
     if len(data) < end:
         raise TruncatedFrameError(
             f"need {end - offset} bytes, have {len(data) - offset}"
         )
-    body = data[offset + _HEADER.size : end - _CRC.size]
-    (expected_crc,) = _CRC.unpack_from(data, end - _CRC.size)
+    body = data[start:crc_at]
+    (expected_crc,) = _CRC.unpack_from(data, crc_at)
     actual_crc = zlib.crc32(body) & 0xFFFFFFFF
     if actual_crc != expected_crc:
         raise FrameCorruptionError(
             f"CRC mismatch: computed 0x{actual_crc:08x}, frame says "
             f"0x{expected_crc:08x}"
         )
-    return _decode_validated(kind_code, body, end - offset), end
+    kind = _FRAME_KINDS.get(kind_code)
+    if kind is FrameKind.UNIT:
+        try:
+            unit_code, class_len = _UNIT_HEAD.unpack_from(body)
+            at = _UNIT_HEAD.size + class_len
+            if at > body_len:
+                raise FrameCorruptionError("class name overruns body")
+            class_name = body[_UNIT_HEAD.size : at].decode("utf-8")
+            (method_len,) = _U16.unpack_from(body, at)
+            at += _U16.size + method_len
+            if at > body_len:
+                raise FrameCorruptionError("method name overruns body")
+            method_name = (
+                body[at - method_len : at].decode("utf-8")
+                if method_len
+                else None
+            )
+            (declared_size,) = _U32.unpack_from(body, at)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise FrameCorruptionError(
+                f"malformed UNIT body: {exc}"
+            ) from exc
+        payload = body[at + _U32.size :]
+        if len(payload) != declared_size:
+            raise FrameCorruptionError(
+                f"UNIT payload is {len(payload)} bytes, declared "
+                f"{declared_size}"
+            )
+        unit_kind = _UNIT_KINDS_BY_CODE.get(unit_code)
+        if unit_kind is None:
+            raise FrameCorruptionError(f"unknown unit kind code {unit_code}")
+        try:
+            unit = TransferUnit(
+                unit_kind,
+                class_name,
+                declared_size,
+                None
+                if method_name is None
+                else MethodId(class_name, method_name),
+            )
+        except TransferError as exc:
+            raise FrameCorruptionError(f"inconsistent unit: {exc}") from exc
+        return (
+            Frame(
+                kind=kind, unit=unit, payload=payload, wire_size=end - offset
+            ),
+            end,
+        )
+    if kind is None:
+        raise FrameCorruptionError(f"unknown frame kind {kind_code}")
+    if kind is FrameKind.EOF:
+        if body:
+            raise FrameCorruptionError("EOF frame with a body")
+        return Frame(kind=kind, wire_size=end - offset), end
+    try:
+        fields = json.loads(body.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FrameCorruptionError(
+            f"control frame body is not JSON: {exc}"
+        ) from exc
+    if not isinstance(fields, dict):
+        raise FrameCorruptionError("control frame body is not an object")
+    return (
+        Frame(
+            kind=kind,
+            fields=tuple(sorted(fields.items())),
+            wire_size=end - offset,
+        ),
+        end,
+    )
 
 
 def frame_size(data: bytes, offset: int = 0) -> int:
@@ -534,11 +531,8 @@ def salvage_unit_key(
         if magic != MAGIC or kind_code != int(FrameKind.UNIT):
             return None
         body = data[_HEADER.size : _HEADER.size + body_len]
-        offset = 0
-        (unit_kind_code,) = _U8.unpack_from(body, offset)
-        offset += _U8.size
-        (class_len,) = _U16.unpack_from(body, offset)
-        offset += _U16.size
+        unit_kind_code, class_len = _UNIT_HEAD.unpack_from(body)
+        offset = _UNIT_HEAD.size
         if offset + class_len > len(body):
             return None
         class_name = body[offset : offset + class_len].decode("utf-8")
