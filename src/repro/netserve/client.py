@@ -25,8 +25,10 @@ The endpoint count picks the link mode; there is no option for it:
   it is still missing after ``hedge_delay``, races a duplicate request
   on the next-best link; the losing copy is dropped by wire key.
 
-Every link reads its socket in chunks of up to :data:`READ_CHUNK_BYTES`
-and decodes each whole frame a read completes before it awaits again.
+Every link reads its socket in chunks of up to :data:`READ_CHUNK_BYTES`,
+decodes each whole frame a read completes before it awaits again, and
+records the read's frames, bytes and units in one :class:`FetchStats`
+call.
 
 Resilience is the same on every link.  A lost connection or any
 protocol violation (bad framing, a short ``EOF``, a rejected handshake)
@@ -741,6 +743,11 @@ class NonStrictFetcher:
         wakes a waiter yields first, so the waiter runs before the next
         frame is decoded.
 
+        A read's frames, wire bytes and landed units are tallied and
+        recorded in one :meth:`~.stats.FetchStats.record_read` call
+        before every await and on every exit, so the counters are exact
+        whenever another task can read them.
+
         Raises :class:`~repro.errors.ConnectionLostError` or
         :class:`~repro.errors.ProtocolError` on a link failure.  ``EOF``
         is legal only on a push link, and only once nothing is missing.
@@ -754,63 +761,83 @@ class NonStrictFetcher:
         framer = _Framer()
         offset = 0  # this connection's stream bytes before the frame
         last: Optional[TransferUnit] = None
-        while True:
-            landed = False
-            for raw in framer.feed(await self._read_chunk(reader)):
-                try:
-                    frame, _ = decode_frame(raw)
-                except FrameCorruptionError as error:
-                    key = salvage_unit_key(raw)
-                    if key is None:
-                        raise StreamDecodeError(
-                            f"stream decode failed at byte {offset}: "
-                            f"{error}",
-                            class_name=(
-                                last.class_name if last is not None else None
-                            ),
-                            method_name=(
-                                last.method.method_name
-                                if last is not None and last.method
-                                else None
-                            ),
-                            byte_offset=offset,
-                        ) from error
+        frames = wire_bytes = units = unit_bytes = 0  # not yet recorded
+
+        def account() -> None:
+            nonlocal frames, wire_bytes, units, unit_bytes
+            if frames:
+                self.stats.record_read(
+                    link.index, frames, wire_bytes, units, unit_bytes
+                )
+                frames = wire_bytes = units = unit_bytes = 0
+
+        try:
+            while True:
+                landed = False
+                for raw in framer.feed(await self._read_chunk(reader)):
+                    try:
+                        frame, _ = decode_frame(raw)
+                    except FrameCorruptionError as error:
+                        key = salvage_unit_key(raw)
+                        if key is None:
+                            raise StreamDecodeError(
+                                f"stream decode failed at byte {offset}: "
+                                f"{error}",
+                                class_name=last.class_name if last else None,
+                                method_name=(
+                                    last.method.method_name
+                                    if last and last.method
+                                    else None
+                                ),
+                                byte_offset=offset,
+                            ) from error
+                        offset += len(raw)
+                        account()
+                        await self._retry_unit(link, key, error)
+                        continue
                     offset += len(raw)
-                    await self._retry_unit(link, key, error)
-                    continue
-                offset += len(raw)
-                self.stats.record_frame(frame.wire_size)
-                if frame.kind is FrameKind.UNIT:
-                    assert frame.unit is not None
-                    last = frame.unit
-                    woke = self._land_unit(link, frame.unit, frame.payload)
-                    if self._eof.is_set():
+                    frames += 1
+                    wire_bytes += len(raw)
+                    if frame.kind is FrameKind.UNIT:
+                        unit = frame.unit
+                        assert unit is not None
+                        last = unit
+                        woke = self._land_unit(link, unit, frame.payload)
+                        if woke is not None:
+                            units += 1
+                            unit_bytes += len(frame.payload)
+                        if self._eof.is_set():
+                            return
+                        landed = True
+                        if woke:
+                            # Reads never suspend while bytes are
+                            # buffered: let the woken caller run now,
+                            # not once the socket buffer is empty.
+                            account()
+                            await asyncio.sleep(0)
+                    elif frame.kind is FrameKind.EOF and not link.pull:
+                        if not self._complete():
+                            raise ProtocolError(
+                                f"server EOF with {len(self._missing())} "
+                                f"units still missing"
+                            )
+                        self._finish()
                         return
-                    landed = True
-                    if woke:
-                        # Reads never suspend while bytes are buffered:
-                        # let the woken caller run now, not once the
-                        # socket buffer is empty.
-                        await asyncio.sleep(0)
-                elif frame.kind is FrameKind.EOF and not link.pull:
-                    if not self._complete():
+                    elif frame.kind is FrameKind.ERROR:
                         raise ProtocolError(
-                            f"server EOF with {len(self._missing())} units "
-                            f"still missing"
+                            "server error: "
+                            f"{frame.field_dict.get('message')}"
                         )
-                    self._finish()
-                    return
-                elif frame.kind is FrameKind.ERROR:
-                    raise ProtocolError(
-                        f"server error: {frame.field_dict.get('message')}"
-                    )
-                else:
-                    raise ProtocolError(
-                        f"unexpected {frame.kind.name} frame on link "
-                        f"{link.index}"
-                    )
-            if landed and link.pull:
-                await self._dispatch()
+                    else:
+                        raise ProtocolError(
+                            f"unexpected {frame.kind.name} frame on link "
+                            f"{link.index}"
+                        )
+                account()
+                if landed and link.pull:
+                    await self._dispatch()
+        finally:
+            account()
 
     async def _read_chunk(self, reader: asyncio.StreamReader) -> bytes:
         """The next bytes on a link's socket, at most
@@ -860,12 +887,13 @@ class NonStrictFetcher:
 
     def _land_unit(
         self, link: _Link, unit: TransferUnit, payload: bytes
-    ) -> bool:
+    ) -> Optional[bool]:
         """Record a landing; observability waits for the retire cascade.
 
         Duplicates (hedge losers, resume races, duplicated frames) are
         dropped by wire key before they can touch the buffers or the
-        scoreboard.  Returns True when the landing woke a waiter.
+        scoreboard, and return None.  A landed unit returns True when
+        it woke a waiter; the caller accounts it.
         """
         key = unit_wire_key(unit)
         link.in_flight.pop(key, None)
@@ -873,12 +901,10 @@ class NonStrictFetcher:
         if key in self._received_keys:
             self.stats.record_duplicate_unit()
             self._link_success(link)
-            return False
+            return None
         now = self.elapsed()
         self.unit_log.append((unit, now))
         self._received_keys.add(key)
-        self.stats.record_unit(len(payload))
-        self.stats.record_link_unit(link.index, len(payload))
         if self.recorder is not None:
             self.recorder.unit_arrived(
                 now,

@@ -14,7 +14,8 @@ and a finished connection keeps only those few hundred bytes.
 
 :class:`FetchStats` is one client session: its counters are labeled
 series (``policy``, and ``link`` for per-link counts) in the session's
-own registry.
+own registry.  The fetch client records each socket read's frames,
+bytes and units in one :meth:`FetchStats.record_read` call.
 """
 
 from __future__ import annotations
@@ -251,11 +252,9 @@ class FetchStats:
         """The session's series of ``name`` (or one link's), looked up
         in the registry once per fetch.
 
-        The receive loop bumps six series per unit, and each registry
-        lookup sorts its labels: looking them up per unit made the
-        medians of ``reprobench`` serve-warm's latency and completion
-        percentiles 22-37% worse (six alternating runs on a 2-vCPU
-        host).  The registry never replaces a series, so a held handle
+        Each registry lookup sorts its labels, and the receive loop
+        records six series per socket read, so the handles are held
+        here.  The registry never replaces a series, so a held handle
         cannot go stale.
         """
         series = self._series.get((name, link))
@@ -271,13 +270,26 @@ class FetchStats:
 
     # -- recording (client call sites) ------------------------------------
 
-    def record_frame(self, wire_bytes: int) -> None:
-        self._counter("netserve_frames_received").inc()
+    def record_read(
+        self,
+        link: object,
+        frames: int,
+        wire_bytes: int,
+        units: int,
+        payload_bytes: int,
+    ) -> None:
+        """Account one socket read on ``link``: ``frames`` frames of
+        ``wire_bytes`` bytes, of which ``units`` landed new units
+        carrying ``payload_bytes``."""
+        self._counter("netserve_frames_received").inc(frames)
         self._counter("netserve_bytes_received").inc(wire_bytes)
-
-    def record_unit(self, payload_bytes: int) -> None:
-        self._counter("netserve_units_received").inc()
-        self._counter("netserve_payload_bytes").inc(payload_bytes)
+        if units:
+            self._counter("netserve_units_received").inc(units)
+            self._counter("netserve_payload_bytes").inc(payload_bytes)
+            self._counter("netserve_link_units_total", link).inc(units)
+            self._counter("netserve_link_bytes_total", link).inc(
+                payload_bytes
+            )
 
     def record_demand_fetch(self) -> None:
         self._counter("netserve_demand_fetches").inc()
@@ -301,11 +313,6 @@ class FetchStats:
         self._counter("netserve_busy_retries_total").inc()
 
     # -- per-link recording ------------------------------------------------
-
-    def record_link_unit(self, link: object, payload_bytes: int) -> None:
-        """Account one unit landed on a specific link."""
-        self._counter("netserve_link_units_total", link).inc()
-        self._counter("netserve_link_bytes_total", link).inc(payload_bytes)
 
     def record_link_outage(self, link: object) -> None:
         """Account one link declared dead (circuit opened)."""
