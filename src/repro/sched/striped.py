@@ -124,8 +124,9 @@ class StripedController:
     Raises:
         TransferError: On an unknown policy, no links, several links
             under ``"strict"``, a stream limit below 1, outages on a
-            stream-grain policy, or a layout whose unit policy the
-            policy cannot send.
+            stream-grain policy, ``eager_start`` under any policy but
+            ``"parallel"`` (only its grains have watermarks to zero),
+            or a layout whose unit policy the policy cannot send.
     """
 
     def __init__(
@@ -153,6 +154,11 @@ class StripedController:
         if max_streams is not None and max_streams < 1:
             raise TransferError(
                 f"max_streams must be >= 1, got {max_streams}"
+            )
+        if eager_start and policy != "parallel":
+            raise TransferError(
+                f"eager_start applies to the 'parallel' policy only, "
+                f"not {policy!r}"
             )
         if (policy == "strict") != (layout.policy == TransferPolicy.STRICT):
             raise TransferError(

@@ -180,6 +180,25 @@ def test_validation_errors():
                 StripedController(
                     layout, (T1_LINK,), policy=policy, max_streams=limit
                 )
+    # Only parallel grains have byte watermarks for eager_start to zero;
+    # every other policy would ignore it, so the controller rejects it.
+    for policy, chosen, link_sets in (
+        ("strict", strict, [(T1_LINK,)]),
+        ("interleaved", layout, [(T1_LINK,), (T1_LINK, MODEM_LINK)]),
+        ("round_robin", layout, [(T1_LINK,), (T1_LINK, MODEM_LINK)]),
+    ):
+        for links in link_sets:
+            with pytest.raises(
+                TransferError,
+                match=f"eager_start applies to the 'parallel' policy only, "
+                f"not '{policy}'",
+            ):
+                StripedController(
+                    chosen, links, policy=policy, eager_start=True
+                )
+            StripedController(chosen, links, policy=policy, eager_start=False)
+    for links in ((T1_LINK,), (T1_LINK, MODEM_LINK)):
+        StripedController(layout, links, policy="parallel", eager_start=True)
     with pytest.raises(TransferError, match="needs a first-use order"):
         transfer_layout(workload.program, TransferPolicy.NON_STRICT)
     # The controller's policy sends whole files if and only if the
