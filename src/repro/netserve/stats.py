@@ -283,7 +283,7 @@ class FetchStats:
         carrying ``payload_bytes``."""
         self._counter("netserve_frames_received").inc(frames)
         self._counter("netserve_bytes_received").inc(wire_bytes)
-        if units:
+        if units:  # a link's unit series exist once it lands a unit
             self._counter("netserve_units_received").inc(units)
             self._counter("netserve_payload_bytes").inc(payload_bytes)
             self._counter("netserve_link_units_total", link).inc(units)
