@@ -113,7 +113,7 @@ class FrameKind(enum.IntEnum):
     RESUME_ACK = 8  # server -> client: accepted resume + remaining manifest
 
 
-#: Frame kinds by wire code: a dict lookup, not ``FrameKind(code)``.
+#: Frame kinds by wire code (``FrameKind(code)`` runs two Python frames).
 _FRAME_KINDS: Dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
 
 _UNIT_KIND_CODES: Dict[UnitKind, int] = {

@@ -37,9 +37,7 @@ def tap_reads(fetcher):
     async def tapped(reader):
         chunk = await read(reader)
         link = next(link for link in fetcher._links if link.reader is reader)
-        streams.setdefault(id(reader), (link.index, bytearray()))[1].extend(
-            chunk
-        )
+        streams.setdefault(reader, (link.index, bytearray()))[1].extend(chunk)
         return chunk
 
     fetcher._read_chunk = tapped
