@@ -157,7 +157,7 @@ def test_duplicated_and_corrupted_frames_are_accounted_exactly():
     program = generate_workload("JHLZip").program
     plan = FaultPlan(seed=5, duplicate_frames=(2,), corrupt_frames=(4,))
     fetcher, streams, manifest = fetch(
-        program, bandwidth=1_000_000, fault_plan=plan
+        program, bandwidth=200_000, fault_plan=plan
     )
     expected = check_exact(fetcher, streams, manifest, links=1)
     assert expected["duplicates"] == expected["unit_retries"] == 1
