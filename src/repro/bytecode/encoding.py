@@ -17,26 +17,40 @@ from .opcodes import OPCODE_TABLE, Opcode, OperandKind
 
 __all__ = ["encode", "decode", "decode_one"]
 
-_PACKERS = {
-    OperandKind.U1: struct.Struct(">B"),
-    OperandKind.U2: struct.Struct(">H"),
-    OperandKind.S2: struct.Struct(">h"),
-    OperandKind.I4: struct.Struct(">i"),
+_FORMATS = {
+    OperandKind.U1: "B",
+    OperandKind.U2: "H",
+    OperandKind.S2: "h",
+    OperandKind.I4: "i",
 }
+
+#: One struct per opcode for the opcode byte and all its operands, so
+#: an instruction is written by a single pack (and read by a single
+#: unpack), with no lookup of its operand kinds.
+_STRUCTS = {
+    opcode: struct.Struct(
+        ">B" + "".join(_FORMATS[kind] for kind in info.operands)
+    )
+    for opcode, info in OPCODE_TABLE.items()
+}
+#: Each struct's bound ``pack``, looked up once here instead of once
+#: per instruction.
+_PACKS = {opcode: packer.pack for opcode, packer in _STRUCTS.items()}
 
 _VALID_OPCODES = {int(opcode) for opcode in Opcode}
 
 
 def encode(instructions: Sequence[Instruction]) -> bytes:
     """Encode an instruction sequence to its binary form."""
-    parts = bytearray()
-    for instruction in instructions:
-        parts.append(int(instruction.opcode))
-        for value, kind in zip(
-            instruction.operands, instruction.info.operands
-        ):
-            parts += _PACKERS[kind].pack(value)
-    return bytes(parts)
+    packs = _PACKS
+    return b"".join(
+        [
+            packs[instruction.opcode](
+                instruction.opcode, *instruction.operands
+            )
+            for instruction in instructions
+        ]
+    )
 
 
 def decode_one(code: bytes, offset: int) -> Instruction:
@@ -53,19 +67,13 @@ def decode_one(code: bytes, offset: int) -> Instruction:
             f"unknown opcode byte 0x{opcode_byte:02x} at offset {offset}"
         )
     opcode = Opcode(opcode_byte)
-    info = OPCODE_TABLE[opcode]
-    cursor = offset + 1
-    operands = []
-    for kind in info.operands:
-        packer = _PACKERS[kind]
-        end = cursor + packer.size
-        if end > len(code):
-            raise BytecodeError(
-                f"truncated {info.mnemonic} operand at offset {cursor}"
-            )
-        operands.append(packer.unpack_from(code, cursor)[0])
-        cursor = end
-    return Instruction(opcode, tuple(operands))
+    unpacker = _STRUCTS[opcode]
+    if offset + unpacker.size > len(code):
+        raise BytecodeError(
+            f"truncated {OPCODE_TABLE[opcode].mnemonic} operand "
+            f"at offset {offset + 1}"
+        )
+    return Instruction(opcode, unpacker.unpack_from(code, offset)[1:])
 
 
 def decode(code: bytes) -> List[Instruction]:

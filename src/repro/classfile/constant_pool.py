@@ -21,8 +21,18 @@ stores ``len(pool) + 1``).
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    ClassVar,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ConstantPoolError
 
@@ -240,9 +250,10 @@ class ConstantPool:
 
     The pool is append-only, and :meth:`add` is its only mutator.  It
     keeps the pool's byte total as entries arrive, so :attr:`size` is
-    O(1), and indexes Utf8 entries by their string, so
-    :meth:`find_utf8`/:meth:`add_utf8` look a string up without
-    building an entry.
+    O(1), records each entry's size in :attr:`entry_sizes`, so byte
+    accounting never re-encodes an entry, and indexes Utf8 entries by
+    their string, so :meth:`find_utf8`/:meth:`add_utf8` look a string
+    up without building an entry.
     """
 
     def __init__(self) -> None:
@@ -251,6 +262,8 @@ class ConstantPool:
         # string in ``_utf8``, every other entry under itself.
         self._index: Dict[ConstantEntry, int] = {}
         self._utf8: Dict[str, int] = {}
+        # Unsigned 32-bit items: a Utf8 entry reaches 3 + MAX_UTF8_BYTES.
+        self._sizes = array("I")
         self._entry_bytes = 0
 
     def __len__(self) -> int:
@@ -283,7 +296,9 @@ class ConstantPool:
             self._utf8[entry.value] = index
         else:
             self._index[entry] = index
-        self._entry_bytes += entry.size
+        size = entry.size
+        self._sizes.append(size)
+        self._entry_bytes += size
         return index
 
     def get(self, index: int) -> ConstantEntry:
@@ -420,13 +435,23 @@ class ConstantPool:
         """Serialized size: 2-byte count plus every entry (O(1))."""
         return 2 + self._entry_bytes
 
+    @property
+    def entry_sizes(self) -> Sequence[int]:
+        """Each entry's serialized size, in index order.
+
+        Entry ``i`` is at position ``i - 1``.  :meth:`add` records the
+        size as the entry arrives; this is the pool's own record, to be
+        read, never written.
+        """
+        return self._sizes
+
     def size_by_tag(self) -> Dict[ConstantTag, int]:
         """Bytes per entry tag — the raw material of Table 8."""
         breakdown: Dict[ConstantTag, int] = {
             tag: 0 for tag in ConstantTag
         }
-        for entry in self._entries:
-            breakdown[entry.tag] += entry.size
+        for entry, size in zip(self._entries, self._sizes):
+            breakdown[entry.tag] += size
         return breakdown
 
     def find(self, entry: ConstantEntry) -> Optional[int]:

@@ -9,6 +9,7 @@ reported by :mod:`repro.classfile.layout`, and
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 from typing import List
 
 from ..bytecode import decode as decode_code
@@ -17,6 +18,7 @@ from ..errors import BytecodeError, ClassFileError, ConstantPoolError
 from .classfile import MAGIC, VERSION, ClassFile
 from .constant_pool import (
     ClassEntry,
+    ConstantEntry,
     ConstantPool,
     ConstantTag,
     DoubleEntry,
@@ -48,25 +50,38 @@ _I8 = struct.Struct(">q")
 _F4 = struct.Struct(">f")
 _F8 = struct.Struct(">d")
 
+# Writers pack each fixed-layout record with one precompiled struct.
+_FILE_HEADER = struct.Struct(">IHH")  # magic, minor, major
+_CLASS_HEADER = struct.Struct(">HHH")  # access, this_class, interfaces
+_FIELD_HEADER = struct.Struct(">HHHH")  # access, name, descriptor, attrs
+_ATTRIBUTE_HEADER = struct.Struct(">HI")  # name, length
+#: A method_info header through its Code attribute's code_length:
+#: access, name, descriptor, attribute count, then the Code attribute's
+#: name, length, max_stack, max_locals and code_length.
+_METHOD_HEADER = struct.Struct(">HHHHHIHHI")
+_UTF8_HEADER = struct.Struct(">BH")  # tag, payload length
 
-class _Writer:
-    def __init__(self) -> None:
-        self._parts = bytearray()
 
-    def u1(self, value: int) -> None:
-        self._parts += _U1.pack(value)
+def _entry_packer(fmt: str, *fields: str):
+    # The getter reads the tag too, so it always returns a tuple.
+    return struct.Struct(">B" + fmt).pack, attrgetter("tag", *fields)
 
-    def u2(self, value: int) -> None:
-        self._parts += _U2.pack(value)
 
-    def u4(self, value: int) -> None:
-        self._parts += _U4.pack(value)
-
-    def raw(self, data: bytes) -> None:
-        self._parts += data
-
-    def getvalue(self) -> bytes:
-        return bytes(self._parts)
+_MEMBER_REF_PACKER = _entry_packer("HH", "class_index", "name_and_type_index")
+#: Per non-Utf8 entry type: the pack of its tag and fields, and the
+#: reader of those values in wire order.
+_ENTRY_PACKERS = {
+    IntegerEntry: _entry_packer("i", "value"),
+    FloatEntry: _entry_packer("f", "value"),
+    LongEntry: _entry_packer("q", "value"),
+    DoubleEntry: _entry_packer("d", "value"),
+    ClassEntry: _entry_packer("H", "name_index"),
+    StringEntry: _entry_packer("H", "utf8_index"),
+    FieldRefEntry: _MEMBER_REF_PACKER,
+    MethodRefEntry: _MEMBER_REF_PACKER,
+    InterfaceMethodRefEntry: _MEMBER_REF_PACKER,
+    NameAndTypeEntry: _entry_packer("HH", "name_index", "descriptor_index"),
+}
 
 
 class _Reader:
@@ -120,80 +135,73 @@ class _Reader:
         return self._offset == len(self._data)
 
 
-def _write_pool(writer: _Writer, pool: ConstantPool) -> None:
-    writer.u2(len(pool) + 1)
+def _write_pool(out: bytearray, pool: ConstantPool) -> None:
+    out += _U2.pack(len(pool) + 1)
     for entry in pool:
-        writer.u1(int(entry.tag))
         if isinstance(entry, Utf8Entry):
             encoded = entry.encoded
-            writer.u2(len(encoded))
-            writer.raw(encoded)
-        elif isinstance(entry, IntegerEntry):
-            writer.raw(_I4.pack(entry.value))
-        elif isinstance(entry, FloatEntry):
-            writer.raw(_F4.pack(entry.value))
-        elif isinstance(entry, LongEntry):
-            writer.raw(_I8.pack(entry.value))
-        elif isinstance(entry, DoubleEntry):
-            writer.raw(_F8.pack(entry.value))
-        elif isinstance(entry, ClassEntry):
-            writer.u2(entry.name_index)
-        elif isinstance(entry, StringEntry):
-            writer.u2(entry.utf8_index)
-        elif isinstance(
-            entry, (FieldRefEntry, MethodRefEntry, InterfaceMethodRefEntry)
-        ):
-            writer.u2(entry.class_index)
-            writer.u2(entry.name_and_type_index)
-        elif isinstance(entry, NameAndTypeEntry):
-            writer.u2(entry.name_index)
-            writer.u2(entry.descriptor_index)
-        else:  # pragma: no cover - the tag table is closed
+            out += _UTF8_HEADER.pack(ConstantTag.UTF8, len(encoded))
+            out += encoded
+            continue
+        packer = _ENTRY_PACKERS.get(type(entry))
+        if packer is None:  # pragma: no cover - the tag table is closed
             raise ConstantPoolError(f"cannot serialize {entry!r}")
+        pack, values = packer
+        out += pack(*values(entry))
+
+
+def _read_entry(reader: _Reader) -> ConstantEntry:
+    tag_byte = reader.u1()
+    try:
+        tag = ConstantTag(tag_byte)
+    except ValueError as exc:
+        raise ClassFileError(f"unknown constant pool tag {tag_byte}") from exc
+    if tag is ConstantTag.UTF8:
+        length = reader.u2()
+        try:
+            value = reader.raw(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ClassFileError("malformed UTF-8 in constant pool") from exc
+        return Utf8Entry(value)
+    if tag is ConstantTag.INTEGER:
+        return IntegerEntry(reader.i4())
+    if tag is ConstantTag.FLOAT:
+        return FloatEntry(reader.f4())
+    if tag is ConstantTag.LONG:
+        return LongEntry(reader.i8())
+    if tag is ConstantTag.DOUBLE:
+        return DoubleEntry(reader.f8())
+    if tag is ConstantTag.CLASS:
+        return ClassEntry(reader.u2())
+    if tag is ConstantTag.STRING:
+        return StringEntry(reader.u2())
+    if tag is ConstantTag.FIELD_REF:
+        return FieldRefEntry(reader.u2(), reader.u2())
+    if tag is ConstantTag.METHOD_REF:
+        return MethodRefEntry(reader.u2(), reader.u2())
+    if tag is ConstantTag.INTERFACE_METHOD_REF:
+        return InterfaceMethodRefEntry(reader.u2(), reader.u2())
+    if tag is ConstantTag.NAME_AND_TYPE:
+        return NameAndTypeEntry(reader.u2(), reader.u2())
+    raise ConstantPoolError(f"unknown tag {tag}")  # pragma: no cover
 
 
 def _read_pool(reader: _Reader) -> ConstantPool:
+    """Read the pool, entry by entry, into a fresh interning pool.
+
+    Raises:
+        ClassFileError: If an entry repeats an earlier one.  The pool
+            interns, so a repeat would take no index of its own and
+            every later index in the image would name the wrong entry.
+    """
     count = reader.u2()
     pool = ConstantPool()
-    for _ in range(count - 1):
-        tag_byte = reader.u1()
-        try:
-            tag = ConstantTag(tag_byte)
-        except ValueError as exc:
+    for expected in range(1, count):
+        index = pool.add(_read_entry(reader))
+        if index != expected:
             raise ClassFileError(
-                f"unknown constant pool tag {tag_byte}"
-            ) from exc
-        if tag is ConstantTag.UTF8:
-            length = reader.u2()
-            try:
-                value = reader.raw(length).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ClassFileError(
-                    "malformed UTF-8 in constant pool"
-                ) from exc
-            pool.add(Utf8Entry(value))
-        elif tag is ConstantTag.INTEGER:
-            pool.add(IntegerEntry(reader.i4()))
-        elif tag is ConstantTag.FLOAT:
-            pool.add(FloatEntry(reader.f4()))
-        elif tag is ConstantTag.LONG:
-            pool.add(LongEntry(reader.i8()))
-        elif tag is ConstantTag.DOUBLE:
-            pool.add(DoubleEntry(reader.f8()))
-        elif tag is ConstantTag.CLASS:
-            pool.add(ClassEntry(reader.u2()))
-        elif tag is ConstantTag.STRING:
-            pool.add(StringEntry(reader.u2()))
-        elif tag is ConstantTag.FIELD_REF:
-            pool.add(FieldRefEntry(reader.u2(), reader.u2()))
-        elif tag is ConstantTag.METHOD_REF:
-            pool.add(MethodRefEntry(reader.u2(), reader.u2()))
-        elif tag is ConstantTag.INTERFACE_METHOD_REF:
-            pool.add(InterfaceMethodRefEntry(reader.u2(), reader.u2()))
-        elif tag is ConstantTag.NAME_AND_TYPE:
-            pool.add(NameAndTypeEntry(reader.u2(), reader.u2()))
-        else:  # pragma: no cover - ConstantTag() already raised
-            raise ConstantPoolError(f"unknown tag {tag}")
+                f"constant pool entry {expected} repeats entry {index}"
+            )
     return pool
 
 
@@ -242,11 +250,11 @@ def _class_index(pool: ConstantPool, name: str) -> int:
 
 
 def _write_attribute(
-    writer: _Writer, pool: ConstantPool, attribute: Attribute
+    out: bytearray, pool: ConstantPool, attribute: Attribute
 ) -> None:
-    writer.u2(_utf8_index(pool, attribute.name))
-    writer.u4(len(attribute.data))
-    writer.raw(attribute.data)
+    data = attribute.data
+    out += _ATTRIBUTE_HEADER.pack(_utf8_index(pool, attribute.name), len(data))
+    out += data
 
 
 def _read_attribute(reader: _Reader, pool: ConstantPool) -> Attribute:
@@ -256,14 +264,16 @@ def _read_attribute(reader: _Reader, pool: ConstantPool) -> Attribute:
 
 
 def _write_field(
-    writer: _Writer, pool: ConstantPool, field_info: FieldInfo
+    out: bytearray, pool: ConstantPool, field_info: FieldInfo
 ) -> None:
-    writer.u2(field_info.access_flags)
-    writer.u2(_utf8_index(pool, field_info.name))
-    writer.u2(_utf8_index(pool, field_info.descriptor))
-    writer.u2(len(field_info.attributes))
+    out += _FIELD_HEADER.pack(
+        field_info.access_flags,
+        _utf8_index(pool, field_info.name),
+        _utf8_index(pool, field_info.descriptor),
+        len(field_info.attributes),
+    )
     for attribute in field_info.attributes:
-        _write_attribute(writer, pool, attribute)
+        _write_attribute(out, pool, attribute)
 
 
 def _read_field(reader: _Reader, pool: ConstantPool) -> FieldInfo:
@@ -281,28 +291,29 @@ def _read_field(reader: _Reader, pool: ConstantPool) -> FieldInfo:
 
 
 def _write_method(
-    writer: _Writer, pool: ConstantPool, method: MethodInfo
+    out: bytearray, pool: ConstantPool, code_index: int, method: MethodInfo
 ) -> None:
-    writer.u2(method.access_flags)
-    writer.u2(_utf8_index(pool, method.name))
-    writer.u2(_utf8_index(pool, method.descriptor))
-    count = 1 + (1 if method.local_data else 0) + len(method.attributes)
-    writer.u2(count)
-    # Code attribute.
     code = encode_code(method.instructions)
-    writer.u2(_utf8_index(pool, CODE_ATTRIBUTE))
-    writer.u4(2 + 2 + 4 + len(code))
-    writer.u2(method.max_stack)
-    writer.u2(method.max_locals)
-    writer.u4(len(code))
-    writer.raw(code)
-    # LocalData attribute.
-    if method.local_data:
-        writer.u2(_utf8_index(pool, LOCAL_DATA_ATTRIBUTE))
-        writer.u4(len(method.local_data))
-        writer.raw(method.local_data)
+    local_data = method.local_data
+    out += _METHOD_HEADER.pack(
+        method.access_flags,
+        _utf8_index(pool, method.name),
+        _utf8_index(pool, method.descriptor),
+        1 + (1 if local_data else 0) + len(method.attributes),
+        code_index,
+        2 + 2 + 4 + len(code),
+        method.max_stack,
+        method.max_locals,
+        len(code),
+    )
+    out += code
+    if local_data:
+        out += _ATTRIBUTE_HEADER.pack(
+            _utf8_index(pool, LOCAL_DATA_ATTRIBUTE), len(local_data)
+        )
+        out += local_data
     for attribute in method.attributes:
-        _write_attribute(writer, pool, attribute)
+        _write_attribute(out, pool, attribute)
 
 
 def _read_method(reader: _Reader, pool: ConstantPool) -> MethodInfo:
@@ -362,26 +373,25 @@ def serialize(classfile: ClassFile) -> bytes:
         _class_index(pool, name) for name in classfile.interfaces
     ]
 
-    writer = _Writer()
-    writer.u4(MAGIC)
-    writer.u2(VERSION[0])
-    writer.u2(VERSION[1])
-    _write_pool(writer, pool)
-    writer.u2(classfile.access_flags)
-    writer.u2(this_class)
-    writer.u2(len(interface_indexes))
+    out = bytearray(_FILE_HEADER.pack(MAGIC, *VERSION))
+    _write_pool(out, pool)
+    out += _CLASS_HEADER.pack(
+        classfile.access_flags, this_class, len(interface_indexes)
+    )
     for index in interface_indexes:
-        writer.u2(index)
-    writer.u2(len(classfile.fields))
+        out += _U2.pack(index)
+    out += _U2.pack(len(classfile.fields))
     for field_info in classfile.fields:
-        _write_field(writer, pool, field_info)
-    writer.u2(len(classfile.methods))
-    for method in classfile.methods:
-        _write_method(writer, pool, method)
-    writer.u2(len(classfile.attributes))
+        _write_field(out, pool, field_info)
+    out += _U2.pack(len(classfile.methods))
+    if classfile.methods:
+        code_index = _utf8_index(pool, CODE_ATTRIBUTE)
+        for method in classfile.methods:
+            _write_method(out, pool, code_index, method)
+    out += _U2.pack(len(classfile.attributes))
     for attribute in classfile.attributes:
-        _write_attribute(writer, pool, attribute)
-    return writer.getvalue()
+        _write_attribute(out, pool, attribute)
+    return bytes(out)
 
 
 def deserialize(data: bytes) -> ClassFile:

@@ -115,8 +115,8 @@ def partition_class(
         )
     )
     unused_bytes = sum(
-        entry.size
-        for index, entry in enumerate(pool, start=1)
+        size
+        for index, size in enumerate(pool.entry_sizes, start=1)
         if index not in assigned
     )
 

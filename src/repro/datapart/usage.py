@@ -21,6 +21,7 @@ by method, and visit each entry once per class.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..bytecode import Opcode
@@ -52,6 +53,19 @@ _POOL_OPERAND_OPCODES = frozenset(
     {Opcode.LDC, Opcode.CALL, Opcode.GETSTATIC, Opcode.PUTSTATIC}
 )
 
+#: Per entry type: a reader of the pool indices the entry refers to,
+#: and whether it reads a pair.  Entry types absent here refer to
+#: nothing.  One dict lookup replaces a chain of ``isinstance`` tests.
+_MEMBER_REFERENCES = (attrgetter("class_index", "name_and_type_index"), True)
+_REFERENCES = {
+    ClassEntry: (attrgetter("name_index"), False),
+    StringEntry: (attrgetter("utf8_index"), False),
+    FieldRefEntry: _MEMBER_REFERENCES,
+    MethodRefEntry: _MEMBER_REFERENCES,
+    InterfaceMethodRefEntry: _MEMBER_REFERENCES,
+    NameAndTypeEntry: (attrgetter("name_index", "descriptor_index"), True),
+}
+
 
 def extend_closure(
     pool: ConstantPool, roots: Iterable[int], closed: Set[int]
@@ -64,33 +78,31 @@ def extend_closure(
     ``roots`` minus ``closed``, and the result stays closed.
 
     Returns:
-        The serialized bytes of the entries added.
+        The serialized bytes of the entries added, as the pool recorded
+        them (:attr:`~repro.classfile.ConstantPool.entry_sizes`).
 
     Raises:
         ConstantPoolError: If a reference is out of range.
     """
     added = 0
+    get = pool.get
+    sizes = pool.entry_sizes
+    references_of = _REFERENCES.get
     frontier = list(roots)
     while frontier:
         index = frontier.pop()
         if index in closed:
             continue
-        entry = pool.get(index)
+        entry = get(index)
         closed.add(index)
-        added += entry.size
-        if isinstance(entry, ClassEntry):
-            frontier.append(entry.name_index)
-        elif isinstance(entry, StringEntry):
-            frontier.append(entry.utf8_index)
-        elif isinstance(
-            entry,
-            (FieldRefEntry, MethodRefEntry, InterfaceMethodRefEntry),
-        ):
-            frontier.append(entry.class_index)
-            frontier.append(entry.name_and_type_index)
-        elif isinstance(entry, NameAndTypeEntry):
-            frontier.append(entry.name_index)
-            frontier.append(entry.descriptor_index)
+        added += sizes[index - 1]
+        references = references_of(type(entry))
+        if references is not None:
+            read, pair = references
+            if pair:
+                frontier.extend(read(entry))
+            else:
+                frontier.append(read(entry))
     return added
 
 

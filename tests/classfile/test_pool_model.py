@@ -6,6 +6,10 @@ calls over all eleven entry kinds, with many repeats, must leave it
 indistinguishable from the plain model: the same entries at the same
 indices, ``size`` equal to the re-summed entry sizes, and ``find_utf8``
 agreeing with ``find(Utf8Entry(...))`` for present and absent values.
+
+The pool also records each entry's size as it arrives; the record must
+equal every entry's own ``size``, whether the pool was built by
+``add_*`` calls or read back by ``deserialize``.
 """
 
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.classfile import (
     ClassEntry,
+    ClassFile,
     ConstantPool,
     DoubleEntry,
     FieldRefEntry,
@@ -24,7 +29,10 @@ from repro.classfile import (
     NameAndTypeEntry,
     StringEntry,
     Utf8Entry,
+    deserialize,
+    serialize,
 )
+from repro.harness import BENCHMARK_NAMES, bundle
 
 #: Few, short values, so most operations repeat an earlier one.
 _TEXT = st.text(alphabet="abé", max_size=2)
@@ -121,6 +129,11 @@ _OPERATIONS = st.one_of(
 )
 
 
+def assert_sizes_recorded(pool):
+    assert list(pool.entry_sizes) == [entry.size for entry in pool]
+    assert sum(pool.entry_sizes) == pool.size - 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPERATIONS, max_size=40))
 def test_pool_matches_list_and_dict_model(operations):
@@ -133,6 +146,7 @@ def test_pool_matches_list_and_dict_model(operations):
         assert list(pool) == model.entries
         assert pool.entries() == list(enumerate(model.entries, start=1))
         assert pool.size == 2 + sum(entry.size for entry in pool)
+        assert_sizes_recorded(pool)
         for entry, index in model.index.items():
             assert pool.find(entry) == index
         for value in _PROBES + tuple(
@@ -141,3 +155,23 @@ def test_pool_matches_list_and_dict_model(operations):
             expected = model.index.get(Utf8Entry(value))
             assert pool.find_utf8(value) == expected
             assert pool.find(Utf8Entry(value)) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_DIRECT_ENTRIES, max_size=20))
+def test_deserialized_pool_records_every_entry_size(entries):
+    pool = ConstantPool()
+    for entry in entries:
+        pool.add(entry)
+    image = serialize(ClassFile("T", constant_pool=pool))
+    recovered = deserialize(image).constant_pool
+    assert list(recovered) == list(pool)
+    assert_sizes_recorded(recovered)
+
+
+def test_workload_pools_record_every_entry_size():
+    for name in BENCHMARK_NAMES:
+        for classfile in bundle(name).workload.program.classes:
+            assert_sizes_recorded(classfile.constant_pool)
+            recovered = deserialize(serialize(classfile)).constant_pool
+            assert_sizes_recorded(recovered)

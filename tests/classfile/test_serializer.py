@@ -11,6 +11,7 @@ from repro.classfile import (
     serialize,
 )
 from repro.errors import ClassFileError
+from repro.harness import bundle
 
 _NAMES = st.text(
     alphabet=st.sampled_from("abcdefgXYZ_/$09"), min_size=1, max_size=12
@@ -104,6 +105,57 @@ def test_trailing_bytes_rejected():
     image = serialize(sample_class())
     with pytest.raises(ClassFileError):
         deserialize(image + b"\x00")
+
+
+def image_repeating(repeated, position):
+    """``sample_class``'s image with pool entry ``repeated`` copied in
+    as entry ``position``; the entries from there on move up one."""
+    classfile = sample_class()
+    image = serialize(classfile)
+    pool = classfile.constant_pool
+    assert 1 <= repeated < position <= len(pool) + 1
+    # Entry i starts at starts[i - 1]; the pool follows magic, version
+    # and its u2 count.
+    starts = [10]
+    for entry in pool:
+        starts.append(starts[-1] + entry.size)
+    copy = image[starts[repeated - 1] : starts[repeated]]
+    cut = starts[position - 1]
+    count = (len(pool) + 2).to_bytes(2, "big")
+    return image[:8] + count + image[10:cut] + copy + image[cut:]
+
+
+@pytest.mark.parametrize(
+    "repeated, position",
+    [(1, 27), (2, 14)],
+    ids=["utf8-at-end", "class-in-middle"],
+)
+def test_repeated_pool_entry_rejected(repeated, position):
+    """The pool interns, so a repeat would take no index of its own and
+    every later index would name the wrong entry."""
+    image = image_repeating(repeated, position)
+    with pytest.raises(
+        ClassFileError,
+        match=f"constant pool entry {position} repeats entry {repeated}$",
+    ):
+        deserialize(image)
+
+
+def test_serializing_reads_no_opcode_metadata(monkeypatch):
+    """Each instruction is packed by its opcode's struct: writing every
+    Jess class reads no instruction's ``info``."""
+    classes = bundle("Jess").workload.program.classes
+    reads = []
+    info = Instruction.info
+
+    def counting_info(instruction):
+        reads.append(instruction.opcode)
+        return info.fget(instruction)
+
+    monkeypatch.setattr(Instruction, "info", property(counting_info))
+    for classfile in classes:
+        serialize(classfile)
+    assert len(reads) == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ from repro.classfile import (
     ClassFileBuilder,
     ConstantPool,
     MethodRefEntry,
+    Utf8Entry,
     class_layout,
 )
 from repro.datapart import (
@@ -243,6 +244,27 @@ def test_partition_resolves_each_method_ref_at_most_once(monkeypatch):
         partition_class(classfile, layout)
         assert len(resolved) == len(set(resolved))
         assert set(resolved) <= method_refs
+
+
+def test_partition_encodes_no_utf8(monkeypatch):
+    """Entry sizes come from the pool's record: partitioning every Jess
+    class encodes no Utf8 string."""
+    program = bundle("Jess").workload.program
+    layouts = [
+        (classfile, class_layout(classfile))
+        for classfile in program.classes
+    ]
+    encodes = []
+    encoded = Utf8Entry.encoded
+
+    def counting_encoded(entry):
+        encodes.append(entry.value)
+        return encoded.fget(entry)
+
+    monkeypatch.setattr(Utf8Entry, "encoded", property(counting_encoded))
+    for classfile, layout in layouts:
+        partition_class(classfile, layout)
+    assert len(encodes) == 0
 
 
 def test_malformed_method_ref_raises_constant_pool_error():
