@@ -21,9 +21,15 @@ on the first issue, the lint framework reports all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from ..bytecode import OPCODE_TABLE, Instruction, Opcode, SysCall
+from ..bytecode import (
+    BRANCHES,
+    OPCODE_TABLE,
+    Instruction,
+    Opcode,
+    SysCall,
+)
 from ..classfile import (
     ClassFile,
     FieldRefEntry,
@@ -46,6 +52,20 @@ _ARITH_BINARY = (
 )
 
 _SYS_PUSHES_INT = (SysCall.TIME, SysCall.RAND)
+
+# One-value stack suffixes, built once.
+_INT = (ValType.INT,)
+_ARR = (ValType.ARR,)
+_STR = (ValType.STR,)
+_TOP = (ValType.TOP,)
+
+_MNEMONICS = {
+    opcode: info.mnemonic for opcode, info in OPCODE_TABLE.items()
+}
+
+#: Operands each branch pops: none for ``goto``, one or two ints for
+#: the conditionals.
+_BRANCH_POPS = {opcode: OPCODE_TABLE[opcode].pops for opcode in BRANCHES}
 
 
 @dataclass(frozen=True)
@@ -105,7 +125,13 @@ class MethodDataflow:
 
 
 class _Analysis:
-    """One fixpoint run; collects issues instead of raising."""
+    """One fixpoint run; collects issues instead of raising.
+
+    The per-instruction transfer function is :data:`_TRANSFER`, one
+    handler per opcode.  The ``where`` prefix of every message and the
+    ``underflow``/``require``/``overflow_check`` helpers are made once
+    per method, not once per instruction.
+    """
 
     def __init__(
         self, classfile: ClassFile, method: MethodInfo, facts: MethodFacts
@@ -117,6 +143,10 @@ class _Analysis:
         self.issues: List[DataflowIssue] = []
         self.entry_states: Dict[int, AbstractState] = {}
         self._issue_keys: set = set()
+        self.where = f"{classfile.name}.{method.name}"
+        self.pool = classfile.constant_pool
+        self.max_stack = method.max_stack
+        self.max_locals = method.max_locals
 
     def issue(
         self, kind: str, message: str, index: Optional[int] = None
@@ -131,7 +161,7 @@ class _Analysis:
 
     def run(self) -> MethodDataflow:
         method = self.method
-        where = f"{self.classfile.name}.{method.name}"
+        where = self.where
         if not method.instructions:
             self.issue("structure", f"{where}: empty code")
             return self._result(None)
@@ -212,12 +242,23 @@ class _Analysis:
         block_id: int,
         state: AbstractState,
     ) -> Optional[AbstractState]:
-        block = cfg.block(block_id)
+        """Run each instruction's :data:`_TRANSFER` handler in turn.
+
+        A handler returns the successor state, or ``None`` when control
+        does not continue (returns) or the state is unrecoverable
+        (underflow, malformed operand) — the path stops propagating,
+        exactly like the old verifier stopped at its first error.
+        """
+        block = cfg.blocks[block_id]
+        entry_states = self.entry_states
+        transfer = _TRANSFER
         for instruction, index in zip(
             block.instructions, block.instruction_indexes
         ):
-            self.entry_states[index] = state
-            next_state = self._transfer(instruction, index, state)
+            entry_states[index] = state
+            next_state = transfer[instruction.opcode](
+                self, instruction, index, state
+            )
             if next_state is None:
                 return None
             state = next_state
@@ -225,282 +266,367 @@ class _Analysis:
             return None
         return state
 
-    # -- per-instruction transfer ------------------------------------------
+    # -- checks shared by the handlers -----------------------------------
 
-    def _transfer(
-        self,
-        instruction: Instruction,
+    def underflow(
+        self, state: AbstractState, pops: int, instruction: Instruction,
         index: int,
-        state: AbstractState,
-    ) -> Optional[AbstractState]:
-        """Abstractly execute one instruction.
-
-        Returns the successor state, or ``None`` when control does not
-        continue (returns) or the state is unrecoverable (underflow,
-        malformed operand) — the path stops propagating, exactly like
-        the old verifier stopped at its first error.
-        """
-        opcode = instruction.opcode
-        where = f"{self.classfile.name}.{self.method.name}"
-        pool = self.classfile.constant_pool
-
-        def underflow(pops: int) -> bool:
-            if state.depth < pops:
-                self.issue(
-                    "stack",
-                    f"{where}: stack underflow at instruction {index} "
-                    f"({instruction.mnemonic})",
-                    index,
-                )
-                return True
-            return False
-
-        def require(
-            operand: ValType, needed: ValType, role: str
-        ) -> None:
-            if not compatible(operand, needed):
-                self.issue(
-                    "type",
-                    f"{where}: {instruction.mnemonic} at instruction "
-                    f"{index} needs {needed.value} for {role}, got "
-                    f"{operand.value}",
-                    index,
-                )
-
-        def overflow_check(result: AbstractState) -> Optional[AbstractState]:
-            if result.depth > self.method.max_stack:
-                self.issue(
-                    "stack",
-                    f"{where}: stack depth {result.depth} exceeds "
-                    f"max_stack {self.method.max_stack} at instruction "
-                    f"{index}",
-                    index,
-                )
-                return None
-            return result
-
-        if opcode == Opcode.NOP:
-            return state
-        if opcode == Opcode.ICONST:
-            return overflow_check(state.push(ValType.INT))
-        if opcode == Opcode.LDC:
-            try:
-                value = pool.constant_value(instruction.operand)
-            except Exception:
-                self.issue(
-                    "operand",
-                    f"{where}: LDC operand {instruction.operand} is "
-                    "not a loadable constant",
-                    index,
-                )
-                return None
-            kind = ValType.STR if isinstance(value, str) else ValType.INT
-            return overflow_check(state.push(kind))
-        if opcode == Opcode.LOAD:
-            if instruction.operand >= self.method.max_locals:
-                self.issue(
-                    "operand",
-                    f"{where}: local slot {instruction.operand} >= "
-                    f"max_locals {self.method.max_locals}",
-                    index,
-                )
-                return None
-            return overflow_check(
-                state.push(state.locals[instruction.operand])
+    ) -> bool:
+        """Report, and return True, when ``state`` holds under ``pops``."""
+        if len(state.stack) < pops:
+            self.issue(
+                "stack",
+                f"{self.where}: stack underflow at instruction {index} "
+                f"({_MNEMONICS[instruction.opcode]})",
+                index,
             )
-        if opcode == Opcode.STORE:
-            if instruction.operand >= self.method.max_locals:
-                self.issue(
-                    "operand",
-                    f"{where}: local slot {instruction.operand} >= "
-                    f"max_locals {self.method.max_locals}",
-                    index,
-                )
-                return None
-            if underflow(1):
-                return None
-            value = state.peek()
-            return state.pop(1).store_local(instruction.operand, value)
-        if opcode in (Opcode.GETSTATIC, Opcode.PUTSTATIC):
-            entry = pool.get(instruction.operand)
-            if not isinstance(entry, FieldRefEntry):
-                self.issue(
-                    "operand",
-                    f"{where}: GETSTATIC/PUTSTATIC operand "
-                    f"{instruction.operand} is not a FieldRef",
-                    index,
-                )
-                return None
-            try:
-                _, _, field_descriptor = pool.member_ref(
-                    instruction.operand
-                )
-            except Exception as error:
-                self.issue("operand", f"{where}: {error}", index)
-                return None
-            # An "I" field holds one untyped word (the compiler writes
-            # "I" for every global); only "A" is a definite array.
-            field_is_array = field_descriptor == "A"
-            if opcode == Opcode.GETSTATIC:
-                return overflow_check(
-                    state.push(
-                        ValType.ARR if field_is_array else ValType.TOP
-                    )
-                )
-            if underflow(1):
-                return None
-            if field_is_array:
-                require(
-                    state.peek(), ValType.ARR, "the stored field value"
-                )
-            return state.pop(1)
-        if opcode in _ARITH_BINARY:
-            if underflow(2):
-                return None
-            require(state.peek(1), ValType.INT, "the left operand")
-            require(state.peek(0), ValType.INT, "the right operand")
-            return state.pop(2).push(ValType.INT)
-        if opcode == Opcode.NEG:
-            if underflow(1):
-                return None
-            require(state.peek(), ValType.INT, "the operand")
-            return state.pop(1).push(ValType.INT)
-        if opcode == Opcode.DUP:
-            if underflow(1):
-                return None
-            return overflow_check(state.push(state.peek()))
-        if opcode == Opcode.POP:
-            if underflow(1):
-                return None
-            return state.pop(1)
-        if opcode == Opcode.SWAP:
-            if underflow(2):
-                return None
-            top, below = state.peek(0), state.peek(1)
-            return state.pop(2).push(top, below)
-        if opcode == Opcode.NEWARRAY:
-            if underflow(1):
-                return None
-            require(state.peek(), ValType.INT, "the array size")
-            return state.pop(1).push(ValType.ARR)
-        if opcode == Opcode.ALOAD:
-            if underflow(2):
-                return None
-            require(state.peek(1), ValType.ARR, "the array")
-            require(state.peek(0), ValType.INT, "the index")
-            # ASTORE may legally store any value, so element loads are
-            # statically unknowable.
-            return state.pop(2).push(ValType.TOP)
-        if opcode == Opcode.ASTORE:
-            if underflow(3):
-                return None
-            require(state.peek(2), ValType.ARR, "the array")
-            require(state.peek(1), ValType.INT, "the index")
-            return state.pop(3)
-        if opcode == Opcode.ARRAYLEN:
-            if underflow(1):
-                return None
-            require(state.peek(), ValType.ARR, "the array")
-            return state.pop(1).push(ValType.INT)
-        if opcode == Opcode.CALL:
-            entry = pool.get(instruction.operand)
-            if not isinstance(entry, MethodRefEntry):
-                self.issue(
-                    "operand",
-                    f"{where}: CALL operand {instruction.operand} is "
-                    f"{type(entry).__name__}, expected MethodRefEntry",
-                    index,
-                )
-                return None
-            try:
-                _, _, call_descriptor = pool.member_ref(
-                    instruction.operand
-                )
-                callee = parse_descriptor(call_descriptor)
-            except Exception as error:
-                self.issue("operand", f"{where}: {error}", index)
-                return None
-            if underflow(callee.arity):
-                return None
-            # Compiled descriptors write "I" for every untyped word, so
-            # only explicit "A" annotations constrain an argument.
-            for position, parameter in enumerate(callee.parameters):
-                if parameter != "A":
-                    continue
-                operand = state.peek(callee.arity - 1 - position)
-                require(operand, ValType.ARR, f"argument {position}")
-            state = state.pop(callee.arity)
-            if callee.returns_value:
-                returned = (
-                    ValType.ARR
-                    if callee.return_type == "A"
-                    else ValType.TOP
-                )
-                return overflow_check(state.push(returned))
-            return state
-        if opcode == Opcode.SYS:
-            try:
-                pops, pushes = SysCall.STACK_EFFECT[instruction.operand]
-            except KeyError:
-                self.issue(
-                    "operand",
-                    f"{where}: unknown SYS code {instruction.operand}",
-                    index,
-                )
-                return None
-            if underflow(pops):
-                return None
-            state = state.pop(pops)  # PRINT/BLACKHOLE accept any value
-            if pushes:
-                kind = (
-                    ValType.INT
-                    if instruction.operand in _SYS_PUSHES_INT
-                    else ValType.TOP
-                )
-                return overflow_check(state.push(kind))
-            return state
-        info = OPCODE_TABLE[opcode]
-        if info.is_return:
-            return self._transfer_return(instruction, index, state)
-        if info.is_branch:
-            if underflow(info.pops):
-                return None
-            for operand_position in range(info.pops):
-                require(
-                    state.peek(operand_position),
-                    ValType.INT,
-                    "the branch operand",
-                )
-            return state.pop(info.pops)
-        raise AssertionError(  # pragma: no cover - ISA is closed
-            f"unhandled opcode {opcode!r}"
+            return True
+        return False
+
+    def require(
+        self, operand: ValType, needed: ValType, role: str,
+        instruction: Instruction, index: int,
+    ) -> None:
+        """Report a definite type error unless ``operand`` may be
+        ``needed`` (:func:`~repro.analyze.domain.compatible`, inlined)."""
+        if operand is not needed and operand is not ValType.TOP:
+            self.issue(
+                "type",
+                f"{self.where}: {_MNEMONICS[instruction.opcode]} at "
+                f"instruction {index} needs {needed.value} for {role}, "
+                f"got {operand.value}",
+                index,
+            )
+
+    def overflow_check(
+        self, result: AbstractState, index: int
+    ) -> Optional[AbstractState]:
+        """``result``, or ``None`` (reported) past ``max_stack``."""
+        if len(result.stack) > self.max_stack:
+            self.issue(
+                "stack",
+                f"{self.where}: stack depth {result.depth} exceeds "
+                f"max_stack {self.max_stack} at instruction {index}",
+                index,
+            )
+            return None
+        return result
+
+    def bad_slot(self, instruction: Instruction, index: int) -> bool:
+        """Report, and return True, when a LOAD/STORE slot is out of
+        ``max_locals``."""
+        slot = instruction.operands[0]
+        if slot >= self.max_locals:
+            self.issue(
+                "operand",
+                f"{self.where}: local slot {slot} >= "
+                f"max_locals {self.max_locals}",
+                index,
+            )
+            return True
+        return False
+
+    # -- per-instruction handlers ------------------------------------------
+
+    def _nop(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        return state
+
+    def _iconst(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        return self.overflow_check(
+            AbstractState(state.stack + _INT, state.locals), index
         )
 
-    def _transfer_return(
-        self,
-        instruction: Instruction,
-        index: int,
-        state: AbstractState,
+    def _ldc(
+        self, instruction: Instruction, index: int, state: AbstractState
     ) -> Optional[AbstractState]:
-        where = f"{self.classfile.name}.{self.method.name}"
+        operand = instruction.operands[0]
+        try:
+            value = self.pool.constant_value(operand)
+        except Exception:
+            self.issue(
+                "operand",
+                f"{self.where}: LDC operand {operand} is "
+                "not a loadable constant",
+                index,
+            )
+            return None
+        kind = _STR if isinstance(value, str) else _INT
+        return self.overflow_check(
+            AbstractState(state.stack + kind, state.locals), index
+        )
+
+    def _load(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.bad_slot(instruction, index):
+            return None
+        locals_ = state.locals
+        return self.overflow_check(
+            AbstractState(
+                state.stack + (locals_[instruction.operands[0]],), locals_
+            ),
+            index,
+        )
+
+    def _store(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.bad_slot(instruction, index):
+            return None
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack, locals_ = state.stack, state.locals
+        slot = instruction.operands[0]
+        return AbstractState(
+            stack[:-1], locals_[:slot] + stack[-1:] + locals_[slot + 1 :]
+        )
+
+    def _field_descriptor(
+        self, instruction: Instruction, index: int
+    ) -> Optional[str]:
+        """The descriptor of a GETSTATIC/PUTSTATIC's FieldRef, or
+        ``None`` (reported) when the operand names none."""
+        operand = instruction.operands[0]
+        if not isinstance(self.pool.get(operand), FieldRefEntry):
+            self.issue(
+                "operand",
+                f"{self.where}: GETSTATIC/PUTSTATIC operand "
+                f"{operand} is not a FieldRef",
+                index,
+            )
+            return None
+        try:
+            _, _, field_descriptor = self.pool.member_ref(operand)
+        except Exception as error:
+            self.issue("operand", f"{self.where}: {error}", index)
+            return None
+        return field_descriptor
+
+    # An "I" field holds one untyped word (the compiler writes "I" for
+    # every global); only "A" is a definite array.
+
+    def _getstatic(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        field_descriptor = self._field_descriptor(instruction, index)
+        if field_descriptor is None:
+            return None
+        kind = _ARR if field_descriptor == "A" else _TOP
+        return self.overflow_check(
+            AbstractState(state.stack + kind, state.locals), index
+        )
+
+    def _putstatic(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        field_descriptor = self._field_descriptor(instruction, index)
+        if field_descriptor is None:
+            return None
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack = state.stack
+        if field_descriptor == "A":
+            self.require(
+                stack[-1], ValType.ARR, "the stored field value",
+                instruction, index,
+            )
+        return AbstractState(stack[:-1], state.locals)
+
+    def _arith(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        """The binary operators, which the VM runs as 32-bit ints."""
+        if self.underflow(state, 2, instruction, index):
+            return None
+        stack = state.stack
+        self.require(
+            stack[-2], ValType.INT, "the left operand", instruction, index
+        )
+        self.require(
+            stack[-1], ValType.INT, "the right operand", instruction, index
+        )
+        return AbstractState(stack[:-2] + _INT, state.locals)
+
+    def _neg(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack = state.stack
+        self.require(stack[-1], ValType.INT, "the operand", instruction, index)
+        return AbstractState(stack[:-1] + _INT, state.locals)
+
+    def _dup(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack = state.stack
+        return self.overflow_check(
+            AbstractState(stack + stack[-1:], state.locals), index
+        )
+
+    def _pop(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 1, instruction, index):
+            return None
+        return AbstractState(state.stack[:-1], state.locals)
+
+    def _swap(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 2, instruction, index):
+            return None
+        stack = state.stack
+        return AbstractState(
+            stack[:-2] + (stack[-1], stack[-2]), state.locals
+        )
+
+    def _newarray(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack = state.stack
+        self.require(
+            stack[-1], ValType.INT, "the array size", instruction, index
+        )
+        return AbstractState(stack[:-1] + _ARR, state.locals)
+
+    def _aload(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 2, instruction, index):
+            return None
+        stack = state.stack
+        self.require(stack[-2], ValType.ARR, "the array", instruction, index)
+        self.require(stack[-1], ValType.INT, "the index", instruction, index)
+        # ASTORE may legally store any value, so element loads are
+        # statically unknowable.
+        return AbstractState(stack[:-2] + _TOP, state.locals)
+
+    def _astore(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 3, instruction, index):
+            return None
+        stack = state.stack
+        self.require(stack[-3], ValType.ARR, "the array", instruction, index)
+        self.require(stack[-2], ValType.INT, "the index", instruction, index)
+        return AbstractState(stack[:-3], state.locals)
+
+    def _arraylen(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        if self.underflow(state, 1, instruction, index):
+            return None
+        stack = state.stack
+        self.require(stack[-1], ValType.ARR, "the array", instruction, index)
+        return AbstractState(stack[:-1] + _INT, state.locals)
+
+    def _call(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        operand = instruction.operands[0]
+        entry = self.pool.get(operand)
+        if not isinstance(entry, MethodRefEntry):
+            self.issue(
+                "operand",
+                f"{self.where}: CALL operand {operand} is "
+                f"{type(entry).__name__}, expected MethodRefEntry",
+                index,
+            )
+            return None
+        try:
+            _, _, call_descriptor = self.pool.member_ref(operand)
+            callee = parse_descriptor(call_descriptor)
+        except Exception as error:
+            self.issue("operand", f"{self.where}: {error}", index)
+            return None
+        arity = callee.arity
+        if self.underflow(state, arity, instruction, index):
+            return None
+        # Compiled descriptors write "I" for every untyped word, so
+        # only explicit "A" annotations constrain an argument.
+        for position, parameter in enumerate(callee.parameters):
+            if parameter != "A":
+                continue
+            self.require(
+                state.peek(arity - 1 - position), ValType.ARR,
+                f"argument {position}", instruction, index,
+            )
+        state = state.pop(arity)
+        if callee.returns_value:
+            returned = (
+                ValType.ARR if callee.return_type == "A" else ValType.TOP
+            )
+            return self.overflow_check(state.push(returned), index)
+        return state
+
+    def _sys(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        code = instruction.operands[0]
+        try:
+            pops, pushes = SysCall.STACK_EFFECT[code]
+        except KeyError:
+            self.issue(
+                "operand", f"{self.where}: unknown SYS code {code}", index
+            )
+            return None
+        if self.underflow(state, pops, instruction, index):
+            return None
+        state = state.pop(pops)  # PRINT/BLACKHOLE accept any value
+        if pushes:
+            kind = ValType.INT if code in _SYS_PUSHES_INT else ValType.TOP
+            return self.overflow_check(state.push(kind), index)
+        return state
+
+    def _branch(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        """``goto`` pops nothing; ``if*`` one int, ``if_icmp*`` two."""
+        pops = _BRANCH_POPS[instruction.opcode]
+        if self.underflow(state, pops, instruction, index):
+            return None
+        for operand_position in range(pops):
+            self.require(
+                state.peek(operand_position), ValType.INT,
+                "the branch operand", instruction, index,
+            )
+        return state.pop(pops)
+
+    def _return(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
         descriptor = self.descriptor
         assert descriptor is not None
-        if instruction.opcode == Opcode.RETURN:
-            if descriptor.returns_value:
-                self.issue(
-                    "structure",
-                    f"{where}: RETURN in a value-returning method",
-                    index,
-                )
-            if state.depth != 0:
-                self.issue(
-                    "stack",
-                    f"{where}: {state.depth} values left on the stack "
-                    "at return",
-                    index,
-                )
-            return None
-        # IRETURN
+        if descriptor.returns_value:
+            self.issue(
+                "structure",
+                f"{self.where}: RETURN in a value-returning method",
+                index,
+            )
+        if state.depth != 0:
+            self.issue(
+                "stack",
+                f"{self.where}: {state.depth} values left on the stack "
+                "at return",
+                index,
+            )
+        return None
+
+    def _ireturn(
+        self, instruction: Instruction, index: int, state: AbstractState
+    ) -> Optional[AbstractState]:
+        where = self.where
+        descriptor = self.descriptor
+        assert descriptor is not None
         if not descriptor.returns_value:
             self.issue(
                 "structure",
@@ -508,13 +634,7 @@ class _Analysis:
                 index,
             )
             return None
-        if state.depth < 1:
-            self.issue(
-                "stack",
-                f"{where}: stack underflow at instruction {index} "
-                f"({instruction.mnemonic})",
-                index,
-            )
+        if self.underflow(state, 1, instruction, index):
             return None
         # "I" returns are untyped words; only an "A" annotation pins
         # the returned kind down to something checkable.
@@ -535,6 +655,38 @@ class _Analysis:
                 index,
             )
         return None
+
+
+_Handler = Callable[
+    [_Analysis, Instruction, int, AbstractState], Optional[AbstractState]
+]
+
+#: The transfer function: one handler per opcode, each abstractly
+#: executing one instruction.
+_TRANSFER: Dict[Opcode, _Handler] = {
+    Opcode.NOP: _Analysis._nop,
+    Opcode.ICONST: _Analysis._iconst,
+    Opcode.LDC: _Analysis._ldc,
+    Opcode.LOAD: _Analysis._load,
+    Opcode.STORE: _Analysis._store,
+    Opcode.GETSTATIC: _Analysis._getstatic,
+    Opcode.PUTSTATIC: _Analysis._putstatic,
+    Opcode.NEG: _Analysis._neg,
+    Opcode.DUP: _Analysis._dup,
+    Opcode.POP: _Analysis._pop,
+    Opcode.SWAP: _Analysis._swap,
+    Opcode.NEWARRAY: _Analysis._newarray,
+    Opcode.ALOAD: _Analysis._aload,
+    Opcode.ASTORE: _Analysis._astore,
+    Opcode.ARRAYLEN: _Analysis._arraylen,
+    Opcode.CALL: _Analysis._call,
+    Opcode.SYS: _Analysis._sys,
+    Opcode.RETURN: _Analysis._return,
+    Opcode.IRETURN: _Analysis._ireturn,
+    **{opcode: _Analysis._arith for opcode in _ARITH_BINARY},
+    **{opcode: _Analysis._branch for opcode in BRANCHES},
+}
+assert set(_TRANSFER) == set(Opcode), "every opcode needs a handler"
 
 
 def analyze_method(

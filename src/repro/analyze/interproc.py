@@ -596,6 +596,7 @@ def analyze_interproc(
     }
 
     # Resolve every call site.
+    class_names = set(program.class_names)
     call_sites: List[ResolvedCallSite] = []
     for method_id in call_graph.methods:
         caller_reachable = method_id in reachable
@@ -603,8 +604,7 @@ def analyze_interproc(
         for edge in call_graph.calls_from(method_id):
             feasible = caller_reachable and site_feasible(edge)
             torn = (
-                not edge.internal
-                and program.has_class(edge.callee.class_name)
+                not edge.internal and edge.callee.class_name in class_names
             )
             call_sites.append(
                 ResolvedCallSite(

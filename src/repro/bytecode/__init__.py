@@ -17,10 +17,13 @@ from .instructions import (
     offsets_of,
 )
 from .opcodes import (
+    BRANCHES,
     COMPARE_BRANCHES,
     CONDITIONAL_BRANCHES,
     MNEMONICS,
+    OPCODE_SIZES,
     OPCODE_TABLE,
+    RETURNS,
     Opcode,
     OpcodeInfo,
     OperandKind,
@@ -40,10 +43,13 @@ __all__ = [
     "code_size",
     "instruction_size",
     "offsets_of",
+    "BRANCHES",
     "COMPARE_BRANCHES",
     "CONDITIONAL_BRANCHES",
     "MNEMONICS",
+    "OPCODE_SIZES",
     "OPCODE_TABLE",
+    "RETURNS",
     "Opcode",
     "OpcodeInfo",
     "OperandKind",

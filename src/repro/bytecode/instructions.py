@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
 from ..errors import BytecodeError
-from .opcodes import OPCODE_TABLE, Opcode, OperandKind
+from .opcodes import OPCODE_SIZES, OPCODE_TABLE, Opcode, OperandKind
 
 __all__ = ["Instruction", "SysCall", "instruction_size", "code_size"]
 
@@ -37,10 +37,6 @@ class SysCall:
         BLACKHOLE: (1, 0),
     }
 
-
-#: Encoded size of every opcode, computed once: sizes are summed over
-#: every instruction whenever a class is laid out.
-_SIZES = {opcode: info.size for opcode, info in OPCODE_TABLE.items()}
 
 _OPERAND_RANGES = {
     OperandKind.U1: (0, 0xFF),
@@ -86,7 +82,7 @@ class Instruction:
     @property
     def size(self) -> int:
         """Encoded size in bytes."""
-        return _SIZES[self.opcode]
+        return OPCODE_SIZES[self.opcode]
 
     @property
     def mnemonic(self) -> str:
@@ -120,12 +116,13 @@ class Instruction:
 
 def instruction_size(opcode: Opcode) -> int:
     """Encoded size in bytes of any instruction with ``opcode``."""
-    return _SIZES[opcode]
+    return OPCODE_SIZES[opcode]
 
 
 def code_size(instructions: Iterable[Instruction]) -> int:
     """Total encoded size in bytes of an instruction sequence."""
-    return sum(_SIZES[instruction.opcode] for instruction in instructions)
+    sizes = OPCODE_SIZES
+    return sum(sizes[instruction.opcode] for instruction in instructions)
 
 
 def offsets_of(instructions: List[Instruction]) -> List[int]:

@@ -33,6 +33,9 @@ __all__ = [
     "OpcodeInfo",
     "OPCODE_TABLE",
     "MNEMONICS",
+    "OPCODE_SIZES",
+    "BRANCHES",
+    "RETURNS",
     "CONDITIONAL_BRANCHES",
     "COMPARE_BRANCHES",
     "operand_size",
@@ -205,6 +208,24 @@ OPCODE_TABLE: Dict[Opcode, OpcodeInfo] = {
 MNEMONICS: Dict[str, Opcode] = {
     info.mnemonic: opcode for opcode, info in OPCODE_TABLE.items()
 }
+
+#: Encoded size in bytes of each opcode's instructions.
+OPCODE_SIZES: Dict[Opcode, int] = {
+    opcode: info.size for opcode, info in OPCODE_TABLE.items()
+}
+
+# The flag sets below answer per-instruction questions in one C-level
+# membership test, so the CFG builders never read ``Instruction.info``.
+
+#: Opcodes with an ``s2`` branch target: the conditionals and ``goto``.
+BRANCHES = frozenset(
+    opcode for opcode, info in OPCODE_TABLE.items() if info.is_branch
+)
+
+#: ``return`` and ``ireturn``.
+RETURNS = frozenset(
+    opcode for opcode, info in OPCODE_TABLE.items() if info.is_return
+)
 
 CONDITIONAL_BRANCHES = frozenset(
     opcode for opcode, info in OPCODE_TABLE.items() if info.is_conditional

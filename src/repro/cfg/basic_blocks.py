@@ -4,17 +4,24 @@ Leaders are the first instruction, every branch target, and every
 instruction following a branch or a return.  ``CALL`` does *not* end a
 block — call sites are recorded inside the block, matching the paper's
 traversal, which scans the blocks of a procedure for calls in order.
+
+Flags and sizes come from the per-opcode tables of
+:mod:`repro.bytecode.opcodes`, so partitioning reads no
+:attr:`~repro.bytecode.Instruction.info`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from ..bytecode import Instruction, Opcode, offsets_of
+from ..bytecode import BRANCHES, OPCODE_SIZES, RETURNS, Instruction, Opcode
 from ..errors import CFGError
 
 __all__ = ["CallSite", "BasicBlock", "partition_blocks"]
+
+#: Opcodes after which a new block starts.
+_ENDS_BLOCK = BRANCHES | RETURNS
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,8 @@ class BasicBlock:
     Attributes:
         block_id: Dense index, 0 for the entry block.
         start_offset: Byte offset of the first instruction.
+        end_offset: Byte offset one past the final instruction, as the
+            partition found it.
         instructions: The block's instructions.
         instruction_indexes: Their indexes in the method's code.
         call_sites: CALL sites in block order.
@@ -44,13 +53,14 @@ class BasicBlock:
 
     block_id: int
     start_offset: int
-    instructions: List[Instruction] = field(default_factory=list)
-    instruction_indexes: List[int] = field(default_factory=list)
-    call_sites: List[CallSite] = field(default_factory=list)
+    end_offset: int
+    instructions: List[Instruction]
+    instruction_indexes: List[int]
+    call_sites: List[CallSite]
 
     @property
     def size_bytes(self) -> int:
-        return sum(instruction.size for instruction in self.instructions)
+        return self.end_offset - self.start_offset
 
     @property
     def last(self) -> Instruction:
@@ -59,14 +69,9 @@ class BasicBlock:
         return self.instructions[-1]
 
     @property
-    def end_offset(self) -> int:
-        """Offset one past the final instruction."""
-        return self.start_offset + self.size_bytes
-
-    @property
     def terminates(self) -> bool:
         """True when the block ends in a return."""
-        return self.last.info.is_return
+        return self.last.opcode in RETURNS
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -86,48 +91,60 @@ def partition_blocks(
     """
     if not instructions:
         raise CFGError("cannot partition empty code")
-    offsets = offsets_of(instructions)
-    offset_set = set(offsets)
-    end = offsets[-1] + instructions[-1].size
-
+    sizes = OPCODE_SIZES
+    count = len(instructions)
+    # offsets[i] is instruction i's offset; offsets[count] is the end.
+    offsets: List[int] = []
     leaders = {0}
-    for instruction, offset in zip(instructions, offsets):
-        if instruction.info.is_branch:
-            target = instruction.branch_target(offset)
-            if target not in offset_set:
+    branches: List[Tuple[int, int]] = []  # (offset, target offset)
+    calls: List[int] = []
+    position = 0
+    for index, instruction in enumerate(instructions):
+        opcode = instruction.opcode
+        offsets.append(position)
+        if opcode in _ENDS_BLOCK:
+            if opcode in BRANCHES:
+                branches.append((position, position + instruction.operands[0]))
+            leaders.add(index + 1)
+        elif opcode == Opcode.CALL:
+            calls.append(index)
+        position += sizes[opcode]
+    offsets.append(position)
+    leaders.discard(count)
+
+    if branches:
+        index_at = dict(zip(offsets, range(count)))
+        for offset, target in branches:
+            leader = index_at.get(target)
+            if leader is None:
                 raise CFGError(
                     f"branch at offset {offset} targets {target}, which "
                     "is not an instruction boundary"
                 )
-            leaders.add(target)
-            next_offset = offset + instruction.size
-            if next_offset < end:
-                leaders.add(next_offset)
-        elif instruction.info.is_return:
-            next_offset = offset + instruction.size
-            if next_offset < end:
-                leaders.add(next_offset)
+            leaders.add(leader)
 
+    starts = sorted(leaders)
+    stops = starts[1:]
+    stops.append(count)
     blocks: List[BasicBlock] = []
     offset_to_block: Dict[int, int] = {}
-    current: Optional[BasicBlock] = None
-    for index, (instruction, offset) in enumerate(
-        zip(instructions, offsets)
-    ):
-        if offset in leaders:
-            current = BasicBlock(
-                block_id=len(blocks), start_offset=offset
+    pending_call = 0
+    for block_id, (start, stop) in enumerate(zip(starts, stops)):
+        call_sites = []
+        while pending_call < len(calls) and calls[pending_call] < stop:
+            call = calls[pending_call]
+            call_sites.append(CallSite(call, instructions[call].operands[0]))
+            pending_call += 1
+        start_offset = offsets[start]
+        blocks.append(
+            BasicBlock(
+                block_id,
+                start_offset,
+                offsets[stop],
+                instructions[start:stop],
+                list(range(start, stop)),
+                call_sites,
             )
-            blocks.append(current)
-            offset_to_block[offset] = current.block_id
-        assert current is not None
-        current.instructions.append(instruction)
-        current.instruction_indexes.append(index)
-        if instruction.opcode == Opcode.CALL:
-            current.call_sites.append(
-                CallSite(
-                    instruction_index=index,
-                    pool_index=instruction.operand,
-                )
-            )
+        )
+        offset_to_block[start_offset] = block_id
     return blocks, offset_to_block

@@ -128,6 +128,9 @@ def build_call_graph(program: Program, facts: ProgramFacts) -> CallGraph:
     """
     edges: List[CallEdge] = []
     methods: List[MethodId] = []
+    # One index per call: Program.has_method would scan every class for
+    # each call site.
+    defined = set(program.method_ids())
     for classfile in program.classes:
         pool = classfile.constant_pool
         for method in classfile.methods:
@@ -146,7 +149,7 @@ def build_call_graph(program: Program, facts: ProgramFacts) -> CallGraph:
                             callee=callee,
                             block_id=block.block_id,
                             instruction_index=call_site.instruction_index,
-                            internal=program.has_method(callee),
+                            internal=callee in defined,
                         )
                     )
     return CallGraph(program, edges, methods)

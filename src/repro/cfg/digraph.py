@@ -14,7 +14,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Set, Tuple, TypeVar
 
 __all__ = [
-    "reverse_postorder", "dominator_tree", "dominates",
+    "reverse_postorder", "dominator_tree", "dominators_in_order", "dominates",
     "strongly_connected_components", "shortest_paths",
 ]
 
@@ -49,6 +49,18 @@ def dominator_tree(
     The entry maps to ``None``; nodes unreachable from it are absent.
     """
     order = reverse_postorder(entry, successors)
+    return dominators_in_order(order, successors)
+
+
+def dominators_in_order(
+    order: Sequence[Node], successors: Mapping[Node, Sequence[Node]]
+) -> Dict[Node, Optional[Node]]:
+    """:func:`dominator_tree` of ``order[0]``, given its reverse postorder.
+
+    ``order`` must be ``reverse_postorder(order[0], successors)``; a
+    caller that already holds it (a CFG keeps its own) skips the walk.
+    """
+    entry = order[0]
     position = {node: index for index, node in enumerate(order)}
     predecessors: Dict[Node, List[Node]] = {node: [] for node in order}
     for node in order:

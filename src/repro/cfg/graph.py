@@ -10,10 +10,16 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..bytecode import Instruction
+from ..bytecode import (
+    BRANCHES,
+    CONDITIONAL_BRANCHES,
+    OPCODE_SIZES,
+    RETURNS,
+    Instruction,
+)
 from ..errors import CFGError
 from .basic_blocks import BasicBlock, partition_blocks
-from .digraph import dominator_tree, reverse_postorder
+from .digraph import dominators_in_order, reverse_postorder
 
 __all__ = [
     "EdgeKind", "Edge", "ControlFlowGraph", "build_cfg", "immediate_dominators"
@@ -53,6 +59,14 @@ class ControlFlowGraph:
         for edge in edges:
             self._successors[edge.source].append(edge)
             self._predecessors[edge.target].append(edge)
+        # Block ids reachable from the entry, in reverse postorder: the
+        # dominators, the dataflow worklist and the frequency sweep all
+        # walk this one order.
+        self._order: List[int] = (
+            reverse_postorder(blocks[0].block_id, self.successor_map())
+            if blocks
+            else []
+        )
 
     @property
     def entry(self) -> BasicBlock:
@@ -84,7 +98,7 @@ class ControlFlowGraph:
 
     def reverse_postorder(self) -> List[int]:
         """Block ids in reverse postorder from the entry."""
-        return reverse_postorder(self.entry.block_id, self.successor_map())
+        return list(self._order)
 
     @property
     def instruction_count(self) -> int:
@@ -101,44 +115,39 @@ def build_cfg(instructions: List[Instruction]) -> ControlFlowGraph:
     block_count = len(blocks)
     edges: List[Edge] = []
     for block in blocks:
-        last = block.last
-        last_offset = block.end_offset - last.size
-        if last.info.is_return:
+        last = block.instructions[-1]
+        opcode = last.opcode
+        if opcode in RETURNS:
             continue
-        if last.info.is_branch:
-            target_offset = last.branch_target(last_offset)
+        block_id = block.block_id
+        if opcode in BRANCHES:
+            target_offset = (
+                block.end_offset - OPCODE_SIZES[opcode] + last.operands[0]
+            )
             target = offset_to_block.get(target_offset)
             if target is None:
                 raise CFGError(
                     f"branch target offset {target_offset} is not a "
                     "block leader"
                 )
-            edges.append(Edge(block.block_id, target, EdgeKind.TAKEN))
-            if last.info.is_conditional:
-                if block.block_id + 1 >= block_count:
+            edges.append(Edge(block_id, target, EdgeKind.TAKEN))
+            if opcode in CONDITIONAL_BRANCHES:
+                if block_id + 1 >= block_count:
                     raise CFGError(
                         "conditional branch falls off the end of the code"
                     )
                 edges.append(
-                    Edge(
-                        block.block_id,
-                        block.block_id + 1,
-                        EdgeKind.FALLTHROUGH,
-                    )
+                    Edge(block_id, block_id + 1, EdgeKind.FALLTHROUGH)
                 )
         else:
-            if block.block_id + 1 >= block_count:
+            if block_id + 1 >= block_count:
                 raise CFGError("control falls off the end of the code")
             edges.append(
-                Edge(
-                    block.block_id,
-                    block.block_id + 1,
-                    EdgeKind.FALLTHROUGH,
-                )
+                Edge(block_id, block_id + 1, EdgeKind.FALLTHROUGH)
             )
     return ControlFlowGraph(blocks, edges)
 
 
 def immediate_dominators(cfg: ControlFlowGraph) -> Dict[int, Optional[int]]:
     """Block id → immediate dominator; entry → ``None``, unreachable absent."""
-    return dominator_tree(cfg.entry.block_id, cfg.successor_map())
+    return dominators_in_order(cfg._order, cfg.successor_map())

@@ -10,12 +10,18 @@ used as the path priority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Collection, Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from .digraph import dominates, strongly_connected_components
 from .graph import ControlFlowGraph, Edge, immediate_dominators
 
 __all__ = ["NaturalLoop", "LoopAnalysis", "analyze_loops"]
+
+_NO_LOOPS: FrozenSet[int] = frozenset()
+#: The per-block loop indexes of a loop-free CFG: one shared read-only
+#: mapping instead of two empty dicts per method.
+_NO_BLOCKS: Mapping[int, Any] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,14 @@ class LoopAnalysis:
             edges — the paper's "number of static loops" path priority.
         forward_instruction_count: Static instructions reachable along
             forward edges (tie-breaker).
+        containing_headers: For each block inside some loop, the
+            headers of every loop whose body holds it (blocks with the
+            same loops share one frozenset).
+        innermost_header: For each block inside some loop, the header
+            of the smallest such loop (the first in ``loops`` order
+            among equal sizes).
+
+    Both indexes are read-only, and empty for a loop-free CFG.
     """
 
     loops: List[NaturalLoop]
@@ -58,16 +72,20 @@ class LoopAnalysis:
     loop_depth: Dict[int, int]
     forward_loop_count: Dict[int, int]
     forward_instruction_count: Dict[int, int]
+    containing_headers: Mapping[int, FrozenSet[int]]
+    innermost_header: Mapping[int, int]
 
     def is_back_edge(self, source: int, target: int) -> bool:
         return (source, target) in self.back_edges
 
     def is_loop_exit_edge(self, edge: Edge) -> bool:
         """True when the edge leaves a loop containing its source."""
-        for loop in self.loops:
-            if edge.source in loop and edge.target not in loop:
-                return True
-        return False
+        source_loops = self.containing_headers.get(edge.source)
+        if source_loops is None:
+            return False
+        return not source_loops <= self.containing_headers.get(
+            edge.target, _NO_LOOPS
+        )
 
 
 def _natural_loop_body(
@@ -114,25 +132,26 @@ def analyze_loops(cfg: ControlFlowGraph) -> LoopAnalysis:
     ]
 
     loop_depth = {block.block_id: 0 for block in cfg.blocks}
+    containing: Dict[int, Set[int]] = {}
+    innermost: Dict[int, int] = {}
+    innermost_size: Dict[int, int] = {}
     for loop in loops:
+        size = len(loop.body)
         for block_id in loop.body:
             loop_depth[block_id] += 1
+            containing.setdefault(block_id, set()).add(loop.header)
+            if size < innermost_size.get(block_id, size + 1):
+                innermost_size[block_id] = size
+                innermost[block_id] = loop.header
 
     # Dominance-based back-edge removal only breaks reducible cycles,
     # so irreducible regions and unreachable cycles survive in the
-    # forward graph; both sweeps run over its SCC condensation.
+    # forward graph; the sweep runs over its SCC condensation.
     forward = _forward_edges(cfg, back_edges)
-    components = strongly_connected_components(forward)
-    forward_headers = _forward_reachability(
-        forward, components, {header: {header} for header in bodies}
-    )
-    loop_counts = {
-        block_id: len(headers)
-        for block_id, headers in forward_headers.items()
-    }
-    forward_instructions = _forward_sum(
+    loop_counts, forward_instructions = _forward_sweep(
         forward,
-        components,
+        strongly_connected_components(forward),
+        bodies,
         {block.block_id: len(block) for block in cfg.blocks},
     )
 
@@ -143,7 +162,27 @@ def analyze_loops(cfg: ControlFlowGraph) -> LoopAnalysis:
         loop_depth=loop_depth,
         forward_loop_count=loop_counts,
         forward_instruction_count=forward_instructions,
+        containing_headers=_shared_header_sets(containing),
+        innermost_header=innermost if innermost else _NO_BLOCKS,
     )
+
+
+def _shared_header_sets(
+    containing: Dict[int, Set[int]]
+) -> Mapping[int, FrozenSet[int]]:
+    """``containing`` with frozen values, one object per distinct set.
+
+    The blocks of one loop body mostly share their set of loops, so
+    sharing the frozensets keeps the index small.
+    """
+    if not containing:
+        return _NO_BLOCKS
+    shared: Dict[FrozenSet[int], FrozenSet[int]] = {}
+    index: Dict[int, FrozenSet[int]] = {}
+    for block_id, headers in containing.items():
+        frozen = frozenset(headers)
+        index[block_id] = shared.setdefault(frozen, frozen)
+    return index
 
 
 def _forward_edges(
@@ -158,56 +197,50 @@ def _forward_edges(
     return successors
 
 
-def _forward_reachability(
+def _forward_sweep(
     forward: Dict[int, List[int]],
     components: List[List[int]],
-    seed: Dict[int, Set[int]],
-) -> Dict[int, Set[int]]:
-    """Per-block union of ``seed`` over everything forward-reachable.
+    headers: Collection[int],
+    sizes: Dict[int, int],
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per block: loop headers and heaviest instruction path ahead.
 
-    Sweeps the SCC condensation in reverse topological order, so the
-    result is exact even when the forward graph retains cycles
-    (irreducible regions, unreachable cycles): every member of a
-    component reaches every other, so all members share the union of
-    the component's seeds plus everything its exits reach.
+    One pass over the SCC condensation in reverse topological order
+    gives both of the estimator's path priorities, exactly even when
+    the forward graph retains cycles (irreducible regions, unreachable
+    cycles):
+
+    * the number of distinct ``headers`` forward-reachable from the
+      block — every member of a component reaches every other, so all
+      members share the component's headers plus everything its exits
+      reach;
+    * the max-over-paths sum of ``sizes`` — "static instructions for
+      each path of the graph", the tie-breaker.  A non-trivial SCC
+      (irreducible residue the dominance-based back-edge filter could
+      not break) counts the whole component once plus its heaviest
+      exit path, matching how the reducible case charges a loop body
+      once per static walk.
     """
-    result: Dict[int, Set[int]] = {}
+    reached: Dict[int, Set[int]] = {}
+    heaviest: Dict[int, int] = {}
     for component in components:
         members = set(component)
-        value: Set[int] = set()
-        for block_id in component:
-            value = value.union(seed.get(block_id, set()))
-            for successor in forward[block_id]:
-                if successor not in members:
-                    value = value.union(result[successor])
-        for block_id in component:
-            result[block_id] = value
-    return result
-
-
-def _forward_sum(
-    forward: Dict[int, List[int]],
-    components: List[List[int]],
-    seed: Dict[int, int],
-) -> Dict[int, int]:
-    """Max-over-paths sum of ``seed`` along the forward graph.
-
-    Used as the estimator's tie-breaker: "static instructions for each
-    path of the graph" — we take the heaviest path from each block.
-    Non-trivial SCCs (irreducible residue the dominance-based back-edge
-    filter could not break) are condensed: each member counts the whole
-    component once plus the heaviest exit path, matching how the
-    reducible case charges a loop body once per static walk.
-    """
-    result: Dict[int, int] = {}
-    for component in components:
-        members = set(component)
-        internal = sum(seed.get(block_id, 0) for block_id in component)
+        ahead: Set[int] = set()
+        internal = 0
         best_exit = 0
         for block_id in component:
+            if block_id in headers:
+                ahead.add(block_id)
+            internal += sizes[block_id]
             for successor in forward[block_id]:
                 if successor not in members:
-                    best_exit = max(best_exit, result[successor])
+                    ahead |= reached[successor]
+                    if heaviest[successor] > best_exit:
+                        best_exit = heaviest[successor]
         for block_id in component:
-            result[block_id] = internal + best_exit
-    return result
+            reached[block_id] = ahead
+            heaviest[block_id] = internal + best_exit
+    return (
+        {block_id: len(ahead) for block_id, ahead in reached.items()},
+        heaviest,
+    )

@@ -21,16 +21,20 @@ stores ``len(pool) + 1``).
 from __future__ import annotations
 
 import enum
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import (
+    Callable,
     ClassVar,
     Dict,
+    Hashable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -241,12 +245,44 @@ _ENTRY_CLASSES = {
 }
 
 
+#: The IEEE-754 image the serializer writes for a Float (binary32) or
+#: a Double (binary64).  Equal floats can differ on the wire (0.0 and
+#: -0.0) and unequal ones can share it (two doubles that round to one
+#: binary32), so the pool interns these entries by that image.
+_FLOAT_IMAGES: Dict[Type[ConstantEntry], Callable[[float], bytes]] = {
+    FloatEntry: struct.Struct(">f").pack,
+    DoubleEntry: struct.Struct(">d").pack,
+}
+
+
+def _intern_key(entry: ConstantEntry) -> Hashable:
+    """The key under which the pool interns a non-Utf8 ``entry``.
+
+    Raises:
+        ConstantPoolError: If a Float's value is too large for binary32.
+    """
+    image = _FLOAT_IMAGES.get(type(entry))
+    if image is None:
+        return entry
+    value = entry.value  # type: ignore[attr-defined]
+    try:
+        return (entry.tag, image(value))
+    except OverflowError as exc:
+        raise ConstantPoolError(
+            f"{type(entry).__name__} {value!r} does not fit its "
+            f"{entry.size - 1}-byte wire format"
+        ) from exc
+
+
 class ConstantPool:
     """An interning, 1-indexed pool of :class:`ConstantEntry` objects.
 
     ``add_*`` helpers intern their argument: adding the same logical
     constant twice returns the original index, exactly as ``javac``
-    behaves, which keeps the global-data size model honest.
+    behaves, which keeps the global-data size model honest.  A Float
+    or Double is the same constant as another when the serializer
+    writes the same bytes for both: 0.0 and -0.0 take two entries, and
+    two values that round to one binary32 take one.
 
     The pool is append-only, and :meth:`add` is its only mutator.  It
     keeps the pool's byte total as entries arrive, so :attr:`size` is
@@ -259,8 +295,9 @@ class ConstantPool:
     def __init__(self) -> None:
         self._entries: List[ConstantEntry] = []
         # Each entry has one index slot: Utf8 entries under their
-        # string in ``_utf8``, every other entry under itself.
-        self._index: Dict[ConstantEntry, int] = {}
+        # string in ``_utf8``, Floats and Doubles under their wire
+        # image, every other entry under itself.
+        self._index: Dict[Hashable, int] = {}
         self._utf8: Dict[str, int] = {}
         # Unsigned 32-bit items: a Utf8 entry reaches 3 + MAX_UTF8_BYTES.
         self._sizes = array("I")
@@ -295,7 +332,7 @@ class ConstantPool:
         if isinstance(entry, Utf8Entry):
             self._utf8[entry.value] = index
         else:
-            self._index[entry] = index
+            self._index[_intern_key(entry)] = index
         size = entry.size
         self._sizes.append(size)
         self._entry_bytes += size
@@ -315,13 +352,22 @@ class ConstantPool:
         return self._entries[index - 1]
 
     def get_typed(self, index: int, entry_type: type) -> ConstantEntry:
-        entry = self.get(index)
-        if not isinstance(entry, entry_type):
-            raise ConstantPoolError(
-                f"constant pool index {index} holds "
-                f"{type(entry).__name__}, expected {entry_type.__name__}"
-            )
-        return entry
+        """Fetch the entry at ``index``, checked to be an ``entry_type``.
+
+        Raises:
+            ConstantPoolError: If the index is out of range or holds
+                another type.
+        """
+        entries = self._entries
+        if 0 < index <= len(entries):
+            entry = entries[index - 1]
+            if isinstance(entry, entry_type):
+                return entry
+        entry = self.get(index)  # raises when out of range
+        raise ConstantPoolError(
+            f"constant pool index {index} holds "
+            f"{type(entry).__name__}, expected {entry_type.__name__}"
+        )
 
     # -- convenience constructors -------------------------------------
 
@@ -405,13 +451,16 @@ class ConstantPool:
                 f"constant pool index {index} holds "
                 f"{type(entry).__name__}, expected a member reference"
             )
-        name_and_type = self.get_typed(
-            entry.name_and_type_index, NameAndTypeEntry
-        )
+        # The same checks, in the same order, as resolving the
+        # NameAndType, then class_name(), then utf8() of the name and
+        # of the descriptor; each lookup is one get_typed call.
+        get_typed = self.get_typed
+        name_and_type = get_typed(entry.name_and_type_index, NameAndTypeEntry)
+        class_entry = get_typed(entry.class_index, ClassEntry)
         return (
-            self.class_name(entry.class_index),
-            self.utf8(name_and_type.name_index),
-            self.utf8(name_and_type.descriptor_index),
+            get_typed(class_entry.name_index, Utf8Entry).value,
+            get_typed(name_and_type.name_index, Utf8Entry).value,
+            get_typed(name_and_type.descriptor_index, Utf8Entry).value,
         )
 
     def constant_value(self, index: int) -> Union[int, float, str]:
@@ -455,10 +504,15 @@ class ConstantPool:
         return breakdown
 
     def find(self, entry: ConstantEntry) -> Optional[int]:
-        """Index of an existing entry equal to ``entry``, or None."""
+        """Index of an existing entry that interns as ``entry``, or None.
+
+        Raises:
+            ConstantPoolError: If ``entry`` is a Float too large for
+                binary32.
+        """
         if isinstance(entry, Utf8Entry):
             return self._utf8.get(entry.value)
-        return self._index.get(entry)
+        return self._index.get(_intern_key(entry))
 
     def find_utf8(self, value: str) -> Optional[int]:
         """Index of an existing Utf8 entry, or None."""

@@ -134,7 +134,13 @@ def laid_out_entries(
     in ``measured`` are marked as not estimated.
     """
     entries: List[FirstUseEntry] = []
+    # One index per call: Program.method would scan every class for
+    # each method.
+    methods_by_id = dict(program.methods())
     for method_id in methods:
+        method = methods_by_id.get(method_id)
+        if method is None:
+            method = program.method(method_id)  # raises the lookup error
         entries.append(
             FirstUseEntry(
                 method=method_id,
@@ -142,7 +148,7 @@ def laid_out_entries(
                 estimated=method_id not in measured,
             )
         )
-        bytes_before += program.method(method_id).size
+        bytes_before += method.size
     return entries
 
 

@@ -24,7 +24,7 @@ procedures "during placement using the static approach").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..cfg import (
     CallGraph,
@@ -71,17 +71,6 @@ class _MethodTraversal:
         self._deferred: List[Tuple[int, int]] = []
         self._run()
 
-    def _innermost_loop_header(self, block_id: int) -> Optional[int]:
-        """Header of the smallest loop containing ``block_id``."""
-        best = None
-        best_size = None
-        for loop in self.analysis.loops:
-            if block_id in loop:
-                if best_size is None or len(loop.body) < best_size:
-                    best = loop.header
-                    best_size = len(loop.body)
-        return best
-
     def _run(self) -> None:
         self._dfs(self.cfg.entry.block_id)
         # Pop place-holders: continue on loop-exit edges only after the
@@ -107,7 +96,7 @@ class _MethodTraversal:
                 if self.loop_priority and self.analysis.is_loop_exit_edge(
                     edge
                 ):
-                    header = self._innermost_loop_header(edge.source)
+                    header = self.analysis.innermost_header.get(edge.source)
                     if header is not None:
                         self._deferred.append((edge.target, header))
                         continue

@@ -99,6 +99,16 @@ def _affinity_graph(
     return affinity
 
 
+def _side_weight(
+    node: MethodId,
+    side: List[MethodId],
+    affinity: Dict[MethodId, Dict[MethodId, float]],
+) -> float:
+    """Total affinity between ``node`` and the methods of ``side``."""
+    edges = affinity.get(node, {})
+    return sum(edges.get(other, 0.0) for other in side)
+
+
 def _affinity_order(
     nodes: Sequence[MethodId],
     affinity: Dict[MethodId, Dict[MethodId, float]],
@@ -107,7 +117,9 @@ def _affinity_order(
 
     A lightweight Kernighan–Lin refinement swaps the best cross-half
     pair while it improves the cut, then each half recurses.  Input
-    order is the deterministic tie-break.
+    order is the deterministic tie-break.  A method's gain from moving
+    depends only on the two halves, so each sweep computes it once per
+    method and then scores every pair: O(n²) per sweep.
     """
     nodes = list(nodes)
     if len(nodes) <= _BISECT_LEAF:
@@ -115,20 +127,20 @@ def _affinity_order(
     mid = (len(nodes) + 1) // 2
     left, right = nodes[:mid], nodes[mid:]
 
-    def side_weight(node: MethodId, side: List[MethodId]) -> float:
-        edges = affinity.get(node, {})
-        return sum(edges.get(other, 0.0) for other in side)
-
     for _ in range(_BISECT_SWEEPS):
+        gains_b = [
+            _side_weight(b, left, affinity) - _side_weight(b, right, affinity)
+            for b in right
+        ]
         best_gain = 0.0
         best_pair: Optional[Tuple[int, int]] = None
         for i, a in enumerate(left):
-            gain_a = side_weight(a, right) - side_weight(a, left)
+            gain_a = _side_weight(a, right, affinity) - _side_weight(
+                a, left, affinity
+            )
+            edges_a = affinity.get(a, {})
             for j, b in enumerate(right):
-                gain_b = side_weight(b, left) - side_weight(b, right)
-                pair_gain = (
-                    gain_a + gain_b - 2.0 * affinity.get(a, {}).get(b, 0.0)
-                )
+                pair_gain = gain_a + gains_b[j] - 2.0 * edges_a.get(b, 0.0)
                 if pair_gain > best_gain + 1e-12:
                     best_gain = pair_gain
                     best_pair = (i, j)
@@ -244,9 +256,7 @@ def weighted_first_use(
         classfile.name: class_layout(classfile).global_bytes
         for classfile in program.classes
     }
-    sizes = {
-        method_id: program.method(method_id).size for method_id in file_rank
-    }
+    sizes = {method_id: method.size for method_id, method in program.methods()}
     candidate_layout = (
         anchored + [m for _, _, m in placed] + tail + dead
     )

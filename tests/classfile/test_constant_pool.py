@@ -1,11 +1,15 @@
 """Constant pool interning, resolution, and size accounting."""
 
+import math
+import struct
+
 import pytest
 
 from repro.classfile import (
     ClassFileBuilder,
     ConstantPool,
     ConstantTag,
+    FloatEntry,
     IntegerEntry,
     MethodRefEntry,
     Utf8Entry,
@@ -181,3 +185,71 @@ def test_pool_past_the_u2_count_is_a_pool_error():
     assert len(pool) == MAX_POOL_ENTRIES == 65_534
     assert pool.size == size
     assert pool.find_utf8("new") is None
+
+
+# -- Floats and Doubles intern by the bytes the serializer writes -------
+
+
+@pytest.mark.parametrize("add", ["add_float", "add_double"])
+def test_signed_zeros_are_two_constants(add):
+    """0.0 == -0.0, but the wire writes them apart: interning by value
+    handed back the 0.0 entry for -0.0 and lost the sign."""
+    pool = ConstantPool()
+    positive = getattr(pool, add)(0.0)
+    negative = getattr(pool, add)(-0.0)
+    assert positive != negative
+    assert math.copysign(1.0, pool.constant_value(positive)) == 1.0
+    assert math.copysign(1.0, pool.constant_value(negative)) == -1.0
+    assert getattr(pool, add)(-0.0) == negative
+    assert len(pool) == 2
+
+
+def test_floats_equal_in_binary32_are_one_constant():
+    """Two doubles that round to one binary32 take one Float entry, so
+    the image never holds the same four bytes twice."""
+    builder = ClassFileBuilder("F")
+    pool = builder.constant_pool
+    first = pool.add_float(0.1)
+    assert pool.add_float(0.1000000001) == first
+    assert pool.find(FloatEntry(0.1000000001)) == first
+    classfile = builder.build()
+    recovered = deserialize(serialize(classfile)).constant_pool
+    assert len(recovered) == len(pool)
+    assert recovered.constant_value(first) == struct.unpack(
+        ">f", struct.pack(">f", 0.1)
+    )[0]
+
+
+def test_doubles_are_not_rounded_to_binary32():
+    pool = ConstantPool()
+    assert pool.add_double(0.1) != pool.add_double(0.1000000001)
+
+
+def test_a_float_beyond_binary32_is_a_pool_error():
+    pool = ConstantPool()
+    with pytest.raises(ConstantPoolError, match="4-byte wire format"):
+        pool.add_float(1e39)
+    assert len(pool) == 0
+
+
+@pytest.mark.parametrize(
+    "tag, fmt",
+    [(ConstantTag.FLOAT, ">Bf"), (ConstantTag.DOUBLE, ">Bd")],
+    ids=["float", "double"],
+)
+def test_an_image_holding_both_zeros_reads_back(tag, fmt):
+    """The image is patched byte by byte, so it does not depend on how
+    the pool interns: a 2.0 entry becomes -0.0 next to a 0.0 entry."""
+    builder = ClassFileBuilder("Z")
+    pool = builder.constant_pool
+    add = pool.add_float if tag is ConstantTag.FLOAT else pool.add_double
+    positive, patched = add(0.0), add(2.0)
+    image = serialize(builder.build())
+    two = struct.pack(fmt, tag, 2.0)
+    assert image.count(two) == 1
+    recovered = deserialize(
+        image.replace(two, struct.pack(fmt, tag, -0.0))
+    ).constant_pool
+    assert len(recovered) == len(pool)
+    assert math.copysign(1.0, recovered.constant_value(positive)) == 1.0
+    assert math.copysign(1.0, recovered.constant_value(patched)) == -1.0
