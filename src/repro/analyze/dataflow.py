@@ -32,6 +32,7 @@ from ..bytecode import (
 )
 from ..classfile import (
     ClassFile,
+    ConstantEntry,
     FieldRefEntry,
     MethodDescriptor,
     MethodInfo,
@@ -39,7 +40,7 @@ from ..classfile import (
     parse_descriptor,
 )
 from ..cfg import ControlFlowGraph, MethodFacts, ProgramFacts
-from ..errors import ClassFileError
+from ..errors import ClassFileError, ConstantPoolError
 from ..program import MethodId, Program
 from .domain import AbstractState, ValType, compatible, merge_states
 
@@ -385,13 +386,27 @@ class _Analysis:
             stack[:-1], locals_[:slot] + stack[-1:] + locals_[slot + 1 :]
         )
 
+    def _pool_entry(
+        self, instruction: Instruction, index: int
+    ) -> Optional[ConstantEntry]:
+        """The pool entry an operand names, or ``None`` (reported) for
+        an index past either end of the pool."""
+        try:
+            return self.pool.get(instruction.operands[0])
+        except ConstantPoolError as error:
+            self.issue("operand", f"{self.where}: {error}", index)
+            return None
+
     def _field_descriptor(
         self, instruction: Instruction, index: int
     ) -> Optional[str]:
         """The descriptor of a GETSTATIC/PUTSTATIC's FieldRef, or
         ``None`` (reported) when the operand names none."""
         operand = instruction.operands[0]
-        if not isinstance(self.pool.get(operand), FieldRefEntry):
+        entry = self._pool_entry(instruction, index)
+        if entry is None:
+            return None
+        if not isinstance(entry, FieldRefEntry):
             self.issue(
                 "operand",
                 f"{self.where}: GETSTATIC/PUTSTATIC operand "
@@ -533,7 +548,9 @@ class _Analysis:
         self, instruction: Instruction, index: int, state: AbstractState
     ) -> Optional[AbstractState]:
         operand = instruction.operands[0]
-        entry = self.pool.get(operand)
+        entry = self._pool_entry(instruction, index)
+        if entry is None:
+            return None
         if not isinstance(entry, MethodRefEntry):
             self.issue(
                 "operand",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from ..errors import CFGError
+from ..errors import CFGError, ConstantPoolError
 from ..program import MethodId, Program
 from .facts import ProgramFacts
 
@@ -139,9 +139,12 @@ def build_call_graph(program: Program, facts: ProgramFacts) -> CallGraph:
             methods.append(caller)
             for block in cfg.blocks:
                 for call_site in block.call_sites:
-                    class_name, method_name, _ = pool.member_ref(
-                        call_site.pool_index
-                    )
+                    try:
+                        class_name, method_name, _ = pool.member_ref(
+                            call_site.pool_index
+                        )
+                    except ConstantPoolError as error:
+                        raise CFGError(f"{caller}: {error}") from error
                     callee = MethodId(class_name, method_name)
                     edges.append(
                         CallEdge(

@@ -21,11 +21,17 @@ loop over flat lists:
   single-grain policy's grain is already running, so there a stall
   only waits.
 
-:meth:`Simulator.run` sends a run here only when its controller issues
-stream grains on one link and no recorder is attached
+:meth:`Simulator.run` sends a run here whenever its controller issues
+stream grains on one link
 (:func:`~repro.core.simulation.resolve_engine`).  The core keeps every
 piece of per-run state locally and never mutates the controller, and it
-builds no scoreboard or issue engine.
+builds no scoreboard or issue engine.  A recorded run emits the
+reference loop's event stream, in the same order and through the same
+payload code: ``unit_issued`` and ``schedule_decision`` where a grain is
+requested or promoted, ``link_busy`` where a stream's last unit lands,
+the stall, first-invocation and arrival events through the shared
+:class:`~repro.core.simulation.RunObserver`.  Recorder checks stay out
+of the per-step delivery loop.
 
 Fidelity contract: the core performs *bit-for-bit the same float
 operations in the same order* as the reference loop, so
@@ -47,10 +53,11 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import TransferError
 from ..program import MethodId
+from ..sched.engine import link_label, record_busy, record_issue
 from ..sched.scoreboard import WATERMARK_SLOP
+from ..sched.striped import record_demand
 from ..transfer.units import TransferUnit
-from .metrics import InvocationLatencyReport
-from .simulation import SimulationResult, StallEvent
+from .simulation import RunObserver, SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sched import StreamGrain, StripedController
@@ -80,20 +87,17 @@ class CompiledTrace:
         first_use: Aligned with ``costs``; ``None`` for repeat
             segments, ``(method, required_unit)`` on each method's
             first segment — the only segments that can stall.
-        total_cost_basis: ``trace.total_instructions`` (int, exact).
     """
 
-    __slots__ = ("costs", "first_use", "total_cost_basis")
+    __slots__ = ("costs", "first_use")
 
     def __init__(
         self,
         costs: List[float],
         first_use: List[Optional[Tuple[MethodId, TransferUnit]]],
-        total_cost_basis: int,
     ) -> None:
         self.costs = costs
         self.first_use = first_use
-        self.total_cost_basis = total_cost_basis
 
 
 def compile_trace(
@@ -119,24 +123,35 @@ def compile_trace(
         if method not in seen:
             seen.add(method)
             first_use[index] = (method, required_unit(method))
-    return CompiledTrace(costs, first_use, trace.total_instructions)
+    return CompiledTrace(costs, first_use)
 
 
 class _FastStream:
     """One requested grain: a flat mirror of
     :class:`repro.transfer.streams.Stream`."""
 
-    __slots__ = ("units", "count", "index", "remaining", "delivered", "started")
+    __slots__ = (
+        "label",
+        "units",
+        "count",
+        "index",
+        "remaining",
+        "delivered",
+        "started",
+        "issued_at",
+    )
 
-    def __init__(self, grain: "StreamGrain") -> None:
+    def __init__(self, grain: "StreamGrain", issued_at: float) -> None:
         if not grain.units:
             raise TransferError(f"stream {grain.label!r} has no units")
+        self.label = grain.label
         self.units = grain.units
         self.count = len(grain.units)
         self.index = 0  # the unit on the wire
         self.remaining = float(grain.units[0].size)  # of that unit
         self.delivered = 0.0
         self.started = False
+        self.issued_at = issued_at
 
     def remaining_bytes(self) -> float:
         later = sum(unit.size for unit in self.units[self.index + 1:])
@@ -150,8 +165,10 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     locally, so the controller itself is never mutated.
     """
     controller = simulator.controller
+    recorder = simulator.recorder
     compiled = compile_trace(simulator.trace, controller, simulator.cpi)
     link = controller.links[0]
+    channel = link_label(0, link)
     cycles_per_byte = link.cycles_per_byte
     bytes_per_cycle = link.bytes_per_cycle
     max_streams = controller.max_streams
@@ -173,7 +190,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     scan_floor = 0.0
 
     def request(grain: "StreamGrain", front: bool) -> None:
-        stream = _FastStream(grain)
+        """Put a grain on the link; ``front`` marks a demand fetch."""
+        stream = _FastStream(grain, engine_time)
         streams[grain.label] = stream
         if max_streams is None or len(active) < max_streams:
             stream.started = True
@@ -182,6 +200,13 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
             waiting.appendleft(stream)
         else:
             waiting.append(stream)
+        if recorder is not None:
+            record_issue(
+                recorder, engine_time, grain.label, grain.units, channel, front
+            )
+            controller.record_decision(
+                recorder, engine_time, grain.label, grain.units, front
+            )
 
     def release() -> None:
         """The scoreboard's watermark releases, byte-monotone deferred.
@@ -272,6 +297,14 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                 if finished:
                     for stream in finished:
                         active.remove(stream)
+                        if recorder is not None:
+                            record_busy(
+                                recorder,
+                                stream.issued_at,
+                                engine_time,
+                                channel,
+                                stream.label,
+                            )
                     while waiting and (
                         max_streams is None or len(active) < max_streams
                     ):
@@ -285,10 +318,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     release()
 
     time = 0.0
-    stall_cycles = 0.0
-    stalls: List[StallEvent] = []
-    latencies = InvocationLatencyReport(unit="cycles")
-    record = latencies.record
+    observer = RunObserver(simulator)
+    first_invoke = observer.first_invoke
 
     for cost, pair in zip(compiled.costs, compiled.first_use):
         if pair is not None:
@@ -301,6 +332,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                 grain = pending.pop(class_name, None)
                 if grain is not None:
                     demand_fetches.add(method)
+                    if recorder is not None:
+                        record_demand(recorder, engine_time, method)
                     request(grain, True)
                 else:
                     stream = streams.get(class_name)
@@ -308,6 +341,11 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                         demand_fetches.add(method)
                         waiting.remove(stream)
                         waiting.appendleft(stream)
+                        if recorder is not None:
+                            record_demand(
+                                recorder, engine_time, method, promoted=True
+                            )
+                observer.stall_begin(method, time)
                 # run_until_unit: completion-to-completion steps.
                 while unit not in arrivals:
                     if not active:
@@ -315,19 +353,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
                             f"engine idle but unit never arrived: {unit}"
                         )
                     step(_INF)
-                arrival = arrivals[unit]
-                if arrival < time:
-                    arrival = time
-                stalls.append(
-                    StallEvent(
-                        method=method,
-                        start=time,
-                        duration=arrival - time,
-                    )
-                )
-                stall_cycles += arrival - time
-                time = arrival
-            record(method, time, method in demand_fetches)
+                time = observer.stall_end(method, time, arrivals[unit])
+            first_invoke(method, time, method in demand_fetches)
         time = time + cost
         while engine_time < time:
             step(time)
@@ -335,17 +362,10 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     bytes_terminated = sum(
         stream.remaining_bytes() for stream in active
     ) + sum(stream.remaining_bytes() for stream in waiting)
-    return SimulationResult(
+    return observer.result(
         total_cycles=time,
-        execution_cycles=compiled.total_cost_basis * simulator.cpi,
-        stall_cycles=stall_cycles,
-        invocation_latency=(
-            latencies.entries[0].latency if latencies.entries else 0.0
-        ),
         bytes_delivered=total_delivered,
         bytes_terminated=bytes_terminated,
-        stalls=stalls,
-        controller_name=controller.name,
-        latencies=latencies,
+        arrivals=arrivals,
         engine="batched",
     )

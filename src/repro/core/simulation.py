@@ -18,17 +18,22 @@ The transfer side is always a :class:`~repro.sched.StripedController`,
 which owns its links; its ``strict`` policy (whole-file units)
 simulates the paper's base case.
 
-:meth:`Simulator.run` has one rule, :func:`resolve_engine`: an
-unrecorded run whose controller issues stream grains on one link (the
-paper's strict, parallel and interleaved policies) takes the batched
-core in :mod:`repro.core.fastsim`; everything else takes the
-per-segment reference loop below, which is also the tests' oracle.
+:meth:`Simulator.run` has one rule, :func:`resolve_engine`: a run
+whose controller issues stream grains on one link (the paper's
+strict, parallel and interleaved policies) takes the batched core in
+:mod:`repro.core.fastsim`; a run over several links or of a unit-grain
+policy takes the per-segment reference loop below, which is also the
+tests' oracle.  A recorder never picks the loop: both loops record
+stalls, first invocations and arrivals through one
+:class:`RunObserver`, and the transfer events through the functions
+of :mod:`repro.sched`, so a recorded run emits the same event stream
+on either loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import SimulationError
 from ..program import MethodId
@@ -38,32 +43,23 @@ from .metrics import InvocationLatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..observe import TraceRecorder
+    from ..transfer import TransferUnit
 
 __all__ = ["StallEvent", "SimulationResult", "Simulator", "resolve_engine"]
 
-def resolve_engine(
-    controller: Optional[StripedController] = None,
-    recorder: Optional["TraceRecorder"] = None,
-) -> str:
-    """Name the loop :meth:`Simulator.run` takes for these inputs.
+def resolve_engine(controller: Optional[StripedController] = None) -> str:
+    """Name the loop :meth:`Simulator.run` takes for this controller.
 
-    ``"batched"`` (the core in :mod:`repro.core.fastsim`) for an
-    unrecorded run of a :class:`~repro.sched.StripedController` that
-    issues stream grains on one link; ``controller=None`` stands for
-    those, the controllers :func:`~repro.core.run_nonstrict` and
-    :func:`~repro.core.run_strict` build.  ``"reference"``
-    (:meth:`Simulator.run_reference`) otherwise: a recorder needs its
-    event stream, several links or unit grains need the issue engine,
-    and a subclass may override any controller callback (the match is
-    on the exact type).  Both loops give bit-identical results.
+    ``"batched"`` (the core in :mod:`repro.core.fastsim`) for a
+    controller that issues stream grains on one link;
+    ``controller=None`` stands for those, the controllers
+    :func:`~repro.core.run_nonstrict` and :func:`~repro.core.run_strict`
+    build.  ``"reference"`` (:meth:`Simulator.run_reference`)
+    otherwise: several links or unit grains need the issue engine.
+    Both loops give bit-identical results and event streams.
     """
-    if recorder is None and (
-        controller is None
-        or (
-            type(controller) is StripedController
-            and controller.grain == "stream"
-            and len(controller.links) == 1
-        )
+    if controller is None or (
+        controller.grain == "stream" and len(controller.links) == 1
     ):
         return "batched"
     return "reference"
@@ -146,10 +142,12 @@ class Simulator:
         cpi: Average cycles per bytecode instruction.
         recorder: Optional :class:`repro.observe.TraceRecorder` (clock
             ``"cycles"``); when given, the run emits ``unit_arrived``,
-            ``method_first_invoke``, ``stall_begin``/``stall_end``, and
-            the controller's ``schedule_decision``/``demand_fetch``
-            events on the simulated clock.  A recorded run takes the
-            reference loop (see :func:`resolve_engine`).
+            ``method_first_invoke``, ``stall_begin``/``stall_end``, the
+            controller's ``schedule_decision``/``demand_fetch`` and the
+            issue engine's ``unit_issued``/``link_busy`` events on the
+            simulated clock.  Recording does not change which loop
+            runs (see :func:`resolve_engine`), and both loops emit the
+            same stream.
     """
 
     def __init__(
@@ -169,10 +167,10 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Run the co-simulation to completion.
 
-        Takes the loop :func:`resolve_engine` names for this controller
-        and recorder; ``result.engine`` says which one ran.
+        Takes the loop :func:`resolve_engine` names for this
+        controller; ``result.engine`` says which one ran.
         """
-        if resolve_engine(self.controller, self.recorder) == "batched":
+        if resolve_engine(self.controller) == "batched":
             from .fastsim import run_batched  # fastsim imports this module
 
             return run_batched(self)
@@ -186,63 +184,110 @@ class Simulator:
         controller's callbacks and emits the recorder's event stream.
         """
         controller = self.controller
-        recorder = self.recorder
         # The controller emits into this run's recorder, or none.
-        engine = controller.start(recorder)
+        engine = controller.start(self.recorder)
+        observer = RunObserver(self)
 
         time = 0.0
-        stall_cycles = 0.0
-        stalls: List[StallEvent] = []
-        latencies = _cycle_latency_report()
-        invocation_latency: Optional[float] = None
-
         for segment in self.trace.segments:
             unit = controller.required_unit(segment.method)
             if not engine.arrived(unit):
                 controller.on_stall(engine, segment.method)
-                if recorder is not None:
-                    recorder.stall_begin(time, method=str(segment.method))
-                arrival = engine.run_until_unit(unit)
-                arrival = max(arrival, time)
-                stalls.append(
-                    StallEvent(
-                        method=segment.method,
-                        start=time,
-                        duration=arrival - time,
-                    )
+                observer.stall_begin(segment.method, time)
+                time = observer.stall_end(
+                    segment.method, time, engine.run_until_unit(unit)
                 )
-                stall_cycles += arrival - time
-                if recorder is not None:
-                    recorder.stall_end(
-                        arrival,
-                        method=str(segment.method),
-                        duration=arrival - time,
-                    )
-                time = arrival
-            if segment.method not in latencies:
-                demand_fetched = segment.method in controller.demand_fetches
-                latencies.record(
-                    segment.method, time, demand_fetched=demand_fetched
+            if segment.method not in observer.latencies:
+                observer.first_invoke(
+                    segment.method,
+                    time,
+                    segment.method in controller.demand_fetches,
                 )
-                if recorder is not None:
-                    recorder.method_first_invoke(
-                        time,
-                        method=str(segment.method),
-                        latency=time,
-                        demand_fetched=demand_fetched,
-                    )
-            if invocation_latency is None:
-                invocation_latency = time
             time += segment.instructions * self.cpi
             engine.run_until(time)
 
-        if invocation_latency is None:
-            invocation_latency = 0.0
-        if recorder is not None:
+        return observer.result(
+            total_cycles=time,
+            bytes_delivered=engine.total_delivered,
+            bytes_terminated=engine.remaining_bytes,
+            arrivals=engine.arrival_times,
+            engine="reference",
+        )
+
+
+class RunObserver:
+    """One run's stalls, first invocations and unit arrivals, and the
+    events its recorder gets for them.
+
+    Both loops record through an observer, so their results and their
+    event payloads come from the same code.
+    """
+
+    __slots__ = (
+        "simulator",
+        "recorder",
+        "stalls",
+        "stall_cycles",
+        "latencies",
+    )
+
+    def __init__(self, simulator: Simulator) -> None:
+        self.simulator = simulator
+        self.recorder = simulator.recorder
+        self.stalls: List[StallEvent] = []
+        self.stall_cycles = 0.0
+        self.latencies = _cycle_latency_report()
+
+    def stall_begin(self, method: MethodId, time: float) -> None:
+        """Execution stops at ``time`` for ``method``'s unit."""
+        if self.recorder is not None:
+            self.recorder.stall_begin(time, method=str(method))
+
+    def stall_end(
+        self, method: MethodId, start: float, arrival: float
+    ) -> float:
+        """The unit of the stall begun at ``start`` arrived at
+        ``arrival``; returns the time execution resumes."""
+        if arrival < start:
+            arrival = start
+        self.stalls.append(
+            StallEvent(method=method, start=start, duration=arrival - start)
+        )
+        self.stall_cycles += arrival - start
+        if self.recorder is not None:
+            self.recorder.stall_end(
+                arrival, method=str(method), duration=arrival - start
+            )
+        return arrival
+
+    def first_invoke(
+        self, method: MethodId, time: float, demand_fetched: bool
+    ) -> None:
+        """``method`` runs for the first time at ``time``."""
+        self.latencies.record(method, time, demand_fetched=demand_fetched)
+        if self.recorder is not None:
+            self.recorder.method_first_invoke(
+                time,
+                method=str(method),
+                latency=time,
+                demand_fetched=demand_fetched,
+            )
+
+    def result(
+        self,
+        total_cycles: float,
+        bytes_delivered: float,
+        bytes_terminated: float,
+        arrivals: Dict["TransferUnit", float],
+        engine: str,
+    ) -> SimulationResult:
+        """The run's result; the recorder gets ``unit_arrived`` for
+        every unit that arrived, in arrival order."""
+        if self.recorder is not None:
             for unit, arrival in sorted(
-                engine.arrival_times.items(), key=lambda item: item[1]
+                arrivals.items(), key=lambda item: item[1]
             ):
-                recorder.unit_arrived(
+                self.recorder.unit_arrived(
                     arrival,
                     class_name=unit.class_name,
                     kind=unit.kind.value,
@@ -251,16 +296,20 @@ class Simulator:
                         unit.method.method_name if unit.method else None
                     ),
                 )
-        execution_cycles = self.trace.total_instructions * self.cpi
+        simulator = self.simulator
+        entries = self.latencies.entries
         return SimulationResult(
-            total_cycles=time,
-            execution_cycles=execution_cycles,
-            stall_cycles=stall_cycles,
-            invocation_latency=invocation_latency,
-            bytes_delivered=engine.total_delivered,
-            bytes_terminated=engine.remaining_bytes,
-            stalls=stalls,
-            controller_name=controller.name,
-            latencies=latencies,
-            engine="reference",
+            total_cycles=total_cycles,
+            execution_cycles=(
+                simulator.trace.total_instructions * simulator.cpi
+            ),
+            stall_cycles=self.stall_cycles,
+            # The first segment is the first method's first use.
+            invocation_latency=entries[0].latency if entries else 0.0,
+            bytes_delivered=bytes_delivered,
+            bytes_terminated=bytes_terminated,
+            stalls=self.stalls,
+            controller_name=simulator.controller.name,
+            latencies=self.latencies,
+            engine=engine,
         )

@@ -52,8 +52,11 @@ def order_from_profile(
     Raises:
         ReorderError: If the profile mentions methods the program lacks.
     """
+    # One index per call: Program.has_method would scan every class for
+    # each event.
+    defined = set(program.method_ids())
     for event in profile.events:
-        if not program.has_method(event.method):
+        if event.method not in defined:
             raise ReorderError(
                 f"profile mentions unknown method {event.method}"
             )

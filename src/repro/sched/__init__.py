@@ -28,9 +28,9 @@ One link is a degenerate stripe: there the ``"strict"``,
 ``"parallel"`` and ``"interleaved"`` policies issue whole streams
 (:class:`StreamGrain`, built once per controller), so the link's
 stream engine sees exactly the paper methodology's request sequence,
-and their unrecorded runs take the batched core in
-:mod:`repro.core.fastsim` (bit-identical to the reference loop,
-property-tested across all six paper workloads).
+and their runs, recorded or not, take the batched core in
+:mod:`repro.core.fastsim` (bit-identical to the reference loop, event
+streams included, property-tested across all six paper workloads).
 """
 
 from __future__ import annotations

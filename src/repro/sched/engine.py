@@ -44,7 +44,7 @@ from ..transfer.streams import Stream, StreamEngine
 from .scoreboard import IssueItem, ItemState, Scoreboard
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..observe import MetricsRegistry, TraceRecorder
+    from ..observe import TraceRecorder
 
 __all__ = ["LinkOutage", "LinkChannel", "IssueEngine"]
 
@@ -52,6 +52,51 @@ _EPSILON = 1e-6
 
 #: How an engine picks the link for a ready grain.
 LINK_CHOICES = ("earliest_finish", "round_robin", "least_loaded")
+
+
+def link_label(index: int, link: NetworkLink) -> str:
+    """A link's label in events; the index tells identical links apart."""
+    return f"{index}:{link.name}"
+
+
+def record_issue(
+    recorder: "TraceRecorder",
+    time: float,
+    label: str,
+    units: Sequence[TransferUnit],
+    link: str,
+    escalated: bool,
+) -> None:
+    """Emit ``unit_issued`` for a grain put on a link.
+
+    Both simulation loops emit through this, so their payloads match:
+    ``class_name`` is the grain's class when it has one, else its label.
+    """
+    names = {unit.class_name for unit in units}
+    recorder.unit_issued(
+        time,
+        class_name=next(iter(names)) if len(names) == 1 else label,
+        link=link,
+        label=label,
+        bytes=sum(unit.size for unit in units),
+        escalated=escalated,
+    )
+
+
+def record_busy(
+    recorder: "TraceRecorder",
+    issued_at: float,
+    landed_at: float,
+    link: str,
+    label: str,
+) -> None:
+    """Emit ``link_busy`` for a grain, from its issue to its last landing.
+
+    Both simulation loops emit through this.
+    """
+    recorder.link_busy(
+        issued_at, link=link, duration=landed_at - issued_at, label=label
+    )
 
 
 @dataclass(frozen=True)
@@ -90,8 +135,7 @@ class LinkChannel:
         self.link = link
         self.engine = StreamEngine(link, max_streams=max_streams)
         self.alive = True
-        #: Event/metric label; the index disambiguates identical links.
-        self.label = f"{index}:{link.name}"
+        self.label = link_label(index, link)
         #: Arrivals already consumed by the facade's collect pass.
         self.collected = 0
 
@@ -114,8 +158,6 @@ class IssueEngine:
         outages: Scheduled link deaths (unit grain only).
         recorder: Optional trace recorder for ``unit_issued`` /
             ``link_busy`` / ``stripe_rebalance`` events.
-        metrics: Optional registry for the ``sched_*`` metric
-            families.
         on_issue: Optional hook invoked after every dispatch (the
             striped controller uses it for ``schedule_decision``
             events).
@@ -130,7 +172,6 @@ class IssueEngine:
         max_streams: Optional[int] = None,
         outages: Sequence[LinkOutage] = (),
         recorder: Optional["TraceRecorder"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
         on_issue: Optional[
             Callable[[IssueItem, "LinkChannel"], None]
         ] = None,
@@ -163,7 +204,6 @@ class IssueEngine:
         self.grain = grain
         self.link_choice = link_choice
         self.recorder = recorder
-        self.metrics = metrics
         self.time = 0.0
         #: Unit → *retire* time: what the co-simulator observes.
         self.arrival_times: Dict[TransferUnit, float] = {}
@@ -173,7 +213,6 @@ class IssueEngine:
             outages, key=lambda o: o.at_cycles
         )
         self._rr_cursor = 0
-        self._busy_emitted: Dict[str, bool] = {}
 
     # -- simulator-facing protocol ----------------------------------------
 
@@ -274,15 +313,11 @@ class IssueEngine:
         return self._streams.get(label)
 
     def rebalance_event(self, reason: str, **extra: object) -> None:
-        """Emit one ``stripe_rebalance`` event + metric."""
+        """Emit one ``stripe_rebalance`` event."""
         if self.recorder is not None:
             self.recorder.stripe_rebalance(
                 self.time, reason=reason, **extra
             )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "sched_rebalances_total", {"reason": reason}
-            ).inc()
 
     # -- internals ---------------------------------------------------------
 
@@ -341,24 +376,14 @@ class IssueEngine:
         )
         self._streams[item.label] = (channel, stream)
         if self.recorder is not None:
-            self.recorder.unit_issued(
+            record_issue(
+                self.recorder,
                 self.time,
-                class_name=item.class_name,
-                link=channel.label,
-                label=item.label,
-                bytes=item.size,
-                escalated=item.escalated,
+                item.label,
+                item.units,
+                channel.label,
+                item.escalated,
             )
-        if self.metrics is not None:
-            labels = {"link": channel.label}
-            self.metrics.counter(
-                "sched_units_issued_total", labels
-            ).inc()
-            self.metrics.counter(
-                "sched_bytes_issued_total", labels
-            ).inc(float(item.size))
-            if item.escalated:
-                self.metrics.counter("sched_escalations_total").inc()
         if self._on_issue is not None:
             self._on_issue(item, channel)
 
@@ -400,31 +425,26 @@ class IssueEngine:
                     unit, land_time
                 ):
                     self.arrival_times[retired] = retire_time
-                self._maybe_emit_busy(unit, land_time, ch)
+                if self.recorder is not None:
+                    self._record_busy(self.recorder, unit, land_time, ch)
 
-    def _maybe_emit_busy(
-        self, unit: TransferUnit, land_time: float, channel: LinkChannel
+    def _record_busy(
+        self,
+        recorder: "TraceRecorder",
+        unit: TransferUnit,
+        land_time: float,
+        channel: LinkChannel,
     ) -> None:
-        label = self.scoreboard.label_of(unit)
-        item = self.scoreboard.items[label]
-        if item.state is not ItemState.LANDED:
-            return
-        if self._busy_emitted.get(label):
-            return
-        self._busy_emitted[label] = True
-        issued_at = item.issue_time if item.issue_time is not None else 0.0
-        duration = land_time - issued_at
-        if self.recorder is not None:
-            self.recorder.link_busy(
-                issued_at,
-                link=channel.label,
-                duration=duration,
-                label=label,
+        """``link_busy`` once the landed unit's grain has fully landed."""
+        item = self.scoreboard.item_for_unit(unit)
+        if item.state is ItemState.LANDED:
+            record_busy(
+                recorder,
+                item.issue_time if item.issue_time is not None else 0.0,
+                land_time,
+                channel.label,
+                item.label,
             )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "sched_link_busy_cycles", {"link": channel.label}
-            ).inc(duration)
 
     def _process_outages(self) -> None:
         while (
@@ -437,11 +457,6 @@ class IssueEngine:
                 continue
             channel.alive = False
             self._live()  # raises if that was the last link
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "sched_link_outages_total",
-                    {"link": channel.label},
-                ).inc()
             lost: List[str] = []
             for stream in list(channel.engine.active) + list(
                 channel.engine.waiting

@@ -111,14 +111,6 @@ class IssueItem:
         """Total wire bytes of the grain."""
         return sum(unit.size for unit in self.units)
 
-    @property
-    def class_name(self) -> str:
-        """Owning class when unambiguous, else the label."""
-        names = {unit.class_name for unit in self.units}
-        if len(names) == 1:
-            return next(iter(names))
-        return self.label
-
     def priority_key(self) -> Tuple[int, int]:
         """Sort key for arbitration: escalated, then program order."""
         return (0 if self.escalated else 1, self.seq)

@@ -27,8 +27,8 @@ reference loop's scoreboard and the batched core in
 :mod:`repro.core.fastsim` both replay them, so one link is the
 degenerate stripe: its one
 :class:`~repro.transfer.streams.StreamEngine` sees exactly the paper
-methodology's request sequence, and unrecorded one-link runs of the
-stream-grain policies take the batched core.
+methodology's request sequence, and one-link runs of the stream-grain
+policies take the batched core, recorded or not.
 
 The unit-grain policies handle mispredictions by *hazard-priority
 escalation*: the stalled method's unit (and its class's global unit)
@@ -303,7 +303,8 @@ class StripedController:
             )
         if item.state in (ItemState.WAITING, ItemState.READY):
             self.demand_fetches.append(method_id)
-            self._demand_event(engine, method_id)
+            if self.recorder is not None:
+                record_demand(self.recorder, engine.time, method_id)
             engine.demand_issue(class_name)
             return
         entry = engine.stream_of(class_name)
@@ -311,14 +312,10 @@ class StripedController:
             channel, stream = entry
             if not stream.started and not stream.done:
                 self.demand_fetches.append(method_id)
-                self._demand_event(engine, method_id)
                 channel.engine.promote(stream)
                 if self.recorder is not None:
-                    self.recorder.schedule_decision(
-                        engine.time,
-                        action="promote",
-                        target=class_name,
-                        reason="demand_fetch",
+                    record_demand(
+                        self.recorder, engine.time, method_id, promoted=True
                     )
 
     def _escalate_stall(
@@ -339,7 +336,8 @@ class StripedController:
         if not escalated:
             return
         self.demand_fetches.append(method_id)
-        self._demand_event(engine, method_id)
+        if self.recorder is not None:
+            record_demand(self.recorder, engine.time, method_id)
         engine.rebalance_event(
             "demand_escalation",
             method=str(method_id),
@@ -347,37 +345,66 @@ class StripedController:
         )
         engine.dispatch()
 
-    def _demand_event(
-        self, engine: IssueEngine, method_id: MethodId
-    ) -> None:
-        if self.recorder is not None:
-            self.recorder.demand_fetch(
-                engine.time, method=str(method_id)
+    def _on_issue(self, item: IssueItem, channel: LinkChannel) -> None:
+        if self.recorder is not None and self._engine is not None:
+            self.record_decision(
+                self.recorder,
+                self._engine.time,
+                item.label,
+                item.units,
+                item.escalated,
             )
 
-    def _on_issue(self, item: IssueItem, channel: LinkChannel) -> None:
-        """``schedule_decision`` for every stream grain put on a link."""
-        if self.recorder is None or self._engine is None:
-            return
-        time = self._engine.time
+    def record_decision(
+        self,
+        recorder: "TraceRecorder",
+        time: float,
+        label: str,
+        units: Sequence[TransferUnit],
+        escalated: bool,
+    ) -> None:
+        """Emit ``schedule_decision`` for a stream grain put on a link.
+
+        Both simulation loops emit through this.
+        """
         if self.schedule is not None:
-            start = self.schedule.start_for(item.label)
-            self.recorder.schedule_decision(
+            start = self.schedule.start_for(label)
+            recorder.schedule_decision(
                 time,
-                action=(
-                    "demand_start" if item.escalated else "stream_start"
-                ),
-                target=item.label,
+                action="demand_start" if escalated else "stream_start",
+                target=label,
                 start_after_bytes=start.start_after_bytes,
                 required_prefix_bytes=start.required_prefix_bytes,
             )
         elif self.grain == "stream":
-            self.recorder.schedule_decision(
+            recorder.schedule_decision(
                 time,
                 action="stream_start",
-                target=item.label,
-                units=len(item.units),
+                target=label,
+                units=len(units),
             )
+
+
+def record_demand(
+    recorder: "TraceRecorder",
+    time: float,
+    method_id: MethodId,
+    promoted: bool = False,
+) -> None:
+    """Emit ``demand_fetch`` for a stalled method, and the
+    ``schedule_decision`` of a demand that promoted a queued stream (a
+    demand that issues a grain records that issue instead).
+
+    Both simulation loops emit through this.
+    """
+    recorder.demand_fetch(time, method=str(method_id))
+    if promoted:
+        recorder.schedule_decision(
+            time,
+            action="promote",
+            target=method_id.class_name,
+            reason="demand_fetch",
+        )
 
 
 def run_striped(
@@ -401,8 +428,7 @@ def run_striped(
     ``restructure=False``), a :class:`StripedController` is built
     over the link set, and the co-simulator replays the trace.  On one
     link the stream-grain policies (strict, parallel, interleaved)
-    take the batched core (unless recorded); every other run takes
-    the reference loop.
+    take the batched core; every other run takes the reference loop.
 
     Returns:
         The :class:`repro.core.SimulationResult`.

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analyze import ValType, analyze_method
+from repro.analyze import ValType, analyze_method, run_lint
 from repro.bytecode import assemble
 from repro.cfg import method_facts
 from repro.classfile import ClassFileBuilder
 from repro.errors import VerificationError
 from repro.linker import verify_method
-from repro.program import MethodId
+from repro.program import MethodId, Program
 from repro.workloads import (
     fibonacci_program,
     figure1_program,
@@ -239,6 +239,25 @@ def test_verify_method_reports_first_issue_message():
     with pytest.raises(VerificationError) as excinfo:
         verify_method(classfile, method)
     assert "T.m: stack underflow" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "source", ["getstatic 900\npop\nreturn", "call 900\nreturn", "call 0\nreturn"]
+)
+def test_pool_index_past_the_pool_is_an_operand_issue(source):
+    """An operand past either end of the constant pool is a defect of
+    the analyzed code: an ``operand`` issue, a ``VerificationError``
+    and a lint finding, never a ``ConstantPoolError``."""
+    classfile, method = build_method(source)
+    (issue,) = analyze_method(classfile, method, facts_of(classfile, method)).issues
+    assert issue.kind == "operand"
+    assert "out of range" in issue.message
+    with pytest.raises(VerificationError, match="T.m: constant pool index"):
+        verify_method(classfile, method)
+    builder = ClassFileBuilder("T")
+    builder.add_method("main", "()V", assemble(source), max_stack=16, max_locals=8)
+    report = run_lint(Program(classes=[builder.build()]))
+    assert any("out of range" in finding.message for finding in report.findings)
 
 
 def test_verify_method_accepts_clean_code():

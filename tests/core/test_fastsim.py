@@ -3,9 +3,11 @@
 The contract of :mod:`repro.core.fastsim` is *exact* replication —
 every cycle count, stall boundary, and per-method first-invocation
 latency must equal the reference loop's floats bit for bit, not
-approximately.  All comparisons below use ``==`` on raw floats on
-purpose.  ``Simulator.run_reference`` is the oracle; ``Simulator.run``
-and the ``run_*`` helpers built on it take the batched cores.
+approximately, and a recorded run must emit the reference loop's
+event list, event for event.  All comparisons below use ``==`` on raw
+floats on purpose.  ``Simulator.run_reference`` is the oracle;
+``Simulator.run`` and the ``run_*`` helpers built on it take the
+batched cores, recorded or not.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from repro import compile_source
 from repro.core import Simulator, resolve_engine, run_nonstrict, run_strict
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
-from repro.reorder import estimate_first_use, restructure
+from repro.reorder import FirstUseOrder, estimate_first_use, restructure
+from repro.reorder.first_use import laid_out_entries
 from repro.sched import POLICIES, StripedController, run_striped
 from repro.transfer import (
     MODEM_LINK,
@@ -81,12 +84,34 @@ def _configured(
     return Simulator(trace, controller, cpi)
 
 
+def _assert_same_events(batched, reference):
+    assert batched.events, "the recorded run emitted nothing"
+    assert batched.events == reference.events
+
+
 def _assert_nonstrict_matches_oracle(program, trace, order, link, cpi, **kwargs):
-    batched = run_nonstrict(program, trace, order, link, cpi, **kwargs)
-    reference = _configured(
-        program, trace, order, link, cpi, **kwargs
-    ).run_reference()
-    _assert_same(batched, reference)
+    """Recorded ``run_nonstrict`` equals the recorded reference loop:
+    the same result and the same event list, which is returned."""
+    recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
+    batched = run_nonstrict(
+        program, trace, order, link, cpi, recorder=recorders[0], **kwargs
+    )
+    simulator = _configured(program, trace, order, link, cpi, **kwargs)
+    simulator.recorder = recorders[1]
+    _assert_same(batched, simulator.run_reference())
+    _assert_same_events(*recorders)
+    return recorders[0].events
+
+
+def _assert_recorded_runs_match(simulator):
+    """Recorded ``run()`` and ``run_reference()`` of one simulator give
+    the same result and the same event list."""
+    recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
+    simulator.recorder = recorders[0]
+    batched = simulator.run()
+    simulator.recorder = recorders[1]
+    _assert_same(batched, simulator.run_reference())
+    _assert_same_events(*recorders)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -155,6 +180,34 @@ def test_data_partitioned_equivalence():
         )
 
 
+@pytest.mark.parametrize("name", ["Hanoi", "TestDes"])
+def test_demand_started_grains_match_the_oracle(name):
+    """A reversed first-use order makes execution need classes before
+    their watermarks release them, so stalls demand-issue grains
+    (``demand_start``), which no Figure 6 configuration does."""
+    item = bundle(name)
+    workload = item.workload
+    order = FirstUseOrder(
+        entries=laid_out_entries(
+            workload.program, reversed(item.order("SCG").order)
+        ),
+        source="reversed",
+    )
+    for max_streams in (None, 1):
+        events = _assert_nonstrict_matches_oracle(
+            workload.program,
+            workload.test_trace,
+            order,
+            T1_LINK,
+            workload.cpi,
+            method="parallel",
+            max_streams=max_streams,
+        )
+        assert any(
+            event.args.get("action") == "demand_start" for event in events
+        ), max_streams
+
+
 def _strict_simulator(program, trace, link, cpi):
     controller = StripedController(
         transfer_layout(program, TransferPolicy.STRICT),
@@ -166,17 +219,21 @@ def _strict_simulator(program, trace, link, cpi):
 
 def test_strict_equivalence():
     program = figure1_program()
-    _, recorder = record_run(program)
-    batched = run_strict(program, recorder.trace, T1_LINK, 30.0)
-    reference = _strict_simulator(
-        program, recorder.trace, T1_LINK, 30.0
-    ).run_reference()
-    _assert_same(batched, reference)
-    workload = bundle("Hanoi").workload
-    simulator = _strict_simulator(
-        workload.program, workload.test_trace, MODEM_LINK, workload.cpi
+    _, vm_recorder = record_run(program)
+    recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
+    batched = run_strict(
+        program, vm_recorder.trace, T1_LINK, 30.0, recorder=recorders[0]
     )
-    _assert_same(simulator.run(), simulator.run_reference())
+    simulator = _strict_simulator(program, vm_recorder.trace, T1_LINK, 30.0)
+    simulator.recorder = recorders[1]
+    _assert_same(batched, simulator.run_reference())
+    _assert_same_events(*recorders)
+    workload = bundle("Hanoi").workload
+    _assert_recorded_runs_match(
+        _strict_simulator(
+            workload.program, workload.test_trace, MODEM_LINK, workload.cpi
+        )
+    )
 
 
 #: Options callers pass the layout and the controller directly (as
@@ -211,68 +268,83 @@ def test_controller_equivalence(kind, name):
     )
     for link in (T1_LINK, MODEM_LINK):
         controller = StripedController(layout, (link,), **options)
-        simulator = Simulator(
-            workload.test_trace, controller, workload.cpi
+        _assert_recorded_runs_match(
+            Simulator(workload.test_trace, controller, workload.cpi)
         )
-        _assert_same(simulator.run(), simulator.run_reference())
 
 
-def test_recorder_runs_use_reference_loop():
-    """A recorder selects the reference loop, which emits the event
-    stream; the same run unrecorded takes a batched core and gives
-    identical results.  Runs over several links always take the
-    reference loop."""
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(policy="strict"),
+        dict(policy="interleaved"),
+        dict(policy="parallel"),
+        dict(policy="parallel", max_streams=1),
+        dict(policy="parallel", max_streams=2, eager_start=True),
+    ],
+    ids=["strict", "interleaved", "parallel", "parallel-1", "parallel-2-eager"],
+)
+def test_recorded_one_link_runs_take_the_batched_core(options):
+    """Watching a one-link run does not change its loop: it takes the
+    batched core and emits the reference loop's event list."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
     order = estimate_first_use(program)
+    layout = transfer_layout(
+        program,
+        TransferPolicy.STRICT
+        if options["policy"] == "strict"
+        else TransferPolicy.NON_STRICT,
+        order,
+    )
+    for link in (T1_LINK, MODEM_LINK):
+        controller = StripedController(layout, (link,), **options)
+        _assert_recorded_runs_match(
+            Simulator(vm_recorder.trace, controller, 50.0)
+        )
+
+
+@pytest.mark.parametrize(
+    "links, policy",
+    [
+        (links_from_bandwidths((57_600, 28_800)), "interleaved"),
+        (links_from_bandwidths((57_600, 28_800)), "parallel"),
+        ((T1_LINK,), "round_robin"),
+    ],
+    ids=["two-links-interleaved", "two-links-parallel", "one-link-round_robin"],
+)
+def test_recorded_striped_and_unit_grain_runs_take_the_reference_loop(
+    links, policy
+):
+    """Several links or unit grains need the issue engine, recorded or
+    not; the recorder sees its ``unit_issued`` and ``link_busy``."""
+    program = figure1_program()
+    _, vm_recorder = record_run(program)
     recorder = TraceRecorder(clock="cycles")
-    recorded = run_nonstrict(
+    result = run_striped(
         program,
         vm_recorder.trace,
-        order,
-        T1_LINK,
+        estimate_first_use(program),
+        links,
         30.0,
-        method="parallel",
+        policy=policy,
         recorder=recorder,
     )
-    assert len(recorder.events) > 0
-    unrecorded = run_nonstrict(
-        program,
-        vm_recorder.trace,
-        order,
-        T1_LINK,
-        30.0,
-        method="parallel",
-    )
-    _assert_same(unrecorded, recorded)
-    striped = run_striped(
-        program,
-        vm_recorder.trace,
-        order,
-        links_from_bandwidths((57_600, 28_800)),
-        30.0,
-    )
-    assert striped.engine == "reference"
+    assert result.engine == "reference"
+    assert recorder.named("unit_issued") and recorder.named("link_busy")
 
 
 def test_engine_resolution():
-    """Policy × link count × recorder × subclass: only unrecorded
-    one-link strict, parallel and interleaved runs of the controller
-    itself take a batched core."""
+    """Policy × link count: one-link strict, parallel and interleaved
+    runs take a batched core, and no recorder takes part."""
     program = figure1_program()
     order = estimate_first_use(program)
     layouts = {
         policy: transfer_layout(program, policy, order)
         for policy in (TransferPolicy.STRICT, TransferPolicy.NON_STRICT)
     }
-    recorder = TraceRecorder(clock="cycles")
     assert resolve_engine() == "batched"
     assert resolve_engine(None) == "batched"
-    assert resolve_engine(None, recorder) == "reference"
-
-    class CustomController(StripedController):
-        pass
-
     for policy in POLICIES:
         batched = policy in ("strict", "parallel", "interleaved")
         layout = layouts[
@@ -284,22 +356,18 @@ def test_engine_resolution():
         assert resolve_engine(one) == (
             "batched" if batched else "reference"
         ), policy
-        assert resolve_engine(one, recorder) == "reference", policy
-        custom = CustomController(layout, (T1_LINK,), policy=policy)
-        assert resolve_engine(custom) == "reference", policy
         if policy == "strict":
             continue  # one link only
         two = StripedController(
             layout, (T1_LINK, MODEM_LINK), policy=policy
         )
         assert resolve_engine(two) == "reference", policy
-        assert resolve_engine(two, recorder) == "reference", policy
 
 
 @pytest.mark.parametrize("kind", ["parallel", "interleaved", "striped"])
 def test_rerun_is_identical_recorded_or_not(kind):
-    """One Simulator re-run, watched or not, gives the same run: the
-    controller's per-run state starts afresh on either loop, and each
+    """One Simulator re-run, watched or not, gives the same run on the
+    same loop: the controller's per-run state starts afresh, and each
     recorder receives the same event stream."""
     item = bundle("Hanoi")
     workload = item.workload
@@ -325,7 +393,8 @@ def test_rerun_is_identical_recorded_or_not(kind):
     keys = []
     for recorder in (None, recorders[0], recorders[1], None):
         simulator.recorder = recorder
-        keys.append(_key(simulator.run()))
+        result = simulator.run()
+        keys.append((result.engine, _key(result)))
     assert keys == [keys[0]] * 4
     assert recorders[0].events
     assert recorders[0].events == recorders[1].events

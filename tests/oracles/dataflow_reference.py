@@ -5,6 +5,8 @@
 its ``underflow``/``require``/``overflow_check`` closures once per
 instruction.  ``reference_analyze_method`` runs it over given facts,
 which may be the reference CFG builders' (see :mod:`.cfg_reference`).
+Like the engine, it reports a GETSTATIC, PUTSTATIC or CALL operand past
+either end of the constant pool as an ``operand`` issue.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.classfile import (
     MethodRefEntry,
     parse_descriptor,
 )
-from repro.errors import ClassFileError
+from repro.errors import ClassFileError, ConstantPoolError
 
 _ARITH_BINARY = (
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD,
@@ -256,7 +258,11 @@ class ReferenceAnalysis:
             value = state.peek()
             return state.pop(1).store_local(instruction.operand, value)
         if opcode in (Opcode.GETSTATIC, Opcode.PUTSTATIC):
-            entry = pool.get(instruction.operand)
+            try:
+                entry = pool.get(instruction.operand)
+            except ConstantPoolError as error:
+                self.issue("operand", f"{where}: {error}", index)
+                return None
             if not isinstance(entry, FieldRefEntry):
                 self.issue(
                     "operand",
@@ -337,7 +343,11 @@ class ReferenceAnalysis:
             require(state.peek(), ValType.ARR, "the array")
             return state.pop(1).push(ValType.INT)
         if opcode == Opcode.CALL:
-            entry = pool.get(instruction.operand)
+            try:
+                entry = pool.get(instruction.operand)
+            except ConstantPoolError as error:
+                self.issue("operand", f"{where}: {error}", index)
+                return None
             if not isinstance(entry, MethodRefEntry):
                 self.issue(
                     "operand",

@@ -7,12 +7,20 @@ answers.  The counts are taken by patching the counted names here;
 the library counts nothing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bytecode import Instruction
 from repro.harness import bundle
-from repro.program import Program
-from repro.reorder import estimate_first_use, weighted_first_use
+from repro.errors import ReorderError
+from repro.program import MethodId, Program
+from repro.reorder import (
+    estimate_first_use,
+    order_from_profile,
+    weighted_first_use,
+)
+from repro.vm import synthesize_profile
 
 ORDERS = {
     "static": estimate_first_use,
@@ -64,3 +72,30 @@ def test_orders_scan_no_class_list_per_method(monkeypatch, jess, strategy):
     ORDERS[strategy](jess)
     assert scans.count("class_named") <= 1
     assert scans.count("has_class") <= 1
+
+
+def test_profile_order_scans_no_class_list_per_event(monkeypatch):
+    """A profile order checks its events against one method index:
+    Jess's Train profile has 709 events and makes no class-list scan
+    (given the static order it falls back on)."""
+    item = bundle("Jess")
+    program = item.workload.program
+    profile = synthesize_profile(program, item.workload.train_trace)
+    assert len(profile.events) > 700
+    scans = []
+    counting(monkeypatch, Program, "class_named", scans)
+    counting(monkeypatch, Program, "has_class", scans)
+    counting(monkeypatch, Program, "has_method", scans)
+    order = order_from_profile(program, profile, static_order=item.scg)
+    assert scans == []
+    assert order == item.train
+
+
+def test_profile_order_rejects_an_unknown_method():
+    workload = bundle("Hanoi").workload
+    profile = synthesize_profile(workload.program, workload.train_trace)
+    profile.events[0] = replace(
+        profile.events[0], method=MethodId("Nope", "run")
+    )
+    with pytest.raises(ReorderError, match="unknown method Nope.run"):
+        order_from_profile(workload.program, profile)

@@ -341,9 +341,10 @@ _PAPER_DECISIONS = {
 
 @pytest.mark.parametrize("policy", sorted(_PAPER_DECISIONS))
 def test_recorded_one_link_runs_emit_the_paper_decisions(policy):
-    """A recorded one-link run goes through the issue engine and still
-    records the paper methodology's ``schedule_decision`` and
-    ``demand_fetch`` events, in order, with their payloads."""
+    """A recorded one-link run takes the batched core and records the
+    paper methodology's ``schedule_decision`` and ``demand_fetch``
+    events, in order, with their payloads (the reference loop's, as
+    ``tests/core/test_fastsim.py`` checks event for event)."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
     recorder = TraceRecorder(clock="cycles")
@@ -357,7 +358,7 @@ def test_recorded_one_link_runs_emit_the_paper_decisions(policy):
         max_streams=1,
         recorder=recorder,
     )
-    assert result.engine == "reference"
+    assert result.engine == "batched"
     assert result.controller_name == policy
     decisions = [
         (event.name, event.args)
