@@ -235,7 +235,7 @@ def analyze_schedule(
                 continue
             achievable = sum(
                 totals.get(dependency, 0)
-                for dependency in start.dependency_classes
+                for dependency in schedule.dependencies_of(start)
                 if dependency in startable
             )
             if start.start_after_bytes <= achievable + _TRIGGER_SLOP:
@@ -245,14 +245,15 @@ def analyze_schedule(
     for start in schedule.starts:
         if start.class_name in startable:
             continue
+        dependencies = schedule.dependencies_of(start)
         achievable = sum(
             totals.get(dependency, 0)
-            for dependency in start.dependency_classes
+            for dependency in dependencies
             if dependency in startable
         )
         blocked_on = tuple(
             dependency
-            for dependency in start.dependency_classes
+            for dependency in dependencies
             if dependency not in startable
         )
         deadlocks.append(

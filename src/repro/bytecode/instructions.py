@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, List, Tuple
 
 from ..errors import BytecodeError
@@ -114,6 +115,10 @@ class Instruction:
         return f"{self.mnemonic} {rendered}"
 
 
+_OPCODE = attrgetter("opcode")
+_SIZE_OF = OPCODE_SIZES.__getitem__
+
+
 def instruction_size(opcode: Opcode) -> int:
     """Encoded size in bytes of any instruction with ``opcode``."""
     return OPCODE_SIZES[opcode]
@@ -121,8 +126,7 @@ def instruction_size(opcode: Opcode) -> int:
 
 def code_size(instructions: Iterable[Instruction]) -> int:
     """Total encoded size in bytes of an instruction sequence."""
-    sizes = OPCODE_SIZES
-    return sum(sizes[instruction.opcode] for instruction in instructions)
+    return sum(map(_SIZE_OF, map(_OPCODE, instructions)))
 
 
 def offsets_of(instructions: List[Instruction]) -> List[int]:

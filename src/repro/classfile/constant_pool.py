@@ -29,6 +29,7 @@ from typing import (
     ClassVar,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -93,6 +94,11 @@ class ConstantEntry:
     def size(self) -> int:
         """Serialized size in bytes, including the tag byte."""
         raise NotImplementedError
+
+    @property
+    def references(self) -> Tuple[int, ...]:
+        """The pool indices this entry refers to, in field order."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,10 @@ class StringEntry(ConstantEntry):
     def size(self) -> int:
         return 1 + 2
 
+    @property
+    def references(self) -> Tuple[int, ...]:
+        return (self.utf8_index,)
+
 
 @dataclass(frozen=True)
 class ClassEntry(ConstantEntry):
@@ -193,6 +203,10 @@ class ClassEntry(ConstantEntry):
     def size(self) -> int:
         return 1 + 2
 
+    @property
+    def references(self) -> Tuple[int, ...]:
+        return (self.name_index,)
+
 
 @dataclass(frozen=True)
 class _MemberRefEntry(ConstantEntry):
@@ -202,6 +216,10 @@ class _MemberRefEntry(ConstantEntry):
     @property
     def size(self) -> int:
         return 1 + 2 + 2
+
+    @property
+    def references(self) -> Tuple[int, ...]:
+        return (self.class_index, self.name_and_type_index)
 
 
 @dataclass(frozen=True)
@@ -228,6 +246,10 @@ class NameAndTypeEntry(ConstantEntry):
     @property
     def size(self) -> int:
         return 1 + 2 + 2
+
+    @property
+    def references(self) -> Tuple[int, ...]:
+        return (self.name_index, self.descriptor_index)
 
 
 _ENTRY_CLASSES = {
@@ -287,9 +309,12 @@ class ConstantPool:
     The pool is append-only, and :meth:`add` is its only mutator.  It
     keeps the pool's byte total as entries arrive, so :attr:`size` is
     O(1), records each entry's size in :attr:`entry_sizes`, so byte
-    accounting never re-encodes an entry, and indexes Utf8 entries by
-    their string, so :meth:`find_utf8`/:meth:`add_utf8` look a string
-    up without building an entry.
+    accounting never re-encodes an entry, records the indices each
+    entry refers to (:attr:`reference_bounds`,
+    :attr:`reference_targets`), so a reference walk never fetches an
+    entry, and indexes Utf8 entries by their string, so
+    :meth:`find_utf8`/:meth:`add_utf8` look a string up without
+    building an entry.
     """
 
     def __init__(self) -> None:
@@ -302,6 +327,11 @@ class ConstantPool:
         # Unsigned 32-bit items: a Utf8 entry reaches 3 + MAX_UTF8_BYTES.
         self._sizes = array("I")
         self._entry_bytes = 0
+        # Every entry's references, flat, and where each entry's end:
+        # entry ``i``'s are ``_targets[_bounds[i - 1]:_bounds[i]]``.
+        # The targets are the entries' own ints, unchecked, so a list.
+        self._targets: List[int] = []
+        self._bounds = array("I", [0])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -333,6 +363,8 @@ class ConstantPool:
             self._utf8[entry.value] = index
         else:
             self._index[_intern_key(entry)] = index
+            self._targets += entry.references
+        self._bounds.append(len(self._targets))
         size = entry.size
         self._sizes.append(size)
         self._entry_bytes += size
@@ -376,6 +408,13 @@ class ConstantPool:
         if index is None:
             index = self.add(Utf8Entry(value))
         return index
+
+    def intern_utf8(self, values: Iterable[str]) -> None:
+        """:meth:`add_utf8` each of ``values``, in order, in one call."""
+        known = self._utf8
+        for value in values:
+            if value not in known:
+                self.add(Utf8Entry(value))
 
     def add_integer(self, value: int) -> int:
         return self.add(IntegerEntry(value))
@@ -493,6 +532,27 @@ class ConstantPool:
         read, never written.
         """
         return self._sizes
+
+    @property
+    def reference_bounds(self) -> Sequence[int]:
+        """Where each entry's references end in :attr:`reference_targets`.
+
+        ``len(pool) + 1`` items, the first 0: entry ``i`` refers to
+        ``reference_targets[reference_bounds[i - 1]:reference_bounds[i]]``,
+        which equals ``get(i).references``.  :meth:`add` records them
+        as the entry arrives; read them, never write them.
+        """
+        return self._bounds
+
+    @property
+    def reference_targets(self) -> Sequence[int]:
+        """Every entry's references, flat, in index and field order.
+
+        The indices are the entries' own fields, unchecked: they may
+        be 0, negative or past the end of the pool.  Read them, never
+        write them.
+        """
+        return self._targets
 
     def size_by_tag(self) -> Dict[ConstantTag, int]:
         """Bytes per entry tag — the raw material of Table 8."""

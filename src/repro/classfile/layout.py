@@ -14,8 +14,9 @@ wire-transfer overhead added on top of the canonical image).
 
 Nothing is serialized to get them.  The constant pool keeps its byte
 total as entries are added, so reading it is O(1), and each method's
-instructions are summed once, so laying out a class costs
-O(names + code) however often it is done.
+instructions are summed once, through the per-opcode size table with
+no Python generator, so laying out a class costs O(names + code)
+however often it is done.
 """
 
 from __future__ import annotations

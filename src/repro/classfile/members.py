@@ -197,13 +197,12 @@ class MethodInfo:
         headers and any extra attributes: ``size - local_bytes``,
         computed without encoding or summing the code.
         """
-        return (
-            8
-            + _CODE_ATTRIBUTE_HEADER
-            + self.local_data_attribute_size
-            - len(self.local_data)
-            + sum(attribute.size for attribute in self.attributes)
-        )
+        framing = 8 + _CODE_ATTRIBUTE_HEADER
+        if self.local_data:
+            framing += 6  # the LocalData attribute header
+        for attribute in self.attributes:
+            framing += attribute.size
+        return framing
 
     def replace_instructions(
         self, instructions: List[Instruction]

@@ -218,21 +218,23 @@ def intern_names(classfile: ClassFile) -> None:
     pool.add_class(classfile.name)
     for name in classfile.interfaces:
         pool.add_class(name)
+    names: List[str] = []
     for field_info in classfile.fields:
-        pool.add_utf8(field_info.name)
-        pool.add_utf8(field_info.descriptor)
+        names.append(field_info.name)
+        names.append(field_info.descriptor)
         for attribute in field_info.attributes:
-            pool.add_utf8(attribute.name)
+            names.append(attribute.name)
     for method in classfile.methods:
-        pool.add_utf8(method.name)
-        pool.add_utf8(method.descriptor)
-        pool.add_utf8(CODE_ATTRIBUTE)
+        names.append(method.name)
+        names.append(method.descriptor)
+        names.append(CODE_ATTRIBUTE)
         if method.local_data:
-            pool.add_utf8(LOCAL_DATA_ATTRIBUTE)
+            names.append(LOCAL_DATA_ATTRIBUTE)
         for attribute in method.attributes:
-            pool.add_utf8(attribute.name)
+            names.append(attribute.name)
     for attribute in classfile.attributes:
-        pool.add_utf8(attribute.name)
+        names.append(attribute.name)
+    pool.intern_utf8(names)
 
 
 def _utf8_index(pool: ConstantPool, value: str) -> int:

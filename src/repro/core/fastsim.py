@@ -40,10 +40,15 @@ latency are exactly equal — property-tested in
 ``tests/core/test_fastsim.py`` across all six workloads, both
 methodologies, and both orderings, plus data partitioning, strict,
 eager starts, block delimiters and compressed plans.  Watermark
-releases are the one place the core does *less* work: they are byte-
-monotone, so a grain whose trigger is provably unreachable since the
-last check is skipped until enough bytes flow (the skipped checks are
-exactly the ones the reference evaluates to False).
+releases are the one place the core does *less* work.  They are
+byte-monotone, so a scan is skipped until enough bytes have flowed
+for some pending trigger to fire (the skipped scans are exactly the
+ones the reference evaluates all-False).  And every grain's watermark
+classes are a prefix of the controller's
+:attr:`~repro.sched.StripedController.watermark_order`, so a scan
+sums deliveries along that order once and each pending grain reads
+its own prefix: O(classes) per scan, where the reference re-sums each
+grain's classes, and the same float additions in the same order.
 """
 
 from __future__ import annotations
@@ -177,6 +182,8 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     pending: Dict[str, "StreamGrain"] = {
         grain.label: grain for grain in controller.stream_grains
     }
+    #: Each grain's watermark counts a prefix of these labels.
+    watermark_order = controller.watermark_order
     streams: Dict[str, _FastStream] = {}
     active: List[_FastStream] = []
     waiting: Deque[_FastStream] = deque()
@@ -218,16 +225,24 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
         byte sum grows no faster than the total, and the floor keeps a
         slack margin well above accumulated float rounding).  Every
         skipped scan is one the reference evaluates all-False.
+
+        ``delivered_through[k]`` is what the first ``k`` labels of
+        ``watermark_order`` have delivered, summed in order from 0.0,
+        so a grain reads the very float the reference sums over its
+        watermark classes.
         """
         nonlocal scan_floor
+        delivered_through = [0.0]
+        running = 0.0
+        for label in watermark_order:
+            stream = streams.get(label)
+            if stream is not None:
+                running += stream.delivered
+            delivered_through.append(running)
         due: List["StreamGrain"] = []
         min_need = _INF
         for grain in pending.values():
-            delivered = 0.0
-            for label in grain.watermark_classes:
-                stream = streams.get(label)
-                if stream is not None:
-                    delivered += stream.delivered
+            delivered = delivered_through[grain.watermark_count]
             if grain.watermark_bytes <= delivered + WATERMARK_SLOP:
                 due.append(grain)
             else:

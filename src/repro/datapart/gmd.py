@@ -12,7 +12,11 @@ Attribution is one pruned walk per class
 (:func:`~repro.datapart.usage.extend_closure`): starting from the setup
 closure, each method in file order follows its references and stops at
 entries already assigned, so it takes exactly its closure minus what
-earlier methods took, and each entry is visited once.
+earlier methods took, and each entry is visited once.  The walk reads
+the references and sizes the pool recorded as entries arrived, and the
+roots of setup and of every method come from one pass over the pool
+(:class:`~repro.datapart.usage.ClassPoolRoots`), which resolves no
+entry through the pool unless it is malformed.
 
 Byte accounting is exact:
 ``first_bytes + sum(gmd sizes) + unused_bytes == ClassLayout.global_bytes``.
@@ -26,7 +30,7 @@ from typing import Dict, Set, Tuple
 from ..classfile import ClassFile, ClassLayout, class_layout
 from ..errors import ClassFileError
 from ..program import Program
-from .usage import extend_closure, pool_roots_by_method, setup_pool_roots
+from .usage import ClassPoolRoots, extend_closure
 
 __all__ = ["DataPartition", "partition_class", "partition_program"]
 
@@ -104,20 +108,21 @@ def partition_class(
             f"layout of {layout.class_name!r} passed for {classfile.name!r}"
         )
     pool = classfile.constant_pool
+    roots = ClassPoolRoots(classfile)
     assigned: Set[int] = set()
-    setup_pool_bytes = extend_closure(
-        pool, setup_pool_roots(classfile), assigned
-    )
+    setup_pool_bytes = extend_closure(pool, roots.setup(), assigned)
     gmd_sizes = tuple(
-        (method.name, extend_closure(pool, roots, assigned))
-        for method, roots in zip(
-            classfile.methods, pool_roots_by_method(classfile)
+        (method.name, extend_closure(pool, method_roots, assigned))
+        for method, method_roots in zip(
+            classfile.methods, roots.by_method()
         )
     )
-    unused_bytes = sum(
-        size
-        for index, size in enumerate(pool.entry_sizes, start=1)
-        if index not in assigned
+    # Each entry is assigned at most once, so the unassigned entries'
+    # bytes are the recorded total less what the walks added.
+    unused_bytes = (
+        sum(pool.entry_sizes)
+        - setup_pool_bytes
+        - sum(size for _, size in gmd_sizes)
     )
 
     # 'Needed first' = setup pool entries plus every non-pool global

@@ -93,16 +93,17 @@ class StreamGrain:
             policies.
         units: The stream's units, delivered strictly in this order.
         watermark_bytes: Release trigger: the grain is requested once
-            the watermark classes have delivered this many bytes
+            its watermark classes have delivered this many bytes
             (0 = at time zero).
-        watermark_classes: Labels of the grains whose delivered bytes
-            count toward the watermark.
+        watermark_count: How many grains count toward the watermark:
+            the first ``watermark_count`` labels of the controller's
+            :attr:`~StripedController.watermark_order`.
     """
 
     label: str
     units: Tuple[TransferUnit, ...]
     watermark_bytes: float = 0.0
-    watermark_classes: Tuple[str, ...] = ()
+    watermark_count: int = 0
 
 
 class StripedController:
@@ -198,11 +199,16 @@ class StripedController:
         self.sequence: Tuple[TransferUnit, ...] = ()
         #: The stream grains, in issue order (none on the unit grain).
         self.stream_grains: Tuple[StreamGrain, ...] = ()
+        #: Grain labels whose delivered bytes count toward watermarks:
+        #: each grain counts a prefix of them.  Parallel: the
+        #: schedule's class first-use order; otherwise empty.
+        self.watermark_order: Tuple[str, ...] = ()
         if policy == "parallel":
             assert layout.order is not None  # non-strict layouts have one
             self.schedule = build_schedule(
                 layout.program, self.plans, layout.order
             )
+            self.watermark_order = self.schedule.class_order
             self.stream_grains = tuple(
                 StreamGrain(
                     label=start.class_name,
@@ -210,7 +216,7 @@ class StripedController:
                     watermark_bytes=(
                         0.0 if eager_start else start.start_after_bytes
                     ),
-                    watermark_classes=start.dependency_classes,
+                    watermark_count=start.dependency_count,
                 )
                 for start in self.schedule.in_start_order()
             )
@@ -237,7 +243,9 @@ class StripedController:
                     units=grain.units,
                     seq=seq,
                     watermark_bytes=grain.watermark_bytes,
-                    watermark_classes=grain.watermark_classes,
+                    watermark_classes=self.watermark_order[
+                        : grain.watermark_count
+                    ],
                 )
             )
         return board

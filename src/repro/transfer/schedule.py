@@ -8,7 +8,9 @@ against actual transfer progress, which is what makes it robust to
 execution speed:
 
 * class ``c``'s **dependencies** are the classes that execute before
-  ``c``'s first method (everything earlier in the first-use order);
+  ``c``'s first method (everything earlier in the first-use order):
+  always a prefix of the schedule's class first-use order, so the
+  schedule keeps that order once and each start records its length;
 * the **unique bytes** of those dependencies are the first-use order's
   ``bytes_before`` — accumulated static procedure sizes for a static
   order, measured executed unique bytes for a profile order (§5.1's two
@@ -50,27 +52,52 @@ class ScheduledStart:
             class depends on (its deadline, in byte-progress space).
         required_prefix_bytes: Stream bytes that must arrive before the
             class's first-used method can run.
-        dependency_classes: The classes whose delivered bytes count
-            toward the trigger (everything first-used earlier).
+        dependency_count: How many classes of the schedule's
+            :attr:`~TransferSchedule.class_order` count toward the
+            trigger: the first ``dependency_count`` (everything
+            first-used earlier).
     """
 
     class_name: str
     start_after_bytes: float
     dependency_bytes: float
     required_prefix_bytes: int
-    dependency_classes: Tuple[str, ...] = ()
+    dependency_count: int = 0
 
 
 @dataclass
 class TransferSchedule:
-    """Planned start thresholds for every class."""
+    """Planned start thresholds for every class.
+
+    Attributes:
+        starts: One start per class, in program file order.
+        class_order: The classes in first-use order; every start's
+            dependencies are a prefix of it.
+
+    Raises:
+        TransferError: If a start's ``dependency_count`` is negative or
+            longer than ``class_order``.
+    """
 
     starts: List[ScheduledStart]
+    class_order: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self._by_class = {
             start.class_name: start for start in self.starts
         }
+        for start in self.starts:
+            if not 0 <= start.dependency_count <= len(self.class_order):
+                raise TransferError(
+                    f"start of {start.class_name!r} depends on "
+                    f"{start.dependency_count} classes; the class order "
+                    f"holds {len(self.class_order)}"
+                )
+
+    def dependencies_of(self, start: ScheduledStart) -> Tuple[str, ...]:
+        """The classes whose delivered bytes count toward ``start``'s
+        trigger."""
+        return self.class_order[: start.dependency_count]
 
     def start_for(self, class_name: str) -> ScheduledStart:
         try:
@@ -105,8 +132,10 @@ def build_schedule(
     # each class is first needed: walk the first-use order maintaining
     # each already-started class's delivered prefix (its stream through
     # its most recent first-used method); a class's dependency bytes
-    # are the sum of those prefixes at its own first use.
+    # are the sum of those prefixes at its own first use, and its
+    # dependencies the classes first used before it.
     dependency_bytes_of: Dict[str, float] = {}
+    dependency_count_of: Dict[str, int] = {}
     running_prefix: Dict[str, int] = {}
     running_total = 0.0
     for method_id in order.order:
@@ -117,6 +146,9 @@ def build_schedule(
             )
         if method_id.class_name not in first_method_of_class:
             first_method_of_class[method_id.class_name] = method_id
+            dependency_count_of[method_id.class_name] = len(
+                class_first_use_order
+            )
             class_first_use_order.append(method_id.class_name)
             dependency_bytes_of[method_id.class_name] = running_total
         previous = running_prefix.get(method_id.class_name, 0)
@@ -137,14 +169,13 @@ def build_schedule(
             # No method of this class is in the order: ship it last.
             dependency_bytes = running_total
             required = plan.total_bytes
-            dependencies = tuple(class_first_use_order)
+            dependency_count = len(class_first_use_order)
         else:
             dependency_bytes = dependency_bytes_of[classfile.name]
             required = plan.prefix_bytes_through(
                 first_method.method_name
             )
-            position = class_first_use_order.index(classfile.name)
-            dependencies = tuple(class_first_use_order[:position])
+            dependency_count = dependency_count_of[classfile.name]
         starts.append(
             ScheduledStart(
                 class_name=classfile.name,
@@ -153,7 +184,9 @@ def build_schedule(
                 ),
                 dependency_bytes=dependency_bytes,
                 required_prefix_bytes=required,
-                dependency_classes=dependencies,
+                dependency_count=dependency_count,
             )
         )
-    return TransferSchedule(starts=starts)
+    return TransferSchedule(
+        starts=starts, class_order=tuple(class_first_use_order)
+    )

@@ -212,10 +212,15 @@ def synthesize_profile(program: Program, trace: ExecutionTrace) -> FirstUseProfi
     unique_bytes = 0
     code_bytes: Dict[MethodId, int] = {}
     static_instructions: Dict[MethodId, int] = {}
+    # One index per call: Program.method would scan every class for
+    # each newly seen method.
+    methods_by_id = dict(program.methods())
     for segment in trace.segments:
         method = segment.method
         if method not in code_bytes:
-            info = program.method(method)
+            info = methods_by_id.get(method)
+            if info is None:
+                info = program.method(method)  # raises the lookup error
             code_bytes[method] = info.code_bytes
             static_instructions[method] = max(1, len(info.instructions))
         stats = profile.method_stats.get(method)

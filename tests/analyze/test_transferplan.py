@@ -113,19 +113,21 @@ def test_tampered_schedule_deadlock_detected(figure1):
     program, trace, order = figure1
     plans = build_program_plans(program, TransferPolicy.NON_STRICT)
     real = build_schedule(program, plans, order)
+    assert real.class_order == ("A", "B")
     starts = []
     for start in real.starts:
         if start.class_name == "B":
-            # B's trigger waits on B's own bytes: a dependence cycle.
+            # B's trigger counts B's own bytes and needs more than A
+            # holds, so it waits on itself: a dependence cycle.
             start = ScheduledStart(
                 class_name="B",
-                start_after_bytes=plans["B"].total_bytes + 1.0,
+                start_after_bytes=plans["A"].total_bytes + 1.0,
                 dependency_bytes=start.dependency_bytes,
                 required_prefix_bytes=start.required_prefix_bytes,
-                dependency_classes=("B",),
+                dependency_count=2,
             )
         starts.append(start)
-    tampered = TransferSchedule(starts=starts)
+    tampered = TransferSchedule(starts=starts, class_order=real.class_order)
 
     health = analyze_schedule(tampered, plans)
     assert not health.ok

@@ -9,9 +9,10 @@ agreeing with ``find(Utf8Entry(...))`` for present and absent values.
 The model interns a Float or Double by the bytes the serializer writes
 for it, so 0.0 and -0.0 are two constants.
 
-The pool also records each entry's size as it arrives; the record must
-equal every entry's own ``size``, whether the pool was built by
-``add_*`` calls or read back by ``deserialize``.
+The pool also records each entry's size and the indices it refers to
+as it arrives; the records must equal every entry's own ``size`` and
+what its fields say, whether the pool was built by ``add_*`` calls,
+drawn entry by entry, or read back by ``deserialize``.
 """
 
 import struct
@@ -149,6 +150,35 @@ def assert_sizes_recorded(pool):
     assert sum(pool.entry_sizes) == pool.size - 2
 
 
+#: The fields of each entry type that hold a pool index, in field order.
+_REFERENCE_FIELDS = {
+    ClassEntry: ("name_index",),
+    StringEntry: ("utf8_index",),
+    FieldRefEntry: ("class_index", "name_and_type_index"),
+    MethodRefEntry: ("class_index", "name_and_type_index"),
+    InterfaceMethodRefEntry: ("class_index", "name_and_type_index"),
+    NameAndTypeEntry: ("name_index", "descriptor_index"),
+}
+
+
+def fields_referenced(entry):
+    return [
+        getattr(entry, name) for name in _REFERENCE_FIELDS.get(type(entry), ())
+    ]
+
+
+def assert_references_recorded(pool):
+    bounds = pool.reference_bounds
+    targets = pool.reference_targets
+    assert len(bounds) == len(pool) + 1
+    assert bounds[0] == 0
+    assert bounds[-1] == len(targets)
+    for index, entry in enumerate(pool, start=1):
+        expected = fields_referenced(entry)
+        assert list(targets[bounds[index - 1]:bounds[index]]) == expected
+        assert list(entry.references) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPERATIONS, max_size=40))
 def test_pool_matches_list_and_dict_model(operations):
@@ -162,6 +192,7 @@ def test_pool_matches_list_and_dict_model(operations):
         assert pool.entries() == list(enumerate(model.entries, start=1))
         assert pool.size == 2 + sum(entry.size for entry in pool)
         assert_sizes_recorded(pool)
+        assert_references_recorded(pool)
         for entry in model.entries:
             assert pool.find(entry) == model.index[intern_key(entry)]
         for value in _PROBES + tuple(
@@ -178,15 +209,52 @@ def test_deserialized_pool_records_every_entry_size(entries):
     pool = ConstantPool()
     for entry in entries:
         pool.add(entry)
+    assert_references_recorded(pool)
     image = serialize(ClassFile("T", constant_pool=pool))
     recovered = deserialize(image).constant_pool
     assert list(recovered) == list(pool)
     assert_sizes_recorded(recovered)
+    assert_references_recorded(recovered)
 
 
 def test_workload_pools_record_every_entry_size():
     for name in BENCHMARK_NAMES:
         for classfile in bundle(name).workload.program.classes:
             assert_sizes_recorded(classfile.constant_pool)
+            assert_references_recorded(classfile.constant_pool)
             recovered = deserialize(serialize(classfile)).constant_pool
             assert_sizes_recorded(recovered)
+            assert_references_recorded(recovered)
+
+
+#: Unchecked reference ints: zero, negative, past the u2 range, huge.
+_ANY_INDEX = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0xFFFF, 0x10000, 2**40, -(2**70)]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(StringEntry, _ANY_INDEX),
+            st.builds(ClassEntry, _ANY_INDEX),
+            st.builds(FieldRefEntry, _ANY_INDEX, _ANY_INDEX),
+            st.builds(MethodRefEntry, _ANY_INDEX, _ANY_INDEX),
+            st.builds(InterfaceMethodRefEntry, _ANY_INDEX, _ANY_INDEX),
+            st.builds(NameAndTypeEntry, _ANY_INDEX, _ANY_INDEX),
+            st.builds(Utf8Entry, _TEXT),
+        ),
+        max_size=20,
+    )
+)
+def test_add_records_any_reference_int(entries):
+    """``add`` checks no reference: every int a field holds is
+    accepted and recorded as it is."""
+    pool = ConstantPool()
+    model = Model()
+    for entry in entries:
+        assert pool.add(entry) == model.add(entry)
+    assert list(pool) == model.entries
+    assert_references_recorded(pool)

@@ -430,3 +430,57 @@ def test_property_random_programs_equivalent(body, cpi):
         _assert_nonstrict_matches_oracle(
             program, recorder.trace, order, MODEM_LINK, cpi, method=method
         )
+
+
+# -- drawn one-link parallel configurations ------------------------------
+
+#: Each draw builds and runs a configuration twice, recorded: a fixed,
+#: seeded set, so tier-1 runs the same examples each time.
+_DRAWN = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def _drawn_orders(draw, item):
+    order = item.order(draw(st.sampled_from(["SCG", "Train", "Test"])))
+    if not draw(st.booleans()):
+        return order
+    methods = draw(st.permutations(order.order))
+    return FirstUseOrder(laid_out_entries(item.workload.program, methods))
+
+
+@_DRAWN
+@given(data=st.data())
+def test_drawn_parallel_configurations_match_the_oracle(data):
+    """A program (Hanoi, TestDes or JHLZip), a first-use order (SCG,
+    Train or Test, or a permutation of one), T1 or modem, a stream
+    limit, ``eager_start`` and data partitioning, drawn: recorded
+    ``run()`` and ``run_reference()`` agree on the result and the
+    event list."""
+    name = data.draw(st.sampled_from(["Hanoi", "TestDes", "JHLZip"]))
+    item = bundle(name)
+    order = data.draw(_drawn_orders(item), label="order")
+    layout = transfer_layout(
+        restructure(item.workload.program, order),
+        TransferPolicy.DATA_PARTITIONED
+        if data.draw(st.booleans(), label="data_partitioning")
+        else TransferPolicy.NON_STRICT,
+        order,
+    )
+    controller = StripedController(
+        layout,
+        (data.draw(st.sampled_from([T1_LINK, MODEM_LINK]), label="link"),),
+        policy="parallel",
+        max_streams=data.draw(
+            st.sampled_from([1, 2, 4, None]), label="max_streams"
+        ),
+        eager_start=data.draw(st.booleans(), label="eager_start"),
+    )
+    _assert_recorded_runs_match(
+        Simulator(item.workload.test_trace, controller, item.workload.cpi)
+    )

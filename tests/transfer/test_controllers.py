@@ -151,10 +151,10 @@ def test_schedule_dependencies_and_prefixes(restructured):
     # The entry class must start immediately and depends on nothing.
     assert a.start_after_bytes == 0.0
     assert a.dependency_bytes == 0.0
-    assert a.dependency_classes == ()
+    assert schedule.dependencies_of(a) == ()
     # B depends on A: its trigger counts bytes delivered from A, and
     # its required prefix runs through Bar_B (global data + Bar_B).
-    assert b.dependency_classes == ("A",)
+    assert schedule.dependencies_of(b) == ("A",)
     assert b.dependency_bytes > 0
     assert b.required_prefix_bytes == plans["B"].prefix_bytes_through(
         "Bar_B"

@@ -54,7 +54,7 @@ def test_threshold_never_exceeds_dependency_capacity():
     for start in schedule.starts:
         capacity = sum(
             plans[dependency].total_bytes
-            for dependency in start.dependency_classes
+            for dependency in schedule.dependencies_of(start)
         )
         assert start.start_after_bytes <= capacity + 1e-9
 
@@ -102,7 +102,7 @@ def test_globals_only_class_is_scheduled_last():
     plans = build_program_plans(target, TransferPolicy.NON_STRICT)
     schedule = build_schedule(target, plans, order)
     data_start = schedule.start_for("DataOnly")
-    assert set(data_start.dependency_classes) == {"A", "B"}
+    assert set(schedule.dependencies_of(data_start)) == {"A", "B"}
     assert data_start.required_prefix_bytes == plans[
         "DataOnly"
     ].total_bytes
