@@ -29,9 +29,11 @@ __all__ = [
 CODE_ATTRIBUTE = "Code"
 LOCAL_DATA_ATTRIBUTE = "LocalData"
 
-#: Code attribute bytes besides the code: the 6-byte attribute header,
+#: Every attribute's header: u2 name_index and u4 length.
+_ATTRIBUTE_HEADER = 6
+#: Code attribute bytes besides the code: the attribute header,
 #: u2 max_stack, u2 max_locals and u4 code_length.
-_CODE_ATTRIBUTE_HEADER = 6 + 2 + 2 + 4
+_CODE_ATTRIBUTE_HEADER = _ATTRIBUTE_HEADER + 2 + 2 + 4
 
 
 class AccessFlags:
@@ -58,7 +60,7 @@ class Attribute:
 
     @property
     def size(self) -> int:
-        return 6 + len(self.data)
+        return _ATTRIBUTE_HEADER + len(self.data)
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class MethodInfo:
         """Size of the LocalData attribute, 0 when there is no payload."""
         if not self.local_data:
             return 0
-        return 6 + len(self.local_data)
+        return _ATTRIBUTE_HEADER + len(self.local_data)
 
     @property
     def size(self) -> int:
@@ -199,7 +201,7 @@ class MethodInfo:
         """
         framing = 8 + _CODE_ATTRIBUTE_HEADER
         if self.local_data:
-            framing += 6  # the LocalData attribute header
+            framing += _ATTRIBUTE_HEADER
         for attribute in self.attributes:
             framing += attribute.size
         return framing

@@ -6,9 +6,12 @@ from repro.program import MethodId
 from repro.reorder import FirstUseEntry, FirstUseOrder
 from repro.reorder import estimate_first_use, restructure
 from repro.sched import StripedController
+from repro.errors import TransferError
 from repro.transfer import (
     T1_LINK,
+    ScheduledStart,
     TransferPolicy,
+    TransferSchedule,
     build_program_plans,
     build_schedule,
     transfer_layout,
@@ -106,3 +109,24 @@ def test_globals_only_class_is_scheduled_last():
     assert data_start.required_prefix_bytes == plans[
         "DataOnly"
     ].total_bytes
+
+
+def test_dependencies_are_a_prefix_of_the_class_order():
+    """Every start's dependencies are the classes first used before it,
+    kept once as the schedule's class order."""
+    program = mutual_recursion_program()
+    order = estimate_first_use(program)
+    target = restructure(program, order)
+    plans = build_program_plans(target, TransferPolicy.NON_STRICT)
+    schedule = build_schedule(target, plans, order)
+    for start in schedule.starts:
+        position = schedule.class_order.index(start.class_name)
+        assert start.dependency_count == position
+        assert schedule.dependencies_of(start) == schedule.class_order[:position]
+
+
+@pytest.mark.parametrize("count", [-1, 2])
+def test_a_dependency_count_outside_the_class_order_is_rejected(count):
+    start = ScheduledStart("A", 0.0, 0.0, 0, dependency_count=count)
+    with pytest.raises(TransferError, match="depends on"):
+        TransferSchedule(starts=[start], class_order=("A",))
