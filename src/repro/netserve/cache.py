@@ -20,12 +20,13 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..classfile import serialize
 from ..observe.metrics import MetricsRegistry
 from ..program import Program
 from ..transfer import TransferUnit
+from .protocol import UnitKey
 
 __all__ = [
     "ArtifactKey",
@@ -64,13 +65,10 @@ class SessionArtifact:
         frames: Pre-encoded ``UNIT`` wire frames per unit — what the
             send loop actually writes, so steady-state serving does no
             per-connection encoding at all.
-        units_by_class: Each class's units, in ``sequence`` order — the
-            candidates a ``resend`` demand, which always names a class,
-            matches against.
-        manifest: Wire-manifest rows aligned index-for-index with
-            ``sequence`` (``[kind, class, method, size]`` each), so a
-            RESUME's filtered manifest is a row selection, not a
-            rebuild.
+        units: Every unit by its wire key, in ``sequence`` order — the
+            one index the server resolves a client's keys in (RESUME's
+            ``have``, DEMAND_FETCH's ``units``) and derives manifest
+            rows from.
         strategy: The *resolved* reorder strategy (after any
             profile-to-static fallback), echoed in acks.
         total_bytes: Sum of unit sizes (the ack's ``total_bytes``).
@@ -81,20 +79,10 @@ class SessionArtifact:
     sequence: Tuple[TransferUnit, ...]
     payloads: Mapping[TransferUnit, bytes]
     frames: Mapping[TransferUnit, bytes]
-    units_by_class: Mapping[str, Tuple[TransferUnit, ...]]
-    manifest: Tuple[Tuple[Any, ...], ...]
+    units: Mapping[UnitKey, TransferUnit]
     strategy: str
     total_bytes: int
     wire_bytes: int
-
-    def manifest_rows(
-        self, sequence: List[TransferUnit]
-    ) -> List[List[Any]]:
-        """Manifest rows for an arbitrary subsequence of units."""
-        by_unit: Dict[TransferUnit, Tuple[Any, ...]] = dict(
-            zip(self.sequence, self.manifest)
-        )
-        return [list(by_unit[unit]) for unit in sequence]
 
 
 class ArtifactCache:

@@ -84,6 +84,7 @@ from .protocol import (
     FRAME_HEADER_BYTES,
     Frame,
     FrameKind,
+    UnitKey,
     decode_frame,
     demand_fetch_frame,
     encode_frame,
@@ -93,6 +94,7 @@ from .protocol import (
     resume_frame,
     salvage_unit_key,
     unit_kind_code,
+    unit_kind_from_code,
     unit_wire_key,
 )
 from .stats import FetchStats
@@ -100,15 +102,20 @@ from .stats import FetchStats
 if TYPE_CHECKING:  # pragma: no cover
     from ..observe import TraceRecorder
 
-__all__ = ["LinkState", "NonStrictFetcher", "READ_CHUNK_BYTES"]
+__all__ = [
+    "BACKOFF_CAP_SECONDS",
+    "LinkState",
+    "NonStrictFetcher",
+    "READ_CHUNK_BYTES",
+]
 
 #: A server endpoint: (host, port).
 Endpoint = Tuple[str, int]
-#: A unit's wire identity: (kind code, class name, method name).
-UnitKey = Tuple[int, str, Optional[str]]
 
-#: Manifest rows name a unit kind by value; wire keys use its code.
-_KIND_CODE_OF_VALUE = {kind.value: unit_kind_code(kind) for kind in UnitKind}
+#: Wire codes of every unit kind, and of the two a method waits on.
+_KIND_CODES = frozenset(unit_kind_code(kind) for kind in UnitKind)
+_METHOD = unit_kind_code(UnitKind.METHOD)
+_CLASS_FILE = unit_kind_code(UnitKind.CLASS_FILE)
 
 #: Most bytes one socket read takes: one server send batch
 #: (``server.SEND_BATCH_BYTES``).  Every whole frame a read completes
@@ -117,26 +124,42 @@ _KIND_CODE_OF_VALUE = {kind.value: unit_kind_code(kind) for kind in UnitKind}
 #: 4 alternating pairs).
 READ_CHUNK_BYTES = 16 * 1024
 
+#: Longest reconnect backoff in seconds, before jitter: the delay
+#: doubles from ``backoff_base`` with each attempt up to this cap.
+BACKOFF_CAP_SECONDS = 2.0
 
-def _row_key(row: Sequence[Any]) -> UnitKey:
-    """The wire key of one manifest row ``[kind, class, method, size]``.
 
-    Rows come off the wire and are read lazily, inside a link's task, so
-    a malformed one must fail as a typed link error, never as a crash
+def _read_rows(rows: List[Any]) -> Iterator[Tuple[UnitKey, int]]:
+    """Each manifest row ``[kind code, class, method or null, size]``'s
+    wire key and size, in order.
+
+    The one reader of manifest rows, from either kind of ack: a pull
+    stripe's scoreboard reads the session's rows at once, the plan
+    reads every ack's rows on first need.  Rows come off the wire, so a
+    malformed one must fail as a typed link error, never as a crash
     that would leave the fetch's waiters hanging.
+
+    Raises:
+        ProtocolError: At the first row that is not a known kind code, a
+            class name, a method name for a ``METHOD`` unit (null for
+            any other) and a non-negative integer size.
     """
-    try:
-        code = _KIND_CODE_OF_VALUE[row[0]]
-        method = row[2]
-        return (code, str(row[1]), None if method is None else str(method))
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed manifest row {row!r}") from exc
-
-
-def _resend_frame(keys: Sequence[UnitKey]) -> Frame:
-    """One request for exactly these units, in order: a pull link's
-    round of issues, a hedge, or a damaged frame's retry."""
-    return demand_fetch_frame(units=keys)
+    for row in rows:
+        try:
+            code, class_name, method, size = row
+            sound = (
+                type(code) is int
+                and code in _KIND_CODES
+                and type(class_name) is str
+                and (type(method) is str if code == _METHOD else method is None)
+                and type(size) is int
+                and size >= 0
+            )
+        except (TypeError, ValueError):  # not four items
+            sound = False
+        if not sound:
+            raise ProtocolError(f"malformed manifest row {row!r}")
+        yield (code, class_name, method), size
 
 
 class _Framer:
@@ -263,8 +286,8 @@ class NonStrictFetcher:
         max_reconnects: Reconnect budget per link, and how often
             :meth:`connect` retries when every link is turned away with
             BUSY.  ``0`` takes the strict fallback on the first failure.
-        backoff_base, backoff_cap: First reconnect delay in seconds,
-            doubled per attempt up to the cap.
+        backoff_base: First reconnect delay in seconds, doubled per
+            attempt up to :data:`BACKOFF_CAP_SECONDS`.
         backoff_jitter: Fraction of each delay added as seeded jitter
             (``0.0`` = fully deterministic delays).
         deadline: Wall-clock budget in seconds for the whole fetch,
@@ -298,7 +321,6 @@ class NonStrictFetcher:
         connect_timeout: Optional[float] = 10.0,
         max_reconnects: int = 4,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         backoff_jitter: float = 0.25,
         deadline: Optional[float] = None,
         seed: int = 0,
@@ -332,7 +354,6 @@ class NonStrictFetcher:
         self.connect_timeout = connect_timeout
         self.max_reconnects = max_reconnects
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.backoff_jitter = backoff_jitter
         self.deadline = deadline
         self.seed = seed
@@ -412,7 +433,6 @@ class NonStrictFetcher:
             self.stats.record_busy_retry()
             await self._back_off(self._links[0], attempt)
         if self._pull:
-            self._build_board()
             self._watchdog = asyncio.create_task(self._watchdog_loop())
         for link, error in zip(self._links, errors):
             link.task = asyncio.create_task(self._link_main(link, error))
@@ -531,28 +551,44 @@ class NonStrictFetcher:
             if greeting.kind is FrameKind.RESUME
             else FrameKind.HELLO_ACK
         )
-        if ack.kind is not expected:
-            writer.close()
-            fields = ack.field_dict
+        fields = ack.field_dict
+        try:
             if ack.kind is FrameKind.ERROR and fields.get("code") == "busy":
                 raise ServerBusyError(f"server busy: {fields.get('message')}")
             if ack.kind is FrameKind.ERROR:
                 raise ProtocolError(
                     f"server rejected session: {fields.get('message')}"
                 )
-            raise ProtocolError(
-                f"expected {expected.name}, got {ack.kind.name}"
-            )
+            if ack.kind is not expected:
+                raise ProtocolError(
+                    f"expected {expected.name}, got {ack.kind.name}"
+                )
+            self._accept_manifest(fields)
+        except ProtocolError:
+            writer.close()
+            raise
         link.reader, link.writer = reader, writer
-        self._accept_manifest(ack.field_dict)
 
     def _accept_manifest(self, fields: Dict[str, Any]) -> None:
-        """Queue an ack's rows for the plan; the first ack is the session's."""
+        """Take an ack's manifest; the first ack's is the session's.
+
+        A pull stripe reads the session's rows into its scoreboard at
+        once.  Every ack's rows also queue for the plan, which reads
+        them on first need (:meth:`_plan_order`).
+
+        Raises:
+            ProtocolError: If ``sequence`` is not a list, or a row the
+                scoreboard reads is malformed (:func:`_read_rows`).
+        """
         rows = fields.get("sequence", [])
+        if not isinstance(rows, list):
+            raise ProtocolError(f"malformed manifest sequence {rows!r}")
         if not self.manifest:
+            self._planned = len(rows)
+            if self._pull:
+                self._build_board(rows)
             self.manifest = fields
             self.stats.strategy = fields.get("strategy", self.strategy)
-            self._planned = len(rows)
             self._t0 = time.monotonic()
         self._unindexed.append(rows)
 
@@ -572,8 +608,8 @@ class NonStrictFetcher:
         """
         plan = self._plan
         for rows in self._unindexed:
-            for row in rows:
-                plan.setdefault(_row_key(row), len(plan))
+            for key, _ in _read_rows(rows):
+                plan.setdefault(key, len(plan))
         self._unindexed.clear()
         return plan
 
@@ -595,7 +631,7 @@ class NonStrictFetcher:
             return True
         return not self._missing()
 
-    def _build_board(self) -> None:
+    def _build_board(self, rows: List[Any]) -> None:
         """One issue grain per manifest unit, plus retire hazards.
 
         :func:`repro.sched.unit_grain_scoreboard` builds the board, as
@@ -603,24 +639,22 @@ class NonStrictFetcher:
         leading global unit is a retire dependency of every other unit
         of the class, so out-of-order landings never make a method
         observable before its global data.
+
+        Raises:
+            ProtocolError: If a row is malformed; nothing is kept.
         """
-        units: List[TransferUnit] = []
-        for row in self.manifest.get("sequence", []):
-            class_name, method_name = str(row[1]), row[2]
-            unit = TransferUnit(
-                kind=UnitKind(row[0]),
-                class_name=class_name,
-                size=int(row[3]),
-                method=(
-                    MethodId(class_name, str(method_name))
-                    if method_name is not None
-                    else None
-                ),
+        units: Dict[UnitKey, TransferUnit] = {}
+        for key, size in _read_rows(rows):
+            code, class_name, method = key
+            units[key] = TransferUnit(
+                unit_kind_from_code(code),
+                class_name,
+                size,
+                None if method is None else MethodId(class_name, method),
             )
-            units.append(unit)
-            self._unit_by_key[unit_wire_key(unit)] = unit
-        self._board = unit_grain_scoreboard(units)
-        self._planned = len(self._unit_by_key)
+        self._board = unit_grain_scoreboard(list(units.values()))
+        self._unit_by_key = units
+        self._planned = len(units)
 
     # -- pull arbitration and issue -----------------------------------------
 
@@ -688,7 +722,9 @@ class NonStrictFetcher:
                 link.in_flight[key] = (item.label, time.monotonic())
                 issued.setdefault(link.index, []).append(key)
             for index, keys in issued.items():
-                await self._send(self._links[index], _resend_frame(keys))
+                await self._send(
+                    self._links[index], demand_fetch_frame(units=keys)
+                )
 
     async def _send(self, link: _Link, frame: Frame) -> None:
         """Put one client frame on a link.
@@ -881,7 +917,7 @@ class NonStrictFetcher:
                 link=str(link.index),
                 reason=str(error),
             )
-        await self._send(link, _resend_frame([key]))
+        await self._send(link, demand_fetch_frame(units=[key]))
 
     # -- landing and retire -----------------------------------------------
 
@@ -1078,7 +1114,7 @@ class NonStrictFetcher:
         """Sleep a capped exponential backoff with the link's own seeded
         jitter (attempt >= 1); returns the delay."""
         backoff = min(
-            self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
+            BACKOFF_CAP_SECONDS, self.backoff_base * (2 ** (attempt - 1))
         )
         backoff += self._rngs[link.index].uniform(
             0.0, self.backoff_jitter * backoff
@@ -1292,15 +1328,16 @@ class NonStrictFetcher:
         return False
 
     def _needed_key(self, method_id: MethodId) -> Optional[UnitKey]:
-        """The wire key whose retire makes ``method_id`` available."""
-        for unit in self._unit_by_key.values():
-            if unit.kind is UnitKind.METHOD and unit.method == method_id:
-                return unit_wire_key(unit)
-            if (
-                unit.kind is UnitKind.CLASS_FILE
-                and unit.class_name == method_id.class_name
-            ):
-                return unit_wire_key(unit)
+        """The wire key whose retire makes ``method_id`` available: its
+        method unit's, or its class file's."""
+        class_name = method_id.class_name
+        needed: Tuple[UnitKey, ...] = (
+            (_METHOD, class_name, method_id.method_name),
+            (_CLASS_FILE, class_name, None),
+        )
+        for key in needed:
+            if key in self._unit_by_key:
+                return key
         return None
 
     def _escalate_for(self, key: Optional[UnitKey]) -> None:
@@ -1340,7 +1377,7 @@ class NonStrictFetcher:
             )
         self._hedges[key] = (item.channel, link.index)
         link.in_flight.setdefault(key, (label, time.monotonic()))
-        await self._send(link, _resend_frame([key]))
+        await self._send(link, demand_fetch_frame(units=[key]))
 
     async def wait_until_complete(self) -> None:
         """Block until every unit is held (or a typed failure)."""

@@ -3,7 +3,7 @@
 Every message is a *frame*::
 
     u16  magic   (0x524E, "RN")
-    u8   version (1)
+    u8   version (2)
     u8   kind    (FrameKind)
     u32  body length
     ...  body
@@ -11,12 +11,17 @@ Every message is a *frame*::
 
 Control frames (``HELLO``, ``HELLO_ACK``, ``DEMAND_FETCH``, ``ERROR``,
 ``RESUME``, ``RESUME_ACK``) carry a UTF-8 JSON object as their body;
-``EOF`` has an empty body.  A unit's *wire key* is the JSON list
-``[kind code, class, method or null]`` (:func:`unit_wire_key`):
-``RESUME``'s ``have`` lists the keys a client holds, and
-``DEMAND_FETCH``'s optional ``units`` lists the keys it requests, in
-order, each as an exact ``resend`` of that one unit.  A
-``UNIT`` frame carries one :class:`~repro.transfer.TransferUnit` plus
+``EOF`` has an empty body.  A unit has one name on the wire, its *wire
+key* ``[kind code, class, method or null]`` (:func:`unit_wire_key`):
+
+* each manifest row of ``HELLO_ACK`` and ``RESUME_ACK`` is a unit's
+  wire key followed by its size;
+* ``RESUME``'s ``have`` lists the keys a client holds;
+* a ``DEMAND_FETCH`` has one of two shapes (:func:`demand_fetch_frame`):
+  ``{class, method}`` asks a push session to promote a class, and
+  ``{units}`` lists the keys of exact resends, in order.
+
+A ``UNIT`` frame carries one :class:`~repro.transfer.TransferUnit` plus
 its payload bytes::
 
     u8   unit kind (UnitKind code)
@@ -61,6 +66,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "FrameKind",
     "Frame",
+    "UnitKey",
     "hello_frame",
     "hello_ack_frame",
     "unit_frame",
@@ -81,7 +87,7 @@ __all__ = [
 ]
 
 MAGIC = 0x524E  # "RN"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">HBBI")
 _CRC = struct.Struct(">I")
@@ -125,6 +131,9 @@ _UNIT_KIND_CODES: Dict[UnitKind, int] = {
 }
 _UNIT_KINDS_BY_CODE = {code: kind for kind, code in _UNIT_KIND_CODES.items()}
 
+#: A unit's wire key: (kind code, class name, method name or None).
+UnitKey = Tuple[int, str, Optional[str]]
+
 
 def unit_kind_from_code(code: int) -> UnitKind:
     """Wire code back to a :class:`~repro.transfer.UnitKind`."""
@@ -139,11 +148,12 @@ def unit_kind_code(kind: UnitKind) -> int:
     return _UNIT_KIND_CODES[kind]
 
 
-def unit_wire_key(unit: TransferUnit) -> Tuple[int, str, Optional[str]]:
+def unit_wire_key(unit: TransferUnit) -> UnitKey:
     """A unit's stable wire identity: (kind code, class, method).
 
-    This is what RESUME's ``have`` set and the duplicate filter use, so
-    the same unit is recognized across reconnects and re-sends.
+    The only name a unit has on the wire: manifest rows, RESUME's
+    ``have``, DEMAND_FETCH's ``units`` and the duplicate filter all use
+    it, so the same unit is recognized across reconnects and re-sends.
     """
     return (
         _UNIT_KIND_CODES[unit.kind],
@@ -209,44 +219,41 @@ def demand_fetch_frame(
     class_name: Optional[str] = None,
     method_name: Optional[str] = None,
     *,
-    kind: Optional[UnitKind] = None,
-    resend: bool = False,
-    units: Optional[Iterable[Tuple[int, str, Optional[str]]]] = None,
+    units: Optional[Iterable[UnitKey]] = None,
 ) -> Frame:
-    """Client mispredict correction: prioritize this class/method.
+    """A client request in one of the two ``DEMAND_FETCH`` shapes.
 
-    With ``resend=True`` the server also re-enqueues matching units it
-    already sent — the recovery path for a unit whose frame arrived
-    damaged.  ``kind`` narrows a resend to one unit kind so a single
-    corrupted frame costs exactly one re-transmission.
+    ``demand_fetch_frame(class_name, method_name)`` sends ``{class,
+    method}``: a push session's mispredict correction, which moves the
+    class's still-pending units, as a block, to the front of the
+    server's queue (§5.1).
 
-    ``units`` instead names whole units by wire key
-    (:func:`unit_wire_key`), sent as the JSON list ``units`` of
-    ``[kind code, class, method or null]`` entries.  Each entry is an
-    exact resend of its unit, and the server moves every match, in list
-    order, to the front of its queue as one block — a pull link's
-    whole round of requests in one frame.  The server reads the
-    single-unit fields only when ``units`` is absent.
+    ``demand_fetch_frame(units=keys)`` sends ``{units}``: a JSON list of
+    wire keys (:func:`unit_wire_key`), each an exact resend of its
+    unit.  The server moves every named unit, sent or pending, in list
+    order, to the front of its queue as one block — a pull link's whole
+    round of requests, a damaged frame's retry or a hedge in one frame.
+
+    Raises:
+        TransferError: If both shapes, or neither, are given.
     """
-    fields: Dict[str, Any] = {}
-    if class_name is not None:
-        fields["class"] = class_name
-        fields["method"] = method_name
-    if kind is not None:
-        fields["kind"] = _UNIT_KIND_CODES[kind]
-    if resend:
-        fields["resend"] = True
-    if units is not None:
-        fields["units"] = [
-            [int(code), cls, method] for code, cls, method in units
-        ]
+    if (units is None) == (class_name is None):
+        raise TransferError(
+            "a DEMAND_FETCH names either a class or a list of units"
+        )
+    if units is None:
+        fields: Dict[str, Any] = {"class": class_name, "method": method_name}
+    else:
+        fields = {
+            "units": [[int(code), cls, method] for code, cls, method in units]
+        }
     return _json_frame(FrameKind.DEMAND_FETCH, fields)
 
 
 def resume_frame(
     policy: str,
     strategy: str = "static",
-    have: Iterable[Tuple[int, str, Optional[str]]] = (),
+    have: Iterable[UnitKey] = (),
     **extra: Any,
 ) -> Frame:
     """Client reconnect: negotiate like HELLO, but skip held units.
@@ -515,9 +522,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame:
     return frame
 
 
-def salvage_unit_key(
-    data: bytes,
-) -> Optional[Tuple[int, str, Optional[str]]]:
+def salvage_unit_key(data: bytes) -> Optional[UnitKey]:
     """Best-effort unit wire key from a possibly corrupt UNIT frame.
 
     A single flipped payload byte fails the CRC but leaves the header

@@ -28,12 +28,13 @@ Striped sessions negotiate *pull mode* (``HELLO`` with ``pull:
 true``): the server answers with the full manifest but pushes nothing;
 every unit is requested explicitly through the demand path (a
 ``DEMAND_FETCH`` whose ``units`` list names wire keys, each an exact
-resend), so a multi-link client's issue engine — not the server —
-decides which unit travels on which connection and when.  One frame
-names every unit the client issued to the link in a round; the server
-promotes them as one block and wakes its sender once, so they leave in
-one batched write.  A pull session has no ``EOF``; the client closes
-the connection once its scoreboard drains.
+resend resolved by one lookup in the artifact's key index), so a
+multi-link client's issue engine — not the server — decides which unit
+travels on which connection and when.  One frame names every unit the
+client issued to the link in a round; the server promotes them as one
+block and wakes its sender once, so they leave in one batched write.
+A pull session has no ``EOF``; the client closes the connection once
+its scoreboard drains.
 
 Fleet-scale controls:
 
@@ -42,9 +43,9 @@ Fleet-scale controls:
   "busy"`` and is closed, instead of silently degrading every other
   session.
 * **Send backpressure** — each connection's transport write buffer is
-  bounded (``write_buffer_high``), so ``drain()`` genuinely pauses the
-  sender for a slow client instead of buffering the whole stream in
-  memory.
+  bounded (:data:`WRITE_BUFFER_HIGH`), so ``drain()`` genuinely pauses
+  the sender for a slow client instead of buffering the whole stream
+  in memory.
 * **Fair batching** — a session goes out in batches of whole frames of
   at most :data:`SEND_BATCH_BYTES`, one ``write`` each, and the sender
   yields to the event loop once per batch.  Below the high-water mark
@@ -58,14 +59,18 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
-
-from ..errors import (
-    ConnectionLostError,
-    FrameCorruptionError,
-    ProtocolError,
-    ReproError,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
 )
+
+from ..errors import ConnectionLostError, ProtocolError, ReproError
 from ..faults import ConnectionFaults, FaultInjector, FaultPlan, FrameDirective
 from ..program import Program
 from ..reorder import (
@@ -76,12 +81,7 @@ from ..reorder import (
     textual_first_use,
     weighted_first_use,
 )
-from ..transfer import (
-    TransferPolicy,
-    TransferUnit,
-    UnitKind,
-    transfer_layout,
-)
+from ..transfer import TransferPolicy, TransferUnit, transfer_layout
 # Not called here: the benchmark harness (reprobench/tracing.py) patches
 # these two names on this module; they go when the harness is next changed.
 from ..transfer import build_interleaved_file, build_program_plans  # noqa: F401
@@ -90,6 +90,7 @@ from .cache import ArtifactCache, SessionArtifact, program_fingerprint
 from .payloads import build_program_payloads
 from .protocol import (
     FrameKind,
+    UnitKey,
     encode_frame,
     eof_frame,
     error_frame,
@@ -97,7 +98,6 @@ from .protocol import (
     read_frame,
     resume_ack_frame,
     unit_frame,
-    unit_kind_from_code,
     unit_wire_key,
 )
 from .stats import ConnectionStats, ServerStats
@@ -121,6 +121,10 @@ REORDER_STRATEGIES = ("static", "textual", "profile", "weighted")
 #: seeds 1-4, 32 KB gave no better p50 (6.3-7.4 ms against 6.7-7.6 ms)
 #: and a worse p90 (19-23 ms against 15-18 ms).
 SEND_BATCH_BYTES = 16 * 1024
+
+#: High-water mark of each connection's transport write buffer: past
+#: it, ``drain()`` pauses the sender until a slow client catches up.
+WRITE_BUFFER_HIGH = 64 * 1024
 
 
 class TokenBucket:
@@ -234,8 +238,6 @@ class ClassFileServer:
         max_connections: Optional admission limit; a connection past
             it receives an ``ERROR`` frame with ``code: "busy"`` and
             is closed.
-        write_buffer_high: High-water mark in bytes for each
-            connection's transport write buffer (send backpressure).
         cache: Optional shared :class:`~.cache.ArtifactCache`; one
             private cache is created when omitted.  Passing the same
             cache to several servers shares planned artifacts across
@@ -267,7 +269,6 @@ class ClassFileServer:
         burst: float = 256.0,
         per_connection_bandwidth: Optional[float] = None,
         max_connections: Optional[int] = None,
-        write_buffer_high: int = 64 * 1024,
         cache: Optional[ArtifactCache] = None,
         profile: Optional[FirstUseProfile] = None,
         once: bool = False,
@@ -285,7 +286,6 @@ class ClassFileServer:
                 f"max_connections must be >= 1: {max_connections}"
             )
         self.max_connections = max_connections
-        self.write_buffer_high = write_buffer_high
         self.profile = profile
         self.once = once
         self.fault_plan = fault_plan
@@ -414,23 +414,11 @@ class ClassFileServer:
             unit: encode_frame(unit_frame(unit, payloads[unit]))
             for unit in sequence
         }
-        manifest = tuple(
-            (
-                unit.kind.value,
-                unit.class_name,
-                unit.method.method_name if unit.method else None,
-                unit.size,
-            )
-            for unit in sequence
-        )
         return SessionArtifact(
             sequence=sequence,
             payloads=payloads,
             frames=frames,
-            units_by_class={
-                name: plan.units for name, plan in layout.plans.items()
-            },
-            manifest=manifest,
+            units={unit_wire_key(unit): unit for unit in sequence},
             strategy=strategy,
             total_bytes=sum(unit.size for unit in sequence),
             wire_bytes=sum(len(data) for data in frames.values()),
@@ -512,9 +500,7 @@ class ClassFileServer:
         if transport is not None:
             # Bound the kernel-side buffering so drain() exerts real
             # backpressure against slow clients.
-            transport.set_write_buffer_limits(
-                high=self.write_buffer_high
-            )
+            transport.set_write_buffer_limits(high=WRITE_BUFFER_HIGH)
         faults = (
             self._injector.connection()
             if self._injector is not None
@@ -610,7 +596,11 @@ class ClassFileServer:
         A ``pull: true`` field in either greeting puts the session in
         pull mode: the ack still carries the full (resume-filtered)
         manifest, but nothing is queued for push — the client drives
-        every unit through ``DEMAND_FETCH``/``resend``.
+        every unit through ``DEMAND_FETCH`` ``units`` lists.
+
+        The manifest rows ``[kind code, class, method or null, size]``
+        come from the artifact's key index, and each held key is one
+        lookup there.
         """
         hello = await read_frame(reader)
         if hello.kind not in (FrameKind.HELLO, FrameKind.RESUME):
@@ -627,47 +617,41 @@ class ClassFileServer:
         strategy = fields.get("strategy", "static")
         pull = bool(fields.get("pull"))
         artifact = self._plan_session(policy, strategy)
-        full_sequence = list(artifact.sequence)
-        sequence = full_sequence
+        pairs: Iterable[Tuple[UnitKey, TransferUnit]] = artifact.units.items()
+        sequence = list(artifact.sequence)
+        skipped = 0
         resumed = hello.kind == FrameKind.RESUME
         if resumed:
             have = set(
                 self._wire_keys(fields.get("have", []), "RESUME 'have'")
             )
-            sequence = [
-                unit
-                for unit in full_sequence
-                if unit_wire_key(unit) not in have
-            ]
-            conn.record_resume(len(full_sequence) - len(sequence))
+            pairs = [pair for pair in pairs if pair[0] not in have]
+            sequence = [unit for _, unit in pairs]
+            skipped = len(artifact.sequence) - len(sequence)
+            conn.record_resume(skipped)
         conn.policy = policy.value
         conn.strategy = artifact.strategy
         entry = self.program.entry_point
-        if resumed:
-            manifest = artifact.manifest_rows(sequence)
-            total_bytes = sum(unit.size for unit in sequence)
-        else:
-            manifest = [list(row) for row in artifact.manifest]
-            total_bytes = artifact.total_bytes
         ack_fields = dict(
             policy=policy.value,
             strategy=artifact.strategy,
             unit_count=len(sequence),
-            total_bytes=total_bytes,
+            total_bytes=(
+                sum(unit.size for unit in sequence)
+                if resumed
+                else artifact.total_bytes
+            ),
             bandwidth=self.bandwidth,
             entry=(
                 [entry.class_name, entry.method_name] if entry else None
             ),
-            sequence=manifest,
+            sequence=[[*key, unit.size] for key, unit in pairs],
         )
         if pull:
             ack_fields["pull"] = True
             conn.record_pull_session()
         if resumed:
-            ack = resume_ack_frame(
-                skipped=len(full_sequence) - len(sequence),
-                **ack_fields,
-            )
+            ack = resume_ack_frame(skipped=skipped, **ack_fields)
         else:
             ack = hello_ack_frame(**ack_fields)
         writer.write(encode_frame(ack))
@@ -675,9 +659,7 @@ class ClassFileServer:
         return sequence, artifact, pull
 
     @staticmethod
-    def _wire_keys(
-        raw: object, what: str
-    ) -> List[Tuple[int, str, Optional[str]]]:
+    def _wire_keys(raw: object, what: str) -> List[UnitKey]:
         """Parse a JSON list of unit wire keys, keeping its order.
 
         The one parser for RESUME's ``have`` and DEMAND_FETCH's
@@ -829,14 +811,9 @@ class ClassFileServer:
     ) -> None:
         """Serve DEMAND_FETCH frames by promoting pending units.
 
-        A plain demand promotes the demanded class's still-pending
-        units to the front.  A ``resend`` demand (a client recovering a
-        damaged frame) additionally re-enqueues already-sent units of
-        the demanded class that match the given method / kind.  A
-        ``units`` list (a pull link's round of requests, a retry or a
-        hedge) is a list of exact resends: every match, sent or
-        pending, moves to the front as one block, in list order.  Each
-        frame counts as one demand fetch, whatever it names.
+        Each frame has one of the protocol's two shapes (see
+        :meth:`_demanded`), and each counts as one demand fetch,
+        whatever it names.
 
         Runs concurrently with the sender; the deque rearrangement is
         synchronous (no await between read and write of ``pending``),
@@ -855,62 +832,42 @@ class ClassFileServer:
             if wake is not None:
                 wake.set()
 
-    @staticmethod
-    def _demand_fields(
+    def _demanded(
+        self,
         fields: Dict[str, Any],
-    ) -> Tuple[str, Optional[str], Optional[int], bool]:
-        """A DEMAND_FETCH's ``(class, method, kind code, resend)``.
+        pending: Deque[TransferUnit],
+        artifact: SessionArtifact,
+    ) -> Tuple[List[TransferUnit], List[Tuple[str, Optional[str]]]]:
+        """One DEMAND_FETCH's promoted units and the (class, method)
+        pairs it names.
+
+        ``{units}`` (a pull link's round of requests, a retry or a
+        hedge) promotes each named unit, sent or pending, once, in
+        list order; each key is one lookup in the artifact's index, and
+        a key it lacks names nothing.  ``{class, method}`` (a push
+        session's §5.1 correction) promotes the class's pending units.
 
         Raises:
-            ProtocolError: If a field has the wrong type.
+            ProtocolError: If the fields are neither shape, or one has
+                the wrong type.
         """
-        demanded = fields.get("class")
-        method = fields.get("method")
-        kind_code = fields.get("kind")
-        if (
-            not isinstance(demanded, str)
-            or not (method is None or isinstance(method, str))
-            or not (
-                kind_code is None
-                or (
-                    isinstance(kind_code, int)
-                    and not isinstance(kind_code, bool)
-                )
+        if fields.keys() == {"units"}:
+            keys = self._wire_keys(fields["units"], "DEMAND_FETCH 'units'")
+            units = artifact.units
+            # dict.fromkeys: a unit two entries name moves once.
+            promoted = list(
+                dict.fromkeys(units[key] for key in keys if key in units)
             )
+            return promoted, [(cls, name) for _, cls, name in keys]
+        demanded, method = fields.get("class"), fields.get("method")
+        if (
+            fields.keys() != {"class", "method"}
+            or not isinstance(demanded, str)
+            or not (method is None or isinstance(method, str))
         ):
             raise ProtocolError(f"malformed DEMAND_FETCH {fields!r}")
-        return demanded, method, kind_code, bool(fields.get("resend"))
-
-    @staticmethod
-    def _resend_matches(
-        artifact: SessionArtifact,
-        demanded: str,
-        method: Optional[str],
-        kind_code: Optional[int],
-    ) -> List[TransferUnit]:
-        """The demanded class's units a ``resend`` names.
-
-        A unit matches when it has the given kind and method name;
-        either may be left out.  An unknown kind code matches nothing.
-        """
-        kind: Optional[UnitKind] = None
-        if kind_code is not None:
-            try:
-                kind = unit_kind_from_code(kind_code)
-            except FrameCorruptionError:
-                return []
-        return [
-            unit
-            for unit in artifact.units_by_class.get(demanded, ())
-            if (kind is None or unit.kind is kind)
-            and (
-                method is None
-                or (
-                    unit.method is not None
-                    and unit.method.method_name == method
-                )
-            )
-        ]
+        promoted = [unit for unit in pending if unit.class_name == demanded]
+        return promoted, [(demanded, method)]
 
     async def _demand_requests(
         self,
@@ -925,47 +882,16 @@ class ClassFileServer:
                 frame = await read_frame(reader)
                 if frame.kind != FrameKind.DEMAND_FETCH:
                     continue  # tolerate chatty clients; units keep flowing
-                fields = frame.field_dict
-                listed = fields.get("units")
-                if listed is None:
-                    demanded, method, kind_code, resend = (
-                        self._demand_fields(fields)
-                    )
-                else:
-                    keys = self._wire_keys(listed, "DEMAND_FETCH 'units'")
+                promoted, named = self._demanded(
+                    frame.field_dict, pending, artifact
+                )
             except ReproError:
                 return  # peer gone or talking garbage; sender notices
-            if listed is None:
-                promoted = [
-                    unit
-                    for unit in pending
-                    if unit.class_name == demanded
-                ]
-                if resend:
-                    promoted = [
-                        unit
-                        for unit in self._resend_matches(
-                            artifact, demanded, method, kind_code
-                        )
-                        if unit not in pending
-                    ] + promoted
-                keys = [(kind_code, demanded, method)]
-            else:
-                # dict.fromkeys: a unit two entries match moves once.
-                promoted = list(
-                    dict.fromkeys(
-                        unit
-                        for code, cls, name in keys
-                        for unit in self._resend_matches(
-                            artifact, cls, name, code
-                        )
-                    )
-                )
             conn.record_demand_fetch(len(promoted))
             if self.recorder is not None:
                 self.recorder.demand_fetch(
                     self._now(),
-                    method=",".join(f"{cls}.{name}" for _, cls, name in keys),
+                    method=",".join(f"{cls}.{name}" for cls, name in named),
                     peer=conn.peer,
                 )
             if not promoted:
@@ -983,7 +909,7 @@ class ClassFileServer:
                 self.recorder.schedule_decision(
                     self._now(),
                     action="promote",
-                    target=",".join(dict.fromkeys(cls for _, cls, _ in keys)),
+                    target=",".join(dict.fromkeys(cls for cls, _ in named)),
                     promoted_units=len(promoted),
                     peer=conn.peer,
                 )

@@ -8,6 +8,7 @@ import pytest
 from repro import figure1_program
 from repro.errors import (
     ConnectionLostError,
+    ProtocolError,
     ResilienceExhaustedError,
     StreamDecodeError,
     TransferError,
@@ -25,7 +26,9 @@ from repro.netserve import (
     read_frame,
     resume_ack_frame,
     unit_frame,
+    unit_wire_key,
 )
+from repro.netserve.protocol import unit_kind_code
 from repro.observe import TraceRecorder
 from repro.program import MethodId
 from repro.transfer import TransferUnit, UnitKind
@@ -242,20 +245,22 @@ _HOT_UNIT = TransferUnit(
     method=MethodId("Hot", "run"),
 )
 _SEQUENCE = [
-    [UnitKind.GLOBAL_DATA.value, "Cold", None, 8],
-    [UnitKind.METHOD.value, "Hot", "run", 8],
+    [unit_kind_code(UnitKind.GLOBAL_DATA), "Cold", None, 8],
+    [unit_kind_code(UnitKind.METHOD), "Hot", "run", 8],
 ]
 
 
-async def scripted_server(streams, sequence=_SEQUENCE):
+async def scripted_server(streams, sequence=_SEQUENCE, sound_acks=0):
     """A server whose ``n``-th connection gets ``streams[n]`` after an
-    ack (announcing ``sequence``) matching its greeting, then holds the
-    socket until the client hangs up (the last stream repeats)."""
+    ack matching its greeting, then holds the socket until the client
+    hangs up (the last stream repeats).  The first ``sound_acks`` acks
+    announce ``_SEQUENCE``, every later one ``sequence``."""
     connections = []
 
     async def handler(reader, writer):
         greeting = await read_frame(reader)
         stream = streams[min(len(connections), len(streams) - 1)]
+        announced = _SEQUENCE if len(connections) < sound_acks else sequence
         connections.append(greeting.field_dict)
         ack = (
             resume_ack_frame
@@ -264,7 +269,7 @@ async def scripted_server(streams, sequence=_SEQUENCE):
         )
         writer.write(
             encode_frame(
-                ack(unit_count=2, total_bytes=16, entry=None, sequence=sequence)
+                ack(unit_count=2, total_bytes=16, entry=None, sequence=announced)
             )
         )
         writer.write(stream)
@@ -342,14 +347,8 @@ def test_stream_decode_error_offset_counts_only_its_connection():
     ]
     fetcher = NonStrictFetcher("127.0.0.1", 1, links=[("127.0.0.1", 1)])
     fetcher._accept_manifest(
-        {
-            "sequence": [
-                [unit.kind.value, "A", unit.method and unit.method.method_name, unit.size]
-                for unit in units
-            ]
-        }
+        {"sequence": [[*unit_wire_key(unit), unit.size] for unit in units]}
     )
-    fetcher._build_board()
     frames = [
         encode_frame(unit_frame(unit, bytes([index]) * unit.size))
         for index, unit in enumerate(units)
@@ -428,3 +427,63 @@ def test_malformed_manifest_row_fails_typed_instead_of_hanging():
         await server.wait_closed()
 
     run(scenario())
+
+
+#: Manifests a client must refuse, each announcing the good Cold unit
+#: beside its fault.
+_MALFORMED_MANIFESTS = {
+    "unknown-kind": [_SEQUENCE[0], ["bogus", "Hot", None, 8]],
+    "short-row": [_SEQUENCE[0], [unit_kind_code(UnitKind.METHOD), "Hot"]],
+    "size-not-int": [_SEQUENCE[0], [unit_kind_code(UnitKind.GLOBAL_DATA), "Hot", None, "x"]],
+    "sequence-not-a-list": 7,
+}
+
+
+@pytest.mark.parametrize("pull", [False, True], ids=["push", "pull"])
+@pytest.mark.parametrize("ack", ["HELLO_ACK", "RESUME_ACK"])
+@pytest.mark.parametrize(
+    "sequence", list(_MALFORMED_MANIFESTS.values()), ids=list(_MALFORMED_MANIFESTS)
+)
+def test_malformed_manifest_ends_as_a_protocol_error(sequence, ack, pull):
+    """Every manifest row is read by one parser that raises
+    ``ProtocolError``: a pull stripe reads the session's rows at once,
+    so ``connect()`` refuses them; every other manifest is read when
+    the plan is next needed, and the reconnect ladder takes the error
+    like any other link failure.  With every later ack malformed too,
+    the fetch ends in a typed error that names the manifest — never a
+    built-in exception from a row, and never a hang."""
+
+    async def scenario():
+        good = encode_frame(unit_frame(_GOOD_UNIT, b"\x01" * 8))
+        links = 2 if pull else 1
+        server, connections = await scripted_server(
+            [good + encode_frame(eof_frame())],
+            sequence=sequence,
+            sound_acks=links if ack == "RESUME_ACK" else 0,
+        )
+        host, port = server.sockets[0].getsockname()[:2]
+        fetcher = NonStrictFetcher(
+            host,
+            port,
+            links=[(host, port)] * (links - 1),
+            max_reconnects=1,
+            backoff_base=0.005,
+            backoff_jitter=0.0,
+        )
+        try:
+            with pytest.raises(
+                (ProtocolError, ResilienceExhaustedError), match="malformed manifest"
+            ) as caught:
+                await fetcher.connect()
+                await asyncio.wait_for(fetcher.wait_until_complete(), timeout=5.0)
+        finally:
+            await fetcher.aclose()
+            server.close()
+            await server.wait_closed()
+        return caught.value, connections
+
+    error, connections = run(scenario())
+    refused_at_connect = ack == "HELLO_ACK" and (pull or sequence == 7)
+    assert isinstance(error, ProtocolError) == refused_at_connect
+    if ack == "RESUME_ACK":
+        assert any("have" in greeting for greeting in connections)

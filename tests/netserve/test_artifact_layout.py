@@ -1,16 +1,17 @@
 """The server sends what the simulator simulates.
 
-A session artifact's send sequence, and each class's units, must be the
-ones the co-simulator's controller moves for the same program, order
-and unit policy: strict sessions are the ``"strict"`` policy's whole
-files, non-strict and data-partitioned sessions the one-link
-``"interleaved"`` policy's virtual interleaved file.
+A session artifact's send sequence, and its key index, must hold the
+units the co-simulator's controller moves for the same program, order
+and unit policy, in the same order: strict sessions are the
+``"strict"`` policy's whole files, non-strict and data-partitioned
+sessions the one-link ``"interleaved"`` policy's virtual interleaved
+file.
 """
 
 import pytest
 
 from repro.harness import BENCHMARK_NAMES, bundle
-from repro.netserve import ClassFileServer
+from repro.netserve import ClassFileServer, unit_wire_key
 from repro.reorder import (
     estimate_first_use,
     order_from_profile,
@@ -54,9 +55,12 @@ def test_artifact_is_the_simulated_layout(name, strategy):
             ),
         )
         assert artifact.sequence == controller.sequence, policy
-        assert set(artifact.units_by_class) == set(layout.plans)
-        for class_name, plan in layout.plans.items():
-            assert artifact.units_by_class[class_name] == plan.units
+        # The one key index holds every unit under its wire key, in
+        # send order.
+        assert list(artifact.units.values()) == list(artifact.sequence)
+        assert list(artifact.units) == [
+            unit_wire_key(unit) for unit in artifact.sequence
+        ]
 
 
 #: The server-module function that computes each strategy's order.

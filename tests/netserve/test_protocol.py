@@ -37,7 +37,12 @@ from repro.netserve import (
 )
 from repro.netserve import client as client_module
 from repro.netserve.client import READ_CHUNK_BYTES, _Framer
-from repro.netserve.protocol import MAGIC, PROTOCOL_VERSION, unit_kind_code
+from repro.netserve.protocol import (
+    MAGIC,
+    PROTOCOL_VERSION,
+    frame_size,
+    unit_kind_code,
+)
 from repro.program import MethodId
 from repro.transfer import TransferUnit, UnitKind
 
@@ -151,18 +156,20 @@ def test_resume_ack_round_trips():
     assert decoded.field_dict == frame.field_dict
 
 
-def test_resend_demand_carries_kind_and_flag():
-    frame = demand_fetch_frame(
-        "Hot", "run", kind=UnitKind.METHOD, resend=True
-    )
-    decoded, _ = decode_frame(encode_frame(frame))
-    assert decoded.field_dict["resend"] is True
-    assert unit_kind_from_code(decoded.field_dict["kind"]) == (
-        UnitKind.METHOD
-    )
-    # The legacy shape stays untouched when the extras are absent.
+def test_demand_fetch_has_exactly_two_shapes():
+    """A class demand carries ``class`` and ``method`` and nothing
+    else, a units demand carries ``units`` alone, and a frame that
+    would name both, or neither, is never built."""
     plain = demand_fetch_frame("Hot", "run")
-    assert set(plain.field_dict) == {"class", "method"}
+    assert plain.field_dict == {"class": "Hot", "method": "run"}
+    whole = demand_fetch_frame("Hot")
+    assert whole.field_dict == {"class": "Hot", "method": None}
+    listed = demand_fetch_frame(units=[(4, "Hot", "run")])
+    assert listed.field_dict == {"units": [[4, "Hot", "run"]]}
+    with pytest.raises(TransferError):
+        demand_fetch_frame("Hot", "run", units=[(4, "Hot", "run")])
+    with pytest.raises(TransferError):
+        demand_fetch_frame()
 
 
 def test_units_demand_carries_wire_keys_in_order():
@@ -364,7 +371,7 @@ _MALFORMED = {
         FrameCorruptionError,
     ),
     "bad-version": (
-        _sealed(_UNIT, _unit_body(), version=2),
+        _sealed(_UNIT, _unit_body(), version=1),
         FrameCorruptionError,
     ),
     "oversized-body-length": (
@@ -418,6 +425,17 @@ def test_each_malformed_frame_raises_its_exact_error_class(
     with pytest.raises(ProtocolError) as caught:
         decode_frame(prefix + data, len(prefix))
     assert type(caught.value) is error
+
+
+def test_a_version_1_header_is_refused():
+    """Version 2 changed the manifest rows and the demand shapes, so
+    both readers refuse a frame of the version it replaced."""
+    assert PROTOCOL_VERSION == 2
+    old = _sealed(_UNIT, _unit_body(), version=1)
+    with pytest.raises(FrameCorruptionError, match="unsupported protocol v1"):
+        frame_size(old)
+    with pytest.raises(FrameCorruptionError, match="unsupported protocol v1"):
+        decode_frame(old)
 
 
 def test_the_sealed_unit_frame_is_valid():

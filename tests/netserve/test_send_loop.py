@@ -160,6 +160,10 @@ def test_push_bytes_are_the_artifact_frames_in_sequence_order(policy):
         {"units": [["4", "A", "main"]]},
         {"units": [[4.0, "A", "main"]]},
         {"units": [[True, "A", "main"]]},
+        {"class": "A", "method": "main", "kind": 4, "resend": True},
+        {"class": "A"},
+        {"class": "A", "method": None, "units": []},
+        {},
     ],
     ids=[
         "kind-not-int",
@@ -171,14 +175,19 @@ def test_push_bytes_are_the_artifact_frames_in_sequence_order(policy):
         "units-kind-str",
         "units-kind-float",
         "units-kind-bool",
+        "version-1-resend",
+        "class-without-method",
+        "both-shapes",
+        "no-fields",
     ],
 )
 def test_malformed_demand_ends_the_demand_loop_quietly(fields):
-    """A DEMAND_FETCH with a wrongly typed field, or a ``units`` list
-    that is not a list of ``[integer, string, string or null]``
-    entries, is handled like a frame that cannot be decoded: the demand
-    loop stops listening, nothing reaches the loop's exception handler,
-    and the paced push session still completes."""
+    """A DEMAND_FETCH with a wrongly typed field, a ``units`` list that
+    is not a list of ``[integer, string, string or null]`` entries, or
+    a field set that is neither ``{class, method}`` nor ``{units}`` is
+    refused like a frame that cannot be decoded: the demand loop stops
+    listening, nothing reaches the loop's exception handler, and the
+    paced push session still completes."""
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -211,22 +220,7 @@ def test_malformed_demand_ends_the_demand_loop_quietly(fields):
     assert server.stats.demand_loop_errors == 0
 
 
-# -- a resend is matched inside its class ------------------------------
-
-
-def _resend_by_wire_keys(artifact, pending, fields):
-    """What a resend promotes, matched by wire keys: the class's units
-    that are not pending and match its kind code and method name, then
-    the class's pending units."""
-    demanded, held = fields["class"], set(pending)
-    kind_code, method = fields.get("kind"), fields.get("method")
-    return [
-        unit
-        for unit in artifact.units_by_class.get(demanded, ())
-        if unit not in held
-        and kind_code in (None, protocol.unit_wire_key(unit)[0])
-        and method in (None, protocol.unit_wire_key(unit)[2])
-    ] + [unit for unit in pending if unit.class_name == demanded]
+# -- a class demand promotes the class's pending units ----------------
 
 
 _METHOD = protocol.unit_kind_code(UnitKind.METHOD)
@@ -234,53 +228,37 @@ _GLOBAL_FIRST = protocol.unit_kind_code(UnitKind.GLOBAL_FIRST)
 _CLASS_FILE = protocol.unit_kind_code(UnitKind.CLASS_FILE)
 
 
-@pytest.mark.parametrize(
-    "fields, expect",
-    [
-        ({"class": "A", "method": "main", "kind": _METHOD}, "main"),
-        ({"class": "A", "kind": _GLOBAL_FIRST}, UnitKind.GLOBAL_FIRST),
-        ({"class": "A", "method": "Foo_A", "kind": _METHOD}, None),
-        ({"class": "A", "kind": _METHOD}, None),
-        ({"class": "A", "method": "Bar_A"}, None),
-        ({"class": "A"}, None),
-        ({"class": "A", "kind": 99}, "plain"),
-        ({"class": "A", "kind": _CLASS_FILE}, "plain"),
-        ({"class": "Z", "method": "main", "kind": _METHOD}, "plain"),
-    ],
-    ids=[
-        "exact-method",
-        "exact-global",
-        "exact-but-pending",
-        "method-kind-any-method",
-        "method-name-any-kind",
-        "whole-class",
-        "unknown-kind-code",
-        "kind-not-in-class",
-        "unknown-class",
-    ],
-)
-def test_resend_promotes_its_matches_ahead_of_the_class(
-    monkeypatch, fields, expect
-):
-    """A resend re-enqueues the sent units of its class that match its
-    kind and method, ahead of the class's pending units, and the rest
-    of the queue keeps its order; matching never builds wire keys.
+def _sent_and_pending(artifact):
+    """A data-partitioned figure-1 session part-way through: class A's
+    leading global, ``main`` and ``Bar_A`` sent, the rest pending."""
+    sent = {
+        unit
+        for unit in artifact.sequence
+        if unit.class_name == "A"
+        and (
+            unit.kind is UnitKind.GLOBAL_FIRST
+            or (unit.method and unit.method.method_name in ("main", "Bar_A"))
+        )
+    }
+    return sent, deque(unit for unit in artifact.sequence if unit not in sent)
 
-    ``expect`` names the one unit an exact resend puts first, or is
-    ``"plain"`` when nothing matches and only the plain demand's
-    promotion is left."""
+
+@pytest.mark.parametrize(
+    "class_name, method", [("A", "Foo_A"), ("A", None), ("B", "main"), ("Z", "main")]
+)
+def test_class_demand_promotes_the_class_pending_units(
+    monkeypatch, class_name, method
+):
+    """A ``{class, method}`` demand moves the class's pending units, in
+    queue order, ahead of the rest, whatever method it names; it never
+    re-queues a sent unit, an unknown class moves nothing, and matching
+    never builds wire keys."""
     program = figure1_program()
     server = ClassFileServer(program)
     artifact = server._plan_session(TransferPolicy.DATA_PARTITIONED, "static")
-    sent = {
-        unit
-        for unit in artifact.units_by_class["A"]
-        if unit.kind is UnitKind.GLOBAL_FIRST
-        or (unit.method and unit.method.method_name in ("main", "Bar_A"))
-    }
-    pending = deque(unit for unit in artifact.sequence if unit not in sent)
+    sent, pending = _sent_and_pending(artifact)
     before = list(pending)
-    promoted = _resend_by_wire_keys(artifact, before, fields)
+    promoted = [unit for unit in before if unit.class_name == class_name]
     wire_keys = []
     monkeypatch.setattr(
         server_module, "unit_wire_key", lambda unit: wire_keys.append(unit)
@@ -289,12 +267,7 @@ def test_resend_promotes_its_matches_ahead_of_the_class(
     async def scenario():
         reader = asyncio.StreamReader()
         reader.feed_data(
-            encode_frame(
-                Frame(
-                    kind=FrameKind.DEMAND_FETCH,
-                    fields=tuple(sorted({**fields, "resend": True}.items())),
-                )
-            )
+            encode_frame(protocol.demand_fetch_frame(class_name, method))
         )
         reader.feed_eof()
         conn = server.stats.open_connection("peer", 0.0)
@@ -305,14 +278,7 @@ def test_resend_promotes_its_matches_ahead_of_the_class(
     assert list(pending) == promoted + [
         unit for unit in before if unit not in promoted
     ]
-    plain = [unit for unit in before if unit.class_name == fields["class"]]
-    if expect == "plain":
-        assert promoted == plain
-    elif expect is not None:
-        head = pending[0]
-        assert head in sent
-        assert expect in (head.kind, head.method and head.method.method_name)
-        assert promoted == [head] + plain
+    assert not sent.intersection(pending)
     assert conn.demand_fetches == 1
     assert conn.promoted_units == len(promoted)
     assert wire_keys == []
@@ -322,14 +288,13 @@ def test_resend_promotes_its_matches_ahead_of_the_class(
 
 
 def _units_by_wire_keys(artifact, entries):
-    """What a ``units`` list promotes, matched by wire keys: for each
-    entry in order, the units of its class with its kind code and (when
-    given) method name, each unit once."""
+    """What a ``units`` list promotes, found by scanning the send
+    order: for each entry in order, the one unit whose wire key it is,
+    each unit once."""
     block = []
-    for code, class_name, method in entries:
-        for unit in artifact.units_by_class.get(class_name, ()):
-            kind, _, name = protocol.unit_wire_key(unit)
-            if kind == code and method in (None, name) and unit not in block:
+    for entry in entries:
+        for unit in artifact.sequence:
+            if list(protocol.unit_wire_key(unit)) == entry and unit not in block:
                 block.append(unit)
     return block
 
@@ -350,6 +315,7 @@ def _units_by_wire_keys(artifact, entries):
         ([[_METHOD, "A", "nope"]], []),
         ([[99, "A", "main"]], []),
         ([[_CLASS_FILE, "A", None]], []),
+        ([[_METHOD, "A", None]], []),
         ([], []),
     ],
     ids=[
@@ -360,17 +326,19 @@ def _units_by_wire_keys(artifact, entries):
         "unknown-method",
         "unknown-kind-code",
         "kind-not-in-class",
+        "method-kind-without-a-name",
         "empty",
     ],
 )
 def test_units_list_promotes_its_matches_as_one_block(
     monkeypatch, entries, expect
 ):
-    """A ``units`` list moves every match to the front as one block, in
-    list order: a sent unit is queued again, a pending one moves
-    without a second copy, and the rest of the queue keeps its order.
-    An entry naming an unknown class, method or kind code matches
-    nothing.  The frame counts as one demand fetch with every promoted
+    """A ``units`` list moves every unit it names to the front as one
+    block, in list order: a sent unit is queued again, a pending one
+    moves without a second copy, and the rest of the queue keeps its
+    order.  Each entry is an exact wire key: one naming an unknown
+    class, method or kind code, or a method kind with no method name,
+    names nothing.  The frame counts as one demand fetch with every promoted
     unit and emits one ``demand_fetch`` event (and one
     ``schedule_decision`` when it promotes anything), and matching
     never builds wire keys."""
@@ -378,13 +346,7 @@ def test_units_list_promotes_its_matches_as_one_block(
     recorder = TraceRecorder(clock="seconds")
     server = ClassFileServer(program, recorder=recorder)
     artifact = server._plan_session(TransferPolicy.DATA_PARTITIONED, "static")
-    sent = {
-        unit
-        for unit in artifact.units_by_class["A"]
-        if unit.kind is UnitKind.GLOBAL_FIRST
-        or (unit.method and unit.method.method_name in ("main", "Bar_A"))
-    }
-    pending = deque(unit for unit in artifact.sequence if unit not in sent)
+    sent, pending = _sent_and_pending(artifact)
     before = list(pending)
     block = _units_by_wire_keys(artifact, entries)
     wire_keys = []

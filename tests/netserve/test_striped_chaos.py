@@ -121,15 +121,9 @@ def test_corrupt_and_duplicate_frames_on_a_pull_link_converge():
             assert fetcher.is_method_available(method_id)
         assert fetcher.stats.unit_retries >= 1
         assert fetcher.stats.duplicate_units >= 1
-        planned = {
-            (kind, class_name, method)
-            for kind, class_name, method, _ in fetcher.manifest["sequence"]
-        }
+        planned = {tuple(row[:3]) for row in fetcher.manifest["sequence"]}
         landed = [unit for unit, _ in fetcher.unit_log]
-        assert {
-            (unit.kind.value, unit.class_name, unit.method and unit.method.method_name)
-            for unit in landed
-        } == planned
+        assert {unit_wire_key(unit) for unit in landed} == planned
         assert len({unit_wire_key(unit) for unit in landed}) == len(landed)
         assert fetcher.stats.link_units(1) > 7
 

@@ -20,12 +20,17 @@ from repro.netserve.protocol import (
     encode_frame,
     hello_frame,
     read_frame,
+    unit_kind_code,
     unit_wire_key,
 )
 from repro.netserve.client import LinkState, _Link
 from repro.program import MethodId
 from repro.transfer import UnitKind
 from repro.workloads.synthetic import generate_workload
+
+
+_GLOBAL_DATA = unit_kind_code(UnitKind.GLOBAL_DATA)
+_METHOD = unit_kind_code(UnitKind.METHOD)
 
 
 def run(coroutine):
@@ -54,8 +59,8 @@ async def clean_reference(program):
 
 def test_pull_session_sends_nothing_until_asked():
     """A pull HELLO gets the manifest but no pushed units; each unit
-    arrives only against an explicit resend request, and there is no
-    EOF — the client ends the session by closing."""
+    arrives only against an explicit request naming its wire key, and
+    there is no EOF — the client ends the session by closing."""
 
     async def scenario():
         server = ClassFileServer(figure1_program())
@@ -76,18 +81,9 @@ def test_pull_session_sends_nothing_until_asked():
         with pytest.raises(asyncio.TimeoutError):
             await asyncio.wait_for(read_frame(reader), timeout=0.1)
 
-        # Pull exactly one unit: the plan head.
-        kind_value, class_name, method_name, _size = sequence[0]
-        writer.write(
-            encode_frame(
-                demand_fetch_frame(
-                    class_name,
-                    method_name,
-                    kind=UnitKind(kind_value),
-                    resend=True,
-                )
-            )
-        )
+        # Pull exactly one unit: the plan head, by its wire key.
+        class_name = sequence[0][1]
+        writer.write(encode_frame(demand_fetch_frame(units=[sequence[0][:3]])))
         await writer.drain()
         frame = await asyncio.wait_for(read_frame(reader), timeout=2.0)
         assert frame.kind is FrameKind.UNIT
@@ -103,6 +99,36 @@ def test_pull_session_sends_nothing_until_asked():
         assert server.stats.connections[0].pull_sessions == 1
 
     run(scenario())
+
+
+def test_a_units_entry_naming_no_unit_sends_nothing():
+    """``[method code, class, null]`` is the wire key of no unit, so as
+    an exact resend it promotes and sends nothing — not every method
+    unit of the class."""
+
+    async def scenario():
+        server = ClassFileServer(generate_workload("Hanoi").program)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_frame(hello_frame("non_strict", pull=True)))
+        await writer.drain()
+        ack = await read_frame(reader)
+        assert [_METHOD, "hanoi/C0", "main"] in [
+            row[:3] for row in ack.field_dict["sequence"]
+        ]
+        nothing = demand_fetch_frame(units=[(_METHOD, "hanoi/C0", None)])
+        writer.write(encode_frame(nothing))
+        await writer.drain()
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(read_frame(reader), timeout=0.2)
+        writer.close()
+        await server.aclose()
+        return server.stats.connections[0]
+
+    conn = run(scenario())
+    assert conn.demand_fetches == 1
+    assert conn.promoted_units == 0
+    assert conn.units_sent == 0
 
 
 # -- whole-stripe behavior ---------------------------------------------
@@ -203,15 +229,13 @@ def _round_fetcher(states):
 
     ``states`` sets each link's circuit state; every link has window 4.
     """
-    rows = [[UnitKind.GLOBAL_DATA.value, "A", None, 10]] + [
-        [UnitKind.METHOD.value, "A", f"m{index}", 5 + index]
-        for index in range(9)
+    rows = [[_GLOBAL_DATA, "A", None, 10]] + [
+        [_METHOD, "A", f"m{index}", 5 + index] for index in range(9)
     ]
     fetcher = NonStrictFetcher(
         "127.0.0.1", 1, links=[("127.0.0.1", 1)] * (len(states) - 1), window=4
     )
     fetcher._accept_manifest({"sequence": rows})
-    fetcher._build_board()
 
     class Writer:
         def __init__(self):
@@ -392,15 +416,15 @@ def test_aclose_mid_transfer_leaks_no_tasks_or_transports():
 # -- retire-order property ---------------------------------------------
 
 _SEQUENCE = (
-    # (kind value, class, method, size) manifest rows: two non-strict
+    # (kind code, class, method, size) manifest rows: two non-strict
     # classes with leading globals, plus one strict whole-file class.
-    (UnitKind.GLOBAL_DATA.value, "A", None, 40),
-    (UnitKind.METHOD.value, "A", "main", 30),
-    (UnitKind.METHOD.value, "A", "helper", 20),
-    (UnitKind.CLASS_FILE.value, "B", None, 50),
-    (UnitKind.GLOBAL_FIRST.value, "C", None, 10),
-    (UnitKind.METHOD.value, "C", "run", 25),
-    (UnitKind.GLOBAL_UNUSED.value, "C", None, 15),
+    (_GLOBAL_DATA, "A", None, 40),
+    (_METHOD, "A", "main", 30),
+    (_METHOD, "A", "helper", 20),
+    (unit_kind_code(UnitKind.CLASS_FILE), "B", None, 50),
+    (unit_kind_code(UnitKind.GLOBAL_FIRST), "C", None, 10),
+    (_METHOD, "C", "run", 25),
+    (unit_kind_code(UnitKind.GLOBAL_UNUSED), "C", None, 15),
 )
 
 
@@ -408,7 +432,6 @@ def _offline_fetcher():
     """A two-endpoint (pull) fetcher with a scoreboard but no sockets."""
     fetcher = NonStrictFetcher("127.0.0.1", 1, links=[("127.0.0.1", 1)])
     fetcher._accept_manifest({"sequence": [list(row) for row in _SEQUENCE]})
-    fetcher._build_board()
     return fetcher
 
 
