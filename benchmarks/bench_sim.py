@@ -3,8 +3,9 @@
 Walks the Figure 6 grid (4 configurations × 2 links × 3 orderings × 6
 workloads).  Each grid point is built once as a
 :class:`~repro.core.Simulator` and timed both ways, back to back:
-``run()`` (the batched core every library run takes) and
-``run_reference()`` (the per-segment oracle loop).  Timing each pair
+``run()`` (the core every library run takes) and ``run_reference()``
+(the per-segment oracle loop, imported from
+``tests/oracles/simulation_reference.py``).  Timing each pair
 back to back keeps drift in the host's speed out of the ratio;
 restructuring and controller builds, which both loops share, stay
 outside the timed regions.  The payload is persisted to
@@ -36,21 +37,32 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core import (
+# The oracle lives with the tests, under the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.core import (  # noqa: E402
     SimulationResult,
     Simulator,
     StrictBaseline,
     strict_baseline,
 )
-from repro.harness import BENCHMARK_NAMES, bundle
-from repro.harness.results import ResultTable
-from repro.reorder import restructure
-from repro.sched import StripedController
-from repro.transfer import MODEM_LINK, T1_LINK, TransferPolicy, transfer_layout
+from repro.harness import BENCHMARK_NAMES, bundle  # noqa: E402
+from repro.harness.results import ResultTable  # noqa: E402
+from repro.reorder import restructure  # noqa: E402
+from repro.sched import StripedController  # noqa: E402
+from repro.transfer import (  # noqa: E402
+    MODEM_LINK,
+    T1_LINK,
+    TransferPolicy,
+    transfer_layout,
+)
+from tests.oracles.simulation_reference import run_reference  # noqa: E402
 
 #: The Figure 6 configuration grid (label, method, max_streams, dp).
 CONFIGS: Tuple[Tuple[str, str, Optional[int], bool], ...] = (
@@ -178,7 +190,9 @@ def sim_sweep() -> Dict[str, object]:
     for labels, simulator, base in grid():
         result, wall = best_wall(simulator.run, BATCHED_REPEATS, handicap)
         walls["batched"] += wall
-        _, wall = best_wall(simulator.run_reference, REFERENCE_REPEATS)
+        _, wall = best_wall(
+            partial(run_reference, simulator), REFERENCE_REPEATS
+        )
         walls["reference"] += wall
         rows.append(_row(labels, result, base))
     return {

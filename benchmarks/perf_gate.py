@@ -9,9 +9,10 @@ Re-runs the ``bench_sim`` sweep and compares it against the committed
   behaviour changed and the gate fails.
 * **Speedup regression** — wall-clock seconds do not transfer between
   machines, so the gate compares the ``run_reference()``/``run()``
-  speedup *ratio*: if the current ratio falls more than
-  ``--tolerance`` (default 12%) below the committed one, the batched
-  cores got relatively slower and the gate fails.  Over seven runs on
+  speedup *ratio* (the oracle loop lives in
+  ``tests/oracles/simulation_reference.py``): if the current ratio
+  falls more than ``--tolerance`` (default 12%) below the committed
+  one, the core got relatively slower and the gate fails.  Over seven runs on
   a loaded 2-vCPU host the ratio spread ±5%, so 12% leaves room on
   both sides: clean runs pass and the 20% self-test below fails.
 

@@ -5,8 +5,11 @@ are ``run_strict`` and ``run_nonstrict`` under ``interleaved``,
 ``parallel`` and ``parallel`` with ``max_streams=4``, each of the
 non-strict ones without and with data partitioning (strict transfer
 sends whole class files, which have no global data to partition).
-Each run's ``TraceRecorder.events`` are hashed as JSONL, in emission
-order.
+Then come the striped runs of ``run_striped``: ``round_robin`` on the
+T1 link, and ``interleaved`` and ``parallel`` on two links (57.6 and
+28.8 kbit/s), the first once more with the slower link dying a quarter
+of the way into sending the program over it.  Each run's
+``TraceRecorder.events`` are hashed as JSONL, in emission order.
 
 The digest depends on every event's name, timestamp and payload and on
 their order, so two runs under different ``PYTHONHASHSEED`` values
@@ -21,15 +24,18 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.core import run_nonstrict, run_strict
+from repro.core import program_wire_bytes, run_nonstrict, run_strict
 from repro.harness import BENCHMARK_NAMES
 from repro.observe import TraceRecorder, to_jsonl
 from repro.reorder import estimate_first_use
-from repro.transfer import T1_LINK
+from repro.sched import LinkOutage, run_striped
+from repro.transfer import T1_LINK, links_from_bandwidths
 from repro.workloads.synthetic import generate_workload
 
 #: ``run_nonstrict`` options: (method, max_streams).
 NONSTRICT = (("interleaved", None), ("parallel", None), ("parallel", 4))
+
+TWO_LINKS = links_from_bandwidths((57_600, 28_800))
 
 
 def trace_digest() -> str:
@@ -64,6 +70,28 @@ def trace_digest() -> str:
                     recorder=recorder,
                 )
                 add(recorder)
+        outage = LinkOutage(
+            program_wire_bytes(program) * TWO_LINKS[1].cycles_per_byte / 4,
+            link_index=1,
+        )
+        for links, policy, outages in (
+            ((T1_LINK,), "round_robin", ()),
+            (TWO_LINKS, "interleaved", ()),
+            (TWO_LINKS, "parallel", ()),
+            (TWO_LINKS, "interleaved", (outage,)),
+        ):
+            recorder = TraceRecorder(clock="cycles")
+            run_striped(
+                program,
+                trace,
+                order,
+                links,
+                cpi,
+                policy=policy,
+                outages=outages,
+                recorder=recorder,
+            )
+            add(recorder)
     return digest.hexdigest()
 
 

@@ -66,6 +66,7 @@ from ..errors import AnalysisError, CFGError, ClassFileError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
+from ..sched.scoreboard import WATERMARK_SLOP
 from ..transfer import NetworkLink, build_schedule
 from ..transfer.layout import TransferLayout, transfer_layout
 from ..transfer.schedule import TransferSchedule
@@ -89,7 +90,6 @@ __all__ = [
 ]
 
 _METHODOLOGIES = ("parallel", "interleaved", "striped")
-_TRIGGER_SLOP = 1e-9  # mirrors repro.sched.scoreboard.WATERMARK_SLOP
 
 
 class StallVerdict(enum.Enum):
@@ -238,7 +238,7 @@ def analyze_schedule(
                 for dependency in schedule.dependencies_of(start)
                 if dependency in startable
             )
-            if start.start_after_bytes <= achievable + _TRIGGER_SLOP:
+            if start.start_after_bytes <= achievable + WATERMARK_SLOP:
                 startable.add(start.class_name)
                 changed = True
     deadlocks = []
@@ -405,22 +405,21 @@ def _exact_parallel_entry_arrival(
     """The parallel entry stall's end, computed exactly.
 
     Until the entry method's unit arrives nothing executes, so the
-    engine evolves deterministically under the scheduled triggers alone
-    — the analyzer replays that closed pre-execution phase with the
-    real controller on its own issue engine, mirroring the simulator's
-    first segment instruction for instruction.
+    transfer evolves deterministically under the scheduled triggers
+    alone — the analyzer replays that closed pre-execution phase on
+    the simulator itself, with the real controller and a trace of one
+    empty segment of the entry method: the run's first invocation
+    latency is the end of the entry stall (0 if there is none).
     """
+    from ..core.simulation import Simulator
     from ..sched.striped import StripedController
+    from ..vm import TraceSegment
 
     controller = StripedController(
         layout, (link,), policy="parallel", max_streams=max_streams
     )
-    engine = controller.start()
-    unit = controller.required_unit(entry_method)
-    if engine.arrived(unit):
-        return 0.0
-    controller.on_stall(engine, entry_method)
-    return engine.run_until_unit(unit)
+    entry_only = ExecutionTrace([TraceSegment(entry_method, 0)])
+    return Simulator(entry_only, controller, 1.0).run().invocation_latency
 
 
 def _dead_methods(

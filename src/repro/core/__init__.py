@@ -10,12 +10,7 @@ from .metrics import (
     strict_baseline,
 )
 from .nonstrict import run_nonstrict, run_strict
-from .simulation import (
-    SimulationResult,
-    Simulator,
-    StallEvent,
-    resolve_engine,
-)
+from .simulation import SimulationResult, Simulator, StallEvent
 
 __all__ = [
     "JitModel",
@@ -33,5 +28,4 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "StallEvent",
-    "resolve_engine",
 ]

@@ -15,19 +15,17 @@ Replays an execution trace against a transfer timeline, cycle-exactly:
   the methods have transferred, we terminate the remaining transfer").
 
 The transfer side is always a :class:`~repro.sched.StripedController`,
-which owns its links; its ``strict`` policy (whole-file units)
-simulates the paper's base case.
+which describes its links and policy; its ``strict`` policy
+(whole-file units) simulates the paper's base case.
 
-:meth:`Simulator.run` has one rule, :func:`resolve_engine`: a run
-whose controller issues stream grains on one link (the paper's
-strict, parallel and interleaved policies) takes the batched core in
-:mod:`repro.core.fastsim`; a run over several links or of a unit-grain
-policy takes the per-segment reference loop below, which is also the
-tests' oracle.  A recorder never picks the loop: both loops record
-stalls, first invocations and arrivals through one
-:class:`RunObserver`, and the transfer events through the functions
-of :mod:`repro.sched`, so a recorded run emits the same event stream
-on either loop.
+:meth:`Simulator.run` takes one loop, the core in
+:mod:`repro.core.fastsim`, for every policy on every link count,
+recorded or not.  It records stalls, first invocations and arrivals
+through a :class:`RunObserver`, and the transfer events through the
+functions of :mod:`repro.sched`.  The per-segment oracle it is tested
+against lives with the tests (``tests/oracles/simulation_reference.py``)
+and records through the same code, so the two emit the same event
+stream.
 """
 
 from __future__ import annotations
@@ -48,21 +46,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["StallEvent", "SimulationResult", "Simulator", "resolve_engine"]
 
 def resolve_engine(controller: Optional[StripedController] = None) -> str:
-    """Name the loop :meth:`Simulator.run` takes for this controller.
+    """Name the loop :meth:`Simulator.run` takes: ``"batched"``, the
+    core in :mod:`repro.core.fastsim`, whatever the controller.
 
-    ``"batched"`` (the core in :mod:`repro.core.fastsim`) for a
-    controller that issues stream grains on one link;
-    ``controller=None`` stands for those, the controllers
-    :func:`~repro.core.run_nonstrict` and :func:`~repro.core.run_strict`
-    build.  ``"reference"`` (:meth:`Simulator.run_reference`)
-    otherwise: several links or unit grains need the issue engine.
-    Both loops give bit-identical results and event streams.
+    Kept only for the benchmark harness, which labels its runs with
+    it.
     """
-    if controller is None or (
-        controller.grain == "stream" and len(controller.links) == 1
-    ):
-        return "batched"
-    return "reference"
+    return "batched"
 
 
 def _cycle_latency_report() -> InvocationLatencyReport:
@@ -101,8 +91,6 @@ class SimulationResult:
         latencies: Per-method first-invocation latencies (unit
             ``"cycles"``) — the simulated twin of the measured report
             :func:`repro.netserve.run_networked` produces.
-        engine: The loop that ran: ``"batched"`` or ``"reference"``
-            (see :func:`resolve_engine`).
     """
 
     total_cycles: float
@@ -116,7 +104,6 @@ class SimulationResult:
     latencies: InvocationLatencyReport = field(
         default_factory=_cycle_latency_report
     )
-    engine: str = ""
 
     @property
     def stall_count(self) -> int:
@@ -143,11 +130,10 @@ class Simulator:
         recorder: Optional :class:`repro.observe.TraceRecorder` (clock
             ``"cycles"``); when given, the run emits ``unit_arrived``,
             ``method_first_invoke``, ``stall_begin``/``stall_end``, the
-            controller's ``schedule_decision``/``demand_fetch`` and the
-            issue engine's ``unit_issued``/``link_busy`` events on the
-            simulated clock.  Recording does not change which loop
-            runs (see :func:`resolve_engine`), and both loops emit the
-            same stream.
+            ``schedule_decision``/``demand_fetch``,
+            ``unit_issued``/``link_busy`` and ``stripe_rebalance``
+            events on the simulated clock.  Recording does not change
+            the run.
     """
 
     def __init__(
@@ -165,62 +151,18 @@ class Simulator:
         self.recorder = recorder
 
     def run(self) -> SimulationResult:
-        """Run the co-simulation to completion.
+        """Run the co-simulation to completion."""
+        from .fastsim import run_batched  # fastsim imports this module
 
-        Takes the loop :func:`resolve_engine` names for this
-        controller; ``result.engine`` says which one ran.
-        """
-        if resolve_engine(self.controller) == "batched":
-            from .fastsim import run_batched  # fastsim imports this module
-
-            return run_batched(self)
-        return self.run_reference()
-
-    def run_reference(self) -> SimulationResult:
-        """Run the readable per-segment loop, whatever the inputs.
-
-        This is the oracle the batched core is tested against, bit for
-        bit.  It drives the controller's issue engine through the
-        controller's callbacks and emits the recorder's event stream.
-        """
-        controller = self.controller
-        # The controller emits into this run's recorder, or none.
-        engine = controller.start(self.recorder)
-        observer = RunObserver(self)
-
-        time = 0.0
-        for segment in self.trace.segments:
-            unit = controller.required_unit(segment.method)
-            if not engine.arrived(unit):
-                controller.on_stall(engine, segment.method)
-                observer.stall_begin(segment.method, time)
-                time = observer.stall_end(
-                    segment.method, time, engine.run_until_unit(unit)
-                )
-            if segment.method not in observer.latencies:
-                observer.first_invoke(
-                    segment.method,
-                    time,
-                    segment.method in controller.demand_fetches,
-                )
-            time += segment.instructions * self.cpi
-            engine.run_until(time)
-
-        return observer.result(
-            total_cycles=time,
-            bytes_delivered=engine.total_delivered,
-            bytes_terminated=engine.remaining_bytes,
-            arrivals=engine.arrival_times,
-            engine="reference",
-        )
+        return run_batched(self)
 
 
 class RunObserver:
     """One run's stalls, first invocations and unit arrivals, and the
     events its recorder gets for them.
 
-    Both loops record through an observer, so their results and their
-    event payloads come from the same code.
+    The core and its test oracle both record through an observer, so
+    their results and their event payloads come from the same code.
     """
 
     __slots__ = (
@@ -279,7 +221,6 @@ class RunObserver:
         bytes_delivered: float,
         bytes_terminated: float,
         arrivals: Dict["TransferUnit", float],
-        engine: str,
     ) -> SimulationResult:
         """The run's result; the recorder gets ``unit_arrived`` for
         every unit that arrived, in arrival order."""
@@ -311,5 +252,4 @@ class RunObserver:
             stalls=self.stalls,
             controller_name=simulator.controller.name,
             latencies=self.latencies,
-            engine=engine,
         )

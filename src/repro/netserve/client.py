@@ -135,9 +135,10 @@ def _read_rows(rows: List[Any]) -> Iterator[Tuple[UnitKey, int]]:
 
     The one reader of manifest rows, from either kind of ack: a pull
     stripe's scoreboard reads the session's rows at once, the plan
-    reads every ack's rows on first need.  Rows come off the wire, so a
-    malformed one must fail as a typed link error, never as a crash
-    that would leave the fetch's waiters hanging.
+    reads them on first need, and a later ack's rows are read as it
+    lands.  Rows come off the wire, so a malformed one must fail as a
+    typed link error, never as a crash that would leave the fetch's
+    waiters hanging.
 
     Raises:
         ProtocolError: At the first row that is not a known kind code, a
@@ -392,10 +393,12 @@ class NonStrictFetcher:
         self._fallback: Optional[_Link] = None
         #: Units the session's first manifest announced.
         self._planned = 0
-        #: Wire key -> plan position; folded from ``_unindexed`` rows
-        #: only when something needs it (see :meth:`_plan_order`).
+        #: Wire key -> plan position; folded from the first ack's rows
+        #: and the later acks' keys only when something needs it (see
+        #: :meth:`_plan_order`).
         self._plan: Dict[UnitKey, int] = {}
-        self._unindexed: List[Sequence[Any]] = []
+        self._first_rows: Optional[List[Any]] = None
+        self._later_keys: List[List[UnitKey]] = []
         self._board: Optional[Scoreboard] = None
         self._unit_by_key: Dict[UnitKey, TransferUnit] = {}
         #: Hedge races in flight: wire key -> (primary link, hedge link).
@@ -573,24 +576,28 @@ class NonStrictFetcher:
         """Take an ack's manifest; the first ack's is the session's.
 
         A pull stripe reads the session's rows into its scoreboard at
-        once.  Every ack's rows also queue for the plan, which reads
-        them on first need (:meth:`_plan_order`).
+        once; the plan reads them on first need (:meth:`_plan_order`).
+        A later ack (a resume, the strict fallback) is read as it
+        lands, so a malformed one refuses that ack and never enters
+        the plan.
 
         Raises:
-            ProtocolError: If ``sequence`` is not a list, or a row the
-                scoreboard reads is malformed (:func:`_read_rows`).
+            ProtocolError: If ``sequence`` is not a list, or a row read
+                now is malformed (:func:`_read_rows`).
         """
         rows = fields.get("sequence", [])
         if not isinstance(rows, list):
             raise ProtocolError(f"malformed manifest sequence {rows!r}")
-        if not self.manifest:
-            self._planned = len(rows)
-            if self._pull:
-                self._build_board(rows)
-            self.manifest = fields
-            self.stats.strategy = fields.get("strategy", self.strategy)
-            self._t0 = time.monotonic()
-        self._unindexed.append(rows)
+        if self.manifest:
+            self._later_keys.append([key for key, _ in _read_rows(rows)])
+            return
+        self._planned = len(rows)
+        if self._pull:
+            self._build_board(rows)
+        self.manifest = fields
+        self.stats.strategy = fields.get("strategy", self.strategy)
+        self._t0 = time.monotonic()
+        self._first_rows = rows
 
     def _set_state(self, link: _Link, state: LinkState) -> None:
         link.state = state
@@ -607,10 +614,14 @@ class NonStrictFetcher:
         clean push session never pays for it while units stream in.
         """
         plan = self._plan
-        for rows in self._unindexed:
-            for key, _ in _read_rows(rows):
+        if self._first_rows is not None:
+            for key, _ in _read_rows(self._first_rows):
                 plan.setdefault(key, len(plan))
-        self._unindexed.clear()
+            self._first_rows = None
+        for keys in self._later_keys:
+            for key in keys:
+                plan.setdefault(key, len(plan))
+        self._later_keys.clear()
         return plan
 
     def _missing(self) -> List[UnitKey]:
@@ -1141,12 +1152,14 @@ class NonStrictFetcher:
         still yields every class, just without overlap.
 
         Raises:
-            ResilienceExhaustedError: If no endpoint completes it.
+            ResilienceExhaustedError: If no endpoint completes it; its
+                ``__cause__`` is the last endpoint's failure.
         """
         self.stats.record_degraded()
         if self.recorder is not None:
             self.recorder.degraded_to_strict(self.elapsed(), reason=reason)
         failures: List[str] = []
+        last: Optional[TransferError] = None
         for index, (host, port) in enumerate(self.endpoints):
             link = self._fallback = _Link(index, host, port, pull=False)
             try:
@@ -1155,11 +1168,12 @@ class NonStrictFetcher:
                 return
             except (ConnectionLostError, ProtocolError) as exc:
                 failures.append(f"{host}:{port}: {exc}")
+                last = exc
                 if link.writer is not None:
                     link.writer.close()
         raise ResilienceExhaustedError(
             f"strict fallback failed ({reason}): {'; '.join(failures)}"
-        )
+        ) from last
 
     async def _watchdog_loop(self) -> None:
         """Detect the one-slow-link stall: in-flight but nothing lands.

@@ -1,4 +1,4 @@
-"""repro.sched — the transfer controller and its scoreboard issue engine.
+"""repro.sched — the transfer controller and its scoreboard.
 
 The paper's transfer methodologies (strict §7, parallel §5.1,
 interleaved §5.2) are *in-order* within a stream and assume a single
@@ -17,33 +17,37 @@ Entry points:
   one of :data:`POLICIES` over one or more links;
 * :func:`run_striped` — multi-link twin of
   :func:`repro.core.run_nonstrict`;
-* :class:`IssueEngine` / :class:`Scoreboard` — the engine room;
+* :class:`Scoreboard` — issue state and hazards of transfer units;
 * :func:`unit_grain_scoreboard` — the one-grain-per-unit board with
-  its retire hazards, shared by the unit-grain policies and the
-  pull-mode fetch client (:class:`repro.netserve.NonStrictFetcher`);
+  its retire hazards, shared by the simulator's unit-grain policies
+  and the pull-mode fetch client
+  (:class:`repro.netserve.NonStrictFetcher`);
 * :class:`LinkOutage` — schedule a link death mid-stripe (chaos
   testing: the survivors re-issue the dead link's unlanded units).
 
 One link is a degenerate stripe: there the ``"strict"``,
 ``"parallel"`` and ``"interleaved"`` policies issue whole streams
-(:class:`StreamGrain`, built once per controller), so the link's
-stream engine sees exactly the paper methodology's request sequence,
-and their runs, recorded or not, take the batched core in
-:mod:`repro.core.fastsim` (bit-identical to the reference loop, event
-streams included, property-tested across all six paper workloads).
+(:class:`StreamGrain`, built once per controller), so the link sees
+exactly the paper methodology's request sequence.  Every run, on any
+link count and recorded or not, takes the one co-simulation core in
+:mod:`repro.core.fastsim` (bit-identical to the oracle loop kept with
+the tests, event streams included).
 """
 
 from __future__ import annotations
 
-from .engine import IssueEngine, LinkChannel, LinkOutage
 from .scoreboard import IssueItem, ItemState, Scoreboard, unit_grain_scoreboard
-from .striped import POLICIES, StreamGrain, StripedController, run_striped
+from .striped import (
+    POLICIES,
+    LinkOutage,
+    StreamGrain,
+    StripedController,
+    run_striped,
+)
 
 __all__ = [
-    "IssueEngine",
     "IssueItem",
     "ItemState",
-    "LinkChannel",
     "LinkOutage",
     "POLICIES",
     "Scoreboard",

@@ -55,9 +55,9 @@ from ..transfer import TransferUnit, UnitKind
 
 __all__ = ["ItemState", "IssueItem", "Scoreboard", "unit_grain_scoreboard"]
 
-#: Slop applied to byte-watermark comparisons; the batched core in
-#: :mod:`repro.core.fastsim` and the transfer-plan analyzer use
-#: the same tolerance, so their releases match the scoreboard's.
+#: Slop applied to byte-watermark comparisons; the co-simulation core
+#: in :mod:`repro.core.fastsim` and the transfer-plan analyzer import
+#: it, so their releases match the scoreboard's.
 WATERMARK_SLOP = 1e-9
 
 
@@ -121,9 +121,9 @@ class Scoreboard:
     """Tracks every issue grain's state and every unit's hazards.
 
     The scoreboard is pure bookkeeping: it never touches a link.  The
-    :class:`~repro.sched.engine.IssueEngine` asks it which items are
-    ready, tells it what was issued and what landed, and reads back
-    retire times.
+    code that runs it (the co-simulation core, or the pull-mode fetch
+    client) asks it which items are ready, tells it what was issued and
+    what landed, and reads back retire times.
 
     Ordering invariant: the ``READY`` items are held sorted by
     ``(escalated, seq)``, ties in the order the items were added,

@@ -1,10 +1,11 @@
 """The transfer controller: every transfer policy over one or more links.
 
-:class:`StripedController` is the co-simulator's only controller.  It
-turns a :class:`~repro.transfer.TransferLayout`'s units into issue
-grains on a :class:`~repro.sched.scoreboard.Scoreboard` and drives them
-over its link set with an :class:`~repro.sched.engine.IssueEngine`.
-The policy picks the grains, their hazards and the link arbitration:
+:class:`StripedController` is the co-simulator's only controller, and
+a pure description of what to send and how: it turns a
+:class:`~repro.transfer.TransferLayout`'s units into issue grains and
+names the link arbitration, and it holds no per-run state.  The
+co-simulation core (:mod:`repro.core.fastsim`) runs it.  The policy
+picks the grains, their hazards and the link choice:
 
 * ``"strict"`` — the paper's base case (§7): the layout's whole class
   files in program file order on one stream; a method needs its whole
@@ -22,24 +23,23 @@ The policy picks the grains, their hazards and the link arbitration:
 
 The stream grains a controller issues (:class:`StreamGrain`) are built
 once, at construction: one per class under ``parallel``, one for the
-whole sequence under ``strict`` and one-link ``interleaved``.  The
-reference loop's scoreboard and the batched core in
-:mod:`repro.core.fastsim` both replay them, so one link is the
-degenerate stripe: its one
-:class:`~repro.transfer.streams.StreamEngine` sees exactly the paper
-methodology's request sequence, and one-link runs of the stream-grain
-policies take the batched core, recorded or not.
+whole sequence under ``strict`` and one-link ``interleaved``.  One link
+is the degenerate stripe: its one lane sees exactly the paper
+methodology's request sequence.
 
 The unit-grain policies handle mispredictions by *hazard-priority
 escalation*: the stalled method's unit (and its class's global unit)
 jump to the top of the next arbitration round — the scoreboard's
 generalisation of §5.1's front-of-queue demand fetch.
+
+The ``record_*`` functions here emit a run's transfer events, so every
+loop that runs a controller records the same payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..errors import TransferError
 from ..program import MethodId, Program
@@ -54,20 +54,19 @@ from ..transfer import (
     build_schedule,
     transfer_layout,
 )
-from .engine import IssueEngine, LinkChannel, LinkOutage
-from .scoreboard import (
-    IssueItem,
-    ItemState,
-    Scoreboard,
-    unit_grain_scoreboard,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.simulation import SimulationResult
     from ..observe import TraceRecorder
     from ..vm import ExecutionTrace
 
-__all__ = ["POLICIES", "StreamGrain", "StripedController", "run_striped"]
+__all__ = [
+    "POLICIES",
+    "LinkOutage",
+    "StreamGrain",
+    "StripedController",
+    "run_striped",
+]
 
 #: The transfer policies :class:`StripedController` accepts.
 POLICIES = ("strict", "parallel", "interleaved", "round_robin")
@@ -81,6 +80,29 @@ _LINK_CHOICE_OF_POLICY = {
 
 #: Stream labels of the single-stream policies (the paper's names).
 _STREAM_LABEL = {"strict": "strict-sequential", "interleaved": "interleaved"}
+
+
+@dataclass(frozen=True)
+class LinkOutage:
+    """A link death scheduled into a striped run (chaos testing).
+
+    Attributes:
+        at_cycles: Simulated cycle at which the link goes dark.
+        link_index: Index into the controller's link list.
+    """
+
+    at_cycles: float
+    link_index: int
+
+    def __post_init__(self) -> None:
+        if self.at_cycles < 0:
+            raise TransferError(
+                f"outage time must be >= 0, got {self.at_cycles}"
+            )
+        if self.link_index < 0:
+            raise TransferError(
+                f"outage link index must be >= 0, got {self.link_index}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,10 +198,12 @@ class StripedController:
             if len(self.links) == 1
             else f"striped-{policy}x{len(self.links)}"
         )
-        self.recorder: Optional["TraceRecorder"] = None
-        self.demand_fetches: List[MethodId] = []
+        #: How a grain's link is picked: ``"least_loaded"`` (fewest
+        #: remaining bytes), ``"earliest_finish"`` (the link that lands
+        #: it first) or ``"round_robin"``.
+        self.link_choice = _LINK_CHOICE_OF_POLICY[policy]
         #: ``"stream"`` (whole in-order streams) or ``"unit"`` (one
-        #: unit per grain): the issue engine's dispatch grain.
+        #: unit per grain): the dispatch grain.
         self.grain = (
             "stream"
             if policy in ("strict", "parallel")
@@ -228,55 +252,8 @@ class StripedController:
                 self.stream_grains = (
                     StreamGrain(_STREAM_LABEL[policy], self.sequence),
                 )
-        self._engine: Optional[IssueEngine] = None
 
-    # -- scoreboard construction ------------------------------------------
-
-    def _build_scoreboard(self) -> Scoreboard:
-        if self.grain == "unit":
-            return unit_grain_scoreboard(self.sequence)
-        board = Scoreboard()
-        for seq, grain in enumerate(self.stream_grains):
-            board.add_item(
-                IssueItem(
-                    label=grain.label,
-                    units=grain.units,
-                    seq=seq,
-                    watermark_bytes=grain.watermark_bytes,
-                    watermark_classes=self.watermark_order[
-                        : grain.watermark_count
-                    ],
-                )
-            )
-        return board
-
-    # -- simulator interface ----------------------------------------------
-
-    def start(
-        self, recorder: Optional["TraceRecorder"] = None
-    ) -> IssueEngine:
-        """Build a fresh issue engine for one run and dispatch what is
-        ready at time zero.
-
-        Per-run state starts afresh, so one controller drives any
-        number of runs.  ``recorder`` receives this run's
-        ``schedule_decision`` / ``demand_fetch`` events.
-        """
-        self.recorder = recorder
-        self.demand_fetches = []
-        engine = IssueEngine(
-            self.links,
-            self._build_scoreboard(),
-            grain=self.grain,
-            link_choice=_LINK_CHOICE_OF_POLICY[self.policy],
-            max_streams=self.max_streams,
-            outages=self.outages,
-            recorder=recorder,
-            on_issue=self._on_issue,
-        )
-        self._engine = engine
-        engine.dispatch()
-        return engine
+    # -- what a run asks of the controller ------------------------------
 
     def required_unit(self, method_id: MethodId) -> TransferUnit:
         """The unit whose arrival allows ``method_id`` to execute."""
@@ -287,82 +264,6 @@ class StripedController:
             )
         return plan.required_unit_for(method_id.method_name)
 
-    def on_stall(self, engine: IssueEngine, method_id: MethodId) -> None:
-        """Execution stalled waiting for ``method_id``: correct."""
-        if self.schedule is not None:
-            self._parallel_stall(engine, method_id)
-        elif self.grain == "unit" and self.escalate:
-            self._escalate_stall(engine, method_id)
-        # A single stream is already in flight, in order: nothing can
-        # be reordered.
-
-    # -- misprediction correction -----------------------------------------
-
-    def _parallel_stall(
-        self, engine: IssueEngine, method_id: MethodId
-    ) -> None:
-        """§5.1 demand fetch: request the class at the queue front, or
-        promote its queued stream."""
-        class_name = method_id.class_name
-        item = engine.scoreboard.items.get(class_name)
-        if item is None:
-            raise TransferError(
-                f"no transfer plan for class {class_name!r}"
-            )
-        if item.state in (ItemState.WAITING, ItemState.READY):
-            self.demand_fetches.append(method_id)
-            if self.recorder is not None:
-                record_demand(self.recorder, engine.time, method_id)
-            engine.demand_issue(class_name)
-            return
-        entry = engine.stream_of(class_name)
-        if entry is not None:
-            channel, stream = entry
-            if not stream.started and not stream.done:
-                self.demand_fetches.append(method_id)
-                channel.engine.promote(stream)
-                if self.recorder is not None:
-                    record_demand(
-                        self.recorder, engine.time, method_id, promoted=True
-                    )
-
-    def _escalate_stall(
-        self, engine: IssueEngine, method_id: MethodId
-    ) -> None:
-        """Hazard-priority escalation for the unit-grain policies."""
-        board = engine.scoreboard
-        try:
-            needed = self.required_unit(method_id)
-        except TransferError:
-            return
-        # The unit, then its retire hazard: its class's global unit.
-        escalated = [
-            unit
-            for unit in (needed, *board.unit_deps(needed))
-            if board.escalate(board.label_of(unit))
-        ]
-        if not escalated:
-            return
-        self.demand_fetches.append(method_id)
-        if self.recorder is not None:
-            record_demand(self.recorder, engine.time, method_id)
-        engine.rebalance_event(
-            "demand_escalation",
-            method=str(method_id),
-            items=len(escalated),
-        )
-        engine.dispatch()
-
-    def _on_issue(self, item: IssueItem, channel: LinkChannel) -> None:
-        if self.recorder is not None and self._engine is not None:
-            self.record_decision(
-                self.recorder,
-                self._engine.time,
-                item.label,
-                item.units,
-                item.escalated,
-            )
-
     def record_decision(
         self,
         recorder: "TraceRecorder",
@@ -371,10 +272,7 @@ class StripedController:
         units: Sequence[TransferUnit],
         escalated: bool,
     ) -> None:
-        """Emit ``schedule_decision`` for a stream grain put on a link.
-
-        Both simulation loops emit through this.
-        """
+        """Emit ``schedule_decision`` for a stream grain put on a link."""
         if self.schedule is not None:
             start = self.schedule.start_for(label)
             recorder.schedule_decision(
@@ -401,10 +299,7 @@ def record_demand(
 ) -> None:
     """Emit ``demand_fetch`` for a stalled method, and the
     ``schedule_decision`` of a demand that promoted a queued stream (a
-    demand that issues a grain records that issue instead).
-
-    Both simulation loops emit through this.
-    """
+    demand that issues a grain records that issue instead)."""
     recorder.demand_fetch(time, method=str(method_id))
     if promoted:
         recorder.schedule_decision(
@@ -413,6 +308,45 @@ def record_demand(
             target=method_id.class_name,
             reason="demand_fetch",
         )
+
+
+def link_label(index: int, link: NetworkLink) -> str:
+    """A link's label in events; the index tells identical links apart."""
+    return f"{index}:{link.name}"
+
+
+def record_issue(
+    recorder: "TraceRecorder",
+    time: float,
+    label: str,
+    units: Sequence[TransferUnit],
+    link: str,
+    escalated: bool,
+) -> None:
+    """Emit ``unit_issued`` for a grain put on a link: ``class_name``
+    is the grain's class when it has one, else its label."""
+    names = {unit.class_name for unit in units}
+    recorder.unit_issued(
+        time,
+        class_name=next(iter(names)) if len(names) == 1 else label,
+        link=link,
+        label=label,
+        bytes=sum(unit.size for unit in units),
+        escalated=escalated,
+    )
+
+
+def record_busy(
+    recorder: "TraceRecorder",
+    issued_at: float,
+    landed_at: float,
+    link: str,
+    label: str,
+) -> None:
+    """Emit ``link_busy`` for a grain, from its issue to its last landing."""
+    recorder.link_busy(
+        issued_at, link=link, duration=landed_at - issued_at, label=label
+    )
 
 
 def run_striped(
@@ -434,9 +368,7 @@ def run_striped(
     The multi-link twin of :func:`repro.core.run_nonstrict`: the
     program is restructured into first-use order (unless
     ``restructure=False``), a :class:`StripedController` is built
-    over the link set, and the co-simulator replays the trace.  On one
-    link the stream-grain policies (strict, parallel, interleaved)
-    take the batched core; every other run takes the reference loop.
+    over the link set, and the co-simulator replays the trace.
 
     Returns:
         The :class:`repro.core.SimulationResult`.

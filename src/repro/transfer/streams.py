@@ -10,6 +10,11 @@ once started, transfers to completion — streams are never preempted.
 Time is measured in CPU cycles.  The engine is event-driven and exact:
 it advances from unit-completion to unit-completion, so no per-cycle
 stepping occurs.
+
+The JIT-overlap model (:mod:`repro.core.jit`) runs its link on one.
+The co-simulator's core (:mod:`repro.core.fastsim`) performs the same
+step, completion and snap rules on flat lists, and its test oracle
+drives one engine per link.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Batched cores against the reference loop: bit-identical.
+"""The co-simulation core against the oracle loop: bit-identical.
 
 The contract of :mod:`repro.core.fastsim` is *exact* replication —
 every cycle count, stall boundary, and per-method first-invocation
-latency must equal the reference loop's floats bit for bit, not
-approximately, and a recorded run must emit the reference loop's
-event list, event for event.  All comparisons below use ``==`` on raw
-floats on purpose.  ``Simulator.run_reference`` is the oracle;
-``Simulator.run`` and the ``run_*`` helpers built on it take the
-batched cores, recorded or not.
+latency must equal the oracle loop's floats bit for bit, not
+approximately, and a recorded run must emit the oracle's event list,
+event for event.  All comparisons below use ``==`` on raw floats on
+purpose.  :func:`tests.oracles.simulation_reference.run_reference` is
+the oracle; ``Simulator.run`` and the ``run_*`` helpers built on it
+take the core, on every policy and link count, recorded or not.
 """
 
 import pytest
@@ -15,12 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_source
-from repro.core import Simulator, resolve_engine, run_nonstrict, run_strict
+from repro.core import Simulator, run_nonstrict, run_strict
+from repro.core.simulation import resolve_engine
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
 from repro.reorder import FirstUseOrder, estimate_first_use, restructure
 from repro.reorder.first_use import laid_out_entries
-from repro.sched import POLICIES, StripedController, run_striped
+from repro.sched import POLICIES, LinkOutage, StripedController, run_striped
 from repro.transfer import (
     MODEM_LINK,
     T1_LINK,
@@ -31,33 +32,16 @@ from repro.transfer import (
 )
 from repro.vm import record_run
 from repro.workloads import figure1_program
-
-
-def _key(result):
-    """Every observable field of a SimulationResult but its labels."""
-    return (
-        result.total_cycles,
-        result.execution_cycles,
-        result.stall_cycles,
-        result.invocation_latency,
-        result.bytes_delivered,
-        result.bytes_terminated,
-        tuple(
-            (stall.method, stall.start, stall.duration)
-            for stall in result.stalls
-        ),
-        tuple(
-            (entry.method, entry.latency, entry.demand_fetched)
-            for entry in result.latencies.entries
-        ),
-    )
+from tests.oracles.simulation_reference import (
+    assert_matches_oracle,
+    observable,
+    run_reference,
+)
 
 
 def _assert_same(batched, reference):
-    assert batched.engine == "batched"
-    assert reference.engine == "reference"
     assert batched.controller_name == reference.controller_name
-    assert _key(batched) == _key(reference)
+    assert observable(batched) == observable(reference)
 
 
 def _configured(
@@ -98,20 +82,9 @@ def _assert_nonstrict_matches_oracle(program, trace, order, link, cpi, **kwargs)
     )
     simulator = _configured(program, trace, order, link, cpi, **kwargs)
     simulator.recorder = recorders[1]
-    _assert_same(batched, simulator.run_reference())
+    _assert_same(batched, run_reference(simulator))
     _assert_same_events(*recorders)
     return recorders[0].events
-
-
-def _assert_recorded_runs_match(simulator):
-    """Recorded ``run()`` and ``run_reference()`` of one simulator give
-    the same result and the same event list."""
-    recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
-    simulator.recorder = recorders[0]
-    batched = simulator.run()
-    simulator.recorder = recorders[1]
-    _assert_same(batched, simulator.run_reference())
-    _assert_same_events(*recorders)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -133,9 +106,9 @@ def test_engine_equivalence(name, method, ordering):
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_striped_equivalence(name):
-    """``run_striped`` on one link takes the batched cores for the
-    paper's policies and equals the reference loop, here on the modem
-    with data partitioning."""
+    """Recorded ``run_striped`` on one link equals the recorded oracle
+    for the paper's policies, here on the modem with data
+    partitioning."""
     item = bundle(name)
     workload = item.workload
     for policy in ("parallel", "interleaved"):
@@ -143,6 +116,7 @@ def test_striped_equivalence(name):
             max_streams=4 if policy == "parallel" else None,
             data_partitioning=True,
         )
+        recorders = [TraceRecorder(clock="cycles") for _ in range(2)]
         striped = run_striped(
             workload.program,
             workload.test_trace,
@@ -150,9 +124,10 @@ def test_striped_equivalence(name):
             (MODEM_LINK,),
             workload.cpi,
             policy=policy,
+            recorder=recorders[0],
             **kwargs,
         )
-        reference = _configured(
+        simulator = _configured(
             workload.program,
             workload.test_trace,
             item.order("Test"),
@@ -160,8 +135,10 @@ def test_striped_equivalence(name):
             workload.cpi,
             method=policy,
             **kwargs,
-        ).run_reference()
-        _assert_same(striped, reference)
+        )
+        simulator.recorder = recorders[1]
+        _assert_same(striped, run_reference(simulator))
+        _assert_same_events(*recorders)
 
 
 def test_data_partitioned_equivalence():
@@ -226,10 +203,10 @@ def test_strict_equivalence():
     )
     simulator = _strict_simulator(program, vm_recorder.trace, T1_LINK, 30.0)
     simulator.recorder = recorders[1]
-    _assert_same(batched, simulator.run_reference())
+    _assert_same(batched, run_reference(simulator))
     _assert_same_events(*recorders)
     workload = bundle("Hanoi").workload
-    _assert_recorded_runs_match(
+    assert_matches_oracle(
         _strict_simulator(
             workload.program, workload.test_trace, MODEM_LINK, workload.cpi
         )
@@ -268,7 +245,7 @@ def test_controller_equivalence(kind, name):
     )
     for link in (T1_LINK, MODEM_LINK):
         controller = StripedController(layout, (link,), **options)
-        _assert_recorded_runs_match(
+        assert_matches_oracle(
             Simulator(workload.test_trace, controller, workload.cpi)
         )
 
@@ -285,8 +262,7 @@ def test_controller_equivalence(kind, name):
     ids=["strict", "interleaved", "parallel", "parallel-1", "parallel-2-eager"],
 )
 def test_recorded_one_link_runs_take_the_batched_core(options):
-    """Watching a one-link run does not change its loop: it takes the
-    batched core and emits the reference loop's event list."""
+    """A watched one-link run emits the oracle's event list."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
     order = estimate_first_use(program)
@@ -299,44 +275,59 @@ def test_recorded_one_link_runs_take_the_batched_core(options):
     )
     for link in (T1_LINK, MODEM_LINK):
         controller = StripedController(layout, (link,), **options)
-        _assert_recorded_runs_match(
-            Simulator(vm_recorder.trace, controller, 50.0)
-        )
+        assert_matches_oracle(Simulator(vm_recorder.trace, controller, 50.0))
 
 
 @pytest.mark.parametrize(
-    "links, policy",
+    "links, policy, options",
     [
-        (links_from_bandwidths((57_600, 28_800)), "interleaved"),
-        (links_from_bandwidths((57_600, 28_800)), "parallel"),
-        ((T1_LINK,), "round_robin"),
+        (links_from_bandwidths((57_600, 28_800)), "interleaved", {}),
+        (links_from_bandwidths((57_600, 28_800)), "parallel", {}),
+        ((T1_LINK,), "round_robin", {}),
+        (
+            links_from_bandwidths((57_600, 28_800, 14_400)),
+            "round_robin",
+            dict(escalate=False),
+        ),
+        (
+            links_from_bandwidths((57_600, 28_800)),
+            "interleaved",
+            dict(outages=(LinkOutage(200_000.0, 0),)),
+        ),
     ],
-    ids=["two-links-interleaved", "two-links-parallel", "one-link-round_robin"],
+    ids=[
+        "two-links-interleaved",
+        "two-links-parallel",
+        "one-link-round_robin",
+        "three-links-round_robin-unescalated",
+        "two-links-interleaved-outage",
+    ],
 )
-def test_recorded_striped_and_unit_grain_runs_take_the_reference_loop(
-    links, policy
+def test_recorded_striped_and_unit_grain_runs_match_the_oracle(
+    links, policy, options
 ):
-    """Several links or unit grains need the issue engine, recorded or
-    not; the recorder sees its ``unit_issued`` and ``link_busy``."""
+    """Several links, unit grains, escalation off and a link outage:
+    the recorded run equals the oracle's, ``unit_issued`` and
+    ``link_busy`` included."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
-    recorder = TraceRecorder(clock="cycles")
-    result = run_striped(
-        program,
-        vm_recorder.trace,
-        estimate_first_use(program),
-        links,
-        30.0,
-        policy=policy,
-        recorder=recorder,
+    order = estimate_first_use(program)
+    layout = transfer_layout(
+        restructure(program, order), TransferPolicy.NON_STRICT, order
     )
-    assert result.engine == "reference"
-    assert recorder.named("unit_issued") and recorder.named("link_busy")
+    controller = StripedController(layout, links, policy=policy, **options)
+    _, events = assert_matches_oracle(
+        Simulator(vm_recorder.trace, controller, 30.0)
+    )
+    names = {event.name for event in events}
+    assert {"unit_issued", "link_busy"} <= names
+    if "outages" in options:
+        assert "stripe_rebalance" in names
 
 
 def test_engine_resolution():
-    """Policy × link count: one-link strict, parallel and interleaved
-    runs take a batched core, and no recorder takes part."""
+    """``resolve_engine`` names the one loop for every policy and link
+    count; only the benchmark harness still reads it."""
     program = figure1_program()
     order = estimate_first_use(program)
     layouts = {
@@ -346,29 +337,26 @@ def test_engine_resolution():
     assert resolve_engine() == "batched"
     assert resolve_engine(None) == "batched"
     for policy in POLICIES:
-        batched = policy in ("strict", "parallel", "interleaved")
         layout = layouts[
             TransferPolicy.STRICT
             if policy == "strict"
             else TransferPolicy.NON_STRICT
         ]
         one = StripedController(layout, (T1_LINK,), policy=policy)
-        assert resolve_engine(one) == (
-            "batched" if batched else "reference"
-        ), policy
+        assert resolve_engine(one) == "batched", policy
         if policy == "strict":
             continue  # one link only
         two = StripedController(
             layout, (T1_LINK, MODEM_LINK), policy=policy
         )
-        assert resolve_engine(two) == "reference", policy
+        assert resolve_engine(two) == "batched", policy
 
 
 @pytest.mark.parametrize("kind", ["parallel", "interleaved", "striped"])
 def test_rerun_is_identical_recorded_or_not(kind):
-    """One Simulator re-run, watched or not, gives the same run on the
-    same loop: the controller's per-run state starts afresh, and each
-    recorder receives the same event stream."""
+    """One Simulator re-run, watched or not, gives the same run: the
+    controller holds no per-run state, and each recorder receives the
+    same event stream."""
     item = bundle("Hanoi")
     workload = item.workload
     order = item.order("Test")
@@ -394,7 +382,7 @@ def test_rerun_is_identical_recorded_or_not(kind):
     for recorder in (None, recorders[0], recorders[1], None):
         simulator.recorder = recorder
         result = simulator.run()
-        keys.append((result.engine, _key(result)))
+        keys.append(observable(result))
     assert keys == [keys[0]] * 4
     assert recorders[0].events
     assert recorders[0].events == recorders[1].events
@@ -460,8 +448,8 @@ def test_drawn_parallel_configurations_match_the_oracle(data):
     """A program (Hanoi, TestDes or JHLZip), a first-use order (SCG,
     Train or Test, or a permutation of one), T1 or modem, a stream
     limit, ``eager_start`` and data partitioning, drawn: recorded
-    ``run()`` and ``run_reference()`` agree on the result and the
-    event list."""
+    ``run()`` and the oracle agree on the result and the event
+    list."""
     name = data.draw(st.sampled_from(["Hanoi", "TestDes", "JHLZip"]))
     item = bundle(name)
     order = data.draw(_drawn_orders(item), label="order")
@@ -481,6 +469,90 @@ def test_drawn_parallel_configurations_match_the_oracle(data):
         ),
         eager_start=data.draw(st.booleans(), label="eager_start"),
     )
-    _assert_recorded_runs_match(
+    assert_matches_oracle(
         Simulator(item.workload.test_trace, controller, item.workload.cpi)
     )
+
+
+# -- drawn multi-link and unit-grain configurations ----------------------
+
+#: A fixed, seeded set of striped draws; each runs the oracle once.
+_DRAWN_STRIPES = settings(
+    max_examples=800,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Link rates to draw from (bits per second): modem to T1.
+_BANDWIDTHS = st.sampled_from([9_600, 14_400, 28_800, 57_600, 1_544_000])
+
+
+def _figure1():
+    program = figure1_program()
+    _, vm_recorder = record_run(program)
+    return program, vm_recorder.trace, estimate_first_use(program), 30.0
+
+
+@_DRAWN_STRIPES
+@given(data=st.data())
+def test_drawn_striped_and_unit_grain_configurations_match_the_oracle(data):
+    """A program (Hanoi, TestDes or figure1), a policy (round_robin,
+    interleaved or parallel), one to four links at drawn rates, a
+    stream limit, data partitioning, and on unit grains escalation and
+    up to two link outages, drawn: recorded ``run()`` and the oracle
+    agree on the result and the event list, or raise the same typed
+    error."""
+    name = data.draw(st.sampled_from(["Hanoi", "TestDes", "figure1"]))
+    if name == "figure1":
+        program, trace, order, cpi = _figure1()
+    else:
+        item = bundle(name)
+        program, trace, cpi = (
+            item.workload.program,
+            item.workload.test_trace,
+            item.workload.cpi,
+        )
+        order = item.order(
+            data.draw(st.sampled_from(["SCG", "Train", "Test"]), label="order")
+        )
+    layout = transfer_layout(
+        restructure(program, order),
+        TransferPolicy.DATA_PARTITIONED
+        if data.draw(st.booleans(), label="data_partitioning")
+        else TransferPolicy.NON_STRICT,
+        order,
+    )
+    policy = data.draw(
+        st.sampled_from(["round_robin", "interleaved", "parallel"]),
+        label="policy",
+    )
+    links = links_from_bandwidths(
+        data.draw(st.lists(_BANDWIDTHS, min_size=1, max_size=4), label="bps")
+    )
+    options = dict(
+        max_streams=data.draw(
+            st.sampled_from([1, 2, 4, None]), label="max_streams"
+        ),
+        escalate=data.draw(st.booleans(), label="escalate"),
+    )
+    if policy == "round_robin" or (policy == "interleaved" and len(links) > 1):
+        # Outages within the time it takes the slowest link to carry
+        # the whole sequence.
+        horizon = sum(unit.size for unit in layout.sequence()) * max(
+            link.cycles_per_byte for link in links
+        )
+        options["outages"] = data.draw(
+            st.lists(
+                st.builds(
+                    LinkOutage,
+                    st.floats(0.0, 1.0).map(lambda share: share * horizon),
+                    st.integers(0, len(links) - 1),
+                ),
+                max_size=2,
+            ),
+            label="outages",
+        )
+    controller = StripedController(layout, links, policy=policy, **options)
+    assert_matches_oracle(Simulator(trace, controller, cpi))

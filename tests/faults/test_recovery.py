@@ -250,17 +250,24 @@ _SEQUENCE = [
 ]
 
 
-async def scripted_server(streams, sequence=_SEQUENCE, sound_acks=0):
+async def scripted_server(streams, sequence=_SEQUENCE, sound_acks=0, acks=None):
     """A server whose ``n``-th connection gets ``streams[n]`` after an
     ack matching its greeting, then holds the socket until the client
     hangs up (the last stream repeats).  The first ``sound_acks`` acks
-    announce ``_SEQUENCE``, every later one ``sequence``."""
+    announce ``_SEQUENCE``, every later one ``sequence``; ``acks``, when
+    given, names each connection's sequence instead (the last
+    repeats)."""
     connections = []
 
     async def handler(reader, writer):
         greeting = await read_frame(reader)
         stream = streams[min(len(connections), len(streams) - 1)]
-        announced = _SEQUENCE if len(connections) < sound_acks else sequence
+        if acks is not None:
+            announced = acks[min(len(connections), len(acks) - 1)]
+        elif len(connections) < sound_acks:
+            announced = _SEQUENCE
+        else:
+            announced = sequence
         connections.append(greeting.field_dict)
         ack = (
             resume_ack_frame
@@ -485,5 +492,52 @@ def test_malformed_manifest_ends_as_a_protocol_error(sequence, ack, pull):
     error, connections = run(scenario())
     refused_at_connect = ack == "HELLO_ACK" and (pull or sequence == 7)
     assert isinstance(error, ProtocolError) == refused_at_connect
+    if not refused_at_connect:
+        # The strict fallback's refused ack is why the fetch ended.
+        assert isinstance(error.__cause__, ProtocolError)
+        assert "malformed manifest" in str(error.__cause__)
     if ack == "RESUME_ACK":
         assert any("have" in greeting for greeting in connections)
+
+
+def test_refused_resume_ack_never_enters_the_plan():
+    """A push fetch's resumed ack announces a malformed row, so the
+    resume is refused as it lands; the strict fallback's ack is sound,
+    so the fetch still lands both planned units (before a refused ack
+    stayed queued for the plan and failed the fallback too)."""
+    cold_file = TransferUnit(kind=UnitKind.CLASS_FILE, class_name="Cold", size=8)
+    hot_file = TransferUnit(kind=UnitKind.CLASS_FILE, class_name="Hot", size=8)
+    strict_sequence = [
+        [*unit_wire_key(unit), unit.size] for unit in (cold_file, hot_file)
+    ]
+
+    async def scenario():
+        good = encode_frame(unit_frame(_GOOD_UNIT, b"\x01" * 8))
+        strict = (
+            encode_frame(unit_frame(cold_file, b"\x03" * 8))
+            + encode_frame(unit_frame(hot_file, b"\x04" * 8))
+            + encode_frame(eof_frame())
+        )
+        server, connections = await scripted_server(
+            [good + encode_frame(eof_frame()), encode_frame(eof_frame()), strict],
+            acks=[_SEQUENCE, [[unit_kind_code(UnitKind.METHOD), "Hot", None, 8]], strict_sequence],
+        )
+        host, port = server.sockets[0].getsockname()[:2]
+        fetcher = NonStrictFetcher(
+            host, port, max_reconnects=1, backoff_base=0.005, backoff_jitter=0.0
+        )
+        try:
+            await fetcher.connect()
+            await asyncio.wait_for(fetcher.wait_until_complete(), timeout=5.0)
+            assert fetcher.stats.degraded
+            assert fetcher.is_method_available(MethodId("Hot", "run"))
+            assert fetcher.class_bytes("Hot") == b"\x04" * 8
+        finally:
+            await fetcher.aclose()
+            server.close()
+            await server.wait_closed()
+        return connections
+
+    connections = run(scenario())
+    assert "have" in connections[1]  # the refused resume
+    assert len(connections) == 3

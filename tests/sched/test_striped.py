@@ -25,12 +25,16 @@ from repro.transfer import (
 )
 from repro.vm import record_run
 from repro.workloads import figure1_program
+from tests.oracles.simulation_reference import (
+    ReferenceRun,
+    assert_matches_oracle,
+)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_one_link_fidelity_is_exact(name):
     """One link is a degenerate stripe: ``run_striped`` builds the same
-    controller as ``run_nonstrict`` and takes the same batched core."""
+    controller as ``run_nonstrict`` and gives the same run."""
     item = bundle(name)
     workload = item.workload
     for order_label in ("SCG", "Train"):
@@ -53,7 +57,6 @@ def test_one_link_fidelity_is_exact(name):
                 policy=policy,
             )
             key = f"{name}/{order_label}/{policy}"
-            assert striped.engine == reference.engine == "batched", key
             assert striped.controller_name == policy, key
             assert striped.total_cycles == reference.total_cycles, key
             assert striped.stall_count == reference.stall_count, key
@@ -112,12 +115,11 @@ def test_heterogeneous_links_beat_their_fastest_member():
 
 
 def test_link_outage_converges_byte_identical():
+    """A link dies a quarter into the run: the recorded run equals the
+    oracle's, and the oracle's engine shows the fetch converging."""
     item = bundle("Hanoi")
     workload = item.workload
     links = (MODEM_LINK, MODEM_LINK)
-
-    def controllers(outages):
-        return StripedController(layout, links, outages=outages)
 
     from repro.core import Simulator
     from repro.reorder import restructure
@@ -127,25 +129,32 @@ def test_link_outage_converges_byte_identical():
         TransferPolicy.NON_STRICT,
         item.scg,
     )
-    baseline_ctrl = controllers(())
-    baseline = Simulator(
-        workload.test_trace, baseline_ctrl, workload.cpi
-    ).run()
+
+    def recorded(outages):
+        run = ReferenceRun(StripedController(layout, links, outages=outages))
+        result, events = assert_matches_oracle(
+            Simulator(workload.test_trace, run.controller, workload.cpi), run
+        )
+        return result, events, run.engine
+
+    baseline, _, baseline_engine = recorded(())
     outage_at = baseline.total_cycles / 4.0
-    chaos_ctrl = controllers((LinkOutage(outage_at, link_index=1),))
-    chaos = Simulator(
-        workload.test_trace, chaos_ctrl, workload.cpi
-    ).run()
+    chaos, events, chaos_engine = recorded(
+        (LinkOutage(outage_at, link_index=1),)
+    )
     # The fetch converges: the exact same unit set arrives in full.
-    assert baseline_ctrl._engine is not None
-    assert chaos_ctrl._engine is not None
-    assert set(chaos_ctrl._engine.arrival_times) == set(
-        baseline_ctrl._engine.arrival_times
+    assert set(chaos_engine.arrival_times) == set(
+        baseline_engine.arrival_times
     )
     assert chaos.latencies.methods() == baseline.latencies.methods()
     # Retransmission costs cycles, never correctness.
     assert chaos.total_cycles >= baseline.total_cycles
-    assert not chaos_ctrl._engine.channels[1].alive
+    assert not chaos_engine.channels[1].alive
+    assert [
+        event.args["reason"]
+        for event in events
+        if event.name == "stripe_rebalance"
+    ].count("link_outage") == 1
 
 
 def test_validation_errors():
@@ -230,27 +239,43 @@ def test_validation_errors():
 
 
 def test_escalation_toggle_controls_demand_correction():
+    """With and without escalation the recorded run equals the
+    oracle's; only the escalated run demand-fetches."""
+    from repro.core import Simulator
+    from repro.reorder import restructure
+
     item = bundle("BIT")
     workload = item.workload
     links = (MODEM_LINK, MODEM_LINK)
-    corrected = run_striped(
+    layout = transfer_layout(
+        restructure(workload.program, item.test),
+        TransferPolicy.NON_STRICT,
+        item.test,
+    )
+    corrected, uncorrected = (
+        assert_matches_oracle(
+            Simulator(
+                workload.test_trace,
+                StripedController(layout, links, escalate=escalate),
+                workload.cpi,
+            )
+        )[0]
+        for escalate in (True, False)
+    )
+    assert corrected.total_cycles == run_striped(
         workload.program,
         workload.test_trace,
         item.test,
         links,
         workload.cpi,
         escalate=True,
-    )
-    uncorrected = run_striped(
-        workload.program,
-        workload.test_trace,
-        item.test,
-        links,
-        workload.cpi,
-        escalate=False,
-    )
+    ).total_cycles
     # Both complete; escalation may only help.
     assert corrected.total_cycles <= uncorrected.total_cycles
+    assert any(entry.demand_fetched for entry in corrected.latencies.entries)
+    assert not any(
+        entry.demand_fetched for entry in uncorrected.latencies.entries
+    )
 
 
 def test_striped_analyzer_verdicts_hold_in_simulation():
@@ -341,10 +366,10 @@ _PAPER_DECISIONS = {
 
 @pytest.mark.parametrize("policy", sorted(_PAPER_DECISIONS))
 def test_recorded_one_link_runs_emit_the_paper_decisions(policy):
-    """A recorded one-link run takes the batched core and records the
-    paper methodology's ``schedule_decision`` and ``demand_fetch``
-    events, in order, with their payloads (the reference loop's, as
-    ``tests/core/test_fastsim.py`` checks event for event)."""
+    """A recorded one-link run records the paper methodology's
+    ``schedule_decision`` and ``demand_fetch`` events, in order, with
+    their payloads (the oracle's, as ``tests/core/test_fastsim.py``
+    checks event for event)."""
     program = figure1_program()
     _, vm_recorder = record_run(program)
     recorder = TraceRecorder(clock="cycles")
@@ -358,7 +383,6 @@ def test_recorded_one_link_runs_emit_the_paper_decisions(policy):
         max_streams=1,
         recorder=recorder,
     )
-    assert result.engine == "batched"
     assert result.controller_name == policy
     decisions = [
         (event.name, event.args)

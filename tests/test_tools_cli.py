@@ -124,8 +124,9 @@ def test_simulate_striped_links(stored, capsys):
 
 
 def test_simulate_engine_ab_identical(stored, capsys, monkeypatch):
-    """simulate prints exactly what it prints on the reference loop."""
+    """simulate prints exactly what it prints on the oracle loop."""
     from repro.core import Simulator
+    from tests.oracles.simulation_reference import run_reference
 
     directory, trace = stored
     arguments = [
@@ -141,7 +142,7 @@ def test_simulate_engine_ab_identical(stored, capsys, monkeypatch):
     ]
     assert main(arguments) == 0
     batched = capsys.readouterr().out
-    monkeypatch.setattr(Simulator, "run", Simulator.run_reference)
+    monkeypatch.setattr(Simulator, "run", run_reference)
     assert main(arguments) == 0
     assert capsys.readouterr().out == batched
 

