@@ -3,12 +3,14 @@
 For each of the six paper workloads, under every transfer policy and
 the ``static``, ``textual`` and ``weighted`` reorder strategies, the
 server plans the session exactly as it does for a negotiated fetch.
-Two digests are taken over the artifacts, in send order:
+Three digests are taken over the artifacts, in send order:
 
 * ``frames``: every pre-encoded ``UNIT`` frame, so it moves with the
   wire format as well (the protocol version byte, the unit header);
 * ``payloads``: every unit's payload bytes, so it moves only when the
-  served bytes or their order do.
+  served bytes or their order do;
+* ``manifests``: every artifact's encoded manifest rows, the bytes each
+  ``HELLO_ACK`` carries as its ``sequence``.
 
 Each digest depends on every byte it covers and on the send order, so
 two runs under different ``PYTHONHASHSEED`` values must print the same
@@ -31,10 +33,11 @@ from repro.workloads.synthetic import generate_workload
 STRATEGIES = ("static", "textual", "weighted")
 
 
-def artifact_digests() -> Tuple[str, str]:
-    """The (frames, payloads) digests over all 54 artifacts."""
+def artifact_digests() -> Tuple[str, str, str]:
+    """The (frames, payloads, manifests) digests over all 54 artifacts."""
     frames = hashlib.sha256()
     payloads = hashlib.sha256()
+    manifests = hashlib.sha256()
     for name in BENCHMARK_NAMES:
         server = ClassFileServer(generate_workload(name).program)
         for policy in TransferPolicy:
@@ -43,10 +46,12 @@ def artifact_digests() -> Tuple[str, str]:
                 for unit in artifact.sequence:
                     frames.update(artifact.frames[unit])
                     payloads.update(artifact.payloads[unit])
-    return frames.hexdigest(), payloads.hexdigest()
+                manifests.update(artifact.manifest)
+    return frames.hexdigest(), payloads.hexdigest(), manifests.hexdigest()
 
 
 if __name__ == "__main__":
-    frame_digest, payload_digest = artifact_digests()
+    frame_digest, payload_digest, manifest_digest = artifact_digests()
     print(f"frames {frame_digest}")
     print(f"payloads {payload_digest}")
+    print(f"manifests {manifest_digest}")

@@ -112,17 +112,21 @@ class CompiledTrace:
         first_use: Aligned with ``costs``; ``None`` for repeat
             segments, ``(method, required_unit)`` on each method's
             first segment — the only segments that can stall.
+        instructions: The trace's total instruction count, summed in
+            the same pass.
     """
 
-    __slots__ = ("costs", "first_use")
+    __slots__ = ("costs", "first_use", "instructions")
 
     def __init__(
         self,
         costs: List[float],
         first_use: List[Optional[Tuple[MethodId, TransferUnit]]],
+        instructions: int,
     ) -> None:
         self.costs = costs
         self.first_use = first_use
+        self.instructions = instructions
 
 
 def compile_trace(
@@ -137,7 +141,8 @@ def compile_trace(
     """
     segments = trace.segments
     cpi = float(cpi)
-    costs = [segment.instructions * cpi for segment in segments]
+    counts = [segment.instructions for segment in segments]
+    costs = [count * cpi for count in counts]
     first_use: List[Optional[Tuple[MethodId, TransferUnit]]] = (
         [None] * len(segments)
     )
@@ -148,7 +153,7 @@ def compile_trace(
         if method not in seen:
             seen.add(method)
             first_use[index] = (method, required_unit(method))
-    return CompiledTrace(costs, first_use)
+    return CompiledTrace(costs, first_use, sum(counts))
 
 
 class _Lane:
@@ -272,6 +277,7 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
 
     return observer.result(
         total_cycles=time,
+        instructions=compiled.instructions,
         bytes_delivered=sum(lane.delivered for lane in lanes),
         bytes_terminated=sum(
             lane.remaining_bytes() for lane in lanes if lane.alive
@@ -539,12 +545,6 @@ def _unit_grains(
 ) -> _Machine:
     """One unit per idle lane, out of order, with retire hazards."""
     lanes = [_Lane(index, link) for index, link in enumerate(controller.links)]
-    for outage in controller.outages:
-        if outage.link_index >= len(lanes):
-            raise TransferError(
-                f"outage references link {outage.link_index}, "
-                f"but only {len(lanes)} links exist"
-            )
     outages = sorted(controller.outages, key=lambda outage: outage.at_cycles)
     board = unit_grain_scoreboard(controller.sequence)
     round_robin = controller.link_choice == "round_robin"

@@ -218,12 +218,15 @@ class RunObserver:
     def result(
         self,
         total_cycles: float,
+        instructions: int,
         bytes_delivered: float,
         bytes_terminated: float,
         arrivals: Dict["TransferUnit", float],
     ) -> SimulationResult:
         """The run's result; the recorder gets ``unit_arrived`` for
-        every unit that arrived, in arrival order."""
+        every unit that arrived, in arrival order.  ``instructions`` is
+        the trace's total, which the caller summed as it walked the
+        segments."""
         if self.recorder is not None:
             for unit, arrival in sorted(
                 arrivals.items(), key=lambda item: item[1]
@@ -241,9 +244,7 @@ class RunObserver:
         entries = self.latencies.entries
         return SimulationResult(
             total_cycles=total_cycles,
-            execution_cycles=(
-                simulator.trace.total_instructions * simulator.cpi
-            ),
+            execution_cycles=instructions * simulator.cpi,
             stall_cycles=self.stall_cycles,
             # The first segment is the first method's first use.
             invocation_latency=entries[0].latency if entries else 0.0,

@@ -1,12 +1,13 @@
 """Shared immutable session artifacts for fleet-scale serving.
 
 Restructuring a program, building its transfer plans, materializing
-payload bytes, and encoding UNIT frames is identical work for every
-connection that negotiates the same ``(program, policy, strategy)``
-triple.  :class:`ArtifactCache` does that work once and shares the
-immutable result — a :class:`SessionArtifact` — across all concurrent
-and future connections, so a thousand-client fleet pays the planning
-cost O(distinct configurations) instead of O(connections).
+payload bytes, and encoding UNIT frames and the ack's manifest rows is
+identical work for every connection that negotiates the same
+``(program, policy, strategy)`` triple.  :class:`ArtifactCache` does
+that work once and shares the immutable result — a
+:class:`SessionArtifact` — across all concurrent and future
+connections, so a thousand-client fleet pays the planning cost
+O(distinct configurations) instead of O(connections).
 
 The cache is a size-bounded LRU.  Every lookup bumps a hit or miss
 counter in its :class:`~repro.observe.MetricsRegistry` and every
@@ -69,6 +70,10 @@ class SessionArtifact:
             one index the server resolves a client's keys in (RESUME's
             ``have``, DEMAND_FETCH's ``units``) and derives manifest
             rows from.
+        manifest: The ``HELLO_ACK`` manifest rows over ``units``,
+            JSON-encoded once (:func:`~.protocol.encode_manifest`); each
+            session's ack wraps its own fields around them
+            (:func:`~.protocol.encode_ack`).
         strategy: The *resolved* reorder strategy (after any
             profile-to-static fallback), echoed in acks.
         total_bytes: Sum of unit sizes (the ack's ``total_bytes``).
@@ -80,6 +85,7 @@ class SessionArtifact:
     payloads: Mapping[TransferUnit, bytes]
     frames: Mapping[TransferUnit, bytes]
     units: Mapping[UnitKey, TransferUnit]
+    manifest: bytes
     strategy: str
     total_bytes: int
     wire_bytes: int

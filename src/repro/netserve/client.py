@@ -368,8 +368,9 @@ class NonStrictFetcher:
         self.manifest: Dict[str, Any] = {}
         #: Units in arrival order, with arrival seconds since connect.
         self.unit_log: List[Tuple[TransferUnit, float]] = []
-        #: Per-class arrival buffers: (unit, payload) in arrival order.
-        self.buffers: Dict[str, List[Tuple[TransferUnit, bytes]]] = {}
+        #: Per-class arrival buffers: (wire key, payload) in arrival
+        #: order.
+        self.buffers: Dict[str, List[Tuple[UnitKey, bytes]]] = {}
         self._method_arrivals: Dict[MethodId, float] = {}
         self._classes_complete: Set[str] = set()
         #: Wire keys of units held intact (resume/duplicate filtering).
@@ -937,10 +938,12 @@ class NonStrictFetcher:
     ) -> Optional[bool]:
         """Record a landing; observability waits for the retire cascade.
 
-        Duplicates (hedge losers, resume races, duplicated frames) are
-        dropped by wire key before they can touch the buffers or the
-        scoreboard, and return None.  A landed unit returns True when
-        it woke a waiter; the caller accounts it.
+        The unit's wire key is derived once, here, and kept beside its
+        payload in :attr:`buffers`.  Duplicates (hedge losers, resume
+        races, duplicated frames) are dropped by wire key before they
+        can touch the buffers or the scoreboard, and return None.  A
+        landed unit returns True when it woke a waiter; the caller
+        accounts it.
         """
         key = unit_wire_key(unit)
         link.in_flight.pop(key, None)
@@ -964,10 +967,10 @@ class NonStrictFetcher:
         if unit.kind is UnitKind.CLASS_FILE:
             # A whole-class unit supersedes any partial units for that
             # class (the strict fallback re-sends whole files).
-            self.buffers[unit.class_name] = [(unit, payload)]
+            self.buffers[unit.class_name] = [(key, payload)]
         else:
             self.buffers.setdefault(unit.class_name, []).append(
-                (unit, payload)
+                (key, payload)
             )
         if hedge is not None:
             role = "hedge" if link.index == hedge[1] else "primary"
@@ -1405,12 +1408,13 @@ class NonStrictFetcher:
 
         Pulled, resumed and retried units land out of order; sorting by
         manifest position (a stable sort, so arrival breaks ties) makes
-        a chaos run's bytes identical to a clean run's.
+        a chaos run's bytes identical to a clean run's.  Each entry
+        sorts on the wire key stored when it landed.
         """
         order = self._plan_order()
         last = len(order)
         entries = sorted(
             self.buffers.get(class_name, []),
-            key=lambda entry: order.get(unit_wire_key(entry[0]), last),
+            key=lambda entry: order.get(entry[0], last),
         )
         return b"".join(payload for _, payload in entries)

@@ -15,7 +15,9 @@ Control frames (``HELLO``, ``HELLO_ACK``, ``DEMAND_FETCH``, ``ERROR``,
 key* ``[kind code, class, method or null]`` (:func:`unit_wire_key`):
 
 * each manifest row of ``HELLO_ACK`` and ``RESUME_ACK`` is a unit's
-  wire key followed by its size;
+  wire key followed by its size (:func:`encode_manifest` encodes the
+  rows once, and :func:`encode_ack` wraps a session's fields around
+  them);
 * ``RESUME``'s ``have`` lists the keys a client holds;
 * a ``DEMAND_FETCH`` has one of two shapes (:func:`demand_fetch_frame`):
   ``{class, method}`` asks a push session to promote a class, and
@@ -46,8 +48,7 @@ import enum
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..errors import (
     ConnectionLostError,
@@ -76,6 +77,8 @@ __all__ = [
     "error_frame",
     "eof_frame",
     "encode_frame",
+    "encode_manifest",
+    "encode_ack",
     "decode_frame",
     "frame_size",
     "read_frame",
@@ -162,24 +165,22 @@ def unit_wire_key(unit: TransferUnit) -> UnitKey:
     )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One decoded frame.
+class Frame(NamedTuple):
+    """One decoded frame: a named ``(kind, fields, unit, payload)``
+    tuple.  Its wire size is the distance between the offset
+    :func:`decode_frame` starts at and the one it returns.
 
     Attributes:
         kind: The frame kind.
         fields: JSON fields, for control frames.
         unit: The transfer unit, for ``UNIT`` frames.
         payload: The unit's payload bytes, for ``UNIT`` frames.
-        wire_size: Encoded size in bytes (set by the decoder; not part
-            of frame identity).
     """
 
     kind: FrameKind
     fields: Tuple[Tuple[str, Any], ...] = ()
     unit: Optional[TransferUnit] = None
     payload: bytes = b""
-    wire_size: int = field(default=0, compare=False)
 
     @property
     def field_dict(self) -> Dict[str, Any]:
@@ -328,18 +329,55 @@ def _encode_body(frame: Frame) -> bytes:
     return json.dumps(frame.field_dict, sort_keys=True).encode("utf-8")
 
 
-def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame to wire bytes."""
-    body = _encode_body(frame)
+def _seal(kind: FrameKind, body: bytes) -> bytes:
+    """A frame's wire bytes: header, ``body`` and CRC trailer."""
     return b"".join(
         (
-            _HEADER.pack(
-                MAGIC, PROTOCOL_VERSION, int(frame.kind), len(body)
-            ),
+            _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(kind), len(body)),
             body,
             _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF),
         )
     )
+
+
+def encode_frame(frame: Frame) -> bytes:
+    """Serialize a frame to wire bytes."""
+    return _seal(frame.kind, _encode_body(frame))
+
+
+def encode_manifest(
+    keyed_units: Iterable[Tuple[UnitKey, TransferUnit]]
+) -> bytes:
+    """The JSON text of an ack's ``sequence``: one row ``[kind code,
+    class, method or null, size]`` per ``(wire key, unit)`` pair, in
+    order.  A served configuration encodes its rows once, when its
+    :class:`~.cache.SessionArtifact` is built."""
+    rows = [[*key, unit.size] for key, unit in keyed_units]
+    return json.dumps(rows).encode("utf-8")
+
+
+def encode_ack(kind: FrameKind, manifest: bytes, **fields: Any) -> bytes:
+    """Wire bytes of a ``HELLO_ACK`` or ``RESUME_ACK`` whose
+    ``sequence`` is ``manifest``, rows already encoded by
+    :func:`encode_manifest`.
+
+    Only ``fields`` are encoded here.  The bytes equal
+    ``encode_frame(hello_ack_frame(sequence=rows, **fields))`` (or
+    :func:`resume_ack_frame`'s) for the rows ``manifest`` holds: the
+    members are joined in key order with :func:`json.dumps`'s
+    separators.
+    """
+    members = [
+        (key, json.dumps(value, sort_keys=True).encode("utf-8"))
+        for key, value in fields.items()
+    ]
+    members.append(("sequence", manifest))
+    members.sort(key=lambda member: member[0])
+    body = b", ".join(
+        json.dumps(key).encode("utf-8") + b": " + value
+        for key, value in members
+    )
+    return _seal(kind, b"{" + body + b"}")
 
 
 # --- decoding ----------------------------------------------------------
@@ -428,18 +466,13 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
             )
         except TransferError as exc:
             raise FrameCorruptionError(f"inconsistent unit: {exc}") from exc
-        return (
-            Frame(
-                kind=kind, unit=unit, payload=payload, wire_size=end - offset
-            ),
-            end,
-        )
+        return Frame(kind, (), unit, payload), end
     if kind is None:
         raise FrameCorruptionError(f"unknown frame kind {kind_code}")
     if kind is FrameKind.EOF:
         if body:
             raise FrameCorruptionError("EOF frame with a body")
-        return Frame(kind=kind, wire_size=end - offset), end
+        return Frame(kind), end
     try:
         fields = json.loads(body.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -448,14 +481,7 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
         ) from exc
     if not isinstance(fields, dict):
         raise FrameCorruptionError("control frame body is not an object")
-    return (
-        Frame(
-            kind=kind,
-            fields=tuple(sorted(fields.items())),
-            wire_size=end - offset,
-        ),
-        end,
-    )
+    return Frame(kind, tuple(sorted(fields.items()))), end
 
 
 def frame_size(data: bytes, offset: int = 0) -> int:

@@ -91,12 +91,12 @@ from .payloads import build_program_payloads
 from .protocol import (
     FrameKind,
     UnitKey,
+    encode_ack,
     encode_frame,
+    encode_manifest,
     eof_frame,
     error_frame,
-    hello_ack_frame,
     read_frame,
-    resume_ack_frame,
     unit_frame,
     unit_wire_key,
 )
@@ -414,11 +414,13 @@ class ClassFileServer:
             unit: encode_frame(unit_frame(unit, payloads[unit]))
             for unit in sequence
         }
+        units = {unit_wire_key(unit): unit for unit in sequence}
         return SessionArtifact(
             sequence=sequence,
             payloads=payloads,
             frames=frames,
-            units={unit_wire_key(unit): unit for unit in sequence},
+            units=units,
+            manifest=encode_manifest(units.items()),
             strategy=strategy,
             total_bytes=sum(unit.size for unit in sequence),
             wire_bytes=sum(len(data) for data in frames.values()),
@@ -600,7 +602,9 @@ class ClassFileServer:
 
         The manifest rows ``[kind code, class, method or null, size]``
         come from the artifact's key index, and each held key is one
-        lookup there.
+        lookup there.  A ``HELLO_ACK`` wraps the session's fields around
+        the rows the artifact encoded once; a ``RESUME_ACK`` encodes
+        its filtered rows itself.
         """
         hello = await read_frame(reader)
         if hello.kind not in (FrameKind.HELLO, FrameKind.RESUME):
@@ -619,6 +623,7 @@ class ClassFileServer:
         artifact = self._plan_session(policy, strategy)
         pairs: Iterable[Tuple[UnitKey, TransferUnit]] = artifact.units.items()
         sequence = list(artifact.sequence)
+        manifest = artifact.manifest
         skipped = 0
         resumed = hello.kind == FrameKind.RESUME
         if resumed:
@@ -627,6 +632,7 @@ class ClassFileServer:
             )
             pairs = [pair for pair in pairs if pair[0] not in have]
             sequence = [unit for _, unit in pairs]
+            manifest = encode_manifest(pairs)
             skipped = len(artifact.sequence) - len(sequence)
             conn.record_resume(skipped)
         conn.policy = policy.value
@@ -645,16 +651,17 @@ class ClassFileServer:
             entry=(
                 [entry.class_name, entry.method_name] if entry else None
             ),
-            sequence=[[*key, unit.size] for key, unit in pairs],
         )
         if pull:
             ack_fields["pull"] = True
             conn.record_pull_session()
         if resumed:
-            ack = resume_ack_frame(skipped=skipped, **ack_fields)
+            ack = encode_ack(
+                FrameKind.RESUME_ACK, manifest, skipped=skipped, **ack_fields
+            )
         else:
-            ack = hello_ack_frame(**ack_fields)
-        writer.write(encode_frame(ack))
+            ack = encode_ack(FrameKind.HELLO_ACK, manifest, **ack_fields)
+        writer.write(ack)
         await writer.drain()
         return sequence, artifact, pull
 

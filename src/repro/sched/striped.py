@@ -147,7 +147,8 @@ class StripedController:
     Raises:
         TransferError: On an unknown policy, no links, several links
             under ``"strict"``, a stream limit below 1, outages on a
-            stream-grain policy, ``eager_start`` under any policy but
+            stream-grain policy or on a link index past ``links``,
+            ``eager_start`` under any policy but
             ``"parallel"`` (only its grains have watermarks to zero),
             or a layout whose unit policy the policy cannot send.
     """
@@ -215,6 +216,12 @@ class StripedController:
                 f"link outages are not supported by the "
                 f"{policy!r} policy on this link count"
             )
+        for outage in self.outages:
+            if outage.link_index >= len(self.links):
+                raise TransferError(
+                    f"outage references link {outage.link_index}, "
+                    f"but only {len(self.links)} links exist"
+                )
         self.plans: Dict[str, ClassTransferPlan] = layout.plans
         #: Parallel: the greedy byte-triggered schedule.
         self.schedule: Optional[TransferSchedule] = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..classfile import METHOD_DELIMITER_SIZE, class_layout
 from ..cfg import partition_blocks
@@ -54,29 +54,50 @@ class UnitKind(enum.Enum):
     GLOBAL_UNUSED = "global_unused"  # partitioned: trailing unused data
 
 
-@dataclass(frozen=True)
-class TransferUnit:
+# ``typing.NamedTuple`` refuses a ``__new__`` of its own, so the
+# validating constructor lives on a subclass of the field tuple.
+class _UnitFields(NamedTuple):
+    kind: UnitKind
+    class_name: str
+    size: int
+    method: Optional[MethodId] = None
+
+
+class TransferUnit(_UnitFields):
     """One atomic piece of a class file on the wire.
+
+    A named ``(kind, class_name, size, method)`` tuple: it equals and
+    hashes as its field tuple, in C, so every unit-keyed map hashes it
+    without a Python frame.
 
     Attributes:
         kind: What the unit carries.
         class_name: Owning class.
         method: The method, for ``METHOD`` units.
         size: Bytes on the wire (delimiters included for methods).
+
+    Raises:
+        TransferError: On a negative size, or a ``method`` given for a
+            unit that is not a ``METHOD`` unit (or missing for one).
     """
 
-    kind: UnitKind
-    class_name: str
-    size: int
-    method: Optional[MethodId] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise TransferError(f"negative unit size: {self}")
-        if (self.kind == UnitKind.METHOD) != (self.method is not None):
+    def __new__(
+        cls,
+        kind: UnitKind,
+        class_name: str,
+        size: int,
+        method: Optional[MethodId] = None,
+    ) -> "TransferUnit":
+        unit = tuple.__new__(cls, (kind, class_name, size, method))
+        if size < 0:
+            raise TransferError(f"negative unit size: {unit}")
+        if (kind is UnitKind.METHOD) != (method is not None):
             raise TransferError(
-                f"method must be set exactly for METHOD units: {self}"
+                f"method must be set exactly for METHOD units: {unit}"
             )
+        return unit
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import compile_source
 from repro.core import Simulator, run_nonstrict, run_strict
+from repro.core.fastsim import compile_trace
 from repro.core.simulation import resolve_engine
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
@@ -101,6 +102,24 @@ def test_engine_equivalence(name, method, ordering):
         workload.cpi,
         method=method,
         max_streams=4 if method == "parallel" else None,
+    )
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_execution_cycles_come_from_the_compiled_total(name):
+    """The core sums the trace's instructions while it compiles the
+    trace; ``execution_cycles`` is that total times the CPI, the same
+    float the trace's own total gives."""
+    item = bundle(name)
+    workload = item.workload
+    trace = workload.test_trace
+    simulator = _configured(
+        workload.program, trace, item.scg, T1_LINK, workload.cpi
+    )
+    compiled = compile_trace(trace, simulator.controller, simulator.cpi)
+    assert compiled.instructions == trace.total_instructions
+    assert simulator.run().execution_cycles == (
+        trace.total_instructions * float(workload.cpi)
     )
 
 

@@ -21,6 +21,7 @@ from repro.netserve import (
     salvage_unit_key,
     unit_wire_key,
 )
+from repro.netserve import client as client_module
 from repro.netserve.client import READ_CHUNK_BYTES
 from repro.netserve.protocol import frame_size
 from repro.netserve.stats import FetchStats
@@ -211,3 +212,46 @@ def test_a_push_drain_records_once_per_read():
     assert fetcher.stats.frames_received == frames
     assert fetcher.stats.units_received == len(artifact.sequence)
     assert fetcher.stats.bytes_received == len(stream)
+
+
+def test_a_push_drain_derives_each_wire_key_once(monkeypatch):
+    """Work count: a Jess push drain, then ``class_bytes`` of every
+    class, calls the client's ``unit_wire_key`` at most once per landed
+    unit — the landing keeps the key beside the payload, and reassembly
+    sorts on it."""
+    program = generate_workload("Jess").program
+    artifact = ClassFileServer(program)._build_artifact(
+        TransferPolicy.NON_STRICT, "static"
+    )
+    stream = b"".join(
+        artifact.frames[unit] for unit in artifact.sequence
+    ) + encode_frame(eof_frame())
+    fetcher = NonStrictFetcher("127.0.0.1", 1)
+    fetcher._accept_manifest(
+        {
+            "sequence": [
+                [*key, unit.size] for key, unit in artifact.units.items()
+            ]
+        }
+    )
+    link = fetcher._links[0]
+    link.reader = _Reads(stream)
+    calls = Counter()
+
+    def counted(unit):
+        calls["unit_wire_key"] += 1
+        return unit_wire_key(unit)
+
+    monkeypatch.setattr(client_module, "unit_wire_key", counted)
+    asyncio.run(fetcher._drain(link))
+    landed = fetcher.stats.units_received
+    assert landed == len(artifact.sequence)
+    expected = {}
+    for unit in artifact.sequence:
+        expected.setdefault(unit.class_name, []).append(
+            artifact.payloads[unit]
+        )
+    for name, parts in expected.items():
+        assert fetcher.class_bytes(name) == b"".join(parts)
+    # One call per landing; deriving the key again to sort made two.
+    assert 0 < calls["unit_wire_key"] <= landed

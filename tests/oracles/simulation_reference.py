@@ -604,7 +604,9 @@ def run_reference(
     observer = RunObserver(simulator)
 
     time = 0.0
+    instructions = 0
     for segment in simulator.trace.segments:
+        instructions += segment.instructions
         unit = controller.required_unit(segment.method)
         if not engine.arrived(unit):
             run.on_stall(engine, segment.method)
@@ -623,6 +625,7 @@ def run_reference(
 
     return observer.result(
         total_cycles=time,
+        instructions=instructions,
         bytes_delivered=engine.total_delivered,
         bytes_terminated=engine.remaining_bytes,
         arrivals=engine.arrival_times,

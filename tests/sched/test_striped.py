@@ -238,6 +238,31 @@ def test_validation_errors():
         )
 
 
+def test_an_outage_past_the_links_is_refused_when_built():
+    """The controller is a pure description: an outage naming a link it
+    lacks is refused at construction, not on the first run."""
+    item = bundle("Hanoi")
+    layout = transfer_layout(
+        item.workload.program, TransferPolicy.NON_STRICT, item.scg
+    )
+    links = links_from_bandwidths((57600, 28800))
+    for policy in ("interleaved", "round_robin"):
+        with pytest.raises(
+            TransferError,
+            match="outage references link 5, but only 2 links exist",
+        ):
+            StripedController(
+                layout, links, policy=policy, outages=(LinkOutage(1.0, 5),)
+            )
+        with pytest.raises(TransferError, match="references link 2"):
+            StripedController(
+                layout, links, policy=policy, outages=(LinkOutage(1.0, 2),)
+            )
+        StripedController(
+            layout, links, policy=policy, outages=(LinkOutage(1.0, 1),)
+        )
+
+
 def test_escalation_toggle_controls_demand_correction():
     """With and without escalation the recorded run equals the
     oracle's; only the escalated run demand-fetches."""

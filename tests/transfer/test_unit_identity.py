@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from repro.errors import TransferError
 from repro.netserve import decode_frame, encode_frame, unit_frame
 from repro.program import MethodId
 from repro.transfer import (
@@ -168,3 +169,41 @@ def test_a_method_id_equals_its_plain_name_pair():
     assert tuple(method) == pair
     assert MethodId(*pair) == method
     assert method < ("Hanoi", "move")
+
+
+def test_a_unit_is_its_field_tuple(units):
+    """A ``TransferUnit`` is a named ``(kind, class_name, size, method)``
+    tuple: it equals and hashes as that tuple (the values a frozen
+    dataclass hashed to), and survives a wire round trip."""
+    for unit in units:
+        fields = (unit.kind, unit.class_name, unit.size, unit.method)
+        assert tuple(unit) == fields
+        assert unit == fields and hash(unit) == hash(fields)
+        assert TransferUnit(*fields) == unit
+        frame, _ = decode_frame(
+            encode_frame(unit_frame(unit, bytes(unit.size)))
+        )
+        assert type(frame.unit) is TransferUnit
+        assert frame.unit == unit and hash(frame.unit) == hash(unit)
+
+
+def test_a_unit_keeps_both_validation_errors():
+    method = MethodId("Hanoi", "main")
+    with pytest.raises(TransferError) as negative:
+        TransferUnit(UnitKind.METHOD, "Hanoi", -1, method)
+    assert str(negative.value) == (
+        "negative unit size: TransferUnit(kind=<UnitKind.METHOD: "
+        "'method'>, class_name='Hanoi', size=-1, "
+        "method=MethodId(class_name='Hanoi', method_name='main'))"
+    )
+    with pytest.raises(TransferError) as missing:
+        TransferUnit(UnitKind.METHOD, "Hanoi", 4)
+    assert str(missing.value) == (
+        "method must be set exactly for METHOD units: "
+        "TransferUnit(kind=<UnitKind.METHOD: 'method'>, "
+        "class_name='Hanoi', size=4, method=None)"
+    )
+    with pytest.raises(TransferError, match="method must be set exactly"):
+        TransferUnit(
+            kind=UnitKind.GLOBAL_DATA, class_name="Hanoi", size=4, method=method
+        )
