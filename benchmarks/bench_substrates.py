@@ -2,8 +2,10 @@
 
 from repro.bytecode import assemble, decode, encode
 from repro.classfile import deserialize, serialize
-from repro.reorder import estimate_first_use
-from repro.transfer import NetworkLink, StreamEngine, TransferUnit, UnitKind
+from repro.core import Simulator
+from repro.reorder import estimate_first_use, restructure
+from repro.sched import StripedController
+from repro.transfer import T1_LINK, TransferPolicy, transfer_layout
 from repro.vm import VirtualMachine
 from repro.workloads import fibonacci_program
 from repro.workloads.synthetic import generate_workload
@@ -50,18 +52,17 @@ def test_static_estimator_runtime(benchmark):
 
 
 def test_stream_engine_event_rate(benchmark):
-    link = NetworkLink("bench", 1.0)
-    units = [
-        TransferUnit(
-            kind=UnitKind.GLOBAL_DATA, class_name=f"c{i}", size=10
-        )
-        for i in range(2000)
-    ]
+    """The co-simulation core's one-link lane: JHLZip's interleaved
+    file on T1, replayed against its Test trace."""
+    workload = generate_workload("JHLZip")
+    order = estimate_first_use(workload.program)
+    layout = transfer_layout(
+        restructure(workload.program, order), TransferPolicy.NON_STRICT, order
+    )
+    controller = StripedController(layout, (T1_LINK,), policy="interleaved")
+    simulator = Simulator(workload.test_trace, controller, workload.cpi)
 
-    def run():
-        engine = StreamEngine(link)
-        engine.request_stream("s", units)
-        engine.run_until(1e9)
-        return len(engine.arrival_times)
-
-    assert benchmark(run) == 2000
+    result = benchmark(simulator.run)
+    assert len(result.latencies.entries) == len(
+        workload.test_trace.methods_used()
+    )

@@ -66,7 +66,7 @@ from ..errors import AnalysisError, CFGError, ClassFileError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
-from ..sched.scoreboard import WATERMARK_SLOP
+from ..sched.striped import WATERMARK_SLOP
 from ..transfer import NetworkLink, build_schedule
 from ..transfer.layout import TransferLayout, transfer_layout
 from ..transfer.schedule import TransferSchedule

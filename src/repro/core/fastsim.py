@@ -77,8 +77,14 @@ from typing import (
 
 from ..errors import TransferError
 from ..program import MethodId
-from ..sched.scoreboard import WATERMARK_SLOP, unit_grain_scoreboard
-from ..sched.striped import link_label, record_busy, record_demand, record_issue
+from ..sched.scoreboard import unit_grain_scoreboard
+from ..sched.striped import (
+    WATERMARK_SLOP,
+    link_label,
+    record_busy,
+    record_demand,
+    record_issue,
+)
 from ..transfer.units import TransferUnit
 from .simulation import RunObserver, SimulationResult
 
@@ -89,9 +95,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..vm import ExecutionTrace
     from .simulation import Simulator
 
-__all__ = ["compile_trace", "run_batched"]
+__all__ = [
+    "TransferMachine",
+    "compile_trace",
+    "run_batched",
+    "transfer_machine",
+]
 
-#: Matches ``repro.transfer.streams._EPSILON``.
+#: Bytes of a unit left on the wire below which it counts as landed:
+#: the float residue of the per-step byte shares.  A landing carries
+#: the residue into the stream's next unit.
 _EPSILON = 1e-6
 
 #: Slack (bytes) taken off the deferred release-trigger gaps so float
@@ -191,8 +204,8 @@ class _Lane:
 
 
 class _FastStream:
-    """One issued grain on its lane: a flat mirror of
-    :class:`repro.transfer.streams.Stream`."""
+    """One issued grain on its lane: its units in order, the unit on
+    the wire and the bytes that unit still needs."""
 
     __slots__ = (
         "label",
@@ -229,8 +242,8 @@ class _FastStream:
         return self.remaining + later
 
 
-class _Machine(NamedTuple):
-    """One run's transfer side, as the segment loop drives it."""
+class TransferMachine(NamedTuple):
+    """One run's transfer side, as a segment loop drives it."""
 
     #: Unit → the cycle execution may use it (its retire time).
     arrivals: Dict[TransferUnit, float]
@@ -254,8 +267,7 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     """
     controller = simulator.controller
     compiled = compile_trace(simulator.trace, controller, simulator.cpi)
-    grains = _stream_grains if controller.grain == "stream" else _unit_grains
-    machine = grains(controller, simulator.recorder)
+    machine = transfer_machine(controller, simulator.recorder)
     arrivals, demand_fetches, step, correct, wait, lanes = machine
 
     time = clock = 0.0
@@ -286,13 +298,24 @@ def run_batched(simulator: "Simulator") -> SimulationResult:
     )
 
 
+def transfer_machine(
+    controller: "StripedController",
+    recorder: Optional["TraceRecorder"] = None,
+) -> TransferMachine:
+    """A fresh run of ``controller``'s links, with what is ready at
+    time zero already issued: stream grains share each lane, the unit
+    grain carries one unit per lane."""
+    grains = _stream_grains if controller.grain == "stream" else _unit_grains
+    return grains(controller, recorder)
+
+
 def _least_loaded(lane: _Lane) -> Tuple[float, int]:
     return (lane.remaining_bytes(), lane.index)
 
 
 def _stream_grains(
     controller: "StripedController", recorder: Optional["TraceRecorder"]
-) -> _Machine:
+) -> TransferMachine:
     """Stream grains on every lane, processor-shared per lane."""
     lanes = [_Lane(index, link) for index, link in enumerate(controller.links)]
     max_streams = controller.max_streams
@@ -532,17 +555,12 @@ def _stream_grains(
 
     # Release whatever is due at byte zero.
     release()
-    return _Machine(arrivals, demand_fetches, step, correct, wait, lanes)
-
-
-def _nothing_delivered(item: "IssueItem") -> float:
-    """Unit grains carry no watermark."""
-    return 0.0
+    return TransferMachine(arrivals, demand_fetches, step, correct, wait, lanes)
 
 
 def _unit_grains(
     controller: "StripedController", recorder: Optional["TraceRecorder"]
-) -> _Machine:
+) -> TransferMachine:
     """One unit per idle lane, out of order, with retire hazards."""
     lanes = [_Lane(index, link) for index, link in enumerate(controller.links)]
     outages = sorted(controller.outages, key=lambda outage: outage.at_cycles)
@@ -577,7 +595,7 @@ def _unit_grains(
         free = [lane for lane in lanes if lane.alive and not lane.active]
         if not free:
             return
-        for item in board.ready_items(_nothing_delivered):
+        for item in board.ready_items():
             if not free:
                 break
             lane = choose(item, free)
@@ -705,4 +723,4 @@ def _unit_grains(
         return clock
 
     dispatch()
-    return _Machine(arrivals, demand_fetches, step, correct, wait, lanes)
+    return TransferMachine(arrivals, demand_fetches, step, correct, wait, lanes)

@@ -13,14 +13,17 @@ overlap."  This extension realizes that idea on top of the co-simulator:
   wants to exploit); a method whose compilation has not finished when it
   is first invoked pays the remaining compile cycles up front.
 
-The simulation is exact and event-driven like
-:class:`repro.core.simulation.Simulator`: between trace segments the
-transfer engine advances, and stall intervals are consumed first by
-pending compilations (in arrival order), then by idle waiting.
+The simulation is exact and event-driven, and runs on the
+co-simulation core's transfer machine
+(:func:`repro.core.fastsim.transfer_machine`) for the interleaved file
+on one link: between trace segments the link advances, and stall
+intervals are consumed first by pending compilations (in arrival
+order), then by idle waiting.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Set
@@ -29,14 +32,15 @@ from ..errors import SimulationError
 from ..program import MethodId, Program
 from ..reorder import FirstUseOrder
 from ..reorder import restructure as apply_restructure
+from ..sched import StripedController
 from ..transfer import (
     NetworkLink,
-    StreamEngine,
     TransferPolicy,
     UnitKind,
     transfer_layout,
 )
 from ..vm import ExecutionTrace
+from .fastsim import transfer_machine
 
 __all__ = ["JitModel", "JitResult", "simulate_jit_overlap", "strict_jit_total"]
 
@@ -49,10 +53,29 @@ class JitModel:
         compile_cycles_per_byte: CPU cycles to compile one code byte.
         compiled_cpi: Cycles per bytecode once a method is compiled
             (must beat the interpreter's CPI for JIT to pay off).
+
+    Raises:
+        SimulationError: Unless ``compile_cycles_per_byte`` is finite
+            and ``>= 0`` and ``compiled_cpi`` finite and positive.
     """
 
     compile_cycles_per_byte: float
     compiled_cpi: float
+
+    def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.compile_cycles_per_byte)
+            and self.compile_cycles_per_byte >= 0
+        ):
+            raise SimulationError(
+                f"compile cycles per byte must be finite and >= 0, "
+                f"got {self.compile_cycles_per_byte}"
+            )
+        if not (math.isfinite(self.compiled_cpi) and self.compiled_cpi > 0):
+            raise SimulationError(
+                f"compiled CPI must be finite and positive, "
+                f"got {self.compiled_cpi}"
+            )
 
     def compile_cycles(self, code_bytes: int) -> float:
         return self.compile_cycles_per_byte * code_bytes
@@ -116,6 +139,10 @@ def simulate_jit_overlap(
     Methods compile in arrival order whenever execution is blocked on
     transfer; a method invoked before its compilation finished pays the
     remainder before executing (modelling compile-on-first-call).
+
+    Raises:
+        TransferError: If the trace runs a method of a class the
+            program does not have.
     """
     layout = transfer_layout(
         apply_restructure(program, order),
@@ -124,12 +151,12 @@ def simulate_jit_overlap(
         else TransferPolicy.NON_STRICT,
         order,
     )
-    plans = layout.plans
     # The interleaved file on one link: a single stream, in order, so
-    # units arrive in sequence order.
-    sequence = layout.sequence()
-    engine = StreamEngine(link)
-    engine.request_stream("interleaved", sequence)
+    # units land in sequence order.
+    controller = StripedController(layout, (link,), policy="interleaved")
+    sequence = controller.sequence
+    arrivals, _, step, _, wait, _ = transfer_machine(controller)
+    clock = 0.0
 
     code_bytes: Dict[MethodId, int] = {
         method_id: method.code_bytes
@@ -152,7 +179,7 @@ def simulate_jit_overlap(
     def refresh_queue() -> None:
         """Pull newly arrived methods into the compile queue."""
         nonlocal consumed
-        arrived = len(engine.arrival_times)
+        arrived = len(arrivals)
         while consumed < arrived:
             unit = sequence[consumed]
             consumed += 1
@@ -173,22 +200,20 @@ def simulate_jit_overlap(
             if need <= 1e-9:
                 compile_queue.popleft()
                 continue
-            step = min(need, budget)
-            remaining_compile[method_id] = need - step
-            budget -= step
-            used += step
-            compile_spent += step
+            chunk = min(need, budget)
+            remaining_compile[method_id] = need - chunk
+            budget -= chunk
+            used += chunk
+            compile_spent += chunk
             if remaining_compile[method_id] <= 1e-9:
                 compile_queue.popleft()
         return used
 
     for segment in trace.segments:
-        unit = plans[segment.method.class_name].method_unit(
-            segment.method.method_name
-        )
-        if not engine.arrived(unit):
-            arrival = engine.run_until_unit(unit)
-            arrival = max(arrival, time)
+        unit = controller.required_unit(segment.method)
+        if unit not in arrivals:
+            clock = wait(unit)
+            arrival = max(arrivals[unit], time)
             idle = arrival - time
             refresh_queue()
             used = compile_during(idle)
@@ -203,7 +228,8 @@ def simulate_jit_overlap(
             compile_spent += pending
             time += pending
         time += segment.instructions * jit.compiled_cpi
-        engine.run_until(time)
+        while clock < time:
+            clock = step(time)
 
     execution_cycles = trace.total_instructions * jit.compiled_cpi
     if time + 1e-6 < execution_cycles:

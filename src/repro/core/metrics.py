@@ -14,6 +14,7 @@ Reproduces the paper's accounting conventions exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -71,8 +72,8 @@ def strict_baseline(
     cpi: float,
 ) -> StrictBaseline:
     """Compute the strict base case (Table 3's accounting)."""
-    if cpi <= 0:
-        raise SimulationError(f"CPI must be positive, got {cpi}")
+    if not (math.isfinite(cpi) and cpi > 0):
+        raise SimulationError(f"CPI must be finite and positive, got {cpi}")
     execution = trace.total_instructions * float(cpi)
     transfer = link.transfer_cycles(program_wire_bytes(program))
     return StrictBaseline(

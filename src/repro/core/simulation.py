@@ -30,6 +30,7 @@ stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -143,8 +144,10 @@ class Simulator:
         cpi: float,
         recorder: Optional["TraceRecorder"] = None,
     ) -> None:
-        if cpi <= 0:
-            raise SimulationError(f"CPI must be positive, got {cpi}")
+        if not (math.isfinite(cpi) and cpi > 0):
+            raise SimulationError(
+                f"CPI must be finite and positive, got {cpi}"
+            )
         self.trace = trace
         self.controller = controller
         self.cpi = float(cpi)

@@ -53,7 +53,7 @@ class ReorderError(ReproError):
 
 
 class TransferError(ReproError):
-    """Invalid transfer plan, schedule, or stream engine state."""
+    """Invalid transfer plan, schedule, or transfer run state."""
 
 
 class ProtocolError(TransferError):

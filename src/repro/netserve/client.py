@@ -725,7 +725,7 @@ class NonStrictFetcher:
             if self._eof.is_set():
                 return
             issued: Dict[int, List[UnitKey]] = {}
-            for item in board.ready_items(lambda _: 0.0):
+            for item in board.ready_items():
                 link = self._pick_link()
                 if link is None:
                     break

@@ -21,8 +21,8 @@ Two behaviours mirror the paper's transfer fabric (§5.1/§5.2):
 * **Demand-fetch priority** — a ``DEMAND_FETCH`` from the client (a
   first-use misprediction) promotes the demanded class's still-pending
   units, as a block and in order, to the *front* of the send queue —
-  the same front-of-queue rule :meth:`repro.transfer.StreamEngine`
-  applies to demand-fetched streams.
+  the same front-of-queue rule (§5.1) the co-simulation core
+  (:mod:`repro.core.fastsim`) applies to a demand-fetched stream.
 
 Striped sessions negotiate *pull mode* (``HELLO`` with ``pull:
 true``): the server answers with the full manifest but pushes nothing;
@@ -57,6 +57,7 @@ Fleet-scale controls:
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from typing import (
@@ -141,8 +142,10 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: float = 256.0) -> None:
-        if rate <= 0:
-            raise ProtocolError(f"pacing rate must be positive: {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ProtocolError(
+                f"pacing rate must be finite and positive: {rate}"
+            )
         self.rate = float(rate)
         self.burst = max(float(burst), 1.0)
         self._tokens = self.burst

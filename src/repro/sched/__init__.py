@@ -5,11 +5,14 @@ interleaved §5.2) are *in-order* within a stream and assume a single
 network link.  This package generalises them with the classic
 scoreboard structure: transfer units are instructions, network links
 are functional units, and hazard edges (a method unit needs its
-class's global data; the greedy schedule's byte watermarks gate
-starts) are data dependences.  Units issue out of order across any
-number of possibly heterogeneous links; a unit's observable *arrival*
-is its retire time — after its hazards — so execution semantics never
-weaken.
+class's global data) are data dependences.  Units issue out of order
+across any number of possibly heterogeneous links; a unit's observable
+*arrival* is its retire time — after its hazards — so execution
+semantics never weaken.  The greedy schedule's byte watermarks hold a
+parallel stream grain back until enough bytes have arrived
+(:class:`StreamGrain`, compared with
+:data:`~repro.sched.striped.WATERMARK_SLOP`); they are not board
+state.
 
 Entry points:
 

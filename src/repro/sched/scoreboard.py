@@ -5,15 +5,13 @@ The scoreboard borrows the classic out-of-order processor structure
 links play the role of functional units, and hazard edges play the
 role of data dependences.  Each :class:`IssueItem` is one *issue
 grain* — either a single transfer unit (multi-link striping) or a
-whole in-order stream (strict, parallel, one-link interleaved) — and
-moves through
-``WAITING → READY → ISSUED → LANDED``:
+whole in-order stream — and moves through ``READY → ISSUED →
+LANDED``:
 
-* ``WAITING``: a hazard still blocks issue — the item's byte
-  watermark (the greedy schedule's ``start_after_bytes`` trigger,
-  paper §5.1) has not been reached;
-* ``READY``: every issue hazard is clear; the arbiter may dispatch
-  the item to a link;
+* ``READY``: on the board and not on a link; the arbiter may dispatch
+  the item to a link.  An item is ``READY`` from the moment it is
+  added: whatever holds a grain back (the greedy schedule's byte
+  watermarks, paper §5.1) is its caller's business;
 * ``ISSUED``: on the wire on one link;
 * ``LANDED``: every byte of the item has arrived.
 
@@ -30,13 +28,13 @@ Demand-fetch correction (§5.1 misprediction handling) appears here as
 unescalated one at the next arbitration round.
 
 The board keeps its ``READY`` set ordered as transitions happen, so an
-arbitration round costs the same at any plan size: a watermark
-release, :meth:`Scoreboard.escalate` and :meth:`Scoreboard.requeue`
-insert an item, and :meth:`Scoreboard.mark_issued` (or a landing)
-removes it.  :meth:`Scoreboard.ready_items` checks only the items
-still ``WAITING`` on a watermark.  Every state change therefore goes
-through the board's methods; an item's ``state``, ``escalated`` and
-``seq`` are not to be set from outside.
+arbitration round costs the same at any plan size:
+:meth:`Scoreboard.add_item`, :meth:`Scoreboard.escalate` and
+:meth:`Scoreboard.requeue` insert an item, and
+:meth:`Scoreboard.mark_issued` (or a landing) removes it.
+:meth:`Scoreboard.ready_items` only copies the ordered list.  Every
+state change therefore goes through the board's methods; an item's
+``state``, ``escalated`` and ``seq`` are not to be set from outside.
 
 :func:`unit_grain_scoreboard` builds the board of every unit-grain
 transfer — the controller's unit-grain policies and the pull-mode
@@ -48,23 +46,17 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransferError
 from ..transfer import TransferUnit, UnitKind
 
 __all__ = ["ItemState", "IssueItem", "Scoreboard", "unit_grain_scoreboard"]
 
-#: Slop applied to byte-watermark comparisons; the co-simulation core
-#: in :mod:`repro.core.fastsim` and the transfer-plan analyzer import
-#: it, so their releases match the scoreboard's.
-WATERMARK_SLOP = 1e-9
-
 
 class ItemState(enum.Enum):
     """Where an issue grain is in its lifecycle."""
 
-    WAITING = "waiting"
     READY = "ready"
     ISSUED = "issued"
     LANDED = "landed"
@@ -80,11 +72,6 @@ class IssueItem:
         units: The grain's units, delivered strictly in this order.
         seq: Program-order sequence number: the arbitration order
             among items of equal escalation.
-        watermark_bytes: Delivered-byte trigger: the item stays
-            ``WAITING`` until the watermark classes have delivered
-            this many bytes (0 = immediately ready).
-        watermark_classes: Stream labels whose delivered bytes count
-            toward the watermark.
         state: Current lifecycle state.
         escalated: Demand-fetch escalation flag; sorts before every
             unescalated item.
@@ -95,9 +82,7 @@ class IssueItem:
     label: str
     units: Tuple[TransferUnit, ...]
     seq: int
-    watermark_bytes: float = 0.0
-    watermark_classes: Tuple[str, ...] = ()
-    state: ItemState = ItemState.WAITING
+    state: ItemState = ItemState.READY
     escalated: bool = False
     channel: Optional[int] = None
     issue_time: Optional[float] = None
@@ -141,8 +126,6 @@ class Scoreboard:
         self._dependents: Dict[TransferUnit, List[TransferUnit]] = {}
         #: Add order of each label: the tie-break of the ready order.
         self._rank: Dict[str, int] = {}
-        #: Items still ``WAITING`` on a watermark, in add order.
-        self._waiting: Dict[str, IssueItem] = {}
         #: ``READY`` items best first, and their sort keys, index for
         #: index.
         self._ready: List[IssueItem] = []
@@ -156,7 +139,7 @@ class Scoreboard:
     # -- construction ------------------------------------------------------
 
     def add_item(self, item: IssueItem) -> None:
-        """Register one issue grain.
+        """Register one issue grain; it is ``READY`` at once.
 
         Raises:
             TransferError: On a duplicate label or a unit already
@@ -178,10 +161,8 @@ class Scoreboard:
         self._unlanded[item.label] = sum(
             1 for unit in item.units if unit not in self.land_times
         )
-        if item.state is ItemState.WAITING:
-            self._waiting[item.label] = item
-        elif item.state is ItemState.READY:
-            self._insert_ready(item)
+        item.state = ItemState.READY
+        self._insert_ready(item)
 
     def add_unit_dep(
         self, unit: TransferUnit, *deps: TransferUnit
@@ -203,63 +184,28 @@ class Scoreboard:
                 f"unit not on the scoreboard: {unit}"
             ) from exc
 
-    def item_for_unit(self, unit: TransferUnit) -> IssueItem:
-        return self.items[self.label_of(unit)]
-
     def unit_deps(self, unit: TransferUnit) -> Tuple[TransferUnit, ...]:
         """The units ``unit`` retires after (its retire hazards)."""
         return self._unit_deps.get(unit, ())
 
-    def unissued_bytes(self) -> float:
-        """Bytes of grains not yet dispatched to any link."""
-        return float(
-            sum(
-                item.size
-                for item in self.items.values()
-                if item.state in (ItemState.WAITING, ItemState.READY)
-            )
-        )
-
-    @property
-    def outstanding(self) -> bool:
-        """True while any grain has not fully landed."""
-        return any(
-            item.state is not ItemState.LANDED
-            for item in self.items.values()
-        )
-
     # -- state transitions -------------------------------------------------
 
-    def ready_items(
-        self, delivered: Callable[[IssueItem], float]
-    ) -> List[IssueItem]:
-        """Promote watermark-satisfied items and list the ready set.
-
-        Only items still ``WAITING`` are checked; the ready set itself
-        is kept in order as items enter and leave it.
-
-        Args:
-            delivered: Callback returning the bytes delivered so far
-                for an item's watermark classes (summed across links).
+    def ready_items(self) -> List[IssueItem]:
+        """Every ``READY`` item, best-priority first.
 
         Returns:
-            Every ``READY`` item, best-priority first: a copy of the
-            board's ordered list, so the caller may issue while
+            A copy of the board's ordered list, kept in order as items
+            enter and leave it, so the caller may issue while
             iterating over it.
         """
-        for label, item in list(self._waiting.items()):
-            if item.watermark_bytes <= delivered(item) + WATERMARK_SLOP:
-                del self._waiting[label]
-                item.state = ItemState.READY
-                self._insert_ready(item)
         return list(self._ready)
 
     def escalate(self, label: str) -> bool:
         """Escalate an unlanded item's priority (demand correction).
 
         Returns:
-            True if the item was newly escalated (it was waiting,
-            ready, or in flight and not yet flagged).
+            True if the item was newly escalated (it was ready, or in
+            flight and not yet flagged).
         """
         item = self.items[label]
         if item.state is ItemState.LANDED or item.escalated:
@@ -267,10 +213,8 @@ class Scoreboard:
         if item.state is ItemState.ISSUED:
             item.escalated = True
             return True
-        # A demand fetch overrides the byte watermark outright.
-        self._leave_queue(item)
+        self._leave_ready(item)
         item.escalated = True
-        item.state = ItemState.READY
         self._insert_ready(item)
         return True
 
@@ -278,11 +222,11 @@ class Scoreboard:
         self, label: str, channel: int, time: float
     ) -> None:
         item = self.items[label]
-        if item.state not in (ItemState.WAITING, ItemState.READY):
+        if item.state is not ItemState.READY:
             raise TransferError(
                 f"cannot issue item {label!r} in state {item.state}"
             )
-        self._leave_queue(item)
+        self._leave_ready(item)
         item.state = ItemState.ISSUED
         item.channel = channel
         item.issue_time = time
@@ -360,7 +304,8 @@ class Scoreboard:
             self._unlanded[label] -= 1
             if not self._unlanded[label]:
                 item = self.items[label]
-                self._leave_queue(item)
+                if item.state is ItemState.READY:
+                    self._leave_ready(item)
                 item.state = ItemState.LANDED
         return retired
 
@@ -375,16 +320,11 @@ class Scoreboard:
         self._ready_keys.insert(index, key)
         self._ready.insert(index, item)
 
-    def _leave_queue(self, item: IssueItem) -> None:
-        """Take a ``WAITING`` or ``READY`` item out of its queue."""
-        if item.state is ItemState.WAITING:
-            del self._waiting[item.label]
-        elif item.state is ItemState.READY:
-            index = bisect.bisect_left(
-                self._ready_keys, self._sort_key(item)
-            )
-            del self._ready_keys[index]
-            del self._ready[index]
+    def _leave_ready(self, item: IssueItem) -> None:
+        """Take a ``READY`` item out of the ordered list."""
+        index = bisect.bisect_left(self._ready_keys, self._sort_key(item))
+        del self._ready_keys[index]
+        del self._ready[index]
 
 
 def unit_grain_scoreboard(units: Sequence[TransferUnit]) -> Scoreboard:

@@ -38,6 +38,7 @@ loop that runs a controller records the same payloads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
@@ -95,14 +96,21 @@ class LinkOutage:
     link_index: int
 
     def __post_init__(self) -> None:
-        if self.at_cycles < 0:
+        if not (math.isfinite(self.at_cycles) and self.at_cycles >= 0):
             raise TransferError(
-                f"outage time must be >= 0, got {self.at_cycles}"
+                f"outage time must be finite and >= 0, got {self.at_cycles}"
             )
         if self.link_index < 0:
             raise TransferError(
                 f"outage link index must be >= 0, got {self.link_index}"
             )
+
+
+#: Slop (bytes) in every byte-watermark comparison: a grain is released
+#: once ``watermark_bytes <= delivered + WATERMARK_SLOP``.  The
+#: co-simulation core and the transfer-plan analyzer both compare with
+#: it, so their releases agree.
+WATERMARK_SLOP = 1e-9
 
 
 @dataclass(frozen=True)

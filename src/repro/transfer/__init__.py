@@ -1,4 +1,4 @@
-"""Transfer model: links, units, streams, the schedule and plan transforms.
+"""Transfer model: links, units, the schedule and plan transforms.
 
 :func:`transfer_layout` plans a program's units once; the one controller
 that moves them over links is :class:`repro.sched.StripedController`.
@@ -23,7 +23,6 @@ from .link import (
     lossy_link,
 )
 from .schedule import ScheduledStart, TransferSchedule, build_schedule
-from .streams import Stream, StreamEngine
 from .units import (
     ClassTransferPlan,
     TransferPolicy,
@@ -52,8 +51,6 @@ __all__ = [
     "ScheduledStart",
     "TransferSchedule",
     "build_schedule",
-    "Stream",
-    "StreamEngine",
     "ClassTransferPlan",
     "TransferPolicy",
     "TransferUnit",

@@ -8,6 +8,7 @@ directly comparable in shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -40,9 +41,9 @@ class NetworkLink:
     cycles_per_byte: float
 
     def __post_init__(self) -> None:
-        if self.cycles_per_byte <= 0:
+        if not (math.isfinite(self.cycles_per_byte) and self.cycles_per_byte > 0):
             raise TransferError(
-                f"cycles_per_byte must be positive, got "
+                f"cycles_per_byte must be finite and positive, got "
                 f"{self.cycles_per_byte}"
             )
 
@@ -65,9 +66,9 @@ def link_from_bandwidth(
     name: str, bits_per_second: float, cpu_hz: float = CPU_HZ
 ) -> NetworkLink:
     """Build a link from a bandwidth in bits/second."""
-    if bits_per_second <= 0:
+    if not (math.isfinite(bits_per_second) and bits_per_second > 0):
         raise TransferError(
-            f"bandwidth must be positive, got {bits_per_second}"
+            f"bandwidth must be finite and positive, got {bits_per_second}"
         )
     bytes_per_second = bits_per_second / 8.0
     return NetworkLink(
@@ -89,15 +90,16 @@ def links_from_bandwidths(
 
     Raises:
         TransferError: If the sequence is empty or any bandwidth is
-            non-positive.
+            not finite and positive.
     """
     if not bits_per_second:
         raise TransferError("links_from_bandwidths needs >= 1 bandwidth")
     links = []
     for index, bps in enumerate(bits_per_second):
-        if bps <= 0:
+        if not (math.isfinite(bps) and bps > 0):
             raise TransferError(
-                f"bandwidth must be positive, got {bps} at index {index}"
+                f"bandwidth must be finite and positive, got {bps} "
+                f"at index {index}"
             )
         links.append(
             link_from_bandwidth(
@@ -112,7 +114,7 @@ class LossyLink(NetworkLink):
     """A link whose packets are lost and retransmitted.
 
     ``cycles_per_byte`` is the *effective* (loss-inflated) rate the
-    stream engine sees, so the cycle-exact simulator runs loss sweeps
+    simulator's links run at, so the cycle-exact simulator runs loss sweeps
     without any change to its event loop; the loss parameters are kept
     for reporting.  Build instances with :func:`lossy_link`.
 

@@ -1,16 +1,22 @@
 """Overlapping JIT compilation with transfer (§8 extension)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     JitModel,
     simulate_jit_overlap,
     strict_jit_total,
 )
+from repro.errors import SimulationError, TransferError
+from repro.harness import BENCHMARK_NAMES, bundle
+from repro.program import MethodId
 from repro.reorder import estimate_first_use
 from repro.transfer import MODEM_LINK, T1_LINK, NetworkLink
-from repro.vm import record_run
+from repro.vm import ExecutionTrace, TraceSegment, record_run
 from repro.workloads import figure1_program
+from tests.oracles.jit_reference import jit_reference
 
 # Heavy enough that compilation matters against this toy program's
 # small wire size (the delimiter overhead is ~80 KCycles on T1).
@@ -128,8 +134,6 @@ _BENCH_JIT_RESULTS = {
 def test_bench_settings_are_pinned(name):
     """The bench's six JitResults, exact: a faster compile queue or
     arrival scan must not move a single cycle."""
-    from repro.harness import bundle
-
     item = bundle(name)
     workload = item.workload
     result = simulate_jit_overlap(
@@ -142,3 +146,85 @@ def test_bench_settings_are_pinned(name):
         result.overlapped_compile_cycles,
         result.stall_cycles,
     ) == _BENCH_JIT_RESULTS[name]
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        (-5000.0, 10.0),
+        (float("nan"), 10.0),
+        (float("inf"), 10.0),
+        (5000.0, -10.0),
+        (5000.0, 0.0),
+        (5000.0, float("nan")),
+        (5000.0, float("inf")),
+    ],
+    ids=str,
+)
+def test_jit_model_refuses_bad_costs(costs):
+    """A negative compile cost simulated as 0 compile cycles while
+    ``strict_jit_total`` fell below its own transfer plus execution; a
+    NaN one made every field NaN; a negative CPI ran time backwards."""
+    with pytest.raises(SimulationError):
+        JitModel(*costs)
+
+
+def test_trace_outside_the_program_raises_transfer_error(setup):
+    """Like ``run_nonstrict``, not a bare ``KeyError``."""
+    program, trace, order = setup
+    ghost = ExecutionTrace(
+        segments=[*trace.segments, TraceSegment(MethodId("Nope", "run"), 10)]
+    )
+    with pytest.raises(TransferError, match="no transfer plan for class 'Nope'"):
+        simulate_jit_overlap(program, ghost, order, T1_LINK, JIT)
+
+
+#: A fixed, seeded set of draws; each runs the model and its oracle.
+_DRAWN_JIT = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_DRAWN_JIT
+@given(data=st.data())
+def test_drawn_configurations_match_the_oracle(data):
+    """A workload, a first-use order (SCG, Train or Test), T1, modem
+    or a drawn rate, data partitioning and a JitModel, drawn: the
+    core's run and the loop it replaced on the oracles' stream engine
+    give the same five JitResult fields, exactly."""
+    item = bundle(data.draw(st.sampled_from(BENCHMARK_NAMES), label="name"))
+    order = item.order(
+        data.draw(st.sampled_from(["SCG", "Train", "Test"]), label="order")
+    )
+    link = data.draw(
+        st.one_of(
+            st.sampled_from([T1_LINK, MODEM_LINK]),
+            st.floats(1e-6, 2e5).map(lambda rate: NetworkLink("drawn", rate)),
+        ),
+        label="link",
+    )
+    jit = JitModel(
+        data.draw(st.floats(0.0, 1e4), label="compile_cycles_per_byte"),
+        data.draw(st.floats(0.1, 500.0), label="compiled_cpi"),
+    )
+    partitioned = data.draw(st.booleans(), label="data_partitioning")
+    arguments = (item.workload.program, item.workload.test_trace, order, link, jit)
+    result = simulate_jit_overlap(*arguments, data_partitioning=partitioned)
+    expected = jit_reference(*arguments, data_partitioning=partitioned)
+    assert (
+        result.total_cycles,
+        result.execution_cycles,
+        result.compile_cycles,
+        result.overlapped_compile_cycles,
+        result.stall_cycles,
+    ) == (
+        expected.total_cycles,
+        expected.execution_cycles,
+        expected.compile_cycles,
+        expected.overlapped_compile_cycles,
+        expected.stall_cycles,
+    )

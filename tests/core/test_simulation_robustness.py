@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import run_nonstrict
-from repro.errors import ReproError
+from repro.core import run_nonstrict, strict_baseline
+from repro.errors import ReproError, SimulationError
 from repro.program import MethodId
 from repro.reorder import estimate_first_use
 from repro.transfer import T1_LINK
@@ -40,6 +40,21 @@ def test_negative_cpi_rejected(setup):
     program, trace, order = setup
     with pytest.raises(ReproError):
         run_nonstrict(program, trace, order, T1_LINK, -5)
+
+
+@pytest.mark.parametrize(
+    "cpi", [float("nan"), float("inf")], ids=["nan", "inf"]
+)
+@pytest.mark.parametrize("entry", ["Simulator", "strict_baseline"])
+def test_non_finite_cpi_rejected(setup, entry, cpi):
+    """``cpi <= 0`` lets NaN through: a NaN CPI printed ``nan`` totals
+    and a ``nan%`` normalized time."""
+    program, trace, order = setup
+    with pytest.raises(SimulationError, match="finite"):
+        if entry == "Simulator":
+            run_nonstrict(program, trace, order, T1_LINK, cpi)
+        else:
+            strict_baseline(program, trace, T1_LINK, cpi)
 
 
 def test_zero_instruction_segments_are_harmless(setup):

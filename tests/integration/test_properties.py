@@ -15,11 +15,11 @@ from repro.errors import VMError
 from repro.linker import verify_class
 from repro.transfer import (
     NetworkLink,
-    StreamEngine,
     TransferUnit,
     UnitKind,
 )
 from repro.vm import VirtualMachine
+from tests.oracles.streams import StreamEngine
 
 # --- random Mini program generation -----------------------------------
 

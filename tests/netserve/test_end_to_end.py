@@ -327,6 +327,16 @@ def test_token_bucket_enforces_long_run_rate():
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "rate", [float("nan"), float("inf"), 0.0, -1.0], ids=str
+)
+def test_token_bucket_refuses_a_rate_that_is_not_finite_and_positive(rate):
+    """A NaN rate consumed any amount at once, so a server built with
+    ``bandwidth=nan`` served unpaced and reported nothing."""
+    with pytest.raises(ProtocolError, match="pacing rate"):
+        TokenBucket(rate)
+
+
 def test_strategy_negotiation_textual_vs_static():
     async def scenario():
         server = await started_server()

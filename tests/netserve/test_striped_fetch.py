@@ -274,7 +274,7 @@ def test_one_dispatch_sends_one_demand_frame_per_link():
     board = fetcher._board
     order = [
         unit_wire_key(item.units[0])
-        for item in board.ready_items(lambda item: 0.0)
+        for item in board.ready_items()
     ]
     run(fetcher._dispatch())
     first, second = (_named_keys(link.writer) for link in fetcher._links)
@@ -290,7 +290,7 @@ def test_half_open_link_frame_names_one_unit():
     board = fetcher._board
     order = [
         unit_wire_key(item.units[0])
-        for item in board.ready_items(lambda item: 0.0)
+        for item in board.ready_items()
     ]
     run(fetcher._dispatch())
     healthy, probe = (_named_keys(link.writer) for link in fetcher._links)

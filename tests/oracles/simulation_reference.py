@@ -2,7 +2,8 @@
 
 This is the slow oracle :func:`repro.core.Simulator.run` is tested
 against, bit for bit, on results and on recorded event streams.  It is
-the library's earlier code, kept verbatim apart from its names:
+the library's earlier code, kept verbatim apart from its names and the
+byte-watermark gate, which moved here from the library's scoreboard:
 
 * :func:`run_reference` is the loop ``Simulator.run_reference`` ran:
   it walks the trace segment by segment and asks the controller's
@@ -11,16 +12,18 @@ the library's earlier code, kept verbatim apart from its names:
   carry (``start``, ``on_stall`` and the demand corrections, with the
   run's recorder and demand fetches);
 * :class:`IssueEngine` drives one
-  :class:`~repro.transfer.streams.StreamEngine` per link (a
+  :class:`~tests.oracles.streams.StreamEngine` per link (a
   :class:`LinkChannel`), all advanced in lockstep to the globally
   earliest event boundary (a unit completion on any link or a
   scheduled link outage).  At every boundary it feeds landed units to
   the :class:`~repro.sched.Scoreboard`, which cascades retires;
   processes link outages (the dead link's in-flight units go back to
-  ``READY`` and retransmit on the survivors); and dispatches the ready
-  set under the configured arbitration.  ``"stream"`` issues whole
-  in-order unit streams and admits every ready item at once;
-  ``"unit"`` issues one transfer unit per idle link.
+  ``READY`` and retransmit on the survivors); releases each
+  :class:`HeldGrain` whose byte watermark is met onto the board; and
+  dispatches the ready set under the configured arbitration.
+  ``"stream"`` issues whole in-order unit streams and admits every
+  ready item at once; ``"unit"`` issues one transfer unit per idle
+  link.
 
 The library's core (:mod:`repro.core.fastsim`) performs the same float
 operations in the same order; the tests in ``tests/core/test_fastsim.py``
@@ -30,6 +33,7 @@ and ``tests/sched`` compare the two.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -53,18 +57,21 @@ from repro.sched import (
     unit_grain_scoreboard,
 )
 from repro.sched.striped import (
+    WATERMARK_SLOP,
     link_label,
     record_busy,
     record_demand,
     record_issue,
 )
 from repro.transfer import NetworkLink, TransferUnit
-from repro.transfer.streams import Stream, StreamEngine
+
+from tests.oracles.streams import Stream, StreamEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observe import TraceEvent
 
 __all__ = [
+    "HeldGrain",
     "IssueEngine",
     "LinkChannel",
     "ReferenceRun",
@@ -77,6 +84,24 @@ _EPSILON = 1e-6
 
 #: How an engine picks the link for a ready grain.
 LINK_CHOICES = ("earliest_finish", "round_robin", "least_loaded")
+
+
+@dataclass
+class HeldGrain:
+    """A stream grain the engine holds off the board until its
+    watermark classes have delivered ``watermark_bytes`` (the greedy
+    schedule's start trigger, paper §5.1).
+
+    Attributes:
+        item: The grain, added to the board once released.
+        watermark_bytes: Delivered-byte trigger.
+        watermark_classes: Stream labels whose delivered bytes count
+            toward the watermark.
+    """
+
+    item: IssueItem
+    watermark_bytes: float
+    watermark_classes: Tuple[str, ...]
 
 
 class LinkChannel:
@@ -103,6 +128,8 @@ class IssueEngine:
     Args:
         links: The link set (1+ links, possibly heterogeneous).
         scoreboard: Pre-populated scoreboard of issue grains.
+        held: Stream grains to add to the board once their byte
+            watermark is met, in release-scan order.
         grain: ``"stream"`` (whole in-order streams, processor-shared
             per link) or ``"unit"`` (one unit per idle link).
         link_choice: Arbitration among candidate links —
@@ -124,6 +151,7 @@ class IssueEngine:
         self,
         links: Sequence[NetworkLink],
         scoreboard: Scoreboard,
+        held: Sequence[HeldGrain] = (),
         grain: str = "unit",
         link_choice: str = "earliest_finish",
         max_streams: Optional[int] = None,
@@ -158,6 +186,9 @@ class IssueEngine:
                 "link outages require a unit-grain policy"
             )
         self.scoreboard = scoreboard
+        self._held: Dict[str, HeldGrain] = {
+            gated.item.label: gated for gated in held
+        }
         self.grain = grain
         self.link_choice = link_choice
         self.recorder = recorder
@@ -231,9 +262,19 @@ class IssueEngine:
 
     # -- dispatch ----------------------------------------------------------
 
+    def holds(self, label: str) -> bool:
+        """True while the grain waits for its watermark off the board."""
+        return label in self._held
+
     def dispatch(self) -> None:
-        """Issue every ready grain the arbitration allows right now."""
-        ready = self.scoreboard.ready_items(self._delivered_for)
+        """Release the held grains whose watermark is met, then issue
+        every ready grain the arbitration allows right now."""
+        for label, gated in list(self._held.items()):
+            delivered = self._delivered_for(gated)
+            if gated.watermark_bytes <= delivered + WATERMARK_SLOP:
+                del self._held[label]
+                self.scoreboard.add_item(gated.item)
+        ready = self.scoreboard.ready_items()
         if not ready:
             return
         if self.grain == "stream":
@@ -252,9 +293,13 @@ class IssueEngine:
     def demand_issue(self, label: str) -> None:
         """Demand-fetch correction: put an unissued grain on the wire
         now, at the front of any queue (stream grain), or at the top
-        of the next arbitration round (unit grain)."""
+        of the next arbitration round (unit grain).  A demand releases
+        a held grain whatever its watermark."""
+        gated = self._held.pop(label, None)
+        if gated is not None:
+            self.scoreboard.add_item(gated.item)
         item = self.scoreboard.items[label]
-        if item.state not in (ItemState.WAITING, ItemState.READY):
+        if item.state is not ItemState.READY:
             return
         self.scoreboard.escalate(label)
         if self.grain == "stream":
@@ -286,7 +331,7 @@ class IssueEngine:
             )
         return channels
 
-    def _delivered_for(self, item: IssueItem) -> float:
+    def _delivered_for(self, item: HeldGrain) -> float:
         total = 0.0
         for name in item.watermark_classes:
             for ch in self.channels:
@@ -393,7 +438,7 @@ class IssueEngine:
         channel: LinkChannel,
     ) -> None:
         """``link_busy`` once the landed unit's grain has fully landed."""
-        item = self.scoreboard.item_for_unit(unit)
+        item = self.scoreboard.items[self.scoreboard.label_of(unit)]
         if item.state is ItemState.LANDED:
             record_busy(
                 recorder,
@@ -462,24 +507,21 @@ class ReferenceRun:
 
     # -- scoreboard construction ------------------------------------------
 
-    def _build_scoreboard(self) -> Scoreboard:
+    def _build_scoreboard(self) -> Tuple[Scoreboard, List[HeldGrain]]:
+        """The run's board, and the stream grains held off it until
+        their watermarks are met."""
         controller = self.controller
         if controller.grain == "unit":
-            return unit_grain_scoreboard(controller.sequence)
-        board = Scoreboard()
-        for seq, grain in enumerate(controller.stream_grains):
-            board.add_item(
-                IssueItem(
-                    label=grain.label,
-                    units=grain.units,
-                    seq=seq,
-                    watermark_bytes=grain.watermark_bytes,
-                    watermark_classes=controller.watermark_order[
-                        : grain.watermark_count
-                    ],
-                )
+            return unit_grain_scoreboard(controller.sequence), []
+        held = [
+            HeldGrain(
+                IssueItem(label=grain.label, units=grain.units, seq=seq),
+                grain.watermark_bytes,
+                controller.watermark_order[: grain.watermark_count],
             )
-        return board
+            for seq, grain in enumerate(controller.stream_grains)
+        ]
+        return Scoreboard(), held
 
     # -- simulator interface ----------------------------------------------
 
@@ -495,9 +537,11 @@ class ReferenceRun:
         controller = self.controller
         self.recorder = recorder
         self.demand_fetches = []
+        board, held = self._build_scoreboard()
         engine = IssueEngine(
             controller.links,
-            self._build_scoreboard(),
+            board,
+            held,
             grain=controller.grain,
             link_choice=controller.link_choice,
             max_streams=controller.max_streams,
@@ -528,11 +572,11 @@ class ReferenceRun:
         promote its queued stream."""
         class_name = method_id.class_name
         item = engine.scoreboard.items.get(class_name)
-        if item is None:
+        if item is None and not engine.holds(class_name):
             raise TransferError(
                 f"no transfer plan for class {class_name!r}"
             )
-        if item.state in (ItemState.WAITING, ItemState.READY):
+        if item is None or item.state is ItemState.READY:
             self.demand_fetches.append(method_id)
             if self.recorder is not None:
                 record_demand(self.recorder, engine.time, method_id)

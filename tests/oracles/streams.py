@@ -1,4 +1,4 @@
-"""Processor-sharing stream engine.
+"""Processor-sharing stream engine: the oracle's model of one link.
 
 Models the paper's transfer fabric: a fixed-bandwidth link over which up
 to ``max_streams`` class files transfer simultaneously, splitting the
@@ -11,10 +11,13 @@ Time is measured in CPU cycles.  The engine is event-driven and exact:
 it advances from unit-completion to unit-completion, so no per-cycle
 stepping occurs.
 
-The JIT-overlap model (:mod:`repro.core.jit`) runs its link on one.
-The co-simulator's core (:mod:`repro.core.fastsim`) performs the same
-step, completion and snap rules on flat lists, and its test oracle
-drives one engine per link.
+The library's co-simulation core (:mod:`repro.core.fastsim`) performs
+the same step, completion and snap rules on flat lists.  This engine
+was its predecessor; it lives with the tests as the per-link engine of
+the two oracles: the simulation oracle
+(``tests/oracles/simulation_reference.py``) drives one engine per link,
+and the JIT oracle (``tests/oracles/jit_reference.py``) runs its one
+link on one.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from collections import deque
 
-from ..errors import TransferError
-from .link import NetworkLink
-from .units import TransferUnit
+from repro.errors import TransferError
+from repro.transfer import NetworkLink, TransferUnit
 
 __all__ = ["Stream", "StreamEngine"]
 

@@ -15,7 +15,7 @@ from repro.sched import (
     LinkOutage,
     Scoreboard,
 )
-from tests.oracles.simulation_reference import IssueEngine
+from tests.oracles.simulation_reference import HeldGrain, IssueEngine
 from repro.transfer import (
     TransferUnit,
     UnitKind,
@@ -125,17 +125,12 @@ def test_link_choice_policies_pick_different_links():
 
 def test_idle_engine_with_unreachable_unit_raises():
     unit = _global("A")
-    board = Scoreboard()
-    board.add_item(
-        IssueItem(
-            label="never",
-            units=(unit,),
-            seq=0,
-            watermark_bytes=1e12,
-            watermark_classes=("ghost",),
-        )
+    never = HeldGrain(
+        IssueItem(label="never", units=(unit,), seq=0),
+        watermark_bytes=1e12,
+        watermark_classes=("ghost",),
     )
-    engine = IssueEngine((SLOW,), board, grain="unit")
+    engine = IssueEngine((SLOW,), Scoreboard(), (never,), grain="unit")
     with pytest.raises(TransferError, match="never arrived"):
         engine.run_until_unit(unit)
 

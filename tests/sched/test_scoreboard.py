@@ -57,33 +57,12 @@ def test_duplicate_label_and_unit_rejected():
 
 def test_lifecycle_and_unissued_bytes():
     board, g, m = _board()
-    assert board.unissued_bytes() == 150.0
-    assert board.outstanding
-    ready = board.ready_items(lambda item: 0.0)
+    ready = board.ready_items()
     assert [item.label for item in ready] == ["g", "m"]
     board.mark_issued("g", channel=0, time=1.0)
     assert board.items["g"].state is ItemState.ISSUED
-    assert board.unissued_bytes() == 50.0
     with pytest.raises(TransferError):
         board.mark_issued("g", channel=1, time=2.0)
-
-
-def test_watermark_gates_readiness():
-    board = Scoreboard()
-    unit = _global("A")
-    board.add_item(
-        IssueItem(
-            label="late",
-            units=(unit,),
-            seq=0,
-            watermark_bytes=500.0,
-            watermark_classes=("other",),
-        )
-    )
-    assert board.ready_items(lambda item: 100.0) == []
-    assert board.items["late"].state is ItemState.WAITING
-    ready = board.ready_items(lambda item: 500.0)
-    assert [item.label for item in ready] == ["late"]
 
 
 def test_retire_cascade_waits_for_dependencies():
@@ -95,7 +74,6 @@ def test_retire_cascade_waits_for_dependencies():
     retired = board.mark_landed(g, 25.0)
     assert retired == [(g, 25.0), (m, 25.0)]
     assert board.retire_times[m] == 25.0
-    assert not board.outstanding
 
 
 def test_retire_in_order_is_immediate():
@@ -116,19 +94,11 @@ def test_double_landing_rejected():
 
 def test_escalation_overrides_watermark_and_priority():
     board = Scoreboard()
-    board.add_item(
-        IssueItem(
-            label="urgent",
-            units=(_global("A"),),
-            seq=5,
-            watermark_bytes=1e9,
-            watermark_classes=("x",),
-        )
-    )
+    board.add_item(IssueItem(label="urgent", units=(_global("A"),), seq=5))
     board.add_item(IssueItem(label="early", units=(_global("B"),), seq=0))
     assert board.escalate("urgent") is True
     assert board.escalate("urgent") is False  # already escalated
-    ready = board.ready_items(lambda item: 0.0)
+    ready = board.ready_items()
     # Escalation beats program order.
     assert [item.label for item in ready] == ["urgent", "early"]
 
@@ -179,7 +149,7 @@ def test_requeue_returns_item_to_ready():
 def test_label_lookup():
     board, g, m = _board()
     assert board.label_of(g) == "g"
-    assert board.item_for_unit(m).label == "m"
+    assert board.label_of(m) == "m"
     with pytest.raises(TransferError):
         board.label_of(_global("Z"))
 
@@ -232,7 +202,7 @@ def test_draining_a_large_board_costs_linear_priority_keys(monkeypatch):
         )
     drained = []
     while True:
-        ready = board.ready_items(lambda item: 0.0)
+        ready = board.ready_items()
         if not ready:
             break
         board.mark_issued(ready[0].label, 0, 0.0)

@@ -7,7 +7,6 @@ landing rescans the landed item's units.  Random boards driven by
 random operations must agree with it after every step.
 """
 
-import math
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -15,17 +14,7 @@ from hypothesis import strategies as st
 
 from repro.program import MethodId
 from repro.sched import IssueItem, ItemState, Scoreboard
-from repro.sched.scoreboard import WATERMARK_SLOP
 from repro.transfer import TransferUnit, UnitKind
-
-
-def _fed(amount):
-    """A delivered-bytes callback reporting ``amount`` for every item."""
-    return lambda item: amount
-
-
-#: Releases nothing: with it, ``ready_items`` only lists the ready set.
-_PEEK = _fed(-math.inf)
 
 
 class NaiveBoard:
@@ -44,16 +33,12 @@ class NaiveBoard:
         self.land_times = {}
         self.retire_times = {}
 
-    def ready_items(self, delivered):
-        ready = []
-        for item in self.items.values():
-            if item.state is ItemState.WAITING:
-                if item.watermark_bytes <= (
-                    delivered(item) + WATERMARK_SLOP
-                ):
-                    item.state = ItemState.READY
-            if item.state is ItemState.READY:
-                ready.append(item)
+    def ready_items(self):
+        ready = [
+            item
+            for item in self.items.values()
+            if item.state is ItemState.READY
+        ]
         ready.sort(key=IssueItem.priority_key)
         return ready
 
@@ -62,8 +47,6 @@ class NaiveBoard:
         if item.state is ItemState.LANDED or item.escalated:
             return False
         item.escalated = True
-        if item.state is ItemState.WAITING:
-            item.state = ItemState.READY
         return True
 
     def mark_issued(self, label, channel, time):
@@ -132,10 +115,6 @@ def boards(draw):
                 label=f"i{index}",
                 units=own,
                 seq=draw(st.integers(0, 4)),
-                watermark_bytes=draw(
-                    st.sampled_from([0.0, 0.0, 50.0, 120.0, 300.0])
-                ),
-                watermark_classes=("x",),
             )
         )
     deps = {}
@@ -149,8 +128,8 @@ def boards(draw):
 
 
 def _agree(board, model):
-    assert [item.label for item in board.ready_items(_PEEK)] == [
-        item.label for item in model.ready_items(_PEEK)
+    assert [item.label for item in board.ready_items()] == [
+        item.label for item in model.ready_items()
     ]
     for label, expected in model.items.items():
         item = board.items[label]
@@ -174,16 +153,12 @@ def test_scoreboard_matches_the_scan_and_sort_model(spec, data):
     for unit, needs in deps.items():
         board.add_unit_dep(unit, *needs)
     model = NaiveBoard([replace(item) for item in items], deps)
-    delivered = 0.0
     clock = 0.0
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         clock += 1.0
         states = {label: item.state for label, item in model.items.items()}
         choices = ["ready", "escalate"]
-        if any(
-            state in (ItemState.WAITING, ItemState.READY)
-            for state in states.values()
-        ):
+        if ItemState.READY in states.values():
             choices.append("issue")
         if ItemState.ISSUED in states.values():
             choices.append("requeue")
@@ -191,10 +166,8 @@ def test_scoreboard_matches_the_scan_and_sort_model(spec, data):
             choices.append("land")
         action = data.draw(st.sampled_from(choices), label="action")
         if action == "ready":
-            delivered += data.draw(st.sampled_from([0.0, 40.0, 100.0]))
-            feed = _fed(delivered)
-            assert [item.label for item in board.ready_items(feed)] == [
-                item.label for item in model.ready_items(feed)
+            assert [item.label for item in board.ready_items()] == [
+                item.label for item in model.ready_items()
             ]
         elif action == "escalate":
             label = data.draw(st.sampled_from(sorted(states)))
@@ -205,7 +178,7 @@ def test_scoreboard_matches_the_scan_and_sort_model(spec, data):
                     sorted(
                         label
                         for label, state in states.items()
-                        if state in (ItemState.WAITING, ItemState.READY)
+                        if state is ItemState.READY
                     )
                 )
             )

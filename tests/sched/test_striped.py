@@ -263,6 +263,17 @@ def test_an_outage_past_the_links_is_refused_when_built():
         )
 
 
+@pytest.mark.parametrize(
+    "at_cycles", [float("nan"), float("inf"), float("-inf"), -1.0]
+)
+def test_outage_time_must_be_finite_and_not_negative(at_cycles):
+    """A NaN outage time compared false with every clock, so a two-link
+    round-robin run with ``LinkOutage(nan, 1)`` ran as if no outage
+    was scheduled."""
+    with pytest.raises(TransferError, match="outage time"):
+        LinkOutage(at_cycles, 1)
+
+
 def test_escalation_toggle_controls_demand_correction():
     """With and without escalation the recorded run equals the
     oracle's; only the escalated run demand-fetches."""

@@ -191,6 +191,27 @@ def test_simulate_rejects_bad_links_spec(stored, capsys):
     assert "bad --links token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--links", "nan,1000000", "--sched-policy", "round_robin"),
+        ("--links", "inf"),
+        ("--cpi", "nan"),
+        ("--cpi", "inf"),
+    ],
+    ids=["nan-link", "inf-link", "nan-cpi", "inf-cpi"],
+)
+def test_simulate_refuses_non_finite_rates_and_cpis(stored, capsys, options):
+    """A NaN link never finished a round-robin run, and a NaN CPI
+    printed ``nan`` totals and exited 0."""
+    directory, trace = stored
+    assert main(["simulate", directory, trace, *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "finite" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_errors_exit_2(tmp_path, capsys):
     assert main(["layout", str(tmp_path / "missing")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from repro.transfer import (
     T1_LINK,
     NetworkLink,
     link_from_bandwidth,
+    links_from_bandwidths,
 )
 
 
@@ -46,3 +47,24 @@ def test_invalid_links_rejected():
         link_from_bandwidth("bad", -5)
     with pytest.raises(TransferError):
         T1_LINK.transfer_cycles(-1)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: NetworkLink("bad", value),
+        lambda value: link_from_bandwidth("bad", value),
+        lambda value: links_from_bandwidths((value, 1_000_000)),
+        lambda value: links_from_bandwidths((1_000_000, value)),
+    ],
+    ids=["NetworkLink", "link_from_bandwidth", "first-of-set", "second-of-set"],
+)
+def test_non_finite_rates_rejected(build, value):
+    """``x <= 0`` lets NaN through: a NaN rate made a link every
+    simulation loop could spin on forever."""
+    with pytest.raises(TransferError, match="finite"):
+        build(value)

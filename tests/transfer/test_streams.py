@@ -1,9 +1,11 @@
-"""Stream engine: bandwidth sharing, limits, queuing — hand-computed."""
+"""The oracles' stream engine: bandwidth sharing, limits, queuing —
+hand-computed."""
 
 import pytest
 
 from repro.errors import TransferError
-from repro.transfer import NetworkLink, StreamEngine, TransferUnit, UnitKind
+from repro.transfer import NetworkLink, TransferUnit, UnitKind
+from tests.oracles.streams import StreamEngine
 
 
 def unit(name, size, method=None):
